@@ -28,8 +28,8 @@ class CheckRow:
         return self.residual <= self.tol
 
     def csv(self) -> str:
-        return (f"{self.case},{self.lhs!r},{self.rhs!r},"
-                f"{self.residual!r},{self.tol!r},{str(self.passed).lower()}")
+        return (f"{self.case},{float(self.lhs)!r},{float(self.rhs)!r},"
+                f"{float(self.residual)!r},{float(self.tol)!r},{str(self.passed).lower()}")
 
 
 def _row(rows, case, lhs, rhs, tol, scale=1.0):

@@ -57,6 +57,38 @@ def _second_same_weights(scheme, h):
     return {2: -1.0 / h2, 1: 16.0 / h2, 0: -30.0 / h2, -1: 16.0 / h2, -2: -1.0 / h2}
 
 
+def _field_eval(f, chart):
+    """f at the chart point shifted by (coordinate, offset) pairs, memoized;
+    a non-finite value raises."""
+    cache = {}
+
+    def feval(items):
+        key = tuple(items)
+        if key not in cache:
+            val = complex(f(chart.make_point(items)))
+            if not np.isfinite(val.real) or not np.isfinite(val.imag):
+                raise DomainError("field evaluated to a non-finite value")
+            cache[key] = val
+        return cache[key]
+
+    return feval
+
+
+def _second_partial(feval, center, i, j, hi, hj, scheme):
+    """d^2 f / dx_i dx_j by the scheme's central stencil with steps hi, hj;
+    center is the unshifted value, used only when i == j."""
+    acc = 0.0 + 0.0j
+    if i == j:
+        for o, w in _second_same_weights(scheme, hi).items():
+            acc += w * (center if o == 0 else feval([(i, o * hi)]))
+        return acc
+    fw = _first_weights(scheme, 1.0)
+    for oi in sorted(fw):
+        for oj in sorted(fw):
+            acc += fw[oi] * fw[oj] / (hi * hj) * feval([(i, oi * hi), (j, oj * hj)])
+    return acc
+
+
 class _Chart:
     """Real coordinates of a point: symmetric complex blocks then z blocks."""
 
@@ -98,6 +130,21 @@ class _Chart:
         v = base[pos]
         return v.imag if im else v.real
 
+    def wirtinger_basis(self):
+        """W (dim x (n^2 + mn)): column i n + j is the weighted d/dOmega_ij,
+        column n^2 + k n + l is d/dz_kl, both in the real coordinates;
+        conj(W) gives the barred derivatives."""
+        n = self.n
+        w = np.zeros((self.dim, n * n + self.m * n), dtype=complex)
+        for idx, (block, im, pos) in enumerate(self.coords):
+            val = -0.5j if im else 0.5
+            if block == "sym":
+                i, j = pos
+                w[idx, i * n + j] = w[idx, j * n + i] = val * (1.0 if i == j else 0.5)
+            else:
+                w[idx, n * n + pos[0] * n + pos[1]] = val
+        return w
+
     def make_point(self, offsets):
         """Point with coordinate idx shifted by delta for (idx, delta) items."""
         sym = self.sym.copy()
@@ -132,148 +179,57 @@ class DerivativeTable:
         if 2 * max(steps, default=0.0) >= radius:
             raise ParameterError("finite-difference step exceeds the field's smoothness radius")
         self._f = f
-        center = complex(f(p))
-        if not np.isfinite(center.real) or not np.isfinite(center.imag):
-            raise DomainError("field evaluated to a non-finite value")
-        self.value = center
+        feval = _field_eval(f, chart)
+        self.value = center = feval([])
 
         dim = chart.dim
         g1 = np.zeros(dim, dtype=complex)
         g2 = np.zeros((dim, dim), dtype=complex)
-        fw = _first_weights(cfg.scheme, 1.0)
-        offsets = sorted(fw)
-        cache = {}
-
-        def feval(items):
-            key = tuple(items)
-            if key not in cache:
-                val = complex(f(chart.make_point(items)))
-                if not np.isfinite(val.real) or not np.isfinite(val.imag):
-                    raise DomainError("field evaluated to a non-finite value")
-                cache[key] = val
-            return cache[key]
-
         for i in range(dim):
             hi = steps[i]
             for o, w in _first_weights(cfg.scheme, hi).items():
                 g1[i] += w * feval([(i, o * hi)])
-            acc = 0.0 + 0.0j
-            for o, w in _second_same_weights(cfg.scheme, hi).items():
-                acc += w * (center if o == 0 else feval([(i, o * hi)]))
-            g2[i, i] = acc
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                hi, hj = steps[i], steps[j]
-                acc = 0.0 + 0.0j
-                for oi in offsets:
-                    for oj in offsets:
-                        acc += fw[oi] * fw[oj] / (hi * hj) * feval([(i, oi * hi), (j, oj * hj)])
-                g2[i, j] = g2[j, i] = acc
+            for j in range(i, dim):
+                g2[i, j] = g2[j, i] = _second_partial(feval, center, i, j, hi, steps[j],
+                                                      cfg.scheme)
         self.g1 = g1
         self.g2 = g2
-        self._index = {desc: i for i, desc in enumerate(chart.coords)}
-
-    # coordinate index helpers
-    def _sym_idx(self, i, j, im):
-        i, j = min(i, j), max(i, j)
-        return self._index[("sym", im, (i, j))]
-
-    def _rect_idx(self, k, l, im):
-        return self._index[("rect", im, (k, l))]
-
-    def _sym_weight(self, i, j):
-        return 1.0 if i == j else 0.5
+        self.w = chart.wirtinger_basis()
+        self.hess = np.conj(self.w).T @ g2 @ self.w
 
     # first derivatives --------------------------------------------------
     def d_sym(self, bar=False):
         """Weighted matrix d/dOmega (or conj) as an n x n array."""
         n = self.chart.n
-        sign = 1.0 if bar else -1.0
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                x = self.g1[self._sym_idx(i, j, 0)]
-                y = self.g1[self._sym_idx(i, j, 1)]
-                out[i, j] = self._sym_weight(i, j) * 0.5 * (x + sign * 1j * y)
-        return out
+        w = np.conj(self.w) if bar else self.w
+        return (w[:, :n * n].T @ self.g1).reshape(n, n)
 
     def d_rect(self, bar=False):
         """Matrix d/dZ (or conj): entry (l, k) differentiates z_{kl}."""
         n, m = self.chart.n, self.chart.m
-        sign = 1.0 if bar else -1.0
-        out = np.empty((n, m), dtype=complex)
-        for k in range(m):
-            for l in range(n):
-                u = self.g1[self._rect_idx(k, l, 0)]
-                v = self.g1[self._rect_idx(k, l, 1)]
-                out[l, k] = 0.5 * (u + sign * 1j * v)
-        return out
+        w = np.conj(self.w) if bar else self.w
+        return (w[:, n * n:].T @ self.g1).reshape(m, n).T
 
-    # second derivative blocks -------------------------------------------
-    def _combo(self, c1, c2):
-        """Product of two Wirtinger factors; c = (re_idx, im_idx, sign) with
-        sign +1 for a conjugate derivative, -1 for a holomorphic one."""
-        r1, i1, s1 = c1
-        r2, i2, s2 = c2
-        g2 = self.g2
-        return 0.25 * (g2[r1, r2] + s2 * 1j * g2[r1, i2] + s1 * 1j * g2[i1, r2]
-                       - s1 * s2 * g2[i1, i2])
-
-    def _sym_combo(self, i, j, bar):
-        return (self._sym_idx(i, j, 0), self._sym_idx(i, j, 1), 1.0 if bar else -1.0)
-
-    def _rect_combo(self, k, l, bar):
-        return (self._rect_idx(k, l, 0), self._rect_idx(k, l, 1), 1.0 if bar else -1.0)
-
+    # second derivative blocks: slices of H = conj(W)^T g2 W ----------------
     def block_sym_bar_sym(self):
         """T[a, b, c, d] = (d/dOmega_bar)_ab (d/dOmega)_cd, both weighted."""
         n = self.chart.n
-        out = np.empty((n, n, n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                wab = self._sym_weight(a, b)
-                for c in range(n):
-                    for d in range(n):
-                        out[a, b, c, d] = wab * self._sym_weight(c, d) * self._combo(
-                            self._sym_combo(a, b, True), self._sym_combo(c, d, False))
-        return out
+        return self.hess[:n * n, :n * n].reshape(n, n, n, n)
 
     def block_rect_bar_rect(self):
         """T[k, e, k2, j] = d^2 / d zbar_{ke} d z_{k2 j}."""
         n, m = self.chart.n, self.chart.m
-        out = np.empty((m, n, m, n), dtype=complex)
-        for k in range(m):
-            for e in range(n):
-                for k2 in range(m):
-                    for j in range(n):
-                        out[k, e, k2, j] = self._combo(
-                            self._rect_combo(k, e, True), self._rect_combo(k2, j, False))
-        return out
+        return self.hess[n * n:, n * n:].reshape(m, n, m, n)
 
     def block_sym_bar_rect(self):
         """T[a, b, k, d] = (d/dOmega_bar)_ab d/dz_{kd}."""
         n, m = self.chart.n, self.chart.m
-        out = np.empty((n, n, m, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                wab = self._sym_weight(a, b)
-                for k in range(m):
-                    for d in range(n):
-                        out[a, b, k, d] = wab * self._combo(
-                            self._sym_combo(a, b, True), self._rect_combo(k, d, False))
-        return out
+        return self.hess[:n * n, n * n:].reshape(n, n, m, n)
 
     def block_rect_bar_sym(self):
         """T[k, e, a, b] = d/dzbar_{ke} (d/dOmega)_ab."""
         n, m = self.chart.n, self.chart.m
-        out = np.empty((m, n, n, n), dtype=complex)
-        for k in range(m):
-            for e in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        out[k, e, a, b] = self._sym_weight(a, b) * self._combo(
-                            self._rect_combo(k, e, True), self._sym_combo(a, b, False))
-        return out
+        return self.hess[n * n:, :n * n].reshape(m, n, n, n)
 
 
 def wirtinger_derivs(f, p, cfg: FDConfig = FDConfig()) -> DerivativeTable:
@@ -414,25 +370,14 @@ def eta_pair_value(f, p: JacobiDiskPoint, hol, antihol, cfg: FDConfig) -> comple
     vr, vi = idx[("rect", 0, antihol)], idx[("rect", 1, antihol)]
     h1 = cfg.step * (1.0 + abs(chart.coord_value(ur)) + abs(chart.coord_value(ui)))
     h2 = cfg.step * (1.0 + abs(chart.coord_value(vr)) + abs(chart.coord_value(vi)))
-    fw = _first_weights(cfg.scheme, 1.0)
+    feval = _field_eval(f, chart)
+    center = feval([]) if ur == vr else None
 
-    def cross(i, j, hi, hj):
-        if i == j:
-            acc = 0.0 + 0.0j
-            center = complex(f(p))
-            for o, w in _second_same_weights(cfg.scheme, hi).items():
-                acc += w * (center if o == 0 else complex(f(chart.make_point([(i, o * hi)]))))
-            return acc
-        acc = 0.0 + 0.0j
-        for oi, wi in fw.items():
-            for oj, wj in fw.items():
-                acc += (wi * wj / (hi * hj)) * complex(
-                    f(chart.make_point([(i, oi * hi), (j, oj * hj)])))
-        return acc
+    def cross(i, j):
+        return _second_partial(feval, center, i, j, h1, h2, cfg.scheme)
 
     # (1/2)(du - i dv) on the holomorphic side, (1/2)(du + i dv) on the other
-    return 0.25 * (cross(ur, vr, h1, h2) + 1j * cross(ur, vi, h1, h2)
-                   - 1j * cross(ui, vr, h1, h2) + cross(ui, vi, h1, h2))
+    return 0.25 * (cross(ur, vr) + 1j * cross(ur, vi) - 1j * cross(ui, vr) + cross(ui, vi))
 
 
 def disk_eta_determinant(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),

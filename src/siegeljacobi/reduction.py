@@ -255,11 +255,7 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
             best = None
             best_val = base * (1.0 + DET_SLACK)
             for cand in cands:
-                try:
-                    moved = groups.act_siegel(cand, current)
-                except Exception:
-                    continue
-                val = _det_im(moved)
+                val = _det_im(groups.act_siegel(cand, current))
                 if val > best_val:
                     best, best_val = cand, val
             if best is None:

@@ -169,13 +169,6 @@ def schrodinger_action(h0: HeisenbergElement, f: GridFunction,
 
 # -- Weil representation: generator kernels ----------------------------------------
 
-def _fourier_kernel_step(ctx: ThetaContext, x_max: float) -> float:
-    """Step small enough to resolve exp(-2 pi i sigma(M y t(x))) oscillations."""
-    m_norm = float(np.linalg.norm(ctx.m_mat, 2))
-    freq = m_norm * max(x_max, 1.0)
-    return min(ctx.step, 1.0 / (8.0 * freq))
-
-
 def _chunked_kernel_sum(fvals, nodes, pts, phase_of_chunk, budget: int = 1 << 23):
     """sum_p fvals[p] * phase(nodes[p], pts[q]) with the target axis chunked
     so the phase matrix never exceeds the entry budget."""
@@ -218,25 +211,9 @@ def weil_generator_action(gen, f: GridFunction, ctx: ThetaContext) -> GridFuncti
 
         return GridFunction(ctx, fn)
     if tag == "sigma":
-        t0 = gen[1]
-        if ctx.dim > 2:
-            raise DomainError("guaranteed quadrature mode covers mn <= 2 only")
-        det_factor = np.linalg.det(ctx.m_mat) ** (ctx.n / 2.0)
-
-        def fn(pts):
-            x_max = float(np.max(np.abs(pts))) if pts.size else 1.0
-            step = _fourier_kernel_step(ctx, x_max)
-            nodes = grid_points(ctx, step=step)
-            fvals = np.asarray(f.eval_fn(nodes), dtype=complex)
-
-            def phase(block):
-                return np.exp(-2j * np.pi * np.einsum(
-                    "ab,pbc,qac->pq", ctx.m_mat, nodes, block))
-
-            return t0 * det_factor * (step ** ctx.dim) \
-                * _chunked_kernel_sum(fvals, nodes, pts, phase)
-
-        return GridFunction(ctx, fn)
+        # the Fourier generator is the matrix kernel at S = K(pi / 2)
+        out = weil_matrix_action(np.array([[0.0, -1.0], [1.0, 0.0]]), f, ctx)
+        return GridFunction(ctx, lambda pts: gen[1] * out.eval_fn(pts))
     raise DomainError(f"unknown generator tag {tag!r}")
 
 
@@ -354,9 +331,8 @@ PHI_GUARD = 1e-6
 
 
 def _angular_kernel(f: GridFunction, ctx: ThetaContext, phi: float):
-    """[R(i, phi) f] as a grid function: identity, parity flip, or the
-    oscillatory integral with kernel exp(pi i ((|x|^2+|y|^2) cos phi
-    - 2 (x, y)) / sin phi)."""
+    """[R(i, phi) f] as a grid function: identity, parity flip, or the matrix
+    kernel at the rotation K(phi)."""
     phi = float(phi) % TWO_PI
     near = min(phi, abs(phi - np.pi), abs(phi - TWO_PI))
     if near == 0.0 or near < 1e-12:
@@ -366,33 +342,8 @@ def _angular_kernel(f: GridFunction, ctx: ThetaContext, phi: float):
     if near < PHI_GUARD:
         raise NumericError(f"angle {phi} is too close to a multiple of pi "
                            "for the oscillatory kernel")
-    if ctx.dim > 2:
-        raise DomainError("guaranteed quadrature mode covers mn <= 2 only")
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
-    det_factor = np.linalg.det(ctx.m_mat) ** (ctx.n / 2.0)
-    pref = det_factor * abs(sin_phi) ** (-ctx.dim / 2.0)
-
-    def fn(pts):
-        x_max = float(np.max(np.abs(pts))) if pts.size else 1.0
-        m_norm = float(np.linalg.norm(ctx.m_mat, 2))
-        freq = m_norm * (abs(cos_phi) * ctx.extent + x_max) / abs(sin_phi) + 1.0
-        step = min(ctx.step, 1.0 / (8.0 * freq))
-        if ctx.extent / step > 2e5:
-            raise AccuracyError("oscillatory kernel would need too fine a grid")
-        nodes = grid_points(ctx, step=step)
-        fvals = np.asarray(f.eval_fn(nodes), dtype=complex)
-        ny = ctx.norm_sq(nodes)
-
-        def phase(block):
-            nx = ctx.norm_sq(block)
-            cross = np.einsum("pab,ac,qcb->pq", nodes, ctx.m_mat, block)
-            return np.exp(1j * np.pi * (
-                (ny[:, None] + nx[None, :]) * cos_phi - 2.0 * cross) / sin_phi)
-
-        return pref * (step ** ctx.dim) * _chunked_kernel_sum(fvals, nodes, pts, phase)
-
-    return GridFunction(ctx, fn)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    return weil_matrix_action(np.array([[cos_phi, -sin_phi], [sin_phi, cos_phi]]), f, ctx)
 
 
 def weil_sl2_action(coord: SL2Coord, f: GridFunction, ctx: ThetaContext) -> GridFunction:
@@ -410,9 +361,10 @@ def weil_sl2_action(coord: SL2Coord, f: GridFunction, ctx: ThetaContext) -> Grid
 
 
 def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
-    """The same operator from the matrix-entry kernel: |a|^{mn/2}
-    e^{pi i a b ||x||^2} f(a x) when c = 0, otherwise the oscillatory integral
-    with phase (a ||x||^2 + d ||y||^2 - 2 (x, y)) / c."""
+    """The Weil operator of a matrix in SL(2, R): |a|^{mn/2} e^{pi i a b ||x||^2}
+    f(a x) when c = 0, otherwise the oscillatory integral of f(y) against
+    e^{pi i (a ||x||^2 + d ||y||^2 - 2 (x, y)) / c}, the only oscillatory
+    quadrature here (sigma and R(i, phi) are its values at S and K(phi))."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2) or abs(np.linalg.det(mat) - 1.0) > 1e-10:
         raise DomainError("expected a real 2 x 2 matrix of determinant 1")
@@ -423,25 +375,30 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
                 * np.exp(1j * np.pi * a * b * ctx.norm_sq(pts)) * f.eval_fn(a * pts)
 
         return GridFunction(ctx, fn)
+    if ctx.dim > 2:
+        raise DomainError("guaranteed quadrature mode covers mn <= 2 only")
     det_factor = np.linalg.det(ctx.m_mat) ** (ctx.n / 2.0)
     pref = det_factor * abs(c) ** (-ctx.dim / 2.0)
+    m_norm = float(np.linalg.norm(ctx.m_mat, 2))
 
     def fn(pts):
         x_max = float(np.max(np.abs(pts))) if pts.size else 1.0
-        m_norm = float(np.linalg.norm(ctx.m_mat, 2))
         freq = m_norm * (abs(d) * ctx.extent + x_max) / abs(c) + 1.0
         step = min(ctx.step, 1.0 / (8.0 * freq))
+        if ctx.extent / step > 2e5:
+            raise AccuracyError("oscillatory kernel would need too fine a grid")
         nodes = grid_points(ctx, step=step)
-        fvals = np.asarray(f.eval_fn(nodes), dtype=complex)
-        ny = ctx.norm_sq(nodes)
+        # the chirps in ||y||^2 and ||x||^2 factor out of the phase, leaving
+        # the cross term as the only nodes x targets array
+        fvals = np.asarray(f.eval_fn(nodes), dtype=complex) \
+            * np.exp(1j * np.pi * d / c * ctx.norm_sq(nodes))
 
         def phase(block):
-            nx = ctx.norm_sq(block)
-            cross = np.einsum("pab,ac,qcb->pq", nodes, ctx.m_mat, block)
-            return np.exp(1j * np.pi * (
-                a * nx[None, :] + d * ny[:, None] - 2.0 * cross) / c)
+            return np.exp(-2j * np.pi / c * np.einsum(
+                "pab,ac,qcb->pq", nodes, ctx.m_mat, block))
 
-        return pref * (step ** ctx.dim) * _chunked_kernel_sum(fvals, nodes, pts, phase)
+        return pref * (step ** ctx.dim) * np.exp(1j * np.pi * a / c * ctx.norm_sq(pts)) \
+            * _chunked_kernel_sum(fvals, nodes, pts, phase)
 
     return GridFunction(ctx, fn)
 

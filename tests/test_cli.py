@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import cli
+from siegeljacobi.checks import CheckRow
 
 
 def run_cli(args):
@@ -121,3 +122,8 @@ def test_check_out_file(tmp_path):
     assert text.startswith("case,lhs,rhs,residual,tol,pass")
     assert all(line.endswith(("true", "false")) or line.startswith("case")
                for line in text.strip().splitlines())
+    # numpy scalars print as np.float64(...) unless converted
+    row = CheckRow("case", np.float64(1.5), np.float64(2.0), np.float64(1e-8), 1e-6)
+    for line in text.strip().splitlines()[1:] + [row.csv()]:
+        for field in line.split(",")[1:5]:
+            float(field)

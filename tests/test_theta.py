@@ -119,6 +119,39 @@ def test_quarter_turn_is_fourier_transform(ctx):
         assert abs(got - direct) < 1e-8
 
 
+def _rotation(phi):
+    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+
+@pytest.mark.parametrize("m_val", [1.0, 2.0])
+@pytest.mark.parametrize("k", [0, 1])
+def test_hermite_gaussian_closed_form(m_val, k):
+    """x^k exp(-pi M x^2) is an eigenfunction of R(i, phi) = K(phi) with
+    eigenvalue exp(i (pi/4 - (k + 1/2) phi)); sigma = S multiplies it by (-i)^k."""
+    c = th.ThetaContext(np.array([[m_val]]), n=1, n_cut=10)
+    f = th.gaussian_poly(c, [[k]])
+    pts = th.grid_points(c)[::8]
+    fv = f.eval_fn(pts)
+    for phi in (0.15, 0.5, 1.0, np.pi / 2, 2.0, 2.9):
+        expect = np.exp(1j * (np.pi / 4 - (k + 0.5) * phi)) * fv
+        for out in (th.weil_sl2_action(th.SL2Coord(1j, phi), f, c),
+                    th.weil_matrix_action(_rotation(phi), f, c)):
+            assert np.max(np.abs(out.eval_fn(pts) - expect)) < 1e-12
+    sigma = th.weil_generator_action(("sigma", 1.0), f, c)
+    assert np.max(np.abs(sigma.eval_fn(pts) - (-1j) ** k * fv)) < 1e-12
+
+
+def test_oscillatory_kernel_guards(ctx):
+    from siegeljacobi.errors import AccuracyError
+    ctx3 = th.ThetaContext(np.eye(3), n=1)
+    with pytest.raises(DomainError):
+        th.weil_matrix_action(_rotation(0.5), th.gaussian(ctx3), ctx3)
+    near_shear = th.weil_matrix_action(np.array([[1.0, 0.0], [1e-9, 1.0]]),
+                                       th.gaussian(ctx), ctx)
+    with pytest.raises(AccuracyError):
+        near_shear.eval(np.array([[0.5]]))
+
+
 def test_iwasawa_examples():
     c = th.iwasawa(np.diag([2.0, 0.5]))
     assert np.isclose(c.tau, 4j) and np.isclose(c.phi, 0.0)
