@@ -15,6 +15,7 @@ import numpy as np
 from . import cayley, checks, diffops, fields, geodesics, linalg
 from . import metrics, reduction, spaces, theta
 from .diffops import FDConfig
+from .errors import ConvergenceError
 from .groups import HeisenbergElement
 from .metrics import MetricParams
 from .spaces import TangentVector
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ArithmeticError as exc:
+    except (ArithmeticError, ConvergenceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC_FAILURE
 

@@ -58,12 +58,12 @@ def _second_same_weights(scheme, h):
 
 
 def _field_eval(f, chart):
-    """f at the chart point shifted by (coordinate, offset) pairs, memoized;
-    a non-finite value raises."""
+    """f at the chart point shifted by (coordinate, offset) pairs, memoized
+    by the set of shifts; a non-finite value raises."""
     cache = {}
 
     def feval(items):
-        key = tuple(items)
+        key = tuple(sorted(items))
         if key not in cache:
             val = complex(f(chart.make_point(items)))
             if not np.isfinite(val.real) or not np.isfinite(val.imag):

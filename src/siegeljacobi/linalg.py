@@ -102,20 +102,27 @@ def eigh_sorted(s):
     return np.linalg.eigh(hermitize(s))
 
 
+def require_conditioned(a):
+    """Conditioning guard on a square matrix or a stack of them: raises
+    NumericError, naming the first offending condition number, when any
+    2-norm condition number is non-finite or exceeds COND_LIMIT."""
+    cond = np.atleast_1d(np.linalg.cond(a))
+    bad = ~(cond <= COND_LIMIT)
+    if bad.any():
+        worst = cond[np.argmax(bad)]
+        raise NumericError(f"matrix condition estimate {worst:.3e} exceeds {COND_LIMIT:.1e}")
+
+
 def safe_inv(a):
     """Inverse with a conditioning guard; raises NumericError when cond > 1e12."""
     a = require_square(a)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericError(f"matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
+    require_conditioned(a)
     return np.linalg.inv(a)
 
 
 def safe_solve(a, b):
     a = require_square(a)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericError(f"matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
+    require_conditioned(a)
     return np.linalg.solve(a, b)
 
 

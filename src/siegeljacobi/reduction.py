@@ -9,6 +9,7 @@ Siegel-Jacobi point by an integral Heisenberg translation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -18,7 +19,7 @@ from . import groups
 from .errors import ConvergenceError, DimensionError, DomainError
 from .groups import (HeisenbergElement, JacobiGroupElement, SymplecticElement,
                      dilation, embedded_sl2, inversion, translation)
-from .linalg import safe_inv
+from .linalg import require_conditioned, safe_inv
 from .spaces import JacobiPoint, SiegelPoint
 
 ENUM_BOUND = 3
@@ -38,22 +39,34 @@ class ReductionCertificate:
 
 # -- Minkowski reduction ---------------------------------------------------------
 
+@cache
+def _box(n: int, bound: int):
+    """Nonzero integer vectors with |entries| <= bound in lexicographic order,
+    and a mask whose column k says that the tail a_k..a_n is coprime; both
+    read-only."""
+    vecs = np.array(list(product(range(-bound, bound + 1), repeat=n)), dtype=int)
+    vecs = vecs[vecs.any(axis=1)]
+    tail_gcd = np.gcd.accumulate(np.abs(vecs[:, ::-1]), axis=1)[:, ::-1]
+    coprime_tail = tail_gcd == 1
+    vecs.flags.writeable = coprime_tail.flags.writeable = False
+    return vecs, coprime_tail
+
+
+@cache
 def _primitive_vectors(n: int, bound: int):
-    """Primitive integer vectors with |entries| <= bound, one per +- pair."""
-    out = []
-    for a in product(range(-bound, bound + 1), repeat=n):
-        if all(x == 0 for x in a):
-            continue
-        g = 0
-        for x in a:
-            g = gcd(g, abs(x))
-        if g != 1:
-            continue
-        first = next(x for x in a if x != 0)
-        if first < 0:
-            continue
-        out.append(np.array(a, dtype=int))
+    """Primitive integer vectors with |entries| <= bound, one per +- pair
+    (first nonzero entry positive), as a read-only int array."""
+    vecs, coprime_tail = _box(n, bound)
+    first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    out = vecs[coprime_tail[:, 0] & (first > 0)]
+    out.flags.writeable = False
     return out
+
+
+def _forms(vecs, y):
+    """a y ta for every row a of vecs, as a stack of 1 x n by n x 1 products
+    (bitwise equal to the per-vector ``a @ y @ a``)."""
+    return ((vecs @ y)[:, None, :] @ vecs[:, :, None])[:, 0, 0]
 
 
 def _minors_coprime(rows) -> bool:
@@ -96,8 +109,8 @@ def minkowski_reduce(y, bound: int = ENUM_BOUND, heuristic: bool = False):
     if n > 3 and not heuristic:
         raise DimensionError("guaranteed Minkowski reduction covers n <= 3 only")
     cands = _primitive_vectors(n, bound)
-    vals = [(float(a @ y @ a), tuple(a)) for a in cands]
-    order = sorted(range(len(cands)), key=lambda i: vals[i])
+    # ascending in (a y ta, a): lexsort takes its primary key last
+    order = np.lexsort((*cands.T[::-1], _forms(cands, y)))
     rows = []
     for _ in range(n):
         for idx in order:
@@ -121,20 +134,11 @@ def minkowski_violations(y, bound: int = ENUM_BOUND, tol: float = 1e-9):
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     scale = float(np.max(np.abs(y)))
-    viols = []
-    for a in product(range(-bound, bound + 1), repeat=n):
-        av = np.array(a)
-        if not av.any():
-            continue
-        q = float(av @ y @ av)
-        for k in range(n):
-            g = 0
-            for x in a[k:]:
-                g = gcd(g, abs(x))
-            if g != 1:
-                continue
-            if q < y[k, k] - tol * scale:
-                viols.append((tuple(a), k, q, float(y[k, k])))
+    vecs, coprime_tail = _box(n, bound)
+    q = _forms(vecs, y)
+    short = coprime_tail & (q[:, None] < np.diag(y) - tol * scale)
+    viols = [(tuple(int(x) for x in vecs[i]), int(k), float(q[i]), float(y[k, k]))
+             for i, k in zip(*np.nonzero(short))]
     for k in range(n - 1):
         if y[k, k + 1] < -tol * scale:
             viols.append(("superdiagonal", k, float(y[k, k + 1]), 0.0))
@@ -200,8 +204,28 @@ def siegel_candidates(n: int):
     return cands
 
 
-def _det_im(p: SiegelPoint) -> float:
-    return float(np.linalg.det(p.omega.imag))
+@cache
+def _candidate_blocks(n: int):
+    """The C and D blocks of ``siegel_candidates(n)`` as read-only stacks."""
+    mats = np.array([g.mat for g in siegel_candidates(n)])
+    c, d = mats[:, n:, :n], mats[:, n:, n:]
+    c.flags.writeable = d.flags.writeable = False
+    return c, d
+
+
+def candidate_det_ratios(p: SiegelPoint):
+    """det Im(g Omega) / det Im(Omega) for every g in
+    ``siegel_candidates(p.n)``, in order.
+
+    Siegel's identity det Im(g Omega) = det Y / |det(C Omega + D)|^2 gives all
+    of them from one stacked determinant. Every C Omega + D passes the
+    conditioning guard of ``linalg.safe_solve``, so an ill-conditioned
+    candidate raises NumericError as its action would.
+    """
+    c, d = _candidate_blocks(p.n)
+    denom = c @ p.omega + d
+    require_conditioned(denom)
+    return 1.0 / np.abs(np.linalg.det(denom)) ** 2
 
 
 def _reduce_degree_one(p: SiegelPoint, max_iter: int):
@@ -246,21 +270,21 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
             g1 = dilation(u.T.astype(float))
             current = groups.act_siegel(g1, current)
             gamma = g1.multiply(gamma)
+            # one greedy pass over the box need not reduce a skewed form; the
+            # next iteration passes again, within the same max_iter budget
+            if minkowski_violations(current.omega.imag):
+                continue
             b = -np.round(current.omega.real)
             b = 0.5 * (b + b.T)
             g2 = translation(b)
             current = groups.act_siegel(g2, current)
             gamma = g2.multiply(gamma)
-            base = _det_im(current)
-            best = None
-            best_val = base * (1.0 + DET_SLACK)
-            for cand in cands:
-                val = _det_im(groups.act_siegel(cand, current))
-                if val > best_val:
-                    best, best_val = cand, val
-            if best is None:
+            ratios = candidate_det_ratios(current)
+            k = int(np.argmax(ratios))
+            if not ratios[k] > 1.0 + DET_SLACK:
                 converged = True
                 break
+            best = cands[k]
             current = groups.act_siegel(best, current)
             gamma = best.multiply(gamma)
         if not converged:
@@ -284,13 +308,8 @@ def certificate_checks(original: SiegelPoint, reduced: SiegelPoint,
     if reduced.n == 1:
         checks["modulus_at_least_one"] = bool(abs(reduced.omega[0, 0]) >= 1.0 - 1e-12)
     else:
-        base = _det_im(reduced)
-        ok = True
-        for cand in siegel_candidates(reduced.n):
-            if _det_im(groups.act_siegel(cand, reduced)) > base * (1.0 + tol):
-                ok = False
-                break
-        checks["det_im_maximal_over_candidates"] = ok
+        higher = candidate_det_ratios(reduced) > 1.0 + tol
+        checks["det_im_maximal_over_candidates"] = not higher.any()
     return checks
 
 

@@ -24,6 +24,8 @@ from .linalg import DEFAULT_TOL, Tolerance
 
 def _prepare_symmetric(a, tol: Tolerance, what: str):
     a = linalg.require_square(a, what)
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{what} has non-finite entries")
     if not linalg.is_symmetric(a, tol):
         raise DomainError(f"{what} is not symmetric within tolerance")
     return linalg.symmetrize(a)

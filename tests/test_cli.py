@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from siegeljacobi import cli
+from siegeljacobi import cli, reduction
 from siegeljacobi.checks import CheckRow
+from siegeljacobi.errors import ConvergenceError
 
 
 def run_cli(args):
@@ -111,6 +112,25 @@ def test_malformed_json_is_usage_error():
 def test_invalid_point_is_usage_error():
     code, _, _ = run_cli(["distance", "--p0", '{"omega": "0,-1"}', "--p1", "i"])
     assert code == 2
+
+
+def test_non_finite_point_is_usage_error():
+    for args in (["reduce", "--space", "hn", "--point", '{"omega": "0.7,nan"}'],
+                 ["distance", "--p0", "nan", "--p1", "i"]):
+        code, out, err = run_cli(args)
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_convergence_error_is_numeric_failure(monkeypatch, capsys):
+    def capped(p, max_iter=200):
+        raise ConvergenceError("highest-point iteration hit the cap")
+
+    monkeypatch.setattr(reduction, "siegel_reduce", capped)
+    assert cli.main(["reduce", "--space", "hn", "--point", "i"]) == 1
+    err = capsys.readouterr().err
+    assert err == "numeric error: highest-point iteration hit the cap\n"
 
 
 def test_check_out_file(tmp_path):

@@ -201,3 +201,16 @@ def test_non_finite_field_rejected():
     p = spaces.SiegelPoint.create(np.array([[1j]]))
     with pytest.raises(DomainError):
         DerivativeTable(lambda q: float("nan"), p)
+
+
+def test_eta_pair_value_evaluates_each_point_once():
+    p = spaces.JacobiDiskPoint.create(np.array([[0.1 + 0.05j]]), np.array([[0.3 - 0.2j]]))
+    seen = []
+
+    def field(q):
+        seen.append((complex(q.w[0, 0]), complex(q.eta[0, 0])))
+        return abs(q.eta[0, 0]) ** 2 * (1.0 + q.w[0, 0].real)
+
+    value = diffops.eta_pair_value(field, p, (0, 0), (0, 0), FDConfig())
+    assert len(seen) == len(set(seen)) == 25
+    assert abs(value - 1.1) < 1e-8

@@ -84,6 +84,14 @@ def test_safe_inv_condition_guard():
         linalg.safe_inv(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
 
 
+def test_conditioning_guard_on_stacks():
+    good = np.stack([np.eye(2), np.diag([1.0, 1e-6])])
+    linalg.require_conditioned(good)
+    for bad in (np.diag([1.0, 1e-13]), np.zeros((2, 2))):
+        with pytest.raises(NumericError, match="exceeds 1.0e\\+12"):
+            linalg.require_conditioned(np.stack([np.eye(2), bad, np.eye(2)]))
+
+
 def test_matrix_json_round_trip():
     a = np.array([[1.0 + 2.0j, -0.5], [0.25j, 3.0]])
     obj = linalg.matrix_to_json(a)

@@ -1,10 +1,11 @@
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
 
 from siegeljacobi import groups, reduction, sampling, spaces
-from siegeljacobi.errors import DimensionError, DomainError
+from siegeljacobi.errors import ConvergenceError, DimensionError, DomainError, NumericError
 
 
 def sl2z_reduce_oracle(omega: complex) -> complex:
@@ -54,6 +55,41 @@ def test_minkowski_random_certified():
                 assert y_red[k, k + 1] >= -1e-12
 
 
+def _gcd(entries):
+    g = 0
+    for x in entries:
+        g = gcd(g, abs(int(x)))
+    return g
+
+
+def test_minkowski_vector_sets_match_loops():
+    for n in (1, 2, 3):
+        box = [a for a in product(range(-3, 4), repeat=n) if any(a)]
+        prim = [a for a in box if _gcd(a) == 1 and next(x for x in a if x) > 0]
+        assert [tuple(a) for a in reduction._primitive_vectors(n, 3)] == prim
+        assert not reduction._primitive_vectors(n, 3).flags.writeable
+
+
+def test_minkowski_violations_match_loop():
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        box = [a for a in product(range(-3, 4), repeat=n) if any(a)]
+        for _ in range(6):
+            a = rng.standard_normal((n, n))
+            y = a @ a.T + 0.05 * np.eye(n)
+            scale = float(np.max(np.abs(y)))
+            expect = [(v, k, float(np.array(v) @ y @ np.array(v)), float(y[k, k]))
+                      for v in box for k in range(n)
+                      if _gcd(v[k:]) == 1
+                      and np.array(v) @ y @ np.array(v) < y[k, k] - 1e-9 * scale]
+            expect += [("superdiagonal", k, float(y[k, k + 1]), 0.0)
+                       for k in range(n - 1) if y[k, k + 1] < -1e-9 * scale]
+            got = reduction.minkowski_violations(y)
+            assert expect and got == expect
+            vecs = np.array(box)
+            assert reduction._forms(vecs, y).tolist() == [a @ y @ a for a in vecs]
+
+
 def test_minkowski_input_validation():
     with pytest.raises(DimensionError):
         reduction.minkowski_reduce(np.eye(4))
@@ -95,6 +131,58 @@ def test_degree_two_reduction():
         for cand in reduction.siegel_candidates(2)[:200]:
             moved = groups.act_siegel(cand, red)
             assert np.linalg.det(moved.omega.imag) <= base * (1 + 1e-9)
+
+
+def test_small_eigenvalue_points_pass_their_certificates():
+    # Im(omega) eigenvalues near 0.1; a single greedy Minkowski pass over
+    # the box left im_minkowski = False at the first point
+    failed_once = np.array([[0.09218223571927764 + 0.13745439090574685j,
+                             0.5163875273822462 + 0.08372041100677632j],
+                            [0.5163875273822462 + 0.08372041100677632j,
+                             -1.041416726164722 + 0.3264639057188089j]])
+    # after a highest-point move this Im(omega) needs a second pass
+    two_passes = np.array([[-1.0596244604030858 + 0.2446506087618528j,
+                            0.5380360881655404 + 0.021750762221390593j],
+                           [0.5380360881655404 + 0.021750762221390593j,
+                            1.4866171935389736 + 0.2178315228070309j]])
+    for omega in (failed_once, two_passes):
+        red, cert = reduction.siegel_reduce(spaces.SiegelPoint.create(omega))
+        assert cert.passed, cert.checks
+        assert not reduction.minkowski_violations(red.omega.imag)
+
+
+def test_skewed_form_reduces_within_max_iter():
+    # det Y = 1, but each greedy pass over the +-3 box moves the off-diagonal
+    # entry by at most 3, so reduction takes dozens of passes
+    p = spaces.SiegelPoint.create(1j * np.array([[1.0, 100.0], [100.0, 10001.0]]))
+    red, cert = reduction.siegel_reduce(p)
+    assert cert.passed, cert.checks
+    assert cert.iterations > 8
+    assert np.allclose(red.omega, 1j * np.eye(2), atol=1e-9)
+    with pytest.raises(ConvergenceError) as info:
+        reduction.siegel_reduce(p, max_iter=8)
+    assert info.value.partial.gamma.is_valid() and info.value.partial.iterations == 8
+
+
+def test_batched_scan_matches_candidate_actions():
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        cands = reduction.siegel_candidates(n)
+        for _ in range(3):
+            p = sampling.random_siegel_point(n, rng, y_range=(0.3, 2.0))
+            expect = [np.linalg.det(groups.act_siegel(g, p).omega.imag) for g in cands]
+            got = reduction.candidate_det_ratios(p) * np.linalg.det(p.omega.imag)
+            assert got.shape == (len(cands),)
+            assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
+
+
+def test_batched_scan_conditioning_guard():
+    # the inversion candidate has C omega + D = omega, here with cond 1e13
+    p = spaces.SiegelPoint.create(np.diag([1e13j, 1j]))
+    with pytest.raises(NumericError, match="condition estimate"):
+        reduction.candidate_det_ratios(p)
+    with pytest.raises(NumericError):
+        reduction.siegel_reduce(p)
 
 
 def test_degree_two_orbit_round_trip():
