@@ -9,14 +9,12 @@ from .spaces import (DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint,
                      TangentVector, validate)
 from .groups import (HeisenbergElement, JacobiGroupElement, StarGroupElement,
                      SymplecticElement, act, act_disk, act_jacobi, act_jacobi_disk,
-                     act_siegel, embed_star, heisenberg_multiply, jacobi_multiply,
-                     random_element)
+                     act_siegel, embed_star, random_element)
 from .cayley import cayley_inverse, partial_cayley, partial_cayley_inverse, to_disk, to_half_space
 from .metrics import (MetricParams, disk_metric, jacobi_disk_metric, jacobi_metric,
                       map_differential, pushforward, siegel_metric, volume_density)
 from .diffops import (FDConfig, ScalarField, disk_operator, invariant_polynomial,
-                      laplacian_disk, laplacian_jacobi, laplacian_siegel,
-                      wirtinger_derivs)
+                      laplacian_disk, laplacian_jacobi, laplacian_siegel)
 from .geodesics import (cross_ratio, cross_ratio_eigenvalues, siegel_distance,
                         siegel_distance_series, special_geodesic)
 from .reduction import (ReductionCertificate, jacobi_reduce, minkowski_reduce,

@@ -15,7 +15,7 @@ import numpy as np
 from . import cayley, checks, diffops, fields, geodesics, linalg
 from . import metrics, reduction, spaces, theta
 from .diffops import FDConfig
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .groups import HeisenbergElement
 from .metrics import MetricParams
 from .spaces import TangentVector
@@ -68,7 +68,12 @@ def parse_point_arg(text: str):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    """Print obj as one line of strict JSON; NaN and infinities are refused."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError("result has non-finite entries") from None
+    print(text)
 
 
 def cmd_check(args) -> int:

@@ -1,7 +1,8 @@
 """Wirtinger finite-difference engine and the invariant differential operators.
 
 The engine differentiates scalar fields (callables on points) in the real
-coordinates of each space, then assembles weighted Wirtinger derivatives.
+coordinates of the point's chart (``spaces._Chart``), then assembles weighted
+Wirtinger derivatives.
 Matrix derivative conventions: for a symmetric complex matrix the (i, j)
 entry of the derivative matrix carries the weight (1 + delta_ij)/2 applied to
 the symmetric-variable partial; for rectangular z-type matrices the layout is
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .linalg import safe_inv
 from .metrics import MetricParams
-from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint
+from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, _Chart
 
 
 @dataclass(frozen=True)
@@ -89,85 +90,6 @@ def _second_partial(feval, center, i, j, hi, hj, scheme):
     return acc
 
 
-class _Chart:
-    """Real coordinates of a point: symmetric complex blocks then z blocks."""
-
-    def __init__(self, p):
-        if isinstance(p, SiegelPoint):
-            self.kind = "siegel"
-            self.n, self.m = p.n, 0
-            self.sym, self.rect = p.omega, None
-        elif isinstance(p, JacobiPoint):
-            self.kind = "jacobi"
-            self.n, self.m = p.n, p.m
-            self.sym, self.rect = p.omega, p.z
-        elif isinstance(p, DiskPoint):
-            self.kind = "disk"
-            self.n, self.m = p.n, 0
-            self.sym, self.rect = p.w, None
-        elif isinstance(p, JacobiDiskPoint):
-            self.kind = "jacobi_disk"
-            self.n, self.m = p.n, p.m
-            self.sym, self.rect = p.w, p.eta
-        else:
-            raise DomainError(f"no chart for {type(p)!r}")
-        n, m = self.n, self.m
-        self.sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        # coordinate descriptors: (block, re/im flag, position)
-        self.coords = []
-        for (i, j) in self.sym_pairs:
-            self.coords.append(("sym", 0, (i, j)))
-            self.coords.append(("sym", 1, (i, j)))
-        for k in range(m):
-            for l in range(n):
-                self.coords.append(("rect", 0, (k, l)))
-                self.coords.append(("rect", 1, (k, l)))
-        self.dim = len(self.coords)
-
-    def coord_value(self, idx):
-        block, im, pos = self.coords[idx]
-        base = self.sym if block == "sym" else self.rect
-        v = base[pos]
-        return v.imag if im else v.real
-
-    def wirtinger_basis(self):
-        """W (dim x (n^2 + mn)): column i n + j is the weighted d/dOmega_ij,
-        column n^2 + k n + l is d/dz_kl, both in the real coordinates;
-        conj(W) gives the barred derivatives."""
-        n = self.n
-        w = np.zeros((self.dim, n * n + self.m * n), dtype=complex)
-        for idx, (block, im, pos) in enumerate(self.coords):
-            val = -0.5j if im else 0.5
-            if block == "sym":
-                i, j = pos
-                w[idx, i * n + j] = w[idx, j * n + i] = val * (1.0 if i == j else 0.5)
-            else:
-                w[idx, n * n + pos[0] * n + pos[1]] = val
-        return w
-
-    def make_point(self, offsets):
-        """Point with coordinate idx shifted by delta for (idx, delta) items."""
-        sym = self.sym.copy()
-        rect = None if self.rect is None else self.rect.copy()
-        for idx, delta in offsets:
-            block, im, pos = self.coords[idx]
-            step = (1j * delta) if im else delta
-            if block == "sym":
-                i, j = pos
-                sym[i, j] += step
-                if i != j:
-                    sym[j, i] += step
-            else:
-                rect[pos] += step
-        if self.kind == "siegel":
-            return SiegelPoint(sym)
-        if self.kind == "jacobi":
-            return JacobiPoint(sym, rect)
-        if self.kind == "disk":
-            return DiskPoint(sym)
-        return JacobiDiskPoint(sym, rect)
-
-
 class DerivativeTable:
     """First and second Wirtinger derivatives of a field at a point."""
 
@@ -175,7 +97,7 @@ class DerivativeTable:
         self.cfg = cfg
         self.chart = chart = _Chart(p)
         radius = getattr(f, "radius", np.inf)
-        steps = [cfg.step * (1.0 + abs(chart.coord_value(i))) for i in range(chart.dim)]
+        steps = [cfg.step * (1.0 + abs(x)) for x in chart.coord_values()]
         if 2 * max(steps, default=0.0) >= radius:
             raise ParameterError("finite-difference step exceeds the field's smoothness radius")
         self._f = f
@@ -230,11 +152,6 @@ class DerivativeTable:
         """T[k, e, a, b] = d/dzbar_{ke} (d/dOmega)_ab."""
         n, m = self.chart.n, self.chart.m
         return self.hess[n * n:, :n * n].reshape(m, n, n, n)
-
-
-def wirtinger_derivs(f, p, cfg: FDConfig = FDConfig()) -> DerivativeTable:
-    """Derivative table with first and second Wirtinger derivatives at p."""
-    return DerivativeTable(f, p, cfg)
 
 
 # -- Laplacians on the half-space models ----------------------------------------
@@ -366,10 +283,11 @@ def eta_pair_value(f, p: JacobiDiskPoint, hol, antihol, cfg: FDConfig) -> comple
     """d^2 f / (d eta_{hol} d etabar_{antihol}) at p via a lean cross stencil."""
     chart = _Chart(p)
     idx = {desc: i for i, desc in enumerate(chart.coords)}
-    ur, ui = idx[("rect", 0, hol)], idx[("rect", 1, hol)]
-    vr, vi = idx[("rect", 0, antihol)], idx[("rect", 1, antihol)]
-    h1 = cfg.step * (1.0 + abs(chart.coord_value(ur)) + abs(chart.coord_value(ui)))
-    h2 = cfg.step * (1.0 + abs(chart.coord_value(vr)) + abs(chart.coord_value(vi)))
+    ur, ui = idx[(1, 0, hol)], idx[(1, 1, hol)]
+    vr, vi = idx[(1, 0, antihol)], idx[(1, 1, antihol)]
+    x = chart.coord_values()
+    h1 = cfg.step * (1.0 + abs(x[ur]) + abs(x[ui]))
+    h2 = cfg.step * (1.0 + abs(x[vr]) + abs(x[vi]))
     feval = _field_eval(f, chart)
     center = feval([]) if ur == vr else None
 

@@ -143,10 +143,6 @@ class HeisenbergElement:
                 "kappa": linalg.matrix_to_json(self.kappa)}
 
 
-def heisenberg_multiply(h1: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergElement:
-    return h1.multiply(h2)
-
-
 @dataclass(frozen=True)
 class JacobiGroupElement:
     """Pair of a symplectic part and a Heisenberg part."""
@@ -200,10 +196,6 @@ class JacobiGroupElement:
 
     def to_json(self) -> dict:
         return {"kind": "jacobi", "sp": self.sp.to_json(), "h": self.h.to_json()}
-
-
-def jacobi_multiply(g1: JacobiGroupElement, g2: JacobiGroupElement) -> JacobiGroupElement:
-    return g1.multiply(g2)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from . import groups
 from .errors import DomainError, ParameterError
 from .linalg import safe_inv
-from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector
+from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector, _Chart
 
 
 @dataclass(frozen=True)
@@ -148,36 +148,11 @@ def volume_density(p: SiegelPoint) -> float:
 # -- Pushforwards ----------------------------------------------------------------
 
 def default_fd_step(p) -> float:
-    if isinstance(p, (SiegelPoint, DiskPoint)):
-        mats = [p.omega if isinstance(p, SiegelPoint) else p.w]
-    elif isinstance(p, JacobiPoint):
-        mats = [p.omega, p.z]
-    else:
-        mats = [p.w, p.eta]
-    scale = max(np.max(np.abs(m)) for m in mats)
-    return 1e-4 * (1.0 + scale)
+    return 1e-4 * (1.0 + max(np.max(np.abs(a)) for a in p.parts()))
 
 
 def _shift(p, t: TangentVector, c: float):
-    if isinstance(p, SiegelPoint):
-        return SiegelPoint(p.omega + c * t.d_omega)
-    if isinstance(p, JacobiPoint):
-        return JacobiPoint(p.omega + c * t.d_omega, p.z + c * t.d_z)
-    if isinstance(p, DiskPoint):
-        return DiskPoint(p.w + c * t.d_omega)
-    if isinstance(p, JacobiDiskPoint):
-        return JacobiDiskPoint(p.w + c * t.d_omega, p.eta + c * t.d_z)
-    raise DomainError(f"not a point type: {type(p)!r}")
-
-
-def _components(p):
-    if isinstance(p, SiegelPoint):
-        return (p.omega, None)
-    if isinstance(p, JacobiPoint):
-        return (p.omega, p.z)
-    if isinstance(p, DiskPoint):
-        return (p.w, None)
-    return (p.w, p.eta)
+    return type(p)(*(a + c * d for a, d in zip(p.parts(), (t.d_omega, t.d_z))))
 
 
 def map_differential(fn, p, t: TangentVector, h: float | None = None) -> TangentVector:
@@ -186,12 +161,9 @@ def map_differential(fn, p, t: TangentVector, h: float | None = None) -> Tangent
         h = default_fd_step(p)
     if h <= 0 or 1.0 + h == 1.0:
         raise ParameterError(f"finite-difference step {h} underflows")
-    plus = _components(fn(_shift(p, t, h)))
-    minus = _components(fn(_shift(p, t, -h)))
-    d_first = (plus[0] - minus[0]) / (2.0 * h)
-    if plus[1] is None:
-        return TangentVector.omega_only(d_first)
-    return TangentVector(d_first, (plus[1] - minus[1]) / (2.0 * h))
+    diffs = [(a - b) / (2.0 * h)
+             for a, b in zip(fn(_shift(p, t, h)).parts(), fn(_shift(p, t, -h)).parts())]
+    return TangentVector(*diffs) if len(diffs) == 2 else TangentVector.omega_only(diffs[0])
 
 
 def pushforward(g, p, t: TangentVector, mode: str = "exact",
@@ -214,34 +186,14 @@ def pushforward(g, p, t: TangentVector, mode: str = "exact",
 
 
 def real_jacobian_det(fn, p: SiegelPoint, h: float | None = None) -> float:
-    """Determinant of the real Jacobian of a half-space map in the symmetric
-    coordinates (x_ij, y_ij), i <= j."""
+    """Determinant of the real Jacobian of a half-space map in the real
+    coordinates of the point's chart (x_ij, y_ij), i <= j."""
     if h is None:
         h = default_fd_step(p)
-    n = p.n
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    dim = 2 * len(pairs)
-
-    def coords(q: SiegelPoint):
-        vec = np.empty(dim)
-        for idx, (i, j) in enumerate(pairs):
-            vec[idx] = q.omega[i, j].real
-            vec[len(pairs) + idx] = q.omega[i, j].imag
-        return vec
-
-    def basis(idx):
-        e = np.zeros((n, n), dtype=complex)
-        k = idx % len(pairs)
-        i, j = pairs[k]
-        val = 1.0 if idx < len(pairs) else 1.0j
-        e[i, j] = val
-        e[j, i] = val
-        return TangentVector.omega_only(e)
-
-    jac = np.empty((dim, dim))
-    for col in range(dim):
-        t = basis(col)
-        plus = coords(fn(_shift(p, t, h)))
-        minus = coords(fn(_shift(p, t, -h)))
+    chart = _Chart(p)
+    jac = np.empty((chart.dim, chart.dim))
+    for col in range(chart.dim):
+        plus = chart.coord_values(fn(chart.make_point([(col, h)])))
+        minus = chart.coord_values(fn(chart.make_point([(col, -h)])))
         jac[:, col] = (plus - minus) / (2.0 * h)
     return float(np.linalg.det(jac))

@@ -8,8 +8,12 @@ Spaces:
   * Generalized unit disk: symmetric W with I - conj(W) W positive definite.
   * Siegel-Jacobi disk: pairs (w, eta).
 
-Constructors symmetrize inputs whose asymmetry is below tolerance and reject
-anything worse; degenerate boundary points are rejected, never clamped.
+The four point types share one layout: ``parts()`` is the symmetric part
+followed, on the Jacobi spaces, by the rectangular one, and ``_Chart`` gives
+the real coordinates of a point in that layout. ``create`` symmetrizes inputs
+whose asymmetry is below tolerance and rejects anything worse, non-finite
+entries and mismatched shapes; degenerate boundary points are rejected, never
+clamped.
 """
 from __future__ import annotations
 
@@ -31,162 +35,115 @@ def _prepare_symmetric(a, tol: Tolerance, what: str):
     return linalg.symmetrize(a)
 
 
-@dataclass(frozen=True)
-class SiegelPoint:
-    """Point of the degree-n Siegel upper half space."""
-
-    omega: np.ndarray
+class _Point:
+    """Layout shared by the four point types: a symmetric n x n part (omega
+    or w), then on the Jacobi spaces an m x n part (z or eta). Each subclass
+    is a frozen dataclass whose fields are its parts, in this order, and
+    supplies the matrix that must be positive definite and the message given
+    when it is not."""
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", linalg.as_complex_matrix(self.omega))
+        fields = self.__dict__    # frozen: write the instance dict directly
+        for name in self.__dataclass_fields__:
+            fields[name] = linalg.as_complex_matrix(fields[name])
 
     @classmethod
-    def create(cls, omega, tol: Tolerance = DEFAULT_TOL):
-        omega = _prepare_symmetric(omega, tol, "omega")
-        p = cls(omega)
+    def create(cls, *parts, tol: Tolerance = DEFAULT_TOL):
+        names = list(cls.__dataclass_fields__)
+        if len(parts) != len(names):
+            raise TypeError(f"{cls.__name__}.create takes the parts {names}")
+        sym = _prepare_symmetric(parts[0], tol, names[0])
+        rest = [linalg.as_complex_matrix(a) for a in parts[1:]]
+        for name, a in zip(names[1:], rest):
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} has non-finite entries")
+            if a.shape[1] != sym.shape[0]:
+                raise DimensionError(f"{name} has {a.shape[1]} columns, "
+                                     f"{names[0]} degree {sym.shape[0]}")
+        p = cls(sym, *rest)
         if not p.is_valid(tol):
-            raise DomainError("Im(omega) is not positive definite")
+            raise DomainError(cls._not_positive)
         return p
+
+    def parts(self) -> list:
+        return [getattr(self, name) for name in self.__dataclass_fields__]
 
     @property
     def n(self) -> int:
-        return self.omega.shape[0]
+        return getattr(self, next(iter(self.__dataclass_fields__))).shape[0]
 
-    def imag_part(self):
-        return self.omega.imag.copy()
-
-    def real_part(self):
-        return self.omega.real.copy()
+    @property
+    def m(self) -> int:
+        parts = self.parts()
+        return parts[1].shape[0] if len(parts) > 1 else 0
 
     def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if not linalg.is_symmetric(self.omega, tol):
+        sym, *rest = self.parts()
+        if any(a.shape[1] != sym.shape[0] for a in rest):
             return False
-        return linalg.is_positive_definite(self.omega.imag, tol)
+        if not linalg.is_symmetric(sym, tol):
+            return False
+        return linalg.is_positive_definite(self._positive(), tol)
 
     def to_json(self) -> dict:
-        return {"omega": linalg.matrix_to_json(self.omega)}
+        return {name: linalg.matrix_to_json(getattr(self, name))
+                for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
-class JacobiPoint:
+class SiegelPoint(_Point):
+    """Point of the degree-n Siegel upper half space."""
+
+    omega: np.ndarray
+    _not_positive = "Im(omega) is not positive definite"
+
+    def _positive(self):
+        return self.omega.imag
+
+
+@dataclass(frozen=True)
+class JacobiPoint(_Point):
     """Point (omega, z) of the Siegel-Jacobi space of degree n, index m."""
 
     omega: np.ndarray
     z: np.ndarray
+    _not_positive = SiegelPoint._not_positive
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", linalg.as_complex_matrix(self.omega))
-        object.__setattr__(self, "z", linalg.as_complex_matrix(self.z))
-
-    @classmethod
-    def create(cls, omega, z, tol: Tolerance = DEFAULT_TOL):
-        omega = _prepare_symmetric(omega, tol, "omega")
-        z = linalg.as_complex_matrix(z)
-        p = cls(omega, z)
-        if z.shape[1] != omega.shape[0]:
-            raise DimensionError(f"z has {z.shape[1]} columns, omega degree {omega.shape[0]}")
-        if not p.is_valid(tol):
-            raise DomainError("Im(omega) is not positive definite")
-        return p
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.z.shape[0]
+    def _positive(self):
+        return self.omega.imag
 
     def siegel_part(self) -> SiegelPoint:
         return SiegelPoint(self.omega)
 
-    def imag_omega(self):
-        return self.omega.imag.copy()
 
-    def imag_z(self):
-        return self.z.imag.copy()
-
-    def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if self.z.shape[1] != self.omega.shape[0]:
-            return False
-        return SiegelPoint(self.omega).is_valid(tol)
-
-    def to_json(self) -> dict:
-        return {"omega": linalg.matrix_to_json(self.omega), "z": linalg.matrix_to_json(self.z)}
+def _disk_gram(w):
+    return linalg.hermitize(np.eye(w.shape[0]) - w.conj() @ w)
 
 
 @dataclass(frozen=True)
-class DiskPoint:
+class DiskPoint(_Point):
     """Point of the generalized unit disk of degree n."""
 
     w: np.ndarray
+    _not_positive = "I - conj(W) W is not positive definite"
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", linalg.as_complex_matrix(self.w))
-
-    @classmethod
-    def create(cls, w, tol: Tolerance = DEFAULT_TOL):
-        w = _prepare_symmetric(w, tol, "w")
-        p = cls(w)
-        if not p.is_valid(tol):
-            raise DomainError("I - conj(W) W is not positive definite")
-        return p
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-    def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if not linalg.is_symmetric(self.w, tol):
-            return False
-        n = self.w.shape[0]
-        gram = np.eye(n) - self.w.conj() @ self.w
-        return linalg.is_positive_definite(linalg.hermitize(gram), tol)
-
-    def to_json(self) -> dict:
-        return {"w": linalg.matrix_to_json(self.w)}
+    def _positive(self):
+        return _disk_gram(self.w)
 
 
 @dataclass(frozen=True)
-class JacobiDiskPoint:
+class JacobiDiskPoint(_Point):
     """Point (w, eta) of the Siegel-Jacobi disk of degree n, index m."""
 
     w: np.ndarray
     eta: np.ndarray
+    _not_positive = DiskPoint._not_positive
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", linalg.as_complex_matrix(self.w))
-        object.__setattr__(self, "eta", linalg.as_complex_matrix(self.eta))
-
-    @classmethod
-    def create(cls, w, eta, tol: Tolerance = DEFAULT_TOL):
-        w = _prepare_symmetric(w, tol, "w")
-        eta = linalg.as_complex_matrix(eta)
-        if eta.shape[1] != w.shape[0]:
-            raise DimensionError(f"eta has {eta.shape[1]} columns, w degree {w.shape[0]}")
-        p = cls(w, eta)
-        if not p.is_valid(tol):
-            raise DomainError("I - conj(W) W is not positive definite")
-        return p
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.eta.shape[0]
+    def _positive(self):
+        return _disk_gram(self.w)
 
     def disk_part(self) -> DiskPoint:
         return DiskPoint(self.w)
-
-    def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if self.eta.shape[1] != self.w.shape[0]:
-            return False
-        return DiskPoint(self.w).is_valid(tol)
-
-    def to_json(self) -> dict:
-        return {"w": linalg.matrix_to_json(self.w), "eta": linalg.matrix_to_json(self.eta)}
 
 
 @dataclass(frozen=True)
@@ -231,22 +188,64 @@ class TangentVector:
 
 def validate(point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff all type invariants of the point hold within tol."""
-    if isinstance(point, (SiegelPoint, JacobiPoint, DiskPoint, JacobiDiskPoint)):
+    if isinstance(point, _Point):
         return point.is_valid(tol)
     raise DomainError(f"not a point type: {type(point)!r}")
 
 
 def point_from_json(obj, tol: Tolerance = DEFAULT_TOL):
     """Decode a point from its JSON object; the key set selects the space."""
-    keys = set(obj)
-    if {"omega", "z"} <= keys:
-        return JacobiPoint.create(linalg.matrix_from_json(obj["omega"]),
-                                  linalg.matrix_from_json(obj["z"]), tol)
-    if "omega" in keys:
-        return SiegelPoint.create(linalg.matrix_from_json(obj["omega"]), tol)
-    if {"w", "eta"} <= keys:
-        return JacobiDiskPoint.create(linalg.matrix_from_json(obj["w"]),
-                                      linalg.matrix_from_json(obj["eta"]), tol)
-    if "w" in keys:
-        return DiskPoint.create(linalg.matrix_from_json(obj["w"]), tol)
-    raise DomainError(f"point JSON with keys {sorted(keys)} not recognized")
+    for cls in (JacobiPoint, SiegelPoint, JacobiDiskPoint, DiskPoint):
+        names = cls.__dataclass_fields__
+        if set(names) <= set(obj):
+            return cls.create(*(linalg.matrix_from_json(obj[k]) for k in names), tol=tol)
+    raise DomainError(f"point JSON with keys {sorted(obj)} not recognized")
+
+
+class _Chart:
+    """Real coordinates of a point: the real and imaginary parts of the
+    upper-triangle entries of its symmetric part, then of the entries of its
+    rectangular part row by row, each real part followed by its imaginary
+    part."""
+
+    def __init__(self, p):
+        if not isinstance(p, _Point):
+            raise DomainError(f"no chart for {type(p)!r}")
+        self.cls = type(p)
+        self.parts = p.parts()
+        self.n, self.m = n, m = p.n, p.m
+        # coordinate descriptors: (part index, re/im flag, position)
+        self.coords = [(0, im, (i, j)) for i in range(n) for j in range(i, n) for im in (0, 1)]
+        self.coords += [(1, im, (k, l)) for k in range(m) for l in range(n) for im in (0, 1)]
+        self.dim = len(self.coords)
+
+    def coord_values(self, q=None) -> np.ndarray:
+        """The real coordinates of q, by default of the chart's own point."""
+        parts = self.parts if q is None else q.parts()
+        return np.array([parts[b][pos].imag if im else parts[b][pos].real
+                         for b, im, pos in self.coords])
+
+    def wirtinger_basis(self):
+        """W (dim x (n^2 + mn)): column i n + j is the weighted d/dOmega_ij,
+        column n^2 + k n + l is d/dz_kl, both in the real coordinates;
+        conj(W) gives the barred derivatives."""
+        n = self.n
+        w = np.zeros((self.dim, n * n + self.m * n), dtype=complex)
+        for idx, (b, im, (i, j)) in enumerate(self.coords):
+            val = -0.5j if im else 0.5
+            if b == 0:
+                w[idx, i * n + j] = w[idx, j * n + i] = val * (1.0 if i == j else 0.5)
+            else:
+                w[idx, n * n + i * n + j] = val
+        return w
+
+    def make_point(self, offsets):
+        """Point with coordinate idx shifted by delta for (idx, delta) items."""
+        parts = [a.copy() for a in self.parts]
+        for idx, delta in offsets:
+            b, im, (i, j) = self.coords[idx]
+            step = (1j * delta) if im else delta
+            parts[b][i, j] += step
+            if b == 0 and i != j:
+                parts[b][j, i] += step
+        return self.cls(*parts)

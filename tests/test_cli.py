@@ -115,12 +115,27 @@ def test_invalid_point_is_usage_error():
 
 
 def test_non_finite_point_is_usage_error():
-    for args in (["reduce", "--space", "hn", "--point", '{"omega": "0.7,nan"}'],
-                 ["distance", "--p0", "nan", "--p1", "i"]):
+    for args, part in (
+            (["reduce", "--space", "hn", "--point", '{"omega": "0.7,nan"}'], "omega"),
+            (["distance", "--p0", "nan", "--p1", "i"], "omega"),
+            (["reduce", "--space", "hnm", "--point", '{"omega": "i", "z": "nan"}'], "z"),
+            (["metric", "--space", "hnm", "--point", '{"omega": "i", "z": "nan"}',
+              "--t1", "1", "--t2", "1"], "z"),
+            (["cayley", "--dir", "inv", "--point", '{"omega": "i", "z": "inf"}'], "z"),
+            (["cayley", "--dir", "fwd", "--point", '{"w": "0.1", "eta": "nan"}'], "eta")):
         code, out, err = run_cli(args)
         assert code == 2 and out == ""
         assert err.startswith("input error:") and "non-finite" in err
         assert len(err.strip().splitlines()) == 1
+        assert err == f"input error: {part} has non-finite entries\n"
+
+
+def test_non_finite_output_is_numeric_failure(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):    # t(1e308) t(1e308) overflows
+        assert cli.main(["element", "--word", "t(1e308);t(1e308)", "--n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: result has non-finite entries\n"
 
 
 def test_convergence_error_is_numeric_failure(monkeypatch, capsys):

@@ -18,7 +18,7 @@ def _heis(l, m, s):
 def test_heisenberg_identity_law():
     h = _heis(0.3, -0.7, 0.2)
     e = groups.HeisenbergElement.identity(1, 1)
-    prod = groups.heisenberg_multiply(h, e)
+    prod = h.multiply(e)
     assert np.allclose(prod.lam, h.lam) and np.allclose(prod.kappa, h.kappa)
 
 

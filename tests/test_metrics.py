@@ -142,6 +142,20 @@ def test_volume_density():
         assert abs(lhs - metrics.volume_density(ps)) <= 1e-6 * metrics.volume_density(ps)
 
 
+def test_real_jacobian_det_closed_form():
+    # Omega -> (A Omega + B)(C Omega + D)^{-1} has real Jacobian
+    # determinant |det(C Omega + D)|^{-2(n+1)} in the (x_ij, y_ij) chart
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            ps = sampling.random_siegel_point(n, rng)
+            mat = groups.random_symplectic(n, rng, 4)
+            _, _, c, d = mat.blocks()
+            expected = abs(np.linalg.det(c @ ps.omega + d)) ** (-2 * (n + 1))
+            jac = metrics.real_jacobian_det(lambda x: groups.act_siegel(mat, x), ps)
+            assert jac == pytest.approx(expected, rel=1e-9)
+
+
 def test_cayley_isometries():
     rng = np.random.default_rng(19)
     params = MetricParams(1.0, 1.0)

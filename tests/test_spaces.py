@@ -3,6 +3,7 @@ import pytest
 
 from siegeljacobi import cayley, groups, sampling, spaces
 from siegeljacobi.errors import DimensionError, DomainError
+from siegeljacobi.linalg import Tolerance
 
 
 def test_validate_trivial_cases():
@@ -54,12 +55,15 @@ def test_tangent_vector_symmetrizes():
 
 
 def test_point_json_round_trip():
-    p = spaces.JacobiPoint.create(np.array([[0.3 + 1.2j]]), np.array([[0.5 - 0.25j]]))
-    q = spaces.point_from_json(p.to_json())
-    assert isinstance(q, spaces.JacobiPoint)
-    assert np.allclose(q.omega, p.omega) and np.allclose(q.z, p.z)
-    d = spaces.DiskPoint.create(np.array([[0.2 + 0.1j]]))
-    q2 = spaces.point_from_json(d.to_json())
-    assert isinstance(q2, spaces.DiskPoint)
+    rng = np.random.default_rng(5)
+    for kind in ("siegel", "jacobi", "disk", "jacobi_disk"):
+        p = sampling.random_point(kind, 2, 1, rng)
+        for q in (spaces.point_from_json(p.to_json()), type(p)(*p.parts()),
+                  spaces._Chart(p).make_point([]),
+                  type(p).create(*p.parts(), tol=Tolerance(1e-9))):
+            assert type(q) is type(p)
+            assert all(np.array_equal(a, b) for a, b in zip(q.parts(), p.parts()))
+        assert (p.n, p.m) == (2, len(p.parts()) - 1)
     with pytest.raises(DomainError):
         spaces.point_from_json({"nonsense": 1})
+
