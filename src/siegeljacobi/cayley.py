@@ -1,47 +1,46 @@
 """Cayley transform between the disk and half-space models, and its partial
-extension to the Jacobi spaces."""
+extension to the Jacobi spaces.
+
+All four maps are the fractional-linear map of ``linalg.fractional_linear``:
+disk to half space at the complex matrix TO_HALF, half space to disk at
+TO_DISK, which is its inverse up to the factor 2i; each is given by the
+scalars of its four n x n blocks.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionError
-from .linalg import safe_solve
+from .linalg import fractional_linear
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint
+
+
+TO_HALF = (1j, 1j, -1.0, 1.0)    # [[iI, iI], [-I, I]]
+TO_DISK = (1.0, -1j, 1.0, 1j)    # [[I, -iI], [I, iI]]
+
+
+def _blocks(scalars, n: int):
+    return [s * np.eye(n) for s in scalars]
 
 
 def cayley(p: DiskPoint) -> SiegelPoint:
     """W -> i (I + W)(I - W)^{-1}."""
-    n = p.n
-    eye = np.eye(n)
-    omega = 1j * safe_solve((eye - p.w).T, (eye + p.w).T).T
-    return SiegelPoint(linalg.symmetrize(omega))
+    return SiegelPoint(*fractional_linear(*_blocks(TO_HALF, p.n), p.w))
 
 
 def cayley_inverse(p: SiegelPoint) -> DiskPoint:
     """omega -> (omega - iI)(omega + iI)^{-1}."""
-    n = p.n
-    eye = np.eye(n)
-    w = safe_solve((p.omega + 1j * eye).T, (p.omega - 1j * eye).T).T
-    return DiskPoint(linalg.symmetrize(w))
+    return DiskPoint(*fractional_linear(*_blocks(TO_DISK, p.n), p.omega))
 
 
 def partial_cayley(p: JacobiDiskPoint) -> JacobiPoint:
     """(W, eta) -> (i (I + W)(I - W)^{-1}, 2 i eta (I - W)^{-1})."""
-    n = p.n
-    eye = np.eye(n)
-    omega = 1j * safe_solve((eye - p.w).T, (eye + p.w).T).T
-    z = 2j * safe_solve((eye - p.w).T, p.eta.T).T
-    return JacobiPoint(linalg.symmetrize(omega), z)
+    return JacobiPoint(*fractional_linear(*_blocks(TO_HALF, p.n), p.w, 2j * p.eta))
 
 
 def partial_cayley_inverse(p: JacobiPoint) -> JacobiDiskPoint:
     """(omega, z) -> ((omega - iI)(omega + iI)^{-1}, z (omega + iI)^{-1})."""
-    n = p.n
-    eye = np.eye(n)
-    w = safe_solve((p.omega + 1j * eye).T, (p.omega - 1j * eye).T).T
-    eta = safe_solve((p.omega + 1j * eye).T, p.z.T).T
-    return JacobiDiskPoint(linalg.symmetrize(w), eta)
+    return JacobiDiskPoint(*fractional_linear(*_blocks(TO_DISK, p.n), p.omega, p.z))
 
 
 def to_disk(p):

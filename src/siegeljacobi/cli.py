@@ -15,7 +15,7 @@ import numpy as np
 from . import cayley, checks, diffops, fields, geodesics, linalg
 from . import metrics, reduction, spaces, theta
 from .diffops import FDConfig
-from .errors import ConvergenceError, NumericError
+from .errors import ConvergenceError, DomainError, NumericError
 from .groups import HeisenbergElement
 from .metrics import MetricParams
 from .spaces import TangentVector
@@ -56,15 +56,29 @@ def parse_matrix_arg(text: str):
     return np.array([[parse_scalar_complex(text)]])
 
 
-def parse_point_arg(text: str):
+# the point class each --space value takes
+SPACES = {"hn": spaces.SiegelPoint, "hnm": spaces.JacobiPoint,
+          "dn": spaces.DiskPoint, "dnm": spaces.JacobiDiskPoint}
+
+
+def parse_point_arg(text: str, space: str | None = None):
+    """Point JSON with scalar shorthand, or a bare matrix/scalar read as
+    omega; a point outside ``space`` (a key of SPACES) is an input error."""
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
         for key in ("omega", "z", "w", "eta"):
             if key in obj and not isinstance(obj[key], dict):
                 obj[key] = linalg.matrix_to_json(np.array([[parse_scalar_complex(str(obj[key]))]]))
-        return spaces.point_from_json(obj)
-    return spaces.SiegelPoint.create(parse_matrix_arg(text))
+        point = spaces.point_from_json(obj)
+    else:
+        point = spaces.SiegelPoint.create(parse_matrix_arg(text))
+    cls = SPACES.get(space, type(point))
+    if type(point) is not cls:
+        raise DomainError(f"expected a point of {space} with parts "
+                          f"{', '.join(cls.__dataclass_fields__)}, got parts "
+                          f"{', '.join(type(point).__dataclass_fields__)}")
+    return point
 
 
 def _emit(obj) -> None:
@@ -98,8 +112,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    p0 = parse_point_arg(args.p0)
-    p1 = parse_point_arg(args.p1)
+    p0 = parse_point_arg(args.p0, "hn")
+    p1 = parse_point_arg(args.p1, "hn")
     rho = geodesics.siegel_distance(p0, p1)
     if args.emit_eigs:
         eigs = geodesics.cross_ratio_eigenvalues(p0, p1)
@@ -119,7 +133,7 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    point = parse_point_arg(args.point)
+    point = parse_point_arg(args.point, args.space)
     if args.space == "hn":
         reduced, cert = reduction.siegel_reduce(point)
     else:
@@ -153,24 +167,18 @@ def parse_tangent_arg(text: str, n: int) -> TangentVector:
 
 
 def cmd_metric(args) -> int:
-    point = parse_point_arg(args.point)
+    point = parse_point_arg(args.point, args.space)
     t1 = parse_tangent_arg(args.t1, point.n)
     t2 = parse_tangent_arg(args.t2, point.n)
-    params = MetricParams(args.A, args.B)
-    if args.space == "hn":
-        value = metrics.siegel_metric(point, t1, t2, args.A)
-    elif args.space == "hnm":
-        value = metrics.jacobi_metric(point, t1, t2, params)
-    elif args.space == "dn":
-        value = metrics.disk_metric(point, t1, t2, args.A)
-    else:
-        value = metrics.jacobi_disk_metric(point, t1, t2, params)
+    metric = {"hn": metrics.siegel_metric, "hnm": metrics.jacobi_metric,
+              "dn": metrics.disk_metric, "dnm": metrics.jacobi_disk_metric}[args.space]
+    value = metric(point, t1, t2, MetricParams(args.A, args.B) if point.m else args.A)
     _emit({"re": value.real, "im": value.imag})
     return 0
 
 
 def cmd_laplacian(args) -> int:
-    point = parse_point_arg(args.point)
+    point = parse_point_arg(args.point, args.space)
     field = fields.builtin_field(args.field, s=parse_scalar_complex(args.s), a=args.a)
     cfg = FDConfig()
     if args.space == "hn":
@@ -287,7 +295,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return USAGE_ERROR
     try:
-        return args.func(args)
+        # overflow and invalid values show up as non-finite results, which
+        # _emit refuses; numpy's warnings would only add stray stderr lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError
-from .linalg import safe_solve
+from .linalg import fractional_linear
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint
 
 GROUP_TOL = 1e-10
@@ -248,6 +248,10 @@ class StarGroupElement:
     def m(self) -> int:
         return self.xi.shape[0]
 
+    def blocks(self):
+        """(P, Q, conj(Q), conj(P)), laid out as ``SymplecticElement.blocks``."""
+        return self.p, self.q, self.q.conj(), self.p.conj()
+
     def is_valid(self, tol: float = GROUP_TOL) -> bool:
         n = self.n
         r1 = self.p.T @ self.p.conj() - self.q.conj().T @ self.q - np.eye(n)
@@ -290,37 +294,30 @@ def act_siegel(g: SymplecticElement, p: SiegelPoint) -> SiegelPoint:
     """Fractional-linear action (A omega + B)(C omega + D)^{-1}."""
     if g.n != p.n:
         raise DimensionError("degree mismatch")
-    a, b, c, d = g.blocks()
-    denom = c @ p.omega + d
-    new_omega = safe_solve(denom.T, (a @ p.omega + b).T).T
-    return SiegelPoint(linalg.symmetrize(new_omega))
+    return SiegelPoint(*fractional_linear(*g.blocks(), p.omega))
 
 
 def act_jacobi(g: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
+    """The symplectic action on omega; z -> (z + lam omega + mu)(C omega + D)^{-1}."""
     if (g.n, g.m) != (p.n, p.m):
         raise DimensionError("degree mismatch")
-    a, b, c, d = g.sp.blocks()
-    denom = c @ p.omega + d
-    new_omega = safe_solve(denom.T, (a @ p.omega + b).T).T
-    new_z = safe_solve(denom.T, (p.z + g.h.lam @ p.omega + g.h.mu).T).T
-    return JacobiPoint(linalg.symmetrize(new_omega), new_z)
+    rect = p.z + g.h.lam @ p.omega + g.h.mu
+    return JacobiPoint(*fractional_linear(*g.sp.blocks(), p.omega, rect))
 
 
 def act_disk(g: StarGroupElement, p: DiskPoint) -> DiskPoint:
+    """W -> (P W + Q)(conj(Q) W + conj(P))^{-1}."""
     if g.n != p.n:
         raise DimensionError("degree mismatch")
-    denom = g.q.conj() @ p.w + g.p.conj()
-    new_w = safe_solve(denom.T, (g.p @ p.w + g.q).T).T
-    return DiskPoint(linalg.symmetrize(new_w))
+    return DiskPoint(*fractional_linear(*g.blocks(), p.w))
 
 
 def act_jacobi_disk(g: StarGroupElement, p: JacobiDiskPoint) -> JacobiDiskPoint:
+    """The disk action on W; eta -> (eta + xi W + conj(xi))(conj(Q) W + conj(P))^{-1}."""
     if (g.n, g.m) != (p.n, p.m):
         raise DimensionError("degree mismatch")
-    denom = g.q.conj() @ p.w + g.p.conj()
-    new_w = safe_solve(denom.T, (g.p @ p.w + g.q).T).T
-    new_eta = safe_solve(denom.T, (p.eta + g.xi @ p.w + g.xi.conj()).T).T
-    return JacobiDiskPoint(linalg.symmetrize(new_w), new_eta)
+    rect = p.eta + g.xi @ p.w + g.xi.conj()
+    return JacobiDiskPoint(*fractional_linear(*g.blocks(), p.w, rect))
 
 
 def act(g, p):

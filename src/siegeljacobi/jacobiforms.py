@@ -240,9 +240,6 @@ class Polynomial:
     n: int
     coeffs: dict = field(default_factory=dict)
 
-    def _zero(self):
-        return tuple([0] * (self.m * self.n))
-
     @classmethod
     def constant(cls, m: int, n: int, c) -> "Polynomial":
         if c == 0:

@@ -6,7 +6,6 @@ The JSON wire format for a matrix is
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +95,6 @@ def cholesky(s):
         raise DomainError(f"matrix is not positive definite: {exc}") from exc
 
 
-def eigh_sorted(s):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    s = require_square(s)
-    return np.linalg.eigh(hermitize(s))
-
-
 def require_conditioned(a):
     """Conditioning guard on a square matrix or a stack of them: raises
     NumericError, naming the first offending condition number, when any
@@ -124,6 +117,20 @@ def safe_solve(a, b):
     a = require_square(a)
     require_conditioned(a)
     return np.linalg.solve(a, b)
+
+
+def fractional_linear(a, b, c, d, x, rect=None) -> list:
+    """The parts [sym((A X + B)(C X + D)^{-1})] of a fractional-linear map,
+    followed by R (C X + D)^{-1} when a rectangular numerator R is given.
+
+    Both come from one ``safe_solve`` of t(C X + D) against the stacked
+    t(A X + B) and t(R): one conditioning check and one factorization.
+    """
+    num = a @ x + b
+    rhs = num.T if rect is None else np.hstack([num.T, rect.T])
+    sol = safe_solve((c @ x + d).T, rhs).T
+    n = x.shape[0]
+    return [symmetrize(sol[:n])] + ([] if rect is None else [sol[n:]])
 
 
 def principal_sqrt_log(s, tol: Tolerance = DEFAULT_TOL):
@@ -174,11 +181,3 @@ def matrix_from_json(obj):
         raise DimensionError(f"data length {len(data)} != rows*cols {rows * cols}")
     flat = [complex(float(re), float(im)) for re, im in data]
     return np.array(flat, dtype=complex).reshape(rows, cols)
-
-
-def matrix_dumps(a) -> str:
-    return json.dumps(matrix_to_json(a))
-
-
-def matrix_loads(text: str):
-    return matrix_from_json(json.loads(text))

@@ -176,13 +176,9 @@ def _candidate_generators(n: int):
     return gens
 
 
-_CANDIDATE_CACHE: dict = {}
-
-
+@cache
 def siegel_candidates(n: int):
     """Deterministic finite candidate set: short words in the generator list."""
-    if n in _CANDIDATE_CACHE:
-        return _CANDIDATE_CACHE[n]
     gens = _candidate_generators(n)
     max_len = 3 if n <= 2 else 2
     seen = {}
@@ -199,9 +195,7 @@ def siegel_candidates(n: int):
                 seen[key] = cand
                 nxt.append(cand)
         frontier = nxt
-    cands = list(seen.values())
-    _CANDIDATE_CACHE[n] = cands
-    return cands
+    return tuple(seen.values())
 
 
 @cache
@@ -280,11 +274,13 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
             current = groups.act_siegel(g2, current)
             gamma = g2.multiply(gamma)
             ratios = candidate_det_ratios(current)
-            k = int(np.argmax(ratios))
-            if not ratios[k] > 1.0 + DET_SLACK:
+            top = ratios.max()
+            if not top > 1.0 + DET_SLACK:
                 converged = True
                 break
-            best = cands[k]
+            # candidates that differ by a unimodular dilation tie exactly: take
+            # the first one within DET_SLACK of the top, not the one rounding favours
+            best = cands[int(np.argmax(ratios >= top * (1.0 - DET_SLACK)))]
             current = groups.act_siegel(best, current)
             gamma = best.multiply(gamma)
         if not converged:

@@ -83,7 +83,6 @@ class GridFunction:
 
     ctx: ThetaContext
     eval_fn: object
-    kind: str = "derived"
     _samples: np.ndarray | None = field(default=None, repr=False)
 
     def eval(self, x):
@@ -100,17 +99,13 @@ class GridFunction:
             self._samples = np.asarray(self.eval_fn(grid_points(self.ctx)), dtype=complex)
         return self._samples
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.samples())))
-
-
 def gaussian(ctx: ThetaContext) -> GridFunction:
     """The centered Gaussian exp(-pi ||x||^2_M)."""
 
     def fn(pts):
         return np.exp(-np.pi * ctx.norm_sq(pts)).astype(complex)
 
-    return GridFunction(ctx, fn, kind="gaussian")
+    return GridFunction(ctx, fn)
 
 
 def gaussian_poly(ctx: ThetaContext, exponents) -> GridFunction:
@@ -121,7 +116,7 @@ def gaussian_poly(ctx: ThetaContext, exponents) -> GridFunction:
         mono = np.prod(pts ** exps[None, :, :], axis=(-2, -1))
         return mono * np.exp(-np.pi * ctx.norm_sq(pts))
 
-    return GridFunction(ctx, fn, kind="gaussian")
+    return GridFunction(ctx, fn)
 
 
 def from_samples(ctx: ThetaContext, samples) -> GridFunction:
@@ -144,7 +139,7 @@ def from_samples(ctx: ThetaContext, samples) -> GridFunction:
             raise DomainError("evaluation point outside the grid extent")
         return cube[tuple(rounded.astype(int).T)]
 
-    return GridFunction(ctx, fn, kind="samples", _samples=samples)
+    return GridFunction(ctx, fn, _samples=samples)
 
 
 # -- Schrodinger representation ---------------------------------------------------

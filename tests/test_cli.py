@@ -130,6 +130,29 @@ def test_non_finite_point_is_usage_error():
         assert err == f"input error: {part} has non-finite entries\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["metric", "--space", "dn", "--point", "i", "--t1", "1", "--t2", "1"],
+    ["metric", "--space", "hnm", "--point", "i", "--t1", "1", "--t2", "1"],
+    ["reduce", "--space", "hnm", "--point", "i"],
+    ["laplacian", "--space", "hnm", "--field", "y", "--point", "i"],
+    ["reduce", "--space", "hn", "--point", '{"omega": "i", "z": "0.3"}'],
+    ["metric", "--space", "hn", "--point", '{"omega": "i", "z": "0.3"}',
+     "--t1", "1", "--t2", "1"],
+    ["laplacian", "--space", "hn", "--field", "y", "--point", '{"omega": "2i", "z": "1"}'],
+    ["distance", "--p0", '{"omega": "i", "z": "1"}', "--p1", "i"],
+])
+def test_point_outside_space_is_usage_error(args):
+    code, out, err = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+
+def test_overflow_writes_one_stderr_line():
+    code, out, err = run_cli(["element", "--word", "t(1e308);t(1e308)", "--n", "2"])
+    assert code == 1 and out == ""
+    assert err == "numeric error: result has non-finite entries\n"
+
+
 def test_non_finite_output_is_numeric_failure(capsys):
     with np.errstate(over="ignore", invalid="ignore"):    # t(1e308) t(1e308) overflows
         assert cli.main(["element", "--word", "t(1e308);t(1e308)", "--n", "2"]) == 1

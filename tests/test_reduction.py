@@ -185,6 +185,19 @@ def test_batched_scan_conditioning_guard():
         reduction.siegel_reduce(p)
 
 
+def test_scan_ties_do_not_follow_rounding():
+    # candidates that differ by a unimodular dilation tie exactly in det Im;
+    # a uniform rescaling of Omega keeps every tie and must keep gamma
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        p = sampling.random_siegel_point(2 + i % 2, rng, y_range=(0.1, 2.0))
+        scaled = spaces.SiegelPoint(p.omega * (1 + 2.0 ** -40))
+        _, cert = reduction.siegel_reduce(p)
+        _, cert_scaled = reduction.siegel_reduce(scaled)
+        assert cert.passed and cert_scaled.passed
+        assert np.array_equal(cert.gamma.mat, cert_scaled.gamma.mat), i
+
+
 def test_degree_two_orbit_round_trip():
     rng = np.random.default_rng(15)
     cands = reduction.siegel_candidates(2)
