@@ -4,6 +4,7 @@ and records (case, lhs, rhs, residual, tol, pass)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -187,6 +188,14 @@ def suite_metrics(seed: int = 0, tol_scale: float = 1.0, samples: int = 50):
 
 # -- laplacians ----------------------------------------------------------------------
 
+def _compose(f, move):
+    """The field q -> f(move(q)), batched when f is: the maps move stacks."""
+    def moved(q):
+        return f(move(q))
+
+    return fields.batched(moved) if fields.is_batched(f) else moved
+
+
 def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 20,
                      op_samples: int = 20):
     rng = np.random.default_rng(seed)
@@ -216,7 +225,7 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 
         p = sampling.random_jacobi_point(n, m, rng)
         g = groups.random_jacobi(n, m, rng, 3)
         f = sampling.random_polynomial_field("jacobi", rng)
-        fg = (lambda f_, g_: lambda q: f_(groups.act_jacobi(g_, q)))(f, g)
+        fg = _compose(f, partial(groups.act_jacobi, g))
         gp = groups.act_jacobi(g, p)
         tl = DerivativeTable(fg, p, cfg)
         tr_ = DerivativeTable(f, gp, cfg)
@@ -233,7 +242,7 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 
         ps = p.siegel_part()
         fs = sampling.random_polynomial_field("siegel", rng)
         mat = groups.random_symplectic(n, rng, 3)
-        fsg = (lambda f_, g_: lambda q: f_(groups.act_siegel(g_, q)))(fs, mat)
+        fsg = _compose(fs, partial(groups.act_siegel, mat))
         lhs = diffops.laplacian_siegel(fsg, ps, 1.0, cfg)
         rhs = diffops.laplacian_siegel(fs, groups.act_siegel(mat, ps), 1.0, cfg)
         _row(rows, f"invariance_siegel_{i:02d}", lhs, rhs, 1e-4 * tol_scale,
@@ -243,7 +252,7 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 
         pd = sampling.random_jacobi_disk_point(nd, md, rng, radius=0.4)
         gs = groups.embed_star(groups.random_jacobi(nd, md, rng, 3))
         fd = sampling.random_polynomial_field("jacobi_disk", rng)
-        fdg = (lambda f_, g_: lambda q: f_(groups.act_jacobi_disk(g_, q)))(fd, gs)
+        fdg = _compose(fd, partial(groups.act_jacobi_disk, gs))
         gpd = groups.act_jacobi_disk(gs, pd)
         tld = DerivativeTable(fdg, pd, cfg)
         trd = DerivativeTable(fd, gpd, cfg)
@@ -258,7 +267,7 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 
                  1e-4 * tol_scale, scale=max(1.0, abs(rhs)))
         if i % 4 == 0:
             lhs = diffops.laplacian_disk(fd, pd, params, cfg, DerivativeTable(fd, pd, cfg))
-            f_h = (lambda f_: lambda q: f_(cayley.partial_cayley_inverse(q)))(fd)
+            f_h = _compose(fd, cayley.partial_cayley_inverse)
             rhs = diffops.laplacian_jacobi(f_h, cayley.partial_cayley(pd), params, cfg)
             _row(rows, f"transport_disk_laplacian_{i:02d}", lhs, rhs, 1e-3 * tol_scale,
                  scale=max(1.0, abs(rhs)))

@@ -62,8 +62,9 @@ SPACES = {"hn": spaces.SiegelPoint, "hnm": spaces.JacobiPoint,
 
 
 def parse_point_arg(text: str, space: str | None = None):
-    """Point JSON with scalar shorthand, or a bare matrix/scalar read as
-    omega; a point outside ``space`` (a key of SPACES) is an input error."""
+    """Point JSON with scalar shorthand, or a bare matrix/scalar read as the
+    one part of a ``space`` point (omega on hn and by default, w on dn); a
+    point outside ``space`` (a key of SPACES) is an input error."""
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
@@ -72,7 +73,12 @@ def parse_point_arg(text: str, space: str | None = None):
                 obj[key] = linalg.matrix_to_json(np.array([[parse_scalar_complex(str(obj[key]))]]))
         point = spaces.point_from_json(obj)
     else:
-        point = spaces.SiegelPoint.create(parse_matrix_arg(text))
+        cls = SPACES.get(space, spaces.SiegelPoint)
+        first, *missing = cls.__dataclass_fields__
+        if missing:
+            raise DomainError(f"a bare matrix gives only {first}; a point of {space} "
+                              f"also needs {', '.join(missing)}")
+        point = cls.create(parse_matrix_arg(text))
     cls = SPACES.get(space, type(point))
     if type(point) is not cls:
         raise DomainError(f"expected a point of {space} with parts "

@@ -2,7 +2,10 @@
 
 The engine differentiates scalar fields (callables on points) in the real
 coordinates of the point's chart (``spaces._Chart``), then assembles weighted
-Wirtinger derivatives.
+Wirtinger derivatives. The points of a stencil (``_plan``, cached per chart
+dimension and scheme) form one stack of points; a field marked
+``fields.batched`` (also behind ``__wrapped__``) gets the stack in one call and
+returns one value per point, any other callable gets one point at a time.
 Matrix derivative conventions: for a symmetric complex matrix the (i, j)
 entry of the derivative matrix carries the weight (1 + delta_ij)/2 applied to
 the symmetric-variable partial; for rectangular z-type matrices the layout is
@@ -12,11 +15,13 @@ with respect to z_{kl}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import permutations
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .fields import is_batched
 from .linalg import safe_inv
 from .metrics import MetricParams
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, _Chart
@@ -30,7 +35,7 @@ class FDConfig:
     def __post_init__(self):
         if self.step <= 0:
             raise ParameterError("step must be positive")
-        if self.scheme not in ("central-2", "central-4"):
+        if self.scheme not in _STENCILS:
             raise ParameterError(f"unknown scheme {self.scheme!r}")
 
 
@@ -45,49 +50,62 @@ class ScalarField:
         return self.fn(p)
 
 
-def _first_weights(scheme, h):
-    if scheme == "central-2":
-        return {1: 0.5 / h, -1: -0.5 / h}
-    return {2: -1.0 / (12 * h), 1: 8.0 / (12 * h), -1: -8.0 / (12 * h), -2: 1.0 / (12 * h)}
+# Central differences along one coordinate: per scheme, the weight numerators
+# by offset of d/dx over c h and of d^2/dx^2 over c h^2, with their c.
+_STENCILS = {"central-2": (({1: 0.5, -1: -0.5}, 1), ({1: 1.0, 0: -2.0, -1: 1.0}, 1)),
+             "central-4": (({2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}, 12),
+                           ({2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}, 12))}
 
 
-def _second_same_weights(scheme, h):
-    if scheme == "central-2":
-        return {1: 1.0 / h**2, 0: -2.0 / h**2, -1: 1.0 / h**2}
-    h2 = 12 * h**2
-    return {2: -1.0 / h2, 1: 16.0 / h2, 0: -30.0 / h2, -1: 16.0 / h2, -2: -1.0 / h2}
+@cache
+def _plan(dim, scheme, entries=None):
+    """The stencil of the entries d/dx_i, written (i,), and d^2/dx_i dx_j,
+    written (i, j), by default those of a derivative table: the distinct
+    points as offsets in units of the steps (the center first when some
+    i == j) and, term by term in summation order, each entry's point slots and
+    weight numerators, over c h_i, c h_i^2 or h_i h_j by its kind 0, 1 or 2."""
+    if entries is None:
+        entries = tuple((i,) for i in range(dim)) + tuple(
+            (i, j) for i in range(dim) for j in range(i, dim))
+    (first, c1), (second, _) = _STENCILS[scheme]
+    fo = sorted(first)
+    keys = {(0,) * dim: 0} if any(len(e) == 2 and e[0] == e[1] for e in entries) else {}
+
+    def slot(*shifts):
+        return keys.setdefault(tuple(dict(shifts).get(i, 0) for i in range(dim)), len(keys))
+
+    kind = np.array([0 if len(e) == 1 else 1 if e[0] == e[1] else 2 for e in entries])
+    terms = [[(slot((e[0], o)), w) for o, w in (first, second)[k].items()] if k < 2 else
+             [(slot((e[0], a), (e[1], b)), first[a] / c1 * (first[b] / c1)) for a in fo for b in fo]
+             for e, k in zip(entries, kind)]
+    width = max(map(len, terms))
+    slots, nums = np.array([t + [(0, 0.0)] * (width - len(t)) for t in terms]).transpose(2, 1, 0)
+    plan = (np.array(list(keys)), slots.astype(int), nums, kind,
+            *np.array([(e[0], e[-1]) for e in entries]).T)
+    for a in plan:
+        a.flags.writeable = False    # shared by every caller through the cache
+    return plan
 
 
-def _field_eval(f, chart):
-    """f at the chart point shifted by (coordinate, offset) pairs, memoized
-    by the set of shifts; a non-finite value raises."""
-    cache = {}
-
-    def feval(items):
-        key = tuple(sorted(items))
-        if key not in cache:
-            val = complex(f(chart.make_point(items)))
-            if not np.isfinite(val.real) or not np.isfinite(val.imag):
-                raise DomainError("field evaluated to a non-finite value")
-            cache[key] = val
-        return cache[key]
-
-    return feval
-
-
-def _second_partial(feval, center, i, j, hi, hj, scheme):
-    """d^2 f / dx_i dx_j by the scheme's central stencil with steps hi, hj;
-    center is the unshifted value, used only when i == j."""
-    acc = 0.0 + 0.0j
-    if i == j:
-        for o, w in _second_same_weights(scheme, hi).items():
-            acc += w * (center if o == 0 else feval([(i, o * hi)]))
-        return acc
-    fw = _first_weights(scheme, 1.0)
-    for oi in sorted(fw):
-        for oj in sorted(fw):
-            acc += fw[oi] * fw[oj] / (hi * hj) * feval([(i, oi * hi), (j, oj * hj)])
-    return acc
+def _stencil(f, chart, steps, scheme, entries=None):
+    """f at the points of ``_plan`` (one call of a batched f, else one call per
+    point; a non-finite value raises), the entries summed term by term with the
+    scalar stencil's arithmetic (h^2 = pow(h, 2)), and the entries' coordinates."""
+    offsets, slots, nums, kind, ei, ej = _plan(chart.dim, scheme, entries)
+    points = chart.shifted(offsets * steps)
+    if is_batched(f):
+        vals = np.asarray(f(points), dtype=complex)
+    else:
+        vals = np.array([complex(f(q)) for q in points.unstack()])
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("field evaluated to a non-finite value")
+    (_, c1), (_, c2) = _STENCILS[scheme]
+    hi, hj = steps[ei], steps[ej]
+    weights = nums / np.choose(kind, [c1 * hi, c2 * np.float_power(hi, 2), hi * hj])
+    out = np.zeros(len(kind), dtype=complex)
+    for w, s in zip(weights, slots):
+        out += w * vals[s]
+    return vals, out, ei, ej
 
 
 class DerivativeTable:
@@ -97,27 +115,17 @@ class DerivativeTable:
         self.cfg = cfg
         self.chart = chart = _Chart(p)
         radius = getattr(f, "radius", np.inf)
-        steps = [cfg.step * (1.0 + abs(x)) for x in chart.coord_values()]
+        steps = cfg.step * (1.0 + np.abs(chart.coord_values()))
         if 2 * max(steps, default=0.0) >= radius:
             raise ParameterError("finite-difference step exceeds the field's smoothness radius")
         self._f = f
-        feval = _field_eval(f, chart)
-        self.value = center = feval([])
-
         dim = chart.dim
-        g1 = np.zeros(dim, dtype=complex)
-        g2 = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            hi = steps[i]
-            for o, w in _first_weights(cfg.scheme, hi).items():
-                g1[i] += w * feval([(i, o * hi)])
-            for j in range(i, dim):
-                g2[i, j] = g2[j, i] = _second_partial(feval, center, i, j, hi, steps[j],
-                                                      cfg.scheme)
-        self.g1 = g1
-        self.g2 = g2
+        vals, out, ei, ej = _stencil(f, chart, steps, cfg.scheme)
+        self.value, self.g1 = vals[0], out[:dim]
+        self.g2 = np.zeros((dim, dim), dtype=complex)
+        self.g2[ei[dim:], ej[dim:]] = self.g2[ej[dim:], ei[dim:]] = out[dim:]
         self.w = chart.wirtinger_basis()
-        self.hess = np.conj(self.w).T @ g2 @ self.w
+        self.hess = np.conj(self.w).T @ self.g2 @ self.w
 
     # first derivatives --------------------------------------------------
     def d_sym(self, bar=False):
@@ -286,16 +294,13 @@ def eta_pair_value(f, p: JacobiDiskPoint, hol, antihol, cfg: FDConfig) -> comple
     ur, ui = idx[(1, 0, hol)], idx[(1, 1, hol)]
     vr, vi = idx[(1, 0, antihol)], idx[(1, 1, antihol)]
     x = chart.coord_values()
-    h1 = cfg.step * (1.0 + abs(x[ur]) + abs(x[ui]))
-    h2 = cfg.step * (1.0 + abs(x[vr]) + abs(x[vi]))
-    feval = _field_eval(f, chart)
-    center = feval([]) if ur == vr else None
-
-    def cross(i, j):
-        return _second_partial(feval, center, i, j, h1, h2, cfg.scheme)
-
+    steps = np.zeros(chart.dim)
+    for r, i in ((ur, ui), (vr, vi)):
+        steps[[r, i]] = cfg.step * (1.0 + abs(x[r]) + abs(x[i]))
+    pairs = ((ur, vr), (ur, vi), (ui, vr), (ui, vi))
+    rr, ri, ir, ii = _stencil(f, chart, steps, cfg.scheme, pairs)[1].tolist()
     # (1/2)(du - i dv) on the holomorphic side, (1/2)(du + i dv) on the other
-    return 0.25 * (cross(ur, vr) + 1j * cross(ur, vi) - 1j * cross(ui, vr) + cross(ui, vi))
+    return 0.25 * (rr + 1j * ri - 1j * ir + ii)
 
 
 def disk_eta_determinant(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
@@ -317,17 +322,12 @@ def disk_eta_determinant(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
     nested_cfg = FDConfig(step=max(cfg.step, 8e-3), scheme="central-4")
     total = 0.0 + 0.0j
     for perm in permutations(range(n)):
-        sign = 1.0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
+        sign = (-1.0) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
         for ks in np.ndindex(*([m] * n)):
             field = f
             for i in range(n - 1, 0, -1):
-                field = (lambda g, kk, ii, jj:
-                         lambda q_: eta_pair_value(g, q_, (kk, ii), (kk, jj), nested_cfg)
-                         )(field, ks[i], i, perm[i])
+                field = partial(eta_pair_value, field, hol=(ks[i], i), antihol=(ks[i], perm[i]),
+                                cfg=nested_cfg)
             total += sign * eta_pair_value(field, p, (ks[0], 0), (ks[0], perm[0]), nested_cfg)
     return det_q * total
 

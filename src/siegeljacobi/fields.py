@@ -1,33 +1,60 @@
-"""Built-in scalar fields on the degree-(1,1) Siegel-Jacobi space: the
-eigenfunction family of the invariant Laplacian, and the K-Bessel integral
-evaluated by quadrature."""
+"""Scalar fields: the batched-field marker, and the built-in fields on the
+degree-(1,1) Siegel-Jacobi space (the eigenfunction family of the invariant
+Laplacian and the K-Bessel integral evaluated by quadrature).
+
+A field is a callable on points. A batched field takes a stack of points
+(parts with a leading batch axis, see ``spaces``) and returns one value per
+point; ``diffops`` hands it all the points of a stencil in one call, and
+hands any other field one single point at a time.
+"""
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
 from .errors import DomainError
 
 
-def bessel_k(s: complex, z: float, theta_max: float = 8.0, step: float = 1.0 / 64.0) -> complex:
+def batched(fn):
+    """Mark fn as a batched field."""
+    fn.batched = True
+    return fn
+
+
+def is_batched(f) -> bool:
+    """True iff f, or a function it wraps through ``__wrapped__``, is batched."""
+    return getattr(inspect.unwrap(f), "batched", False)
+
+
+def bessel_k(s: complex, z, theta_max: float = 8.0, step: float = 1.0 / 64.0):
     """K_s(z) = (1/2) integral_0^inf exp(-(z/2)(t + 1/t)) t^{s-1} dt for
-    Re z > 0, via the substitution t = e^theta and a trapezoid rule."""
-    if z <= 0:
+    Re z > 0, via the substitution t = e^theta and a trapezoid rule. An array
+    of z gives the array of values, each with the bits of the scalar call."""
+    zs = np.asarray(z, dtype=float)
+    if np.any(zs <= 0):
         raise DomainError("the integral representation needs Re z > 0")
     theta = np.arange(-theta_max, theta_max + step, step)
-    integrand = np.exp(-z * np.cosh(theta) + s * theta)
-    return complex(0.5 * step * np.sum(integrand))
+    integrand = np.exp(-zs.reshape(-1, 1) * np.cosh(theta) + s * theta)
+    vals = 0.5 * step * np.sum(integrand, axis=-1)
+    return complex(vals[0]) if zs.ndim == 0 else vals.astype(complex).reshape(zs.shape)
 
 
 def _coords(p):
-    omega = complex(p.omega[0, 0])
-    z = complex(p.z[0, 0]) if hasattr(p, "z") else 0j
+    """x + iy = omega and u + iv = z, one entry per point of a stack (z = 0
+    on the Siegel space)."""
+    omega = p.omega[..., 0, 0]
+    z = p.z[..., 0, 0] if hasattr(p, "z") else np.zeros_like(omega)
     return omega.real, omega.imag, z.real, z.imag
 
 
 def builtin_field(name: str, s: complex = 1.0, a: float = 1.0):
-    """Fields keyed by name; ``s`` and ``a`` parametrize the power/Bessel
-    families. Names: y^s, y^s*x, y^s*u, y^s*v, y^s*u*v, y^s*x*v, x, y, u, v,
-    xv, uv, bessel, const."""
+    """Batched fields keyed by name; ``s`` and ``a`` parametrize the
+    power/Bessel families. Names: y^s, y^s*x, y^s*u, y^s*v, y^s*u*v, y^s*x*v,
+    x, y, u, v, xv, uv, bessel, const."""
+    def ys(y):    # libm pow on each entry, as y**s on one Python float
+        return np.float_power(y, s)
+
     simple = {
         "x": lambda x, y, u, v: x,
         "y": lambda x, y, u, v: y,
@@ -35,21 +62,22 @@ def builtin_field(name: str, s: complex = 1.0, a: float = 1.0):
         "v": lambda x, y, u, v: v,
         "xv": lambda x, y, u, v: x * v,
         "uv": lambda x, y, u, v: u * v,
-        "const": lambda x, y, u, v: 1.0,
-        "y^s": lambda x, y, u, v: y**s,
-        "y^s*x": lambda x, y, u, v: y**s * x,
-        "y^s*u": lambda x, y, u, v: y**s * u,
-        "y^s*v": lambda x, y, u, v: y**s * v,
-        "y^s*u*v": lambda x, y, u, v: y**s * u * v,
-        "y^s*x*v": lambda x, y, u, v: y**s * x * v,
+        "const": lambda x, y, u, v: np.ones_like(x),
+        "y^s": lambda x, y, u, v: ys(y),
+        "y^s*x": lambda x, y, u, v: ys(y) * x,
+        "y^s*u": lambda x, y, u, v: ys(y) * u,
+        "y^s*v": lambda x, y, u, v: ys(y) * v,
+        "y^s*u*v": lambda x, y, u, v: ys(y) * u * v,
+        "y^s*x*v": lambda x, y, u, v: ys(y) * x * v,
     }
     if name in simple:
         fn = simple[name]
-        return lambda p: complex(fn(*_coords(p)))
+        return batched(lambda p: np.asarray(fn(*_coords(p)), dtype=complex))
     if name == "bessel":
         if a == 0:
             raise DomainError("the Bessel eigenfunction needs a nonzero frequency")
 
+        @batched
         def field(p):
             x, y, _, _ = _coords(p)
             return np.sqrt(y) * bessel_k(s - 0.5, 2.0 * np.pi * abs(a) * y) \

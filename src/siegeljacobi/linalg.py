@@ -64,9 +64,20 @@ def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return tol.close(a, a.conj().T)
 
 
+def _square_stack(a, what="matrix"):
+    """A complex square matrix, or a stack of them along leading axes."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 3:
+        return require_square(a, what)
+    if a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"{what} stack must be square, got shape {a.shape}")
+    return a
+
+
 def symmetrize(a):
-    a = require_square(a)
-    return 0.5 * (a + a.T)
+    """(A + tA) / 2 of a square matrix or of each matrix in a stack."""
+    a = _square_stack(a)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def hermitize(a):
@@ -114,7 +125,9 @@ def safe_inv(a):
 
 
 def safe_solve(a, b):
-    a = require_square(a)
+    """A^{-1} b behind the conditioning guard; A may be a stack of square
+    matrices, with b stacked alike, and one guard covers the stack."""
+    a = _square_stack(a)
     require_conditioned(a)
     return np.linalg.solve(a, b)
 
@@ -124,13 +137,17 @@ def fractional_linear(a, b, c, d, x, rect=None) -> list:
     followed by R (C X + D)^{-1} when a rectangular numerator R is given.
 
     Both come from one ``safe_solve`` of t(C X + D) against the stacked
-    t(A X + B) and t(R): one conditioning check and one factorization.
+    t(A X + B) and t(R): one conditioning check and one factorization. X and
+    R may carry leading batch axes (a stack of points); the blocks may not.
     """
+    def t(y):
+        return y.swapaxes(-1, -2)
+
     num = a @ x + b
-    rhs = num.T if rect is None else np.hstack([num.T, rect.T])
-    sol = safe_solve((c @ x + d).T, rhs).T
-    n = x.shape[0]
-    return [symmetrize(sol[:n])] + ([] if rect is None else [sol[n:]])
+    rhs = t(num) if rect is None else np.concatenate([t(num), t(rect)], axis=-1)
+    sol = t(safe_solve(t(c @ x + d), rhs))
+    n = x.shape[-1]
+    return [symmetrize(sol[..., :n, :])] + ([] if rect is None else [sol[..., n:, :]])
 
 
 def principal_sqrt_log(s, tol: Tolerance = DEFAULT_TOL):

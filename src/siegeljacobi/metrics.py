@@ -193,7 +193,8 @@ def real_jacobian_det(fn, p: SiegelPoint, h: float | None = None) -> float:
     chart = _Chart(p)
     jac = np.empty((chart.dim, chart.dim))
     for col in range(chart.dim):
-        plus = chart.coord_values(fn(chart.make_point([(col, h)])))
-        minus = chart.coord_values(fn(chart.make_point([(col, -h)])))
+        shifts = np.zeros((2, chart.dim))
+        shifts[:, col] = h, -h
+        plus, minus = (chart.coord_values(fn(q)) for q in chart.shifted(shifts).unstack())
         jac[:, col] = (plus - minus) / (2.0 * h)
     return float(np.linalg.det(jac))

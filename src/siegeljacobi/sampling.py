@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .fields import batched
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector
 
 
@@ -55,25 +56,38 @@ def random_tangent(n: int, m: int, rng) -> TangentVector:
 
 
 def random_polynomial_field(kind: str, rng):
-    """Smooth low-degree field on a half-space or disk point."""
+    """Smooth low-degree batched field on a half-space or disk point."""
     cs = rng.uniform(-1.0, 1.0, 8)
+
+    def tr(a):
+        return np.einsum("...ii->...", a)
+
+    def total(a):
+        return a.sum(axis=(-2, -1))
+
+    def abs2(a):    # hypot and libm pow entrywise: the bits of abs(a) ** 2 on a scalar
+        return np.float_power(np.hypot(a.real, a.imag), 2)
+
     if kind in ("jacobi", "siegel"):
+        @batched
         def f(p):
             om = p.omega
-            z = p.z if hasattr(p, "z") else np.zeros((1, p.n), dtype=complex)
-            return (cs[0] * np.trace(om).real + cs[1] * np.trace(om @ om).imag
-                    + cs[2] * np.sum(z).real + cs[3] * abs(np.sum(z)) ** 2
-                    + cs[4] * np.trace(om.imag @ om.imag)
-                    + cs[5] * np.sum(z.imag * z.imag)
-                    + cs[6] * np.trace(om).imag * np.sum(z).real + cs[7])
+            z = p.z if hasattr(p, "z") else np.zeros_like(om[..., :1, :])
+            return (cs[0] * tr(om).real + cs[1] * tr(om @ om).imag
+                    + cs[2] * total(z).real + cs[3] * abs2(total(z))
+                    + cs[4] * tr(om.imag @ om.imag)
+                    + cs[5] * total(z.imag * z.imag)
+                    + cs[6] * tr(om).imag * total(z).real + cs[7])
         return f
     if kind in ("jacobi_disk", "disk"):
+        @batched
         def f(p):
             w = p.w
-            eta = p.eta if hasattr(p, "eta") else np.zeros((1, p.n), dtype=complex)
-            return (cs[0] * np.sum(w).real + cs[1] * abs(np.sum(eta)) ** 2
-                    + cs[2] * np.sum(eta).imag + cs[3] * np.trace(w @ np.conj(w)).real
-                    + cs[4] * (np.sum(eta) * np.sum(w)).real
-                    + cs[5] * np.sum(eta.real * eta.real) + cs[7])
+            eta = p.eta if hasattr(p, "eta") else np.zeros_like(w[..., :1, :])
+            te, tw = total(eta), total(w)    # Re(te tw) below is rounded as on scalars
+            return (cs[0] * tw.real + cs[1] * abs2(te)
+                    + cs[2] * te.imag + cs[3] * tr(w @ np.conj(w)).real
+                    + cs[4] * (te.real * tw.real - te.imag * tw.imag)
+                    + cs[5] * total(eta.real * eta.real) + cs[7])
         return f
     raise DomainError(f"unknown field kind {kind!r}")

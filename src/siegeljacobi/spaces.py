@@ -14,6 +14,12 @@ the real coordinates of a point in that layout. ``create`` symmetrizes inputs
 whose asymmetry is below tolerance and rejects anything worse, non-finite
 entries and mismatched shapes; degenerate boundary points are rejected, never
 clamped.
+
+A point may also be a stack of points: parts with a leading batch axis, as
+the finite-difference stencils of ``diffops`` build them. ``n`` and ``m``
+read the trailing axes, so the group actions and Cayley maps take stacks
+as they are; ``create`` and ``is_valid`` handle single points only, and
+``unstack`` splits a stack into single points.
 """
 from __future__ import annotations
 
@@ -45,7 +51,8 @@ class _Point:
     def __post_init__(self):
         fields = self.__dict__    # frozen: write the instance dict directly
         for name in self.__dataclass_fields__:
-            fields[name] = linalg.as_complex_matrix(fields[name])
+            a = np.asarray(fields[name], dtype=complex)
+            fields[name] = a if a.ndim > 2 else linalg.as_complex_matrix(a)
 
     @classmethod
     def create(cls, *parts, tol: Tolerance = DEFAULT_TOL):
@@ -68,14 +75,19 @@ class _Point:
     def parts(self) -> list:
         return [getattr(self, name) for name in self.__dataclass_fields__]
 
+    def unstack(self) -> list:
+        """The single points of a stack of points."""
+        parts = self.parts()
+        return [type(self)(*(a[k] for a in parts)) for k in range(len(parts[0]))]
+
     @property
     def n(self) -> int:
-        return getattr(self, next(iter(self.__dataclass_fields__))).shape[0]
+        return getattr(self, next(iter(self.__dataclass_fields__))).shape[-1]
 
     @property
     def m(self) -> int:
         parts = self.parts()
-        return parts[1].shape[0] if len(parts) > 1 else 0
+        return parts[1].shape[-2] if len(parts) > 1 else 0
 
     def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         sym, *rest = self.parts()
@@ -239,13 +251,15 @@ class _Chart:
                 w[idx, n * n + i * n + j] = val
         return w
 
-    def make_point(self, offsets):
-        """Point with coordinate idx shifted by delta for (idx, delta) items."""
-        parts = [a.copy() for a in self.parts]
-        for idx, delta in offsets:
-            b, im, (i, j) = self.coords[idx]
-            step = (1j * delta) if im else delta
-            parts[b][i, j] += step
-            if b == 0 and i != j:
-                parts[b][j, i] += step
-        return self.cls(*parts)
+    def shifted(self, shifts):
+        """The stack of points whose real coordinates are those of the
+        chart's point plus each row of ``shifts`` (shape (K, dim))."""
+        x = self.coord_values() + shifts
+        k, n = len(x), self.n
+        entries = np.empty((k, self.dim // 2), dtype=complex)
+        entries.real, entries.imag = x[:, 0::2], x[:, 1::2]
+        rows, cols = zip(*(pos for b, _, pos in self.coords[::2] if b == 0))
+        sym = np.empty((k, n, n), dtype=complex)
+        sym[:, rows, cols] = sym[:, cols, rows] = entries[:, :len(rows)]
+        rect = [entries[:, len(rows):].reshape(k, self.m, n)] if len(self.parts) > 1 else []
+        return self.cls(sym, *rect)

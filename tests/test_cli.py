@@ -140,11 +140,26 @@ def test_non_finite_point_is_usage_error():
      "--t1", "1", "--t2", "1"],
     ["laplacian", "--space", "hn", "--field", "y", "--point", '{"omega": "2i", "z": "1"}'],
     ["distance", "--p0", '{"omega": "i", "z": "1"}', "--p1", "i"],
+    ["metric", "--space", "dnm", "--point", "0.3", "--t1", "1", "--t2", "1"],
 ])
 def test_point_outside_space_is_usage_error(args):
     code, out, err = run_cli(args)
     assert code == 2 and out == ""
     assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+
+def test_bare_point_is_the_one_part_of_the_space():
+    for space, key in (("hn", "omega"), ("dn", "w")):
+        tangents = ["--t1", "1", "--t2", "1"]
+        short = run_cli(["metric", "--space", space, "--point", "0.3,0.2", *tangents])
+        full = run_cli(["metric", "--space", space, "--point", json.dumps({key: "0.3,0.2"}),
+                        *tangents])
+        assert short == full and short[0] == 0
+    for space, missing in (("hnm", "z"), ("dnm", "eta")):
+        code, _, err = run_cli(["metric", "--space", space, "--point", "i",
+                                "--t1", "1", "--t2", "1"])
+        assert code == 2 and err.startswith("input error:") and len(err.splitlines()) == 1
+        assert err.rstrip().endswith(f"also needs {missing}")
 
 
 def test_overflow_writes_one_stderr_line():

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from siegeljacobi import cayley, diffops, groups, sampling, spaces
+from siegeljacobi import cayley, checks, diffops, fields, groups, sampling, spaces
 from siegeljacobi.diffops import DerivativeTable, FDConfig, invariant_polynomial
-from siegeljacobi.errors import DomainError, ParameterError
+from siegeljacobi.errors import DimensionError, DomainError, NumericError, ParameterError
 from siegeljacobi.linalg import random_unitary
 from siegeljacobi.metrics import MetricParams
 
@@ -214,3 +216,140 @@ def test_eta_pair_value_evaluates_each_point_once():
     value = diffops.eta_pair_value(field, p, (0, 0), (0, 0), FDConfig())
     assert len(seen) == len(set(seen)) == 25
     assert abs(value - 1.1) < 1e-8
+
+
+def _stack(points):
+    return type(points[0])(*(np.stack(a) for a in zip(*(q.parts() for q in points))))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _batched_fields(rng):
+    """(stack of 5 points, batched field) for every ported field: each
+    builtin name, both polynomial kinds and the four compositions of the
+    laplacians suite."""
+    for n, m in ((1, 1), (2, 1)):
+        jac = _stack([sampling.random_jacobi_point(n, m, rng) for _ in range(5)])
+        disk = _stack([sampling.random_jacobi_disk_point(n, m, rng, 0.4) for _ in range(5)])
+        fj = sampling.random_polynomial_field("jacobi", rng)
+        fs = sampling.random_polynomial_field("siegel", rng)
+        fd = sampling.random_polynomial_field("jacobi_disk", rng)
+        yield jac, fj
+        yield disk, fd
+        g = groups.random_jacobi(n, m, rng, 3)
+        yield jac, checks._compose(fj, partial(groups.act_jacobi, g))
+        yield jac.siegel_part(), checks._compose(fs, partial(groups.act_siegel,
+                                                              groups.random_symplectic(n, rng, 3)))
+        gs = groups.embed_star(groups.random_jacobi(n, m, rng, 3))
+        yield disk, checks._compose(fd, partial(groups.act_jacobi_disk, gs))
+        yield jac, checks._compose(fd, cayley.partial_cayley_inverse)
+    names = [name for name, _ in fields.eigenfunction_table(1.7)] + ["const"]
+    for s in (0.5, 1.7, 2.0):
+        jac = _stack([sampling.random_jacobi_point(1, 1, rng) for _ in range(5)])
+        for name in names:
+            yield jac, fields.builtin_field(name, s=s)
+        yield jac, fields.builtin_field("bessel", s=s, a=-1.0)
+
+
+def test_batched_fields_give_the_bits_of_one_point_stacks():
+    for stack, f in _batched_fields(np.random.default_rng(40)):
+        assert fields.is_batched(f)
+        singles = [_stack([q]) for q in stack.unstack()]
+        assert _bits(f(stack)) == _bits(np.concatenate([f(q) for q in singles]))
+
+
+def _scalar_polynomial(kind, cs, q):
+    """The polynomial fields as scalar formulas on one 2-D point."""
+    if kind == "jacobi":
+        om, z = q.omega, q.z
+        return (cs[0] * np.trace(om).real + cs[1] * np.trace(om @ om).imag
+                + cs[2] * np.sum(z).real + cs[3] * abs(np.sum(z)) ** 2
+                + cs[4] * np.trace(om.imag @ om.imag) + cs[5] * np.sum(z.imag * z.imag)
+                + cs[6] * np.trace(om).imag * np.sum(z).real + cs[7])
+    w, eta = q.w, q.eta
+    return (cs[0] * np.sum(w).real + cs[1] * abs(np.sum(eta)) ** 2 + cs[2] * np.sum(eta).imag
+            + cs[3] * np.trace(w @ np.conj(w)).real + cs[4] * (np.sum(eta) * np.sum(w)).real
+            + cs[5] * np.sum(eta.real * eta.real) + cs[7])
+
+
+def test_batched_fields_give_the_bits_of_the_scalar_formulas():
+    # the check-suite CSVs depend on these bits: numpy's array power, abs and
+    # complex product may round unlike the scalar calls they replace
+    rng = np.random.default_rng(43)
+    for kind, n, m in (("jacobi", 1, 1), ("jacobi", 2, 1), ("jacobi_disk", 1, 2),
+                       ("jacobi_disk", 2, 1)):
+        stack = _stack([sampling.random_point(kind, n, m, rng) for _ in range(200)])
+        f = sampling.random_polynomial_field(kind, np.random.default_rng(n + m))
+        cs = np.random.default_rng(n + m).uniform(-1.0, 1.0, 8)
+        assert _bits(f(stack)) == _bits([_scalar_polynomial(kind, cs, q) for q in stack.unstack()])
+    stack = _stack([sampling.random_jacobi_point(1, 1, rng) for _ in range(200)])
+    coords = [(complex(q.omega[0, 0]), complex(q.z[0, 0])) for q in stack.unstack()]
+    for s in (0.5, 1.7, 2.0):
+        scalar = {"y^s*x*v": [om.imag ** s * om.real * z.imag for om, z in coords],
+                  "y^s*u": [om.imag ** s * z.real for om, z in coords],
+                  "bessel": [np.sqrt(om.imag) * fields.bessel_k(s - 0.5, 2.0 * np.pi * om.imag)
+                             * np.exp(2j * np.pi * om.real) for om, z in coords]}
+        for name, values in scalar.items():
+            assert _bits(fields.builtin_field(name, s=s)(stack)) == _bits(values), (name, s)
+
+
+def test_table_of_batched_field_matches_the_plain_callable():
+    # a plain callable gets single 2-D points, a batched one the stack: the
+    # fields here return the same bits on both, so the tables agree bitwise
+    for stack, f in _batched_fields(np.random.default_rng(41)):
+        p = stack.unstack()[0]
+        batched, plain = DerivativeTable(f, p), DerivativeTable(lambda q: f(q), p)
+        for a, b in ((batched.g1, plain.g1), (batched.g2, plain.g2),
+                     (batched.value, plain.value)):
+            assert _bits(a) == _bits(b)
+
+
+def test_non_finite_value_at_one_stencil_point_rejected():
+    p = spaces.SiegelPoint.create(np.array([[0.2 + 1.1j]]))
+
+    @fields.batched
+    def field(q):
+        x, y = q.omega[:, 0, 0].real, q.omega[:, 0, 0].imag
+        # only the corner point of the mixed stencil has both coordinates largest
+        return np.where((x == x.max()) & (y == y.max()), np.nan, x * y)
+
+    chart = spaces._Chart(p)
+    points = chart.shifted(diffops._plan(chart.dim, "central-4")[0] * 1e-3)
+    assert np.count_nonzero(np.isnan(field(points))) == 1
+    with pytest.raises(DomainError):
+        DerivativeTable(field, p)
+
+
+def test_singular_action_at_one_stencil_point_raises():
+    # step 0.25 at omega = i: the offset -2 along Im omega lands on omega = 0,
+    # where C omega + D = omega for the inversion is singular
+    p = spaces.SiegelPoint(np.array([[1j]]))
+    f = checks._compose(fields.builtin_field("y"), partial(groups.act_siegel, groups.inversion(1)))
+    with pytest.raises(NumericError):
+        DerivativeTable(f, p, FDConfig(step=0.25))
+    DerivativeTable(f, p, FDConfig(step=0.2))
+
+
+def test_act_jacobi_rejects_a_stack_of_the_wrong_degree():
+    rng = np.random.default_rng(42)
+    g = groups.random_jacobi(1, 1, rng)
+    good = _stack([sampling.random_jacobi_point(1, 1, rng) for _ in range(3)])
+    assert groups.act_jacobi(g, good).omega.shape == (3, 1, 1)
+    for n, m in ((2, 1), (1, 2)):
+        wrong = _stack([sampling.random_jacobi_point(n, m, rng) for _ in range(3)])
+        with pytest.raises(DimensionError):
+            groups.act_jacobi(g, wrong)
+
+
+def test_bessel_k_on_vectors():
+    z = np.array([0.05, 0.7, 1.0, 3.5, 12.0])
+    for s in (0.0, 1.2, 0.5 + 0.3j):
+        vals = fields.bessel_k(s, z)
+        assert vals.shape == z.shape
+        assert _bits(vals) == _bits([fields.bessel_k(s, float(x)) for x in z])
+    assert abs(fields.bessel_k(0.5, 1.0) - np.sqrt(np.pi / 2) * np.exp(-1.0)) < 1e-12
+    for bad in (np.array([1.0, 0.0]), np.array([-1.0, 2.0]), 0.0):
+        with pytest.raises(DomainError):
+            fields.bessel_k(1.0, bad)
