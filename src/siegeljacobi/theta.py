@@ -3,12 +3,14 @@ the angular-coordinate form on the upper half plane, the metaplectic cocycle,
 Iwasawa composition, and theta sums with their transformation laws.
 
 Test functions live on R^(m, n); the guaranteed quadrature mode covers
-mn <= 2. Functions are represented by exact closures carrying a uniform grid
-for quadrature and sup-norm comparisons, so shifts and phase twists lose no
-accuracy.
+mn <= 2. Functions are exact closures carrying a uniform grid for quadrature
+and sup-norm comparisons, so shifts and phase twists lose no accuracy. The one
+oscillatory quadrature, ``weil_matrix_action``, forms its cross phase from two
+small per-coordinate exp tables and one matrix product, never nodes x targets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,14 +166,30 @@ def schrodinger_action(h0: HeisenbergElement, f: GridFunction,
 
 # -- Weil representation: generator kernels ----------------------------------------
 
-def _chunked_kernel_sum(fvals, nodes, pts, phase_of_chunk, budget: int = 1 << 23):
-    """sum_p fvals[p] * phase(nodes[p], pts[q]) with the target axis chunked
-    so the phase matrix never exceeds the entry budget."""
+def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 23):
+    """sum_p fvals[p] e^{-2 pi i (nodes[p], pts[q])_M / c} over the tensor grid of
+    ``grid_points`` (mn <= 2). Node p splits as (j, r) with y_p = s_j + t_r: the two
+    axes at mn = 2, p = B j + r with B = ceil(sqrt(N)) at mn = 1. With w = M x the
+    sum is sum_j E_out[j, q] (F @ E_in)[j, q] for two small exp tables and the
+    zero-padded samples F as a J x B matrix; no table exceeds the entry budget."""
+    count, flat = nodes.shape[0], nodes.reshape(nodes.shape[0], -1)
+    w = np.einsum("ac,qcb->qab", m_mat, pts).reshape(-1, flat.shape[1]) * (-TWO_PI / c)
+    w_out, w_in = w[:, 0], w[:, -1]
+    if flat.shape[1] == 2:
+        outer = inner = flat[::math.isqrt(count), 0]
+    else:
+        cols = math.isqrt(count - 1) + 1       # ceil(sqrt(count))
+        # from the centre on the nodes are step * r, exact inner offsets
+        outer, inner = flat[::cols, 0], flat[count // 2:count // 2 + cols, 0]
+        fvals = np.pad(fvals, (0, len(outer) * cols - count))
+    samples = fvals.reshape(len(outer), len(inner))
     out = np.empty(pts.shape[0], dtype=complex)
-    chunk = max(1, budget // max(1, nodes.shape[0]))
+    chunk = max(1, budget // max(samples.shape))
     for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        out[start:start + chunk] = fvals @ phase_of_chunk(block)
+        part = slice(start, start + chunk)
+        e_out = np.exp(1j * np.multiply.outer(outer, w_out[part]))
+        e_in = np.exp(1j * np.multiply.outer(inner, w_in[part]))
+        out[part] = np.einsum("jq,jq->q", e_out, samples @ e_in)
     return out
 
 
@@ -330,7 +348,7 @@ def _angular_kernel(f: GridFunction, ctx: ThetaContext, phi: float):
     kernel at the rotation K(phi)."""
     phi = float(phi) % TWO_PI
     near = min(phi, abs(phi - np.pi), abs(phi - TWO_PI))
-    if near == 0.0 or near < 1e-12:
+    if near < 1e-12:
         if abs(phi - np.pi) < 1e-12:
             return GridFunction(ctx, lambda pts: f.eval_fn(-pts))
         return GridFunction(ctx, f.eval_fn)
@@ -359,21 +377,19 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     """The Weil operator of a matrix in SL(2, R): |a|^{mn/2} e^{pi i a b ||x||^2}
     f(a x) when c = 0, otherwise the oscillatory integral of f(y) against
     e^{pi i (a ||x||^2 + d ||y||^2 - 2 (x, y)) / c}, the only oscillatory
-    quadrature here (sigma and R(i, phi) are its values at S and K(phi))."""
+    quadrature here (sigma and R(i, phi) are its values at S and K(phi)). For Q
+    targets and L nodes per axis the cross phase costs about 2 sqrt(L) Q
+    exponentials at mn = 1 and 2 L Q at mn = 2, plus one matrix product."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2) or abs(np.linalg.det(mat) - 1.0) > 1e-10:
         raise DomainError("expected a real 2 x 2 matrix of determinant 1")
     a, b, c, d = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
     if abs(c) < 1e-14:
-        def fn(pts):
-            return abs(a) ** (ctx.dim / 2.0) \
-                * np.exp(1j * np.pi * a * b * ctx.norm_sq(pts)) * f.eval_fn(a * pts)
-
-        return GridFunction(ctx, fn)
+        return GridFunction(ctx, lambda pts: abs(a) ** (ctx.dim / 2.0) * np.exp(
+            1j * np.pi * a * b * ctx.norm_sq(pts)) * f.eval_fn(a * pts))
     if ctx.dim > 2:
         raise DomainError("guaranteed quadrature mode covers mn <= 2 only")
-    det_factor = np.linalg.det(ctx.m_mat) ** (ctx.n / 2.0)
-    pref = det_factor * abs(c) ** (-ctx.dim / 2.0)
+    pref = np.linalg.det(ctx.m_mat) ** (ctx.n / 2.0) * abs(c) ** (-ctx.dim / 2.0)
     m_norm = float(np.linalg.norm(ctx.m_mat, 2))
 
     def fn(pts):
@@ -383,17 +399,11 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
         if ctx.extent / step > 2e5:
             raise AccuracyError("oscillatory kernel would need too fine a grid")
         nodes = grid_points(ctx, step=step)
-        # the chirps in ||y||^2 and ||x||^2 factor out of the phase, leaving
-        # the cross term as the only nodes x targets array
+        # the chirps in ||y||^2 and ||x||^2 factor out of the phase
         fvals = np.asarray(f.eval_fn(nodes), dtype=complex) \
             * np.exp(1j * np.pi * d / c * ctx.norm_sq(nodes))
-
-        def phase(block):
-            return np.exp(-2j * np.pi / c * np.einsum(
-                "pab,ac,qcb->pq", nodes, ctx.m_mat, block))
-
         return pref * (step ** ctx.dim) * np.exp(1j * np.pi * a / c * ctx.norm_sq(pts)) \
-            * _chunked_kernel_sum(fvals, nodes, pts, phase)
+            * _chunked_kernel_sum(fvals, nodes, pts, ctx.m_mat, c)
 
     return GridFunction(ctx, fn)
 

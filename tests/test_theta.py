@@ -141,6 +141,49 @@ def test_hermite_gaussian_closed_form(m_val, k):
     assert np.max(np.abs(sigma.eval_fn(pts) - (-1j) ** k * fv)) < 1e-12
 
 
+def _dense_kernel_sum(fvals, nodes, pts, m_mat, c):
+    """The unfactored reference: one e^{-2 pi i (y, x)_M / c} per (node, target)."""
+    pair = np.einsum("pab,ac,qcb->pq", nodes, m_mat, pts)
+    return fvals @ np.exp(-2j * np.pi / c * pair)
+
+
+@pytest.mark.parametrize("m_mat, n", [([[1.0]], 1), ([[2.0, 1.0], [1.0, 2.0]], 1),
+                                      ([[1.0]], 2)])
+@pytest.mark.parametrize("sin_phi", [0.15, 1.0])
+def test_factored_kernel_sum_matches_dense_phase(m_mat, n, sin_phi):
+    """The two-table contraction equals the dense phase sum for both mn = 2
+    layouts and for mn = 1 with a node count that is not a perfect square
+    (33 nodes, so the samples are zero-padded), on 0, 1 and several targets,
+    the last spread over more than one chunk by a small budget."""
+    c = th.ThetaContext(np.array(m_mat), n=n, extent=2.0, step=0.125)
+    nodes = th.grid_points(c)
+    assert c.dim == 2 or int(np.sqrt(nodes.shape[0])) ** 2 != nodes.shape[0]
+    rng = np.random.default_rng(11)
+    fvals = rng.standard_normal(nodes.shape[0]) + 1j * rng.standard_normal(nodes.shape[0])
+    for count, budget in ((0, 1 << 23), (1, 1 << 23), (7, 40)):
+        pts = rng.uniform(-2.0, 2.0, (count, c.m, c.n))
+        got = th._chunked_kernel_sum(fvals, nodes, pts, c.m_mat, sin_phi, budget=budget)
+        ref = _dense_kernel_sum(fvals, nodes, pts, c.m_mat, sin_phi)
+        assert got.shape == (count,)
+        if count:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m_mat, n", [([[2.0, 1.0], [1.0, 2.0]], 1), ([[1.0]], 2)])
+def test_two_dimensional_gaussian_eigenfunction(m_mat, n):
+    """At mn = 2, exp(-pi (x, x)_M) is an eigenfunction of K(phi) with
+    eigenvalue exp(i mn (pi/4 - phi/2)), through the oscillatory kernel."""
+    c = th.ThetaContext(np.array(m_mat), n=n, extent=3.0, step=0.25)
+    f = th.gaussian(c)
+    pts = th.grid_points(c, extent=0.5, step=0.25)
+    fv = f.eval_fn(pts)
+    for phi in (0.4, np.pi / 2, 2.0):
+        expect = np.exp(1j * c.dim * (np.pi / 4 - phi / 2)) * fv
+        for out in (th.weil_matrix_action(_rotation(phi), f, c),
+                    th.weil_sl2_action(th.SL2Coord(1j, phi), f, c)):
+            assert np.max(np.abs(out.eval_fn(pts) - expect)) <= 1e-12
+
+
 def test_oscillatory_kernel_guards(ctx):
     from siegeljacobi.errors import AccuracyError
     ctx3 = th.ThetaContext(np.eye(3), n=1)
