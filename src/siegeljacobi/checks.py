@@ -46,12 +46,12 @@ def _max_abs(*arrays) -> float:
 
 # -- actions ------------------------------------------------------------------------
 
-def suite_actions(seed: int = 0, tol_scale: float = 1.0, samples: int = 100):
+def suite_actions(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
     tol = 1e-10 * tol_scale
     degrees = [(1, 1), (2, 1), (2, 2), (3, 1)]
-    for i in range(samples):
+    for i in range(100):
         n, m = degrees[i % len(degrees)]
         p = sampling.random_siegel_point(n, rng)
         g1 = groups.random_symplectic(n, rng, 4)
@@ -92,13 +92,13 @@ def suite_actions(seed: int = 0, tol_scale: float = 1.0, samples: int = 100):
 
 # -- cayley --------------------------------------------------------------------------
 
-def suite_cayley(seed: int = 0, tol_scale: float = 1.0, samples: int = 50):
+def suite_cayley(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
     tol_compat = 1e-9 * tol_scale
     tol_round = 1e-12 * tol_scale
     degrees = [(1, 1), (2, 1), (2, 2), (3, 2)]
-    for i in range(samples):
+    for i in range(50):
         n, m = degrees[i % len(degrees)]
         w = sampling.random_disk_point(n, rng)
         mat = groups.random_symplectic(n, rng, 4)
@@ -126,12 +126,12 @@ def suite_cayley(seed: int = 0, tol_scale: float = 1.0, samples: int = 50):
 
 # -- metrics -------------------------------------------------------------------------
 
-def suite_metrics(seed: int = 0, tol_scale: float = 1.0, samples: int = 50):
+def suite_metrics(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
     params = MetricParams(1.0, 1.0)
     degrees = [(1, 1), (2, 1), (2, 2)]
-    for i in range(samples):
+    for i in range(50):
         n, m = degrees[i % len(degrees)]
         p = sampling.random_jacobi_point(n, m, rng)
         t1 = sampling.random_tangent(n, m, rng)
@@ -196,14 +196,13 @@ def _compose(f, move):
     return fields.batched(moved) if fields.is_batched(f) else moved
 
 
-def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 20,
-                     op_samples: int = 20):
+def suite_laplacians(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
     cfg = FDConfig()
     params = MetricParams(1.0, 1.0)
     # eigenfunction table at degree (1, 1)
-    for i in range(table_points):
+    for i in range(20):
         p = sampling.random_jacobi_point(1, 1, rng)
         for s in (0.5, 1.7, 2.0):
             for name, lam in fields.eigenfunction_table(s):
@@ -220,7 +219,7 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 
                 _row(rows, f"table_bessel_s{s}_{i:02d}", val, s * (s - 1) * fv,
                      1e-3 * tol_scale, scale=max(1e-6, abs(fv)))
     # operator invariance on random fields
-    for i in range(op_samples):
+    for i in range(20):
         n, m = (1, 1) if i % 2 == 0 else (2, 1)
         p = sampling.random_jacobi_point(n, m, rng)
         g = groups.random_jacobi(n, m, rng, 3)
@@ -293,15 +292,14 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0, table_points: int = 
 
 # -- distance ------------------------------------------------------------------------
 
-def suite_distance(seed: int = 0, tol_scale: float = 1.0, samples: int = 60,
-                   triangles: int = 200):
+def suite_distance(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
     base = SiegelPoint(np.array([[1j]]))
     for a in (2.0, 5.0, 10.0):
         d = geodesics.siegel_distance(base, SiegelPoint(np.array([[a * 1j]])))
         _row(rows, f"axis_log_{a}", d, np.log(a), 1e-10 * tol_scale)
-    for i in range(samples):
+    for i in range(60):
         n = [1, 2, 3][i % 3]
         p0 = sampling.random_siegel_point(n, rng)
         p1 = sampling.random_siegel_point(n, rng)
@@ -320,7 +318,7 @@ def suite_distance(seed: int = 0, tol_scale: float = 1.0, samples: int = 60,
         rows.append(CheckRow(f"cross_ratio_spectrum_{i:03d}", 0.0, 0.0,
                              float(np.max(np.abs(eig0 - eig1))), 1e-9 * tol_scale))
     worst = 0.0
-    for i in range(triangles):
+    for i in range(200):
         n = [1, 2][i % 2]
         p0 = sampling.random_siegel_point(n, rng)
         p1 = sampling.random_siegel_point(n, rng)
@@ -352,14 +350,13 @@ def _oracle_degree_one(omega: complex) -> complex:
     return omega
 
 
-def suite_reduction(seed: int = 0, tol_scale: float = 1.0, n1_samples: int = 200,
-                    n2_samples: int = 25):
+def suite_reduction(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
     domain_ok = True
     cert_ok = True
-    for _ in range(n1_samples):
+    for _ in range(200):
         omega = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
         p = SiegelPoint(np.array([[omega]]))
         red, cert = reduction.siegel_reduce(p)
@@ -372,7 +369,7 @@ def suite_reduction(seed: int = 0, tol_scale: float = 1.0, n1_samples: int = 200
     rows.append(CheckRow("n1_domain_conditions", 0.0, 0.0, 0.0 if domain_ok else 1.0, 0.5))
     rows.append(CheckRow("n1_certificates", 0.0, 0.0, 0.0 if cert_ok else 1.0, 0.5))
     viol_count = 0
-    for i in range(n2_samples):
+    for i in range(25):
         p = sampling.random_siegel_point(2, rng, y_range=(0.3, 2.0))
         red, cert = reduction.siegel_reduce(p)
         if not cert.passed:
@@ -406,9 +403,10 @@ def suite_reduction(seed: int = 0, tol_scale: float = 1.0, n1_samples: int = 200
 
 # -- jacobiforms ---------------------------------------------------------------------
 
-def _fd_m_operator_degree_one(series, p: JacobiPoint, h: float = 1e-4) -> complex:
+def _fd_m_operator_degree_one(series, p: JacobiPoint) -> complex:
     """Independent oracle: apply det(Y) (d/dY + M^{-1}/(8 pi) d^2/dV^2) by
-    central differences to the series evaluation (degree n = 1)."""
+    central differences of step 1e-4 to the series evaluation (degree n = 1)."""
+    h = 1e-4
     y = p.omega[0, 0].imag
     minv = 1.0 / series.index.m_mat[0, 0]
 
@@ -421,10 +419,11 @@ def _fd_m_operator_degree_one(series, p: JacobiPoint, h: float = 1e-4) -> comple
     return y * (d_y + minv / (8 * np.pi) * d_vv)
 
 
-def _synthetic_series(singular: bool, rng, count: int = 20):
+def _synthetic_series(singular: bool, rng):
+    """Twenty random index-1 terms, all on the singular locus or all off it."""
     idx = jacobiforms.JacobiFormIndex(np.array([[1.0]]), weight=0)
     terms = []
-    for _ in range(count):
+    for _ in range(20):
         if singular:
             k = int(rng.integers(0, 4))
             t, r = float(k * k), float(2 * k * (1 if rng.uniform() < 0.5 else -1))
@@ -438,12 +437,11 @@ def _synthetic_series(singular: bool, rng, count: int = 20):
     return jacobiforms.FourierSeries.build(1, idx, terms)
 
 
-def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0, cocycle_samples: int = 60,
-                      slash_samples: int = 40):
+def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
     degrees = [(1, 1), (2, 1), (2, 2)]
-    for i in range(cocycle_samples):
+    for i in range(60):
         n, m = degrees[i % 3]
         idx = jacobiforms.JacobiFormIndex(np.eye(m) * (1 + i % 2), weight=int(rng.integers(-3, 4)))
         g1 = groups.random_jacobi(n, m, rng, 3)
@@ -453,7 +451,7 @@ def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0, cocycle_samples: in
         rhs = (jacobiforms.automorphic_factor(idx, g1, groups.act_jacobi(g2, p))
                * jacobiforms.automorphic_factor(idx, g2, p))
         _row(rows, f"cocycle_{i:03d}", lhs, rhs, 1e-8 * tol_scale, scale=max(1e-12, abs(rhs)))
-    for i in range(slash_samples):
+    for i in range(40):
         n, m = degrees[i % 2]
         idx = jacobiforms.JacobiFormIndex(np.eye(m), weight=1)
         g1 = groups.random_jacobi(n, m, rng, 2)
@@ -533,7 +531,7 @@ def _random_orthogonal(n: int, rng):
 
 # -- theta ---------------------------------------------------------------------------
 
-def suite_theta(seed: int = 0, tol_scale: float = 1.0, draws: int = 20):
+def suite_theta(seed: int = 0, tol_scale: float = 1.0):
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -545,7 +543,7 @@ def suite_theta(seed: int = 0, tol_scale: float = 1.0, draws: int = 20):
     direct = sum(np.exp(-np.pi * w * w) for w in range(-8, 9))
     _row(rows, "lattice_sum_origin", theta.theta_sum(f1, ctx1, theta.SL2Coord(1j, 0.0),
                                                      hb(0, 0)), direct, 1e-10 * tol_scale)
-    for i in range(draws):
+    for i in range(20):
         m_val = 1.0 if i % 2 == 0 else 2.0
         ctx = theta.ThetaContext(np.array([[m_val]]), n=1, n_cut=10)
         f = theta.gaussian(ctx) if i % 3 else theta.gaussian_poly(ctx, [[2]])

@@ -15,7 +15,7 @@ import numpy as np
 from . import cayley, checks, diffops, fields, geodesics, linalg
 from . import metrics, reduction, spaces, theta
 from .diffops import FDConfig
-from .errors import ConvergenceError, DomainError, NumericError
+from .errors import ConvergenceError, DimensionError, DomainError, NumericError
 from .groups import HeisenbergElement
 from .metrics import MetricParams
 from .spaces import TangentVector
@@ -56,6 +56,20 @@ def parse_matrix_arg(text: str):
     return np.array([[parse_scalar_complex(text)]])
 
 
+def _expand_shorthand(obj: dict) -> dict:
+    """obj with each scalar-shorthand value replaced by its 1 x 1 matrix JSON."""
+    return {key: val if isinstance(val, dict) else
+            linalg.matrix_to_json(np.array([[parse_scalar_complex(str(val))]]))
+            for key, val in obj.items()}
+
+
+def _finite(name: str, a):
+    """a, once its entries are checked finite (DomainError naming it otherwise)."""
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} has non-finite entries")
+    return a
+
+
 # the point class each --space value takes
 SPACES = {"hn": spaces.SiegelPoint, "hnm": spaces.JacobiPoint,
           "dn": spaces.DiskPoint, "dnm": spaces.JacobiDiskPoint}
@@ -67,11 +81,7 @@ def parse_point_arg(text: str, space: str | None = None):
     point outside ``space`` (a key of SPACES) is an input error."""
     text = text.strip()
     if text.startswith("{"):
-        obj = json.loads(text)
-        for key in ("omega", "z", "w", "eta"):
-            if key in obj and not isinstance(obj[key], dict):
-                obj[key] = linalg.matrix_to_json(np.array([[parse_scalar_complex(str(obj[key]))]]))
-        point = spaces.point_from_json(obj)
+        point = spaces.point_from_json(_expand_shorthand(json.loads(text)))
     else:
         cls = SPACES.get(space, spaces.SiegelPoint)
         first, *missing = cls.__dataclass_fields__
@@ -153,29 +163,31 @@ def cmd_reduce(args) -> int:
     return 0 if cert.passed else NUMERIC_FAILURE
 
 
-def parse_tangent_arg(text: str, n: int) -> TangentVector:
-    """Tangent JSON {"domega": <matrix>, "dz": <matrix>} with scalar
-    shorthand; a bare matrix/scalar is read as the omega-part."""
-    text = text.strip()
-    if text.startswith("{") and '"domega"' in text:
-        obj = json.loads(text)
-        d_omega = (linalg.matrix_from_json(obj["domega"])
-                   if isinstance(obj["domega"], dict)
-                   else np.array([[parse_scalar_complex(str(obj["domega"]))]]))
-        if "dz" in obj:
-            d_z = (linalg.matrix_from_json(obj["dz"]) if isinstance(obj["dz"], dict)
-                   else np.array([[parse_scalar_complex(str(obj["dz"]))]]))
-        else:
-            d_z = np.zeros((0, d_omega.shape[0]), dtype=complex)
-        return TangentVector(d_omega, d_z)
-    d_omega = parse_matrix_arg(text)
-    return TangentVector(d_omega, np.zeros((0, d_omega.shape[0]), dtype=complex))
+def parse_tangent_arg(text: str, point) -> TangentVector:
+    """Tangent JSON {"domega": <matrix>, "dz": <matrix>} at ``point``, with
+    scalar shorthand; a bare matrix/scalar is read as the omega-part, and a
+    missing dz is zero. A part with non-finite entries, or a shape other than
+    the point's (n x n and m x n), is an input error naming the part."""
+    obj = json.loads(text) if text.strip().startswith("{") else text
+    if not (isinstance(obj, dict) and {"domega", "dz"} & set(obj)):
+        obj = {"domega": obj}
+    if "domega" not in obj:
+        raise DomainError("a tangent needs domega")
+    obj = _expand_shorthand(obj)
+    parts = []
+    for key, shape in (("domega", (point.n, point.n)), ("dz", (point.m, point.n))):
+        a = _finite(key, linalg.matrix_from_json(obj[key]) if key in obj
+                    else np.zeros(shape, dtype=complex))
+        if a.shape != shape:
+            raise DimensionError(f"{key} has shape {a.shape}, the point needs {shape}")
+        parts.append(a)
+    return TangentVector(*parts)
 
 
 def cmd_metric(args) -> int:
     point = parse_point_arg(args.point, args.space)
-    t1 = parse_tangent_arg(args.t1, point.n)
-    t2 = parse_tangent_arg(args.t2, point.n)
+    t1 = parse_tangent_arg(args.t1, point)
+    t2 = parse_tangent_arg(args.t2, point)
     metric = {"hn": metrics.siegel_metric, "hnm": metrics.jacobi_metric,
               "dn": metrics.disk_metric, "dnm": metrics.jacobi_disk_metric}[args.space]
     value = metric(point, t1, t2, MetricParams(args.A, args.B) if point.m else args.A)
@@ -199,10 +211,8 @@ def cmd_theta(args) -> int:
     m_mat = parse_matrix_arg(args.M).real
     ctx = theta.ThetaContext(m_mat, n=1, n_cut=args.n_cut)
     coord = theta.SL2Coord(parse_scalar_complex(args.tau), args.phi)
-    lam = np.atleast_2d(np.asarray(json.loads(args.lam), dtype=float))
-    mu = np.atleast_2d(np.asarray(json.loads(args.mu), dtype=float))
-    kappa = np.atleast_2d(np.asarray(json.loads(args.kappa), dtype=float))
-    h = HeisenbergElement(lam, mu, kappa)
+    h = HeisenbergElement(*(_finite(name, np.asarray(json.loads(getattr(args, name)), dtype=float))
+                            for name in ("lam", "mu", "kappa")))
     f = theta.gaussian(ctx)
     value = theta.theta_sum(f, ctx, coord, h)
     result = {"re": value.real, "im": value.imag}

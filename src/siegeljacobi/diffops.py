@@ -2,10 +2,10 @@
 
 The engine differentiates scalar fields (callables on points) in the real
 coordinates of the point's chart (``spaces._Chart``), then assembles weighted
-Wirtinger derivatives. The points of a stencil (``_plan``, cached per chart
-dimension and scheme) form one stack of points; a field marked
-``fields.batched`` (also behind ``__wrapped__``) gets the stack in one call and
-returns one value per point, any other callable gets one point at a time.
+Wirtinger derivatives, by fourth-order central differences. The points of a
+stencil (``_plan``, cached per chart dimension) form one stack of points; a
+field marked ``fields.batched`` (also behind ``__wrapped__``) gets the stack in
+one call and returns one value per point, any other gets one point at a time.
 Matrix derivative conventions: for a symmetric complex matrix the (i, j)
 entry of the derivative matrix carries the weight (1 + delta_ij)/2 applied to
 the symmetric-variable partial; for rectangular z-type matrices the layout is
@@ -23,20 +23,18 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .fields import is_batched
 from .linalg import safe_inv
-from .metrics import MetricParams
+from .metrics import MetricParams, require_weight
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, _Chart
 
 
 @dataclass(frozen=True)
 class FDConfig:
+    """Relative step of the fourth-order central differences."""
     step: float = 1e-3
-    scheme: str = "central-4"
 
     def __post_init__(self):
         if self.step <= 0:
             raise ParameterError("step must be positive")
-        if self.scheme not in _STENCILS:
-            raise ParameterError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -50,33 +48,32 @@ class ScalarField:
         return self.fn(p)
 
 
-# Central differences along one coordinate: per scheme, the weight numerators
-# by offset of d/dx over c h and of d^2/dx^2 over c h^2, with their c.
-_STENCILS = {"central-2": (({1: 0.5, -1: -0.5}, 1), ({1: 1.0, 0: -2.0, -1: 1.0}, 1)),
-             "central-4": (({2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}, 12),
-                           ({2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}, 12))}
+# Fourth-order central differences along one coordinate: the weight numerators
+# by offset of d/dx over C h and of d^2/dx^2 over C h^2.
+_D1 = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}
+_D2 = {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}
+_C = 12
 
 
 @cache
-def _plan(dim, scheme, entries=None):
+def _plan(dim, entries=None):
     """The stencil of the entries d/dx_i, written (i,), and d^2/dx_i dx_j,
     written (i, j), by default those of a derivative table: the distinct
     points as offsets in units of the steps (the center first when some
     i == j) and, term by term in summation order, each entry's point slots and
-    weight numerators, over c h_i, c h_i^2 or h_i h_j by its kind 0, 1 or 2."""
+    weight numerators, over C h_i, C h_i^2 or h_i h_j by its kind 0, 1 or 2."""
     if entries is None:
         entries = tuple((i,) for i in range(dim)) + tuple(
             (i, j) for i in range(dim) for j in range(i, dim))
-    (first, c1), (second, _) = _STENCILS[scheme]
-    fo = sorted(first)
+    fo = sorted(_D1)
     keys = {(0,) * dim: 0} if any(len(e) == 2 and e[0] == e[1] for e in entries) else {}
 
     def slot(*shifts):
         return keys.setdefault(tuple(dict(shifts).get(i, 0) for i in range(dim)), len(keys))
 
     kind = np.array([0 if len(e) == 1 else 1 if e[0] == e[1] else 2 for e in entries])
-    terms = [[(slot((e[0], o)), w) for o, w in (first, second)[k].items()] if k < 2 else
-             [(slot((e[0], a), (e[1], b)), first[a] / c1 * (first[b] / c1)) for a in fo for b in fo]
+    terms = [[(slot((e[0], o)), w) for o, w in (_D1, _D2)[k].items()] if k < 2 else
+             [(slot((e[0], a), (e[1], b)), _D1[a] / _C * (_D1[b] / _C)) for a in fo for b in fo]
              for e, k in zip(entries, kind)]
     width = max(map(len, terms))
     slots, nums = np.array([t + [(0, 0.0)] * (width - len(t)) for t in terms]).transpose(2, 1, 0)
@@ -87,11 +84,11 @@ def _plan(dim, scheme, entries=None):
     return plan
 
 
-def _stencil(f, chart, steps, scheme, entries=None):
+def _stencil(f, chart, steps, entries=None):
     """f at the points of ``_plan`` (one call of a batched f, else one call per
     point; a non-finite value raises), the entries summed term by term with the
     scalar stencil's arithmetic (h^2 = pow(h, 2)), and the entries' coordinates."""
-    offsets, slots, nums, kind, ei, ej = _plan(chart.dim, scheme, entries)
+    offsets, slots, nums, kind, ei, ej = _plan(chart.dim, entries)
     points = chart.shifted(offsets * steps)
     if is_batched(f):
         vals = np.asarray(f(points), dtype=complex)
@@ -99,9 +96,8 @@ def _stencil(f, chart, steps, scheme, entries=None):
         vals = np.array([complex(f(q)) for q in points.unstack()])
     if not np.all(np.isfinite(vals)):
         raise DomainError("field evaluated to a non-finite value")
-    (_, c1), (_, c2) = _STENCILS[scheme]
     hi, hj = steps[ei], steps[ej]
-    weights = nums / np.choose(kind, [c1 * hi, c2 * np.float_power(hi, 2), hi * hj])
+    weights = nums / np.choose(kind, [_C * hi, _C * np.float_power(hi, 2), hi * hj])
     out = np.zeros(len(kind), dtype=complex)
     for w, s in zip(weights, slots):
         out += w * vals[s]
@@ -120,7 +116,7 @@ class DerivativeTable:
             raise ParameterError("finite-difference step exceeds the field's smoothness radius")
         self._f = f
         dim = chart.dim
-        vals, out, ei, ej = _stencil(f, chart, steps, cfg.scheme)
+        vals, out, ei, ej = _stencil(f, chart, steps)
         self.value, self.g1 = vals[0], out[:dim]
         self.g2 = np.zeros((dim, dim), dtype=complex)
         self.g2[ei[dim:], ej[dim:]] = self.g2[ej[dim:], ei[dim:]] = out[dim:]
@@ -171,8 +167,7 @@ def _maass_contraction(y, block):
 def laplacian_siegel(f, p: SiegelPoint, a: float = 1.0, cfg: FDConfig = FDConfig(),
                      table: DerivativeTable | None = None) -> complex:
     """(4/A) tr(Y t(Y d/dOmega_bar) d/dOmega) applied to f at p."""
-    if a <= 0:
-        raise DomainError("metric weight must be positive")
+    require_weight(a)
     t = table if table is not None else DerivativeTable(f, p, cfg)
     return (4.0 / a) * _maass_contraction(p.omega.imag, t.block_sym_bar_sym())
 
@@ -298,7 +293,7 @@ def eta_pair_value(f, p: JacobiDiskPoint, hol, antihol, cfg: FDConfig) -> comple
     for r, i in ((ur, ui), (vr, vi)):
         steps[[r, i]] = cfg.step * (1.0 + abs(x[r]) + abs(x[i]))
     pairs = ((ur, vr), (ur, vi), (ui, vr), (ui, vi))
-    rr, ri, ir, ii = _stencil(f, chart, steps, cfg.scheme, pairs)[1].tolist()
+    rr, ri, ir, ii = _stencil(f, chart, steps, pairs)[1].tolist()
     # (1/2)(du - i dv) on the holomorphic side, (1/2)(du + i dv) on the other
     return 0.25 * (rr + 1j * ri - 1j * ir + ii)
 
@@ -319,7 +314,7 @@ def disk_eta_determinant(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
         t = table if table is not None else DerivativeTable(f, p, cfg)
         ebe = t.block_rect_bar_rect()
         return det_q * complex(sum(ebe[k, 0, k, 0] for k in range(m)))
-    nested_cfg = FDConfig(step=max(cfg.step, 8e-3), scheme="central-4")
+    nested_cfg = FDConfig(step=max(cfg.step, 8e-3))
     total = 0.0 + 0.0j
     for perm in permutations(range(n)):
         sign = (-1.0) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))

@@ -27,14 +27,15 @@ def is_batched(f) -> bool:
     return getattr(inspect.unwrap(f), "batched", False)
 
 
-def bessel_k(s: complex, z, theta_max: float = 8.0, step: float = 1.0 / 64.0):
-    """K_s(z) = (1/2) integral_0^inf exp(-(z/2)(t + 1/t)) t^{s-1} dt for
-    Re z > 0, via the substitution t = e^theta and a trapezoid rule. An array
+def bessel_k(s: complex, z):
+    """K_s(z) = (1/2) integral_0^inf exp(-(z/2)(t + 1/t)) t^{s-1} dt for Re z > 0,
+    via t = e^theta and the trapezoid rule of step 1/64 on |theta| <= 8. An array
     of z gives the array of values, each with the bits of the scalar call."""
     zs = np.asarray(z, dtype=float)
     if np.any(zs <= 0):
         raise DomainError("the integral representation needs Re z > 0")
-    theta = np.arange(-theta_max, theta_max + step, step)
+    step = 1.0 / 64.0
+    theta = np.arange(-8.0, 8.0 + step, step)
     integrand = np.exp(-zs.reshape(-1, 1) * np.cosh(theta) + s * theta)
     vals = 0.5 * step * np.sum(integrand, axis=-1)
     return complex(vals[0]) if zs.ndim == 0 else vals.astype(complex).reshape(zs.shape)

@@ -42,9 +42,9 @@ def siegel_distance(p0: SiegelPoint, p1: SiegelPoint) -> float:
     return float(np.sqrt(np.sum(np.log((1.0 + roots) / (1.0 - roots)) ** 2)))
 
 
-def siegel_distance_series(p0: SiegelPoint, p1: SiegelPoint, tail: float = 1e-14) -> float:
+def siegel_distance_series(p0: SiegelPoint, p1: SiegelPoint) -> float:
     """Same distance through the series form 4 r (sum_k r^k / (2k+1))^2,
-    truncated once the tail falls below ``tail``."""
+    truncated once the tail bound falls below 1e-14 of the partial sum."""
     vals = cross_ratio_eigenvalues(p0, p1)
     total = 0.0
     for r in vals:
@@ -58,22 +58,22 @@ def siegel_distance_series(p0: SiegelPoint, p1: SiegelPoint, tail: float = 1e-14
             power *= r
             k += 1
             # remainder of sum_j r^j/(2j+1) past k is below power/((2k+1)(1-r))
-            if power / ((2 * k + 1) * (1.0 - r)) < tail * max(acc, 1.0) or k > 100_000:
+            if power / ((2 * k + 1) * (1.0 - r)) < 1e-14 * max(acc, 1.0) or k > 100_000:
                 break
         total += 4.0 * r * acc * acc
     return float(np.sqrt(total))
 
 
-def special_geodesic(a, t: float, norm_tol: float = 1e-8) -> SiegelPoint:
+def special_geodesic(a, t: float) -> SiegelPoint:
     """Unit-speed geodesic i diag(a_1^t, ..., a_n^t) through iI at t = 0.
 
-    Requires sum_k log(a_k)^2 = 1 within ``norm_tol``.
+    Requires sum_k log(a_k)^2 = 1 within 1e-8.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if np.any(a <= 0):
         raise ParameterError("geodesic parameters must be positive")
     logs = np.log(a)
-    if abs(float(np.sum(logs**2)) - 1.0) > norm_tol:
+    if abs(float(np.sum(logs**2)) - 1.0) > 1e-8:
         raise ParameterError("parameters violate the unit-speed normalization "
                              f"sum(log a_k)^2 = 1 (got {float(np.sum(logs**2)):.3e})")
     return SiegelPoint(1j * np.diag(np.exp(t * logs)).astype(complex))

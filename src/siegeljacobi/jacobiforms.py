@@ -18,13 +18,13 @@ from .spaces import JacobiPoint
 TWO_PI_I = 2j * np.pi
 
 
-def _is_half_integral(t, tol: float = 1e-9) -> bool:
-    """2t integral with even diagonal."""
+def _is_half_integral(t) -> bool:
+    """2t integral (within 1e-9) with even diagonal."""
     t2 = 2.0 * np.asarray(t, dtype=float)
-    if np.max(np.abs(t2 - np.round(t2))) > tol:
+    if np.max(np.abs(t2 - np.round(t2))) > 1e-9:
         return False
     diag = np.round(np.diagonal(t2))
-    return bool(np.all(np.abs(diag % 2) < tol))
+    return bool(np.all(np.abs(diag % 2) < 1e-9))
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,8 @@ class FourierSeries:
             raise DomainError("lambda must be a nonzero integer")
 
     @classmethod
-    def build(cls, n: int, index: JacobiFormIndex, terms, lambda_gamma: int = 1,
-              enforce_gate: bool = True):
-        """terms: iterable of (T, R, coefficient)."""
+    def build(cls, n: int, index: JacobiFormIndex, terms, lambda_gamma: int = 1):
+        """terms: iterable of (T, R, coefficient); a term off the gate raises DomainError."""
         store = {}
         for t, r, c in terms:
             t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -118,11 +117,9 @@ class FourierSeries:
                 raise DomainError("R must be integral")
             if np.linalg.eigvalsh(t)[0] < -1e-9:
                 raise DomainError("T must be positive semidefinite")
-            if enforce_gate:
-                block = np.block([[t / lambda_gamma, r / 2.0],
-                                  [r.T / 2.0, index.m_mat]])
-                if np.linalg.eigvalsh(0.5 * (block + block.T))[0] < -1e-9:
-                    raise DomainError("term fails the semidefiniteness gate")
+            block = np.block([[t / lambda_gamma, r / 2.0], [r.T / 2.0, index.m_mat]])
+            if np.linalg.eigvalsh(0.5 * (block + block.T))[0] < -1e-9:
+                raise DomainError("term fails the semidefiniteness gate")
             key = (tuple(np.round(2 * t).astype(int).ravel()),
                    tuple(np.round(r).astype(int).ravel()))
             store[key] = store.get(key, 0.0) + complex(c)
@@ -176,13 +173,13 @@ def singular_gate_determinant(s: FourierSeries, t, r) -> float:
     return float(np.linalg.det(block))
 
 
-def is_singular(s: FourierSeries, tol: float = 1e-9) -> bool:
+def is_singular(s: FourierSeries) -> bool:
     """True iff every stored nonzero coefficient sits on the vanishing locus
-    of det [[T, R/2], [t(R)/2, M]]."""
+    of det [[T, R/2], [t(R)/2, M]] (|det| <= 1e-9)."""
     for t, r, c in s.items():
         if abs(c) == 0.0:
             continue
-        if abs(singular_gate_determinant(s, t, r)) > tol:
+        if abs(singular_gate_determinant(s, t, r)) > 1e-9:
             return False
     return True
 
@@ -209,19 +206,19 @@ def apply_m_operator(s: FourierSeries, p: JacobiPoint) -> complex:
     return complex(det_y * (-2.0 * np.pi) ** s.n * total)
 
 
-def siegel_jacobi_operator(s: FourierSeries, r_deg: int, tol: float = 1e-9) -> FourierSeries:
-    """Degree-lowering projection: keep terms whose T has vanishing lower-right
-    (n - r) x (n - r) block, cut T to its upper-left r x r block and R to its
-    first r rows."""
+def siegel_jacobi_operator(s: FourierSeries, r_deg: int) -> FourierSeries:
+    """Degree-lowering projection: keep terms whose T has vanishing (within
+    1e-9) lower-right (n - r) x (n - r) block, cut T to its upper-left r x r
+    block and R to its first r rows."""
     if not 1 <= r_deg < s.n:
         raise DomainError(f"target degree {r_deg} must satisfy 1 <= r < {s.n}")
     kept = []
     for t, r, c in s.items():
         tail = t[r_deg:, r_deg:]
         off = t[:r_deg, r_deg:]
-        if np.max(np.abs(tail)) > tol:
+        if np.max(np.abs(tail)) > 1e-9:
             continue
-        if np.max(np.abs(off)) > tol:
+        if np.max(np.abs(off)) > 1e-9:
             warnings.warn("dropping a term with zero tail block but nonzero "
                           "off-diagonal block (T is not positive semidefinite)")
             continue
@@ -347,6 +344,7 @@ def pluriharmonic_defects(poly: Polynomial, s_mat) -> float:
     return worst
 
 
-def is_pluriharmonic(poly: Polynomial, s_mat, tol: float = 1e-12) -> bool:
+def is_pluriharmonic(poly: Polynomial, s_mat) -> bool:
+    """True iff the defects are within 1e-12 of max(1, largest coefficient)."""
     scale = max(1.0, poly.max_abs_coeff())
-    return pluriharmonic_defects(poly, s_mat) <= tol * scale
+    return pluriharmonic_defects(poly, s_mat) <= 1e-12 * scale

@@ -150,19 +150,19 @@ def fractional_linear(a, b, c, d, x, rect=None) -> list:
     return [symmetrize(sol[..., :n, :])] + ([] if rect is None else [sol[..., n:, :]])
 
 
-def principal_sqrt_log(s, tol: Tolerance = DEFAULT_TOL):
+def principal_sqrt_log(s):
     """Principal square root of a real symmetric matrix with spectrum in [0, 1),
     together with log((I + sqrt(s)) (I - sqrt(s))^{-1}) assembled on the same
     eigenbasis.
 
-    Both outputs are symmetric; a spectrum outside [0, 1) signals an invalid
-    cross-ratio and raises DomainError.
+    Both outputs are symmetric; a spectrum outside [0, 1) (within
+    DEFAULT_TOL) signals an invalid cross-ratio and raises DomainError.
     """
     s = require_square(s)
-    if not is_symmetric(s, tol) or np.max(np.abs(s.imag)) > tol.abs:
+    if not is_symmetric(s) or np.max(np.abs(s.imag)) > DEFAULT_TOL.abs:
         raise DomainError("principal_sqrt_log expects a real symmetric matrix")
     w, q = np.linalg.eigh(symmetrize(s).real)
-    if w[0] < -tol.abs or w[-1] >= 1.0 - 1e-14:
+    if w[0] < -DEFAULT_TOL.abs or w[-1] >= 1.0 - 1e-14:
         raise DomainError(f"eigenvalues {w} not inside [0, 1)")
     w = np.clip(w, 0.0, None)
     root = np.sqrt(w)

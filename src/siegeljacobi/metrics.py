@@ -14,21 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .errors import DomainError, ParameterError
+from .errors import DomainError
 from .linalg import safe_inv
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector, _Chart
 
 
+def require_weight(a: float) -> None:
+    """DomainError unless the metric weight a is finite and positive."""
+    if not 0 < a < np.inf:
+        raise DomainError(f"metric weight {a} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class MetricParams:
-    """Positive weights of the two-parameter family of invariant metrics."""
+    """Finite positive weights of the two-parameter family of invariant metrics."""
 
     A: float = 1.0
     B: float = 1.0
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0):
-            raise DomainError("metric parameters must be strictly positive")
+        require_weight(self.A)
+        require_weight(self.B)
 
 
 def _tr(x) -> complex:
@@ -48,8 +54,7 @@ def _siegel_raw(p: SiegelPoint, t1: TangentVector, t2: TangentVector, a: float) 
 
 def siegel_metric(p: SiegelPoint, t1: TangentVector, t2: TangentVector, a: float = 1.0) -> complex:
     """A tr(Y^{-1} dOmega Y^{-1} conj(dOmega)) as a Hermitian form."""
-    if a <= 0:
-        raise DomainError("metric weight must be positive")
+    require_weight(a)
     return _hermitized(_siegel_raw, p, t1, t2, a)
 
 
@@ -93,8 +98,7 @@ def _disk_raw(p: DiskPoint, t1: TangentVector, t2: TangentVector, a: float) -> c
 
 def disk_metric(p: DiskPoint, t1: TangentVector, t2: TangentVector, a: float = 1.0) -> complex:
     """4A tr((I - W conj(W))^{-1} dW (I - conj(W) W)^{-1} conj(dW))."""
-    if a <= 0:
-        raise DomainError("metric weight must be positive")
+    require_weight(a)
     return _hermitized(_disk_raw, p, t1, t2, a)
 
 
@@ -155,24 +159,21 @@ def _shift(p, t: TangentVector, c: float):
     return type(p)(*(a + c * d for a, d in zip(p.parts(), (t.d_omega, t.d_z))))
 
 
-def map_differential(fn, p, t: TangentVector, h: float | None = None) -> TangentVector:
-    """Central-difference directional derivative of a holomorphic point map."""
-    if h is None:
-        h = default_fd_step(p)
-    if h <= 0 or 1.0 + h == 1.0:
-        raise ParameterError(f"finite-difference step {h} underflows")
+def map_differential(fn, p, t: TangentVector) -> TangentVector:
+    """Central-difference directional derivative of a holomorphic point map,
+    with the step ``default_fd_step(p)``."""
+    h = default_fd_step(p)
     diffs = [(a - b) / (2.0 * h)
              for a, b in zip(fn(_shift(p, t, h)).parts(), fn(_shift(p, t, -h)).parts())]
     return TangentVector(*diffs) if len(diffs) == 2 else TangentVector.omega_only(diffs[0])
 
 
-def pushforward(g, p, t: TangentVector, mode: str = "exact",
-                h: float | None = None) -> TangentVector:
+def pushforward(g, p, t: TangentVector, mode: str = "exact") -> TangentVector:
     """Differential of the group action at p applied to t.
 
     Exact mode covers the half-space action of the symplectic group, where
     dOmega maps to t((C omega + D)^{-1}) dOmega (C omega + D)^{-1}; all other
-    actions use the central-difference mode.
+    actions use the central-difference mode (``map_differential``).
     """
     if mode == "exact":
         if not (isinstance(g, groups.SymplecticElement) and isinstance(p, SiegelPoint)):
@@ -182,14 +183,14 @@ def pushforward(g, p, t: TangentVector, mode: str = "exact",
         return TangentVector.omega_only(denom_inv.T @ t.d_omega @ denom_inv, m=t.m)
     if mode != "fd":
         raise DomainError(f"unknown pushforward mode {mode!r}")
-    return map_differential(lambda q: groups.act(g, q), p, t, h)
+    return map_differential(lambda q: groups.act(g, q), p, t)
 
 
-def real_jacobian_det(fn, p: SiegelPoint, h: float | None = None) -> float:
+def real_jacobian_det(fn, p: SiegelPoint) -> float:
     """Determinant of the real Jacobian of a half-space map in the real
-    coordinates of the point's chart (x_ij, y_ij), i <= j."""
-    if h is None:
-        h = default_fd_step(p)
+    coordinates of the point's chart (x_ij, y_ij), i <= j, by central
+    differences with the step ``default_fd_step(p)``."""
+    h = default_fd_step(p)
     chart = _Chart(p)
     jac = np.empty((chart.dim, chart.dim))
     for col in range(chart.dim):

@@ -24,6 +24,7 @@ from .spaces import JacobiPoint, SiegelPoint
 
 ENUM_BOUND = 3
 DET_SLACK = 1e-12
+CERT_TOL = 1e-9
 
 
 @dataclass
@@ -93,12 +94,11 @@ def _sign_fix(y):
     return np.diag(s.astype(int))
 
 
-def minkowski_reduce(y, bound: int = ENUM_BOUND, heuristic: bool = False):
+def minkowski_reduce(y):
     """Greedy successive-minima reduction; returns (U y tU, U) unimodular U.
 
-    Guaranteed mode covers n <= 3 with candidate vectors enumerated in the
-    max-norm box of radius ``bound`` (the certification boundary); larger n
-    requires ``heuristic=True`` and carries no certificate.
+    Covers n <= 3 only (DimensionError otherwise); the candidate vectors fill
+    the max-norm box of radius ENUM_BOUND, the certification boundary.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -106,9 +106,9 @@ def minkowski_reduce(y, bound: int = ENUM_BOUND, heuristic: bool = False):
         raise DomainError("expected a real symmetric matrix")
     if np.linalg.eigvalsh(y)[0] <= 0:
         raise DomainError("matrix is not positive definite")
-    if n > 3 and not heuristic:
-        raise DimensionError("guaranteed Minkowski reduction covers n <= 3 only")
-    cands = _primitive_vectors(n, bound)
+    if n > 3:
+        raise DimensionError("Minkowski reduction covers n <= 3 only")
+    cands = _primitive_vectors(n, ENUM_BOUND)
     # ascending in (a y ta, a): lexsort takes its primary key last
     order = np.lexsort((*cands.T[::-1], _forms(cands, y)))
     rows = []
@@ -127,20 +127,21 @@ def minkowski_reduce(y, bound: int = ENUM_BOUND, heuristic: bool = False):
     return u @ y @ u.T, u
 
 
-def minkowski_violations(y, bound: int = ENUM_BOUND, tol: float = 1e-9):
-    """Violations of the reduction conditions over the enumerated vector box:
-    for each k, vectors a with coprime tail a_k..a_n must satisfy
-    a y ta >= y_kk; superdiagonal entries must be nonnegative."""
+def minkowski_violations(y):
+    """Violations of the reduction conditions over the vector box of radius
+    ENUM_BOUND, each beyond the relative slack CERT_TOL: for each k, vectors
+    a with coprime tail a_k..a_n must satisfy a y ta >= y_kk; superdiagonal
+    entries must be nonnegative."""
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     scale = float(np.max(np.abs(y)))
-    vecs, coprime_tail = _box(n, bound)
+    vecs, coprime_tail = _box(n, ENUM_BOUND)
     q = _forms(vecs, y)
-    short = coprime_tail & (q[:, None] < np.diag(y) - tol * scale)
+    short = coprime_tail & (q[:, None] < np.diag(y) - CERT_TOL * scale)
     viols = [(tuple(int(x) for x in vecs[i]), int(k), float(q[i]), float(y[k, k]))
              for i, k in zip(*np.nonzero(short))]
     for k in range(n - 1):
-        if y[k, k + 1] < -tol * scale:
+        if y[k, k + 1] < -CERT_TOL * scale:
             viols.append(("superdiagonal", k, float(y[k, k + 1]), 0.0))
     return viols
 
@@ -293,18 +294,19 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
 
 
 def certificate_checks(original: SiegelPoint, reduced: SiegelPoint,
-                       gamma: SymplecticElement, tol: float = 1e-9) -> dict:
+                       gamma: SymplecticElement) -> dict:
+    """The certificate's conditions, the replay and candidate scan to CERT_TOL."""
     replay = groups.act_siegel(gamma, original)
     checks = {
         "gamma_symplectic": gamma.is_valid(),
-        "replay_matches": bool(np.max(np.abs(replay.omega - reduced.omega)) <= tol),
+        "replay_matches": bool(np.max(np.abs(replay.omega - reduced.omega)) <= CERT_TOL),
         "real_part_bounded": bool(np.max(np.abs(reduced.omega.real)) <= 0.5 + 1e-12),
         "im_minkowski": not minkowski_violations(reduced.omega.imag),
     }
     if reduced.n == 1:
         checks["modulus_at_least_one"] = bool(abs(reduced.omega[0, 0]) >= 1.0 - 1e-12)
     else:
-        higher = candidate_det_ratios(reduced) > 1.0 + tol
+        higher = candidate_det_ratios(reduced) > 1.0 + CERT_TOL
         checks["det_im_maximal_over_candidates"] = not higher.any()
     return checks
 

@@ -175,10 +175,6 @@ class TangentVector:
         object.__setattr__(self, "d_z", linalg.as_complex_matrix(self.d_z))
 
     @classmethod
-    def zero(cls, n: int, m: int = 0):
-        return cls(np.zeros((n, n), dtype=complex), np.zeros((max(m, 0), n), dtype=complex))
-
-    @classmethod
     def omega_only(cls, d_omega, m: int = 0):
         d_omega = linalg.as_complex_matrix(d_omega)
         return cls(d_omega, np.zeros((max(m, 0), d_omega.shape[0]), dtype=complex))
@@ -191,26 +187,23 @@ class TangentVector:
     def m(self) -> int:
         return self.d_z.shape[0]
 
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.d_omega + other.d_omega, self.d_z + other.d_z)
-
     def scale(self, c) -> "TangentVector":
         return TangentVector(c * self.d_omega, c * self.d_z)
 
 
-def validate(point, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff all type invariants of the point hold within tol."""
+def validate(point) -> bool:
+    """True iff all type invariants of the point hold within DEFAULT_TOL."""
     if isinstance(point, _Point):
-        return point.is_valid(tol)
+        return point.is_valid()
     raise DomainError(f"not a point type: {type(point)!r}")
 
 
-def point_from_json(obj, tol: Tolerance = DEFAULT_TOL):
+def point_from_json(obj):
     """Decode a point from its JSON object; the key set selects the space."""
     for cls in (JacobiPoint, SiegelPoint, JacobiDiskPoint, DiskPoint):
         names = cls.__dataclass_fields__
         if set(names) <= set(obj):
-            return cls.create(*(linalg.matrix_from_json(obj[k]) for k in names), tol=tol)
+            return cls.create(*(linalg.matrix_from_json(obj[k]) for k in names))
     raise DomainError(f"point JSON with keys {sorted(obj)} not recognized")
 
 

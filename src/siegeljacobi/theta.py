@@ -194,13 +194,9 @@ def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 2
 
 
 def weil_generator_action(gen, f: GridFunction, ctx: ThetaContext) -> GridFunction:
-    """Action of a generator tagged as ('t', b, t0), ('g', alpha, t0),
-    ('sigma', t0) or ('h', heisenberg, t0)."""
+    """Action of a generator tagged as ('t', b, t0), ('g', alpha, t0) or
+    ('sigma', t0); a Heisenberg element acts by ``schrodinger_action``."""
     tag = gen[0]
-    if tag == "h":
-        _, h0, t0 = gen
-        out = schrodinger_action(h0, f, ctx)
-        return GridFunction(ctx, lambda pts: t0 * out.eval_fn(pts))
     if tag == "t":
         _, b, t0 = gen
         b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -266,8 +262,8 @@ class SL2Coord:
     phi: float
 
     def __post_init__(self):
-        if self.tau.imag <= 0:
-            raise DomainError("tau must lie in the upper half plane")
+        if not (np.isfinite(self.phi) and np.isfinite(self.tau) and self.tau.imag > 0):
+            raise DomainError("tau must be a finite point of the upper half plane, phi finite")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
     @property
@@ -341,17 +337,17 @@ def cocycle(m1, m2, m: int, n: int) -> complex:
 # -- Angular kernel and theta sums ---------------------------------------------------
 
 PHI_GUARD = 1e-6
+MAX_NODES = 1 << 22     # quadrature nodes of one oscillatory kernel evaluation
 
 
 def _angular_kernel(f: GridFunction, ctx: ThetaContext, phi: float):
-    """[R(i, phi) f] as a grid function: identity, parity flip, or the matrix
-    kernel at the rotation K(phi)."""
+    """[R(i, phi) f] as a grid function: the matrix kernel at the rotation
+    K(phi), read at I or -I (the identity or the parity flip) within 1e-12 of
+    a multiple of pi."""
     phi = float(phi) % TWO_PI
     near = min(phi, abs(phi - np.pi), abs(phi - TWO_PI))
     if near < 1e-12:
-        if abs(phi - np.pi) < 1e-12:
-            return GridFunction(ctx, lambda pts: f.eval_fn(-pts))
-        return GridFunction(ctx, f.eval_fn)
+        return weil_matrix_action(-np.eye(2) if abs(phi - np.pi) < 1e-12 else np.eye(2), f, ctx)
     if near < PHI_GUARD:
         raise NumericError(f"angle {phi} is too close to a multiple of pi "
                            "for the oscillatory kernel")
@@ -379,7 +375,9 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     e^{pi i (a ||x||^2 + d ||y||^2 - 2 (x, y)) / c}, the only oscillatory
     quadrature here (sigma and R(i, phi) are its values at S and K(phi)). For Q
     targets and L nodes per axis the cross phase costs about 2 sqrt(L) Q
-    exponentials at mn = 1 and 2 L Q at mn = 2, plus one matrix product."""
+    exponentials at mn = 1 and 2 L Q at mn = 2, plus one matrix product. It
+    raises AccuracyError, before any node is built, when extent / step > 2e5 or
+    the grid would exceed MAX_NODES nodes."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2) or abs(np.linalg.det(mat) - 1.0) > 1e-10:
         raise DomainError("expected a real 2 x 2 matrix of determinant 1")
@@ -396,7 +394,8 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
         x_max = float(np.max(np.abs(pts))) if pts.size else 1.0
         freq = m_norm * (abs(d) * ctx.extent + x_max) / abs(c) + 1.0
         step = min(ctx.step, 1.0 / (8.0 * freq))
-        if ctx.extent / step > 2e5:
+        ratio = ctx.extent / step
+        if ratio > 2e5 or (2 * math.ceil(ratio) + 1) ** ctx.dim > MAX_NODES:
             raise AccuracyError("oscillatory kernel would need too fine a grid")
         nodes = grid_points(ctx, step=step)
         # the chirps in ||y||^2 and ||x||^2 factor out of the phase
@@ -416,8 +415,10 @@ def lattice_points(ctx: ThetaContext):
 
 
 def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
-              h: HeisenbergElement, tail_tol: float = 1e-10) -> complex:
-    """Sum over the integer lattice of [W(h) R(tau, phi) f](omega)."""
+              h: HeisenbergElement) -> complex:
+    """Sum over the integer lattice of [W(h) R(tau, phi) f](omega); raises
+    AccuracyError when a term on the boundary shell of the truncated lattice
+    exceeds 1e-10 of max(1, |sum|)."""
     if (h.m, h.n) != (ctx.m, ctx.n):
         raise DimensionError("Heisenberg degrees do not match the context")
     transformed = schrodinger_action(h, weil_sl2_action(coord, f, ctx), ctx)
@@ -426,7 +427,7 @@ def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
     total = complex(np.sum(terms))
     shell = np.max(np.abs(lattice), axis=(1, 2)) >= ctx.n_cut
     tail = float(np.max(np.abs(terms[shell])))
-    if tail > tail_tol * max(1.0, abs(total)):
+    if tail > 1e-10 * max(1.0, abs(total)):
         raise AccuracyError(f"boundary lattice terms of size {tail:.2e} violate "
                             "the truncation budget; increase n_cut")
     return total

@@ -130,6 +130,38 @@ def test_non_finite_point_is_usage_error():
         assert err == f"input error: {part} has non-finite entries\n"
 
 
+@pytest.mark.parametrize("args, named", [
+    (["metric", "--space", "hn", "--point", "i", "--t1", "nan", "--t2", "1"], "domega"),
+    (["metric", "--space", "hn", "--point", "i", "--t1", '{"domega": "1", "dz": "inf"}',
+      "--t2", "1"], "dz"),
+    (["metric", "--space", "hnm", "--point", '{"omega": "i", "z": "0"}',
+      "--t1", '{"domega": "1", "dz": "inf"}', "--t2", "1"], "dz"),
+    (["metric", "--space", "hn", "--A", "inf", "--point", "i", "--t1", "1", "--t2", "1"],
+     "weight"),
+    (["metric", "--space", "hnm", "--B", "nan", "--point", '{"omega": "i", "z": "0"}',
+      "--t1", "1", "--t2", "1"], "weight"),
+    (["metric", "--space", "dn", "--A", "inf", "--point", "0.1", "--t1", "1", "--t2", "1"],
+     "weight"),
+    (["laplacian", "--space", "hn", "--field", "y", "--A", "inf", "--point", "i"], "weight"),
+    (["theta", "--M", "1", "--tau", "nan,1", "--phi", "0"], "tau"),
+    (["theta", "--M", "1", "--tau", "0,nan", "--phi", "0"], "tau"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "inf"], "phi"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "0", "--lam", "[[NaN]]"], "lam"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "0", "--mu", "[[Infinity]]"], "mu"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "0", "--kappa", "[[-Infinity]]"], "kappa"),
+    (["metric", "--space", "hnm", "--point", '{"omega": "i", "z": "0"}',
+      "--t1", '{"dz": "1"}', "--t2", "1"], "domega"),
+    (["metric", "--space", "hn", "--point", "i",
+      "--t1", '{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}', "--t2", "1"],
+     "domega"),
+])
+def test_non_finite_or_mismatched_number_is_usage_error(args, named):
+    code, out, err = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert named in err
+
+
 @pytest.mark.parametrize("args", [
     ["metric", "--space", "dn", "--point", "i", "--t1", "1", "--t2", "1"],
     ["metric", "--space", "hnm", "--point", "i", "--t1", "1", "--t2", "1"],

@@ -21,16 +21,16 @@ def test_wirtinger_first_derivatives():
 
 def test_second_derivatives_against_analytic():
     p = spaces.SiegelPoint.create(np.array([[0.4 + 0.9j]]))
-    for scheme, tol in (("central-2", 1e-6), ("central-4", 1e-9)):
-        t = DerivativeTable(lambda q: q.omega[0, 0] ** 2, p, FDConfig(scheme=scheme))
-        block = t.block_sym_bar_sym()
-        # omega^2 is holomorphic: the mixed conj-plain second derivative vanishes
-        assert abs(block[0, 0, 0, 0]) < tol
-        t3 = DerivativeTable(lambda q: abs(q.omega[0, 0]) ** 4, p, FDConfig(scheme=scheme))
-        w = p.omega[0, 0]
-        # d^2 |w|^4 / dw dwbar = 4 |w|^2
-        assert abs(t3.block_sym_bar_sym()[0, 0, 0, 0] - 4 * abs(w) ** 2) \
-            <= tol * max(1.0, 4 * abs(w) ** 2)
+    tol = 1e-9
+    t = DerivativeTable(lambda q: q.omega[0, 0] ** 2, p, FDConfig())
+    block = t.block_sym_bar_sym()
+    # omega^2 is holomorphic: the mixed conj-plain second derivative vanishes
+    assert abs(block[0, 0, 0, 0]) < tol
+    t3 = DerivativeTable(lambda q: abs(q.omega[0, 0]) ** 4, p, FDConfig())
+    w = p.omega[0, 0]
+    # d^2 |w|^4 / dw dwbar = 4 |w|^2
+    assert abs(t3.block_sym_bar_sym()[0, 0, 0, 0] - 4 * abs(w) ** 2) \
+        <= tol * max(1.0, 4 * abs(w) ** 2)
 
 
 def test_fd_consistency_polynomial_matrix_case():
@@ -41,7 +41,7 @@ def test_fd_consistency_polynomial_matrix_case():
         return complex(np.trace(q.omega @ q.omega) + np.sum(q.z) ** 2
                        + np.trace(q.omega) * np.sum(np.conj(q.z)))
 
-    t = DerivativeTable(f, p, FDConfig(scheme="central-4"))
+    t = DerivativeTable(f, p, FDConfig())
     # d/dOmega tr(omega^2) = 2 omega; the rest is omega-holomorphic too
     expected = 2.0 * p.omega + np.sum(np.conj(p.z)) * np.eye(2)
     assert np.max(np.abs(t.d_sym(False) - expected)) < 1e-9
@@ -188,8 +188,6 @@ def test_invariant_polynomial_relation_and_unitarity():
 def test_fd_config_validation():
     with pytest.raises(ParameterError):
         FDConfig(step=0.0)
-    with pytest.raises(ParameterError):
-        FDConfig(scheme="forward")
 
 
 def test_scalar_field_radius_guard():
@@ -316,7 +314,7 @@ def test_non_finite_value_at_one_stencil_point_rejected():
         return np.where((x == x.max()) & (y == y.max()), np.nan, x * y)
 
     chart = spaces._Chart(p)
-    points = chart.shifted(diffops._plan(chart.dim, "central-4")[0] * 1e-3)
+    points = chart.shifted(diffops._plan(chart.dim)[0] * 1e-3)
     assert np.count_nonzero(np.isnan(field(points))) == 1
     with pytest.raises(DomainError):
         DerivativeTable(field, p)

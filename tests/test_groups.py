@@ -62,6 +62,23 @@ def test_jacobi_associativity_random():
         assert np.max(np.abs(left.h.kappa - right.h.kappa)) < 1e-11
 
 
+def test_jacobi_inverse_law():
+    rng = np.random.default_rng(12)
+    for n, m in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        e = groups.JacobiGroupElement.identity(n, m)
+        for _ in range(20):
+            g = groups.random_jacobi(n, m, rng, 4)
+            g_inv = g.inverse()
+            for prod in (g.multiply(g_inv), g_inv.multiply(g)):
+                for a, b in ((prod.sp.mat, e.sp.mat), (prod.h.lam, e.h.lam),
+                             (prod.h.mu, e.h.mu), (prod.h.kappa, e.h.kappa)):
+                    assert np.max(np.abs(a - b)) < 1e-12
+            p = sampling.random_jacobi_point(n, m, rng)
+            back = groups.act_jacobi(g_inv, groups.act_jacobi(g, p))
+            assert np.max(np.abs(back.omega - p.omega)) < 1e-12
+            assert np.max(np.abs(back.z - p.z)) < 1e-12
+
+
 def test_symplectic_closure():
     rng = np.random.default_rng(2)
     for _ in range(30):

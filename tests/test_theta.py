@@ -361,3 +361,17 @@ def test_theta_tail_budget_violation():
     # very small v spreads the summand far beyond the truncation radius
     with pytest.raises(AccuracyError):
         th.theta_sum(f, tiny, th.SL2Coord(0.01j, 0.0), hb(0.0, 0.0))
+
+
+def test_weil_kernel_node_count_guard():
+    # at mn = 2 the per-axis guard allows (2 * 4623 + 1)^2 ~ 85 M nodes here;
+    # the node-count bound raises before any grid is built
+    import time
+    from siegeljacobi.errors import AccuracyError
+    ctx2 = th.ThetaContext(np.array([[2.0, 1.0], [1.0, 2.0]]), n=1, n_cut=6, extent=3.0)
+    op = th.weil_sl2_action(th.SL2Coord(0.3 + 1.2j, 0.15), th.gaussian_poly(ctx2, [[0], [0]]),
+                            ctx2)
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError):
+        op.eval_fn(th.lattice_points(ctx2))
+    assert time.perf_counter() - start < 1.0
