@@ -10,7 +10,7 @@ import numpy as np
 
 from . import cayley, diffops, fields, geodesics, groups, jacobiforms, metrics
 from . import reduction, sampling, theta
-from .diffops import DerivativeTable, FDConfig
+from .diffops import DerivativeTable
 from .groups import HeisenbergElement
 from .metrics import MetricParams
 from .spaces import JacobiPoint, SiegelPoint, TangentVector
@@ -46,10 +46,10 @@ def _max_abs(*arrays) -> float:
 
 # -- actions ------------------------------------------------------------------------
 
-def suite_actions(seed: int = 0, tol_scale: float = 1.0):
+def suite_actions(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
-    tol = 1e-10 * tol_scale
+    tol = 1e-10
     degrees = [(1, 1), (2, 1), (2, 2), (3, 1)]
     for i in range(100):
         n, m = degrees[i % len(degrees)]
@@ -92,11 +92,11 @@ def suite_actions(seed: int = 0, tol_scale: float = 1.0):
 
 # -- cayley --------------------------------------------------------------------------
 
-def suite_cayley(seed: int = 0, tol_scale: float = 1.0):
+def suite_cayley(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
-    tol_compat = 1e-9 * tol_scale
-    tol_round = 1e-12 * tol_scale
+    tol_compat = 1e-9
+    tol_round = 1e-12
     degrees = [(1, 1), (2, 1), (2, 2), (3, 2)]
     for i in range(50):
         n, m = degrees[i % len(degrees)]
@@ -126,7 +126,7 @@ def suite_cayley(seed: int = 0, tol_scale: float = 1.0):
 
 # -- metrics -------------------------------------------------------------------------
 
-def suite_metrics(seed: int = 0, tol_scale: float = 1.0):
+def suite_metrics(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
     params = MetricParams(1.0, 1.0)
@@ -141,7 +141,7 @@ def suite_metrics(seed: int = 0, tol_scale: float = 1.0):
         moved = metrics.jacobi_metric(groups.act_jacobi(g, p),
                                       metrics.pushforward(g, p, t1, "fd"),
                                       metrics.pushforward(g, p, t2, "fd"), params)
-        _row(rows, f"jacobi_invariance_{i:03d}", base, moved, 1e-5 * tol_scale,
+        _row(rows, f"jacobi_invariance_{i:03d}", base, moved, 1e-5,
              scale=max(1.0, abs(base)))
         ps = p.siegel_part()
         ts1 = TangentVector.omega_only(t1.d_omega)
@@ -151,20 +151,20 @@ def suite_metrics(seed: int = 0, tol_scale: float = 1.0):
         moved_s = metrics.siegel_metric(groups.act_siegel(mat, ps),
                                         metrics.pushforward(mat, ps, ts1, "exact"),
                                         metrics.pushforward(mat, ps, ts2, "exact"), 1.0)
-        _row(rows, f"siegel_invariance_{i:03d}", base_s, moved_s, 1e-9 * tol_scale,
+        _row(rows, f"siegel_invariance_{i:03d}", base_s, moved_s, 1e-9,
              scale=max(1.0, abs(base_s)))
         pd = sampling.random_jacobi_disk_point(n, m, rng)
         lhs = metrics.jacobi_disk_metric(pd, t1, t2, params)
         t1p = metrics.map_differential(cayley.partial_cayley, pd, t1)
         t2p = metrics.map_differential(cayley.partial_cayley, pd, t2)
         rhs = metrics.jacobi_metric(cayley.partial_cayley(pd), t1p, t2p, params)
-        _row(rows, f"partial_cayley_isometry_{i:03d}", lhs, rhs, 1e-5 * tol_scale,
+        _row(rows, f"partial_cayley_isometry_{i:03d}", lhs, rhs, 1e-5,
              scale=max(1.0, abs(rhs)))
         if i % 5 == 0:
             dens = metrics.volume_density(ps)
             jac = metrics.real_jacobian_det(lambda q: groups.act_siegel(mat, q), ps)
             dens_m = metrics.volume_density(groups.act_siegel(mat, ps)) * abs(jac)
-            _row(rows, f"volume_invariance_{i:03d}", dens, dens_m, 1e-6 * tol_scale,
+            _row(rows, f"volume_invariance_{i:03d}", dens, dens_m, 1e-6,
                  scale=max(1.0, abs(dens)))
     # closed form at degree (1, 1), entrywise
     basis = [TangentVector(np.array([[1.0 + 0j]]), np.zeros((1, 1), complex)),
@@ -182,7 +182,7 @@ def suite_metrics(seed: int = 0, tol_scale: float = 1.0):
         expected[2, 2] = expected[3, 3] = 1.0 / y
         expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = -v / y**2
         rows.append(CheckRow(f"closed_form_11_{i:03d}", 0.0, 0.0,
-                             float(np.max(np.abs(gram - expected))), 1e-12 * tol_scale))
+                             float(np.max(np.abs(gram - expected))), 1e-12))
     return rows
 
 
@@ -196,10 +196,9 @@ def _compose(f, move):
     return fields.batched(moved) if fields.is_batched(f) else moved
 
 
-def suite_laplacians(seed: int = 0, tol_scale: float = 1.0):
+def suite_laplacians(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
-    cfg = FDConfig()
     params = MetricParams(1.0, 1.0)
     # eigenfunction table at degree (1, 1)
     for i in range(20):
@@ -207,17 +206,17 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0):
         for s in (0.5, 1.7, 2.0):
             for name, lam in fields.eigenfunction_table(s):
                 f = fields.builtin_field(name, s=s)
-                val = diffops.laplacian_jacobi(f, p, params, cfg)
+                val = diffops.laplacian_jacobi(DerivativeTable(f, p), params)
                 fv = f(p)
                 _row(rows, f"table_{name}_s{s}_{i:02d}", val, lam * fv,
-                     1e-4 * tol_scale, scale=max(1.0, abs(fv)))
+                     1e-4, scale=max(1.0, abs(fv)))
             if i < 5:
                 a = (1.0, -1.0, 2.0)[i % 3]
                 f = fields.builtin_field("bessel", s=s, a=a)
-                val = diffops.laplacian_jacobi(f, p, params, cfg)
+                val = diffops.laplacian_jacobi(DerivativeTable(f, p), params)
                 fv = f(p)
                 _row(rows, f"table_bessel_s{s}_{i:02d}", val, s * (s - 1) * fv,
-                     1e-3 * tol_scale, scale=max(1e-6, abs(fv)))
+                     1e-3, scale=max(1e-6, abs(fv)))
     # operator invariance on random fields
     for i in range(20):
         n, m = (1, 1) if i % 2 == 0 else (2, 1)
@@ -226,25 +225,24 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0):
         f = sampling.random_polynomial_field("jacobi", rng)
         fg = _compose(f, partial(groups.act_jacobi, g))
         gp = groups.act_jacobi(g, p)
-        tl = DerivativeTable(fg, p, cfg)
-        tr_ = DerivativeTable(f, gp, cfg)
-        lhs_parts = diffops.jacobi_laplacian_parts(fg, p, cfg, tl)
-        rhs_parts = diffops.jacobi_laplacian_parts(f, gp, cfg, tr_)
+        tl = DerivativeTable(fg, p)
+        tr_ = DerivativeTable(f, gp)
+        lhs_parts = diffops.jacobi_laplacian_parts(tl)
+        rhs_parts = diffops.jacobi_laplacian_parts(tr_)
         for name, lhs, rhs in (("part_omega", lhs_parts[0], rhs_parts[0]),
                                ("part_z", lhs_parts[1], rhs_parts[1])):
-            _row(rows, f"invariance_{name}_{i:02d}", lhs, rhs, 1e-4 * tol_scale,
+            _row(rows, f"invariance_{name}_{i:02d}", lhs, rhs, 1e-4,
                  scale=max(1.0, abs(rhs)))
         _row(rows, f"invariance_laplacian_{i:02d}",
-             diffops.laplacian_jacobi(fg, p, params, cfg, tl),
-             diffops.laplacian_jacobi(f, gp, params, cfg, tr_),
-             1e-4 * tol_scale, scale=max(1.0, abs(rhs_parts[0])))
+             diffops.laplacian_jacobi(tl, params),
+             diffops.laplacian_jacobi(tr_, params), 1e-4, scale=max(1.0, abs(rhs_parts[0])))
         ps = p.siegel_part()
         fs = sampling.random_polynomial_field("siegel", rng)
         mat = groups.random_symplectic(n, rng, 3)
         fsg = _compose(fs, partial(groups.act_siegel, mat))
-        lhs = diffops.laplacian_siegel(fsg, ps, 1.0, cfg)
-        rhs = diffops.laplacian_siegel(fs, groups.act_siegel(mat, ps), 1.0, cfg)
-        _row(rows, f"invariance_siegel_{i:02d}", lhs, rhs, 1e-4 * tol_scale,
+        lhs = diffops.laplacian_siegel(DerivativeTable(fsg, ps))
+        rhs = diffops.laplacian_siegel(DerivativeTable(fs, groups.act_siegel(mat, ps)))
+        _row(rows, f"invariance_siegel_{i:02d}", lhs, rhs, 1e-4,
              scale=max(1.0, abs(rhs)))
         # disk operators
         nd, md = (1, 1) if i % 3 == 0 else ((1, 2) if i % 3 == 1 else (2, 1))
@@ -253,22 +251,21 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0):
         fd = sampling.random_polynomial_field("jacobi_disk", rng)
         fdg = _compose(fd, partial(groups.act_jacobi_disk, gs))
         gpd = groups.act_jacobi_disk(gs, pd)
-        tld = DerivativeTable(fdg, pd, cfg)
-        trd = DerivativeTable(fd, gpd, cfg)
+        tld = DerivativeTable(fdg, pd)
+        trd = DerivativeTable(fd, gpd)
         ops = ["s1", "s2"] + [f"j:{k},{l}" for k in range(md) for l in range(md)]
         if nd == 1:
             ops.append("s3")
         for op in ops:
-            lhs = diffops.disk_operator(fdg, pd, op, cfg, tld)
-            rhs = diffops.disk_operator(fd, gpd, op, cfg, trd)
+            lhs = diffops.disk_operator(tld, op)
+            rhs = diffops.disk_operator(trd, op)
             op_id = op.replace(":", "").replace(",", "")
-            _row(rows, f"invariance_{op_id}_{i:02d}", lhs, rhs,
-                 1e-4 * tol_scale, scale=max(1.0, abs(rhs)))
+            _row(rows, f"invariance_{op_id}_{i:02d}", lhs, rhs, 1e-4, scale=max(1.0, abs(rhs)))
         if i % 4 == 0:
-            lhs = diffops.laplacian_disk(fd, pd, params, cfg, DerivativeTable(fd, pd, cfg))
+            lhs = diffops.laplacian_disk(DerivativeTable(fd, pd), params)
             f_h = _compose(fd, cayley.partial_cayley_inverse)
-            rhs = diffops.laplacian_jacobi(f_h, cayley.partial_cayley(pd), params, cfg)
-            _row(rows, f"transport_disk_laplacian_{i:02d}", lhs, rhs, 1e-3 * tol_scale,
+            rhs = diffops.laplacian_jacobi(DerivativeTable(f_h, cayley.partial_cayley(pd)), params)
+            _row(rows, f"transport_disk_laplacian_{i:02d}", lhs, rhs, 1e-3,
                  scale=max(1.0, abs(rhs)))
     # unitary invariance of the polynomial generators
     from .diffops import invariant_polynomial
@@ -286,19 +283,19 @@ def suite_laplacians(seed: int = 0, tol_scale: float = 1.0):
             v1 = invariant_polynomial(nm, om, z)
             v2 = invariant_polynomial(nm, h @ om @ h.T, z @ h.T)
             _row(rows, f"poly_unitary_{nm.replace(':', '_').replace(',', '')}_{i:02d}",
-                 v1, v2, 1e-10 * tol_scale, scale=max(1.0, abs(v1)))
+                 v1, v2, 1e-10, scale=max(1.0, abs(v1)))
     return rows
 
 
 # -- distance ------------------------------------------------------------------------
 
-def suite_distance(seed: int = 0, tol_scale: float = 1.0):
+def suite_distance(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
     base = SiegelPoint(np.array([[1j]]))
     for a in (2.0, 5.0, 10.0):
         d = geodesics.siegel_distance(base, SiegelPoint(np.array([[a * 1j]])))
-        _row(rows, f"axis_log_{a}", d, np.log(a), 1e-10 * tol_scale)
+        _row(rows, f"axis_log_{a}", d, np.log(a), 1e-10)
     for i in range(60):
         n = [1, 2, 3][i % 3]
         p0 = sampling.random_siegel_point(n, rng)
@@ -307,16 +304,14 @@ def suite_distance(seed: int = 0, tol_scale: float = 1.0):
         mat = groups.random_symplectic(n, rng, 4)
         d_m = geodesics.siegel_distance(groups.act_siegel(mat, p0),
                                         groups.act_siegel(mat, p1))
-        _row(rows, f"isometry_{i:03d}", d, d_m, 1e-8 * tol_scale)
-        _row(rows, f"symmetry_{i:03d}", d, geodesics.siegel_distance(p1, p0),
-             1e-10 * tol_scale)
-        _row(rows, f"series_{i:03d}", d, geodesics.siegel_distance_series(p0, p1),
-             1e-12 * tol_scale)
+        _row(rows, f"isometry_{i:03d}", d, d_m, 1e-8)
+        _row(rows, f"symmetry_{i:03d}", d, geodesics.siegel_distance(p1, p0), 1e-10)
+        _row(rows, f"series_{i:03d}", d, geodesics.siegel_distance_series(p0, p1), 1e-12)
         eig0 = geodesics.cross_ratio_eigenvalues(p0, p1)
         eig1 = geodesics.cross_ratio_eigenvalues(
             groups.act_siegel(mat, p0), groups.act_siegel(mat, p1))
         rows.append(CheckRow(f"cross_ratio_spectrum_{i:03d}", 0.0, 0.0,
-                             float(np.max(np.abs(eig0 - eig1))), 1e-9 * tol_scale))
+                             float(np.max(np.abs(eig0 - eig1))), 1e-9))
     worst = 0.0
     for i in range(200):
         n = [1, 2][i % 2]
@@ -326,7 +321,7 @@ def suite_distance(seed: int = 0, tol_scale: float = 1.0):
         slack = (geodesics.siegel_distance(p0, p2) + geodesics.siegel_distance(p2, p1)
                  - geodesics.siegel_distance(p0, p1))
         worst = max(worst, -slack)
-    rows.append(CheckRow("triangle_inequality", 0.0, 0.0, worst, 1e-10 * tol_scale))
+    rows.append(CheckRow("triangle_inequality", 0.0, 0.0, worst, 1e-10))
     logs = np.log(np.array([2.0, 0.4, 3.0]))
     for i, n in enumerate((1, 2, 3)):
         a = np.exp(logs[:n] / np.linalg.norm(logs[:n]))
@@ -334,7 +329,7 @@ def suite_distance(seed: int = 0, tol_scale: float = 1.0):
             s, t = rng.uniform(-2.0, 2.0, 2)
             d = geodesics.siegel_distance(geodesics.special_geodesic(a, s),
                                           geodesics.special_geodesic(a, t))
-            _row(rows, f"unit_speed_n{n}_{j}", d, abs(s - t), 1e-8 * tol_scale)
+            _row(rows, f"unit_speed_n{n}_{j}", d, abs(s - t), 1e-8)
     return rows
 
 
@@ -350,7 +345,7 @@ def _oracle_degree_one(omega: complex) -> complex:
     return omega
 
 
-def suite_reduction(seed: int = 0, tol_scale: float = 1.0):
+def suite_reduction(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -365,7 +360,7 @@ def suite_reduction(seed: int = 0, tol_scale: float = 1.0):
         domain_ok &= abs(r.real) <= 0.5 + 1e-12 and abs(r) >= 1.0 - 1e-12
         replay = groups.act_siegel(cert.gamma, p)
         cert_ok &= float(np.max(np.abs(replay.omega - red.omega))) <= 1e-9
-    rows.append(CheckRow("n1_oracle_match", 0.0, 0.0, worst, 1e-9 * tol_scale))
+    rows.append(CheckRow("n1_oracle_match", 0.0, 0.0, worst, 1e-9))
     rows.append(CheckRow("n1_domain_conditions", 0.0, 0.0, 0.0 if domain_ok else 1.0, 0.5))
     rows.append(CheckRow("n1_certificates", 0.0, 0.0, 0.0 if cert_ok else 1.0, 0.5))
     viol_count = 0
@@ -382,7 +377,7 @@ def suite_reduction(seed: int = 0, tol_scale: float = 1.0):
         red2, _ = reduction.siegel_reduce(groups.act_siegel(g0, red))
         d1 = float(np.linalg.det(red.omega.imag))
         d2 = float(np.linalg.det(red2.omega.imag))
-        _row(rows, f"n2_orbit_det_im_{i:02d}", d1, d2, 1e-9 * tol_scale,
+        _row(rows, f"n2_orbit_det_im_{i:02d}", d1, d2, 1e-9,
              scale=max(1.0, abs(d1)))
     rows.append(CheckRow("n2_zero_violations", 0.0, 0.0, float(viol_count), 0.5))
     for i in range(12):
@@ -397,7 +392,7 @@ def suite_reduction(seed: int = 0, tol_scale: float = 1.0):
         resid = _max_abs(replay.omega - out.omega, replay.z - out.z)
         rows.append(CheckRow(f"jacobi_cell_{i:02d}", 0.0, 0.0,
                              0.0 if (in_cell and cert.passed) else 1.0, 0.5))
-        rows.append(CheckRow(f"jacobi_replay_{i:02d}", 0.0, 0.0, resid, 1e-9 * tol_scale))
+        rows.append(CheckRow(f"jacobi_replay_{i:02d}", 0.0, 0.0, resid, 1e-9))
     return rows
 
 
@@ -437,7 +432,7 @@ def _synthetic_series(singular: bool, rng):
     return jacobiforms.FourierSeries.build(1, idx, terms)
 
 
-def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0):
+def suite_jacobiforms(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
     degrees = [(1, 1), (2, 1), (2, 2)]
@@ -450,7 +445,7 @@ def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0):
         lhs = jacobiforms.automorphic_factor(idx, g1.multiply(g2), p)
         rhs = (jacobiforms.automorphic_factor(idx, g1, groups.act_jacobi(g2, p))
                * jacobiforms.automorphic_factor(idx, g2, p))
-        _row(rows, f"cocycle_{i:03d}", lhs, rhs, 1e-8 * tol_scale, scale=max(1e-12, abs(rhs)))
+        _row(rows, f"cocycle_{i:03d}", lhs, rhs, 1e-8, scale=max(1e-12, abs(rhs)))
     for i in range(40):
         n, m = degrees[i % 2]
         idx = jacobiforms.JacobiFormIndex(np.eye(m), weight=1)
@@ -460,7 +455,7 @@ def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0):
         p = sampling.random_jacobi_point(n, m, rng)
         lhs = jacobiforms.slash(jacobiforms.slash(f, idx, g1), idx, g2)(p)
         rhs = jacobiforms.slash(f, idx, g1.multiply(g2))(p)
-        _row(rows, f"slash_composition_{i:03d}", lhs, rhs, 1e-8 * tol_scale,
+        _row(rows, f"slash_composition_{i:03d}", lhs, rhs, 1e-8,
              scale=max(1e-12, abs(rhs)))
     # singular gate vs operator annihilation (with the FD oracle riding along)
     sing = _synthetic_series(True, rng)
@@ -473,10 +468,10 @@ def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0):
         p = sampling.random_jacobi_point(1, 1, rng)
         val_sing = jacobiforms.apply_m_operator(sing, p)
         scale = max(1.0, abs(jacobiforms.fourier_eval(sing, p)))
-        _row(rows, f"annihilation_{i:02d}", val_sing, 0.0, 1e-8 * tol_scale, scale=scale)
+        _row(rows, f"annihilation_{i:02d}", val_sing, 0.0, 1e-8, scale=scale)
         val_mixed = jacobiforms.apply_m_operator(mixed, p)
         fd = _fd_m_operator_degree_one(mixed, p)
-        _row(rows, f"m_operator_fd_{i:02d}", val_mixed, fd, 1e-4 * tol_scale,
+        _row(rows, f"m_operator_fd_{i:02d}", val_mixed, fd, 1e-4,
              scale=max(1.0, abs(fd)))
         rows.append(CheckRow(f"nonannihilation_{i:02d}", abs(val_mixed), 0.0,
                              0.0 if abs(val_mixed) > 1e-6 else 1.0, 0.5))
@@ -493,7 +488,7 @@ def suite_jacobiforms(seed: int = 0, tol_scale: float = 1.0):
         big = JacobiPoint(np.array([[p1.omega[0, 0], 0.0], [0.0, 50.0j]]),
                           np.array([[p1.z[0, 0], 0.0]]))
         _row(rows, f"projection_limit_{i:02d}", jacobiforms.fourier_eval(proj, p1),
-             jacobiforms.fourier_eval(s2, big), 1e-8 * tol_scale)
+             jacobiforms.fourier_eval(s2, big), 1e-8)
     # pluriharmonic invariance
     P = jacobiforms.Polynomial
     s_mat = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -531,7 +526,7 @@ def _random_orthogonal(n: int, rng):
 
 # -- theta ---------------------------------------------------------------------------
 
-def suite_theta(seed: int = 0, tol_scale: float = 1.0):
+def suite_theta(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -542,7 +537,7 @@ def suite_theta(seed: int = 0, tol_scale: float = 1.0):
     f1 = theta.gaussian(ctx1)
     direct = sum(np.exp(-np.pi * w * w) for w in range(-8, 9))
     _row(rows, "lattice_sum_origin", theta.theta_sum(f1, ctx1, theta.SL2Coord(1j, 0.0),
-                                                     hb(0, 0)), direct, 1e-10 * tol_scale)
+                                                     hb(0, 0)), direct, 1e-10)
     for i in range(20):
         m_val = 1.0 if i % 2 == 0 else 2.0
         ctx = theta.ThetaContext(np.array([[m_val]]), n=1, n_cut=10)
@@ -554,20 +549,20 @@ def suite_theta(seed: int = 0, tol_scale: float = 1.0):
         base = theta.theta_sum(f, ctx, theta.SL2Coord(tau, phi), hb(lam, mu, kap))
         moved = theta.theta_sum(f, ctx, theta.SL2Coord(tau + 2, phi),
                                 hb(lam, s - 2 * lam + mu, kap - s * lam))
-        _row(rows, f"jacobi2_{i:02d}", moved, base, 1e-8 * tol_scale,
+        _row(rows, f"jacobi2_{i:02d}", moved, base, 1e-8,
              scale=max(1e-12, abs(base)))
         l0, m0, k0 = (float(x) for x in rng.integers(-3, 4, 3))
         lhs = theta.theta_sum(f, ctx, theta.SL2Coord(tau, phi),
                               hb(lam + l0, mu + m0, kap + k0 + l0 * mu - m0 * lam))
         rhs = np.exp(1j * np.pi * m_val * (k0 + m0 * l0)) * base
-        _row(rows, f"jacobi3_{i:02d}", lhs, rhs, 1e-8 * tol_scale,
+        _row(rows, f"jacobi3_{i:02d}", lhs, rhs, 1e-8,
              scale=max(1e-12, abs(rhs)))
         if m_val == 1.0:
             lhs1 = theta.theta_sum(f, ctx, theta.SL2Coord(-1 / tau, phi + np.angle(tau)),
                                    hb(-mu, lam, kap))
             sgn = np.sign(np.sin(phi) * np.sin(phi + np.angle(tau)))
             rhs1 = np.exp(-1j * np.pi * sgn / 4.0) * base
-            _row(rows, f"jacobi1_{i:02d}", lhs1, rhs1, 1e-3 * tol_scale,
+            _row(rows, f"jacobi1_{i:02d}", lhs1, rhs1, 1e-3,
                  scale=max(1e-12, abs(rhs1)))
     # product invariance under the three generator families
     s_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -589,7 +584,7 @@ def suite_theta(seed: int = 0, tol_scale: float = 1.0):
             nc, nl, nm_ = theta.theta_left_translate(coord, lam, mu, gm, l0, m0)
             moved = abs(theta.theta_sum(g1, ctx1, nc, hb(float(nl), float(nm_)))
                         * np.conj(theta.theta_sum(g2, ctx1, nc, hb(float(nl), float(nm_)))))
-            _row(rows, f"gamma2_{name}_{i:02d}", moved, base, tol * tol_scale,
+            _row(rows, f"gamma2_{name}_{i:02d}", moved, base, tol,
                  scale=max(1e-12, base))
     # Stone-von Neumann residual per generator
     for m_val in (1.0, 2.0):
@@ -599,8 +594,7 @@ def suite_theta(seed: int = 0, tol_scale: float = 1.0):
         for gen in (("t", np.array([[0.7]]), 1.0), ("g", np.array([[1.4]]), 1.0),
                     ("sigma", 1.0)):
             r = theta.stone_von_neumann_residual(gen, h, f, ctx)
-            rows.append(CheckRow(f"svn_{gen[0]}_M{int(m_val)}", 0.0, 0.0, r,
-                                 1e-6 * tol_scale))
+            rows.append(CheckRow(f"svn_{gen[0]}_M{int(m_val)}", 0.0, 0.0, r, 1e-6))
     # Iwasawa round trips and composition
     worst_rt = worst_cp = 0.0
     for _ in range(40):
@@ -617,8 +611,8 @@ def suite_theta(seed: int = 0, tol_scale: float = 1.0):
         worst_rt = max(worst_rt, float(np.max(np.abs(c1.matrix() - mats[0]))))
         c3 = theta.iwasawa_compose(c1, c2)
         worst_cp = max(worst_cp, float(np.max(np.abs(c3.matrix() - mats[0] @ mats[1]))))
-    rows.append(CheckRow("iwasawa_roundtrip", 0.0, 0.0, worst_rt, 1e-10 * tol_scale))
-    rows.append(CheckRow("iwasawa_composition", 0.0, 0.0, worst_cp, 1e-10 * tol_scale))
+    rows.append(CheckRow("iwasawa_roundtrip", 0.0, 0.0, worst_rt, 1e-10))
+    rows.append(CheckRow("iwasawa_composition", 0.0, 0.0, worst_cp, 1e-10))
     # cocycle table (frozen sign evaluations)
     s = np.array([[0.0, -1.0], [1.0, 0.0]])
     t_low = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -648,7 +642,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0):
+def run_suite(name: str, seed: int = 0):
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](seed=seed, tol_scale=max(1.0, tol_scale))
+    return SUITES[name](seed=seed)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cayley, checks, diffops, fields, geodesics, linalg
 from . import metrics, reduction, spaces, theta
-from .diffops import FDConfig
+from .diffops import DerivativeTable
 from .errors import ConvergenceError, DimensionError, DomainError, NumericError
 from .groups import HeisenbergElement
 from .metrics import MetricParams
@@ -108,7 +108,7 @@ def _emit(obj) -> None:
 
 def cmd_check(args) -> int:
     try:
-        rows = checks.run_suite(args.suite, seed=args.seed, tol_scale=args.tol_scale)
+        rows = checks.run_suite(args.suite, seed=args.seed)
     except KeyError:
         print(f"unknown suite {args.suite!r}; choose from "
               f"{sorted(checks.SUITES)}", file=sys.stderr)
@@ -198,11 +198,11 @@ def cmd_metric(args) -> int:
 def cmd_laplacian(args) -> int:
     point = parse_point_arg(args.point, args.space)
     field = fields.builtin_field(args.field, s=parse_scalar_complex(args.s), a=args.a)
-    cfg = FDConfig()
+    table = DerivativeTable(field, point)
     if args.space == "hn":
-        value = diffops.laplacian_siegel(field, point, args.A, cfg)
+        value = diffops.laplacian_siegel(table, args.A)
     else:
-        value = diffops.laplacian_jacobi(field, point, MetricParams(args.A, args.B), cfg)
+        value = diffops.laplacian_jacobi(table, MetricParams(args.A, args.B))
     _emit({"re": value.real, "im": value.imag})
     return 0
 
@@ -237,14 +237,11 @@ def cmd_element(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="siegeljacobi",
                                      description="Siegel-Jacobi space numerics")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiplies all default tolerances (floor 1)")
-    sub = parser.add_subparsers(dest="command", parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    sub = parser.add_subparsers(dest="command")
 
     p_check = sub.add_parser("check", help="run an invariant battery, emit CSV")
     p_check.add_argument("--suite", required=True)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
 
@@ -294,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--n-cut", type=int, default=10)
     p_th.add_argument("--check", choices=("jacobi1", "jacobi2", "jacobi3", "gamma2"),
                       default=None)
+    p_th.add_argument("--seed", type=int, default=0)
     p_th.set_defaults(func=cmd_theta)
 
     p_el = sub.add_parser("element", help="symplectic element from a generator word")

@@ -2,7 +2,10 @@
 
 The engine differentiates scalar fields (callables on points) in the real
 coordinates of the point's chart (``spaces._Chart``), then assembles weighted
-Wirtinger derivatives, by fourth-order central differences. The points of a
+Wirtinger derivatives, by fourth-order central differences. A
+``DerivativeTable(f, p)`` holds the first and second derivatives of f at p and
+remembers p; every invariant operator is a function of one table, so one table
+serves as many operators at its point as needed. The points of a
 stencil (``_plan``, cached per chart dimension) form one stack of points; a
 field marked ``fields.batched`` (also behind ``__wrapped__``) gets the stack in
 one call and returns one value per point, any other gets one point at a time.
@@ -24,7 +27,7 @@ from .errors import DomainError, ParameterError
 from .fields import is_batched
 from .linalg import safe_inv
 from .metrics import MetricParams, require_weight
-from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, _Chart
+from .spaces import DiskPoint, JacobiDiskPoint, _Chart
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,10 @@ def _stencil(f, chart, steps, entries=None):
 
 
 class DerivativeTable:
-    """First and second Wirtinger derivatives of a field at a point."""
+    """First and second Wirtinger derivatives of a field f at the point p."""
 
     def __init__(self, f, p, cfg: FDConfig = FDConfig()):
-        self.cfg = cfg
+        self.point = p
         self.chart = chart = _Chart(p)
         radius = getattr(f, "radius", np.inf)
         steps = cfg.step * (1.0 + np.abs(chart.coord_values()))
@@ -164,22 +167,21 @@ def _maass_contraction(y, block):
     return complex(np.einsum("ij,lk,kjli->", y, y, block))
 
 
-def laplacian_siegel(f, p: SiegelPoint, a: float = 1.0, cfg: FDConfig = FDConfig(),
-                     table: DerivativeTable | None = None) -> complex:
-    """(4/A) tr(Y t(Y d/dOmega_bar) d/dOmega) applied to f at p."""
+def laplacian_siegel(t: DerivativeTable, a: float = 1.0) -> complex:
+    """(4/A) tr(Y t(Y d/dOmega_bar) d/dOmega) applied to the table's field at
+    its SiegelPoint."""
     require_weight(a)
-    t = table if table is not None else DerivativeTable(f, p, cfg)
-    return (4.0 / a) * _maass_contraction(p.omega.imag, t.block_sym_bar_sym())
+    return (4.0 / a) * _maass_contraction(t.point.omega.imag, t.block_sym_bar_sym())
 
 
-def jacobi_laplacian_parts(f, p: JacobiPoint, cfg: FDConfig = FDConfig(),
-                           table: DerivativeTable | None = None):
-    """The two invariant pieces of the Laplacian on the Siegel-Jacobi space.
+def jacobi_laplacian_parts(t: DerivativeTable):
+    """The two invariant pieces of the Laplacian on the Siegel-Jacobi space,
+    from the table of a field at a JacobiPoint.
 
     Returns (part1, part2): part1 couples the omega-derivatives with the
     z-derivatives through V = Im z; part2 = tr(Y d/dZ t(d/dZ_bar)).
     """
-    t = table if table is not None else DerivativeTable(f, p, cfg)
+    p = t.point
     y = p.omega.imag
     v = p.z.imag
     yi = safe_inv(y)
@@ -198,10 +200,9 @@ def jacobi_laplacian_parts(f, p: JacobiPoint, cfg: FDConfig = FDConfig(),
     return part1, part2
 
 
-def laplacian_jacobi(f, p: JacobiPoint, params: MetricParams = MetricParams(),
-                     cfg: FDConfig = FDConfig(),
-                     table: DerivativeTable | None = None) -> complex:
-    part1, part2 = jacobi_laplacian_parts(f, p, cfg, table)
+def laplacian_jacobi(t: DerivativeTable, params: MetricParams = MetricParams()) -> complex:
+    """(4/A) part1 + (4/B) part2 of ``jacobi_laplacian_parts``."""
+    part1, part2 = jacobi_laplacian_parts(t)
     return (4.0 / params.A) * part1 + (4.0 / params.B) * part2
 
 
@@ -214,17 +215,16 @@ def _disk_mats(p: JacobiDiskPoint | DiskPoint):
     return w, wb, eye - w @ wb, eye - wb @ w
 
 
-def disk_eta_trace(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
-                   table: DerivativeTable | None = None) -> complex:
-    """S1 = tr((I - conj(W) W) d/d eta t(d/d eta_bar))."""
-    t = table if table is not None else DerivativeTable(f, p, cfg)
-    _, _, _, q = _disk_mats(p)
+def disk_eta_trace(t: DerivativeTable) -> complex:
+    """S1 = tr((I - conj(W) W) d/d eta t(d/d eta_bar)) at the table's
+    JacobiDiskPoint."""
+    _, _, _, q = _disk_mats(t.point)
     return complex(np.einsum("ij,kikj->", q, t.block_rect_bar_rect()))
 
 
-def disk_w_part(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
-                table: DerivativeTable | None = None) -> complex:
-    """S2: the invariant operator pairing W-derivatives with eta-derivatives.
+def disk_w_part(t: DerivativeTable) -> complex:
+    """S2 at the table's JacobiDiskPoint: the invariant operator pairing
+    W-derivatives with eta-derivatives.
 
     The W-block is tr((I - W conj(W)) dW_bar (I - conj(W) W) dW); the mixed
     blocks couple eta - conj(eta) W combinations with one W- and one
@@ -232,7 +232,7 @@ def disk_w_part(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
     (1/A) S2 + (1/B) S1 the image of the half-space Laplacian under the
     partial Cayley transform.
     """
-    t = table if table is not None else DerivativeTable(f, p, cfg)
+    p = t.point
     w, wb, qp, q = _disk_mats(p)
     n = p.n
     eye = np.eye(n)
@@ -262,22 +262,18 @@ def disk_w_part(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
     return val
 
 
-def laplacian_disk(f, p: JacobiDiskPoint, params: MetricParams = MetricParams(),
-                   cfg: FDConfig = FDConfig(),
-                   table: DerivativeTable | None = None) -> complex:
+def laplacian_disk(t: DerivativeTable, params: MetricParams = MetricParams()) -> complex:
     """(1/A) S2 + (1/B) S1: the Laplacian of the invariant disk metric."""
-    t = table if table is not None else DerivativeTable(f, p, cfg)
-    return (disk_w_part(f, p, cfg, t) / params.A) + (disk_eta_trace(f, p, cfg, t) / params.B)
+    return (disk_w_part(t) / params.A) + (disk_eta_trace(t) / params.B)
 
 
-def disk_eta_entry(f, p: JacobiDiskPoint, k: int, l: int, cfg: FDConfig = FDConfig(),
-                   table: DerivativeTable | None = None) -> complex:
-    """J_{kl} = sum_{ij} (I - conj(W) W)_{ij} d^2/(d etabar_{ki} d eta_{lj})."""
-    m = p.m
+def disk_eta_entry(t: DerivativeTable, k: int, l: int) -> complex:
+    """J_{kl} = sum_{ij} (I - conj(W) W)_{ij} d^2/(d etabar_{ki} d eta_{lj})
+    at the table's JacobiDiskPoint (zero-based k, l)."""
+    m = t.point.m
     if not (0 <= k < m and 0 <= l < m):
         raise DomainError(f"entry ({k}, {l}) outside index range for m={m}")
-    t = table if table is not None else DerivativeTable(f, p, cfg)
-    _, _, _, q = _disk_mats(p)
+    _, _, _, q = _disk_mats(t.point)
     ebe = t.block_rect_bar_rect()
     return complex(np.einsum("ij,ij->", q, ebe[k, :, l, :]))
 
@@ -298,23 +294,24 @@ def eta_pair_value(f, p: JacobiDiskPoint, hol, antihol, cfg: FDConfig) -> comple
     return 0.25 * (rr + 1j * ri - 1j * ir + ii)
 
 
-def disk_eta_determinant(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
-                         table: DerivativeTable | None = None) -> complex:
-    """S3 = det(I - conj(W) W) det(d/d eta t(d/d eta_bar)).
+def disk_eta_determinant(t: DerivativeTable) -> complex:
+    """S3 = det(I - conj(W) W) det(d/d eta t(d/d eta_bar)) at the table's
+    JacobiDiskPoint.
 
     The operator determinant expands over permutations; for n = 1 it reduces
-    to the eta-trace kernel and is read from the derivative table, while for
-    n >= 2 the constant-coefficient entry operators are composed by nested
-    finite differences (with an enlarged step to keep roundoff in check).
+    to the eta-trace kernel and is read from the table, while for n >= 2 the
+    constant-coefficient entry operators are composed by nested finite
+    differences of the table's field at its point (with an enlarged step to
+    keep roundoff in check).
     """
+    f, p = t._f, t.point
     n, m = p.n, p.m
     _, _, _, q = _disk_mats(p)
     det_q = complex(np.linalg.det(q))
     if n == 1:
-        t = table if table is not None else DerivativeTable(f, p, cfg)
         ebe = t.block_rect_bar_rect()
         return det_q * complex(sum(ebe[k, 0, k, 0] for k in range(m)))
-    nested_cfg = FDConfig(step=max(cfg.step, 8e-3))
+    nested_cfg = FDConfig(step=8e-3)
     total = 0.0 + 0.0j
     for perm in permutations(range(n)):
         sign = (-1.0) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
@@ -327,19 +324,19 @@ def disk_eta_determinant(f, p: JacobiDiskPoint, cfg: FDConfig = FDConfig(),
     return det_q * total
 
 
-def disk_operator(f, p: JacobiDiskPoint, which: str, cfg: FDConfig = FDConfig(),
-                  table: DerivativeTable | None = None) -> complex:
-    """Dispatch: which is 's1', 's2', 's3', or 'j:k,l' (zero-based entries)."""
+def disk_operator(t: DerivativeTable, which: str) -> complex:
+    """The disk operator ``which`` ('s1', 's2', 's3', or 'j:k,l' with
+    zero-based entries) at the table's JacobiDiskPoint."""
     name = which.strip().lower()
     if name == "s1":
-        return disk_eta_trace(f, p, cfg, table)
+        return disk_eta_trace(t)
     if name == "s2":
-        return disk_w_part(f, p, cfg, table)
+        return disk_w_part(t)
     if name == "s3":
-        return disk_eta_determinant(f, p, cfg, table)
+        return disk_eta_determinant(t)
     if name.startswith("j:"):
         k, l = (int(x) for x in name[2:].split(","))
-        return disk_eta_entry(f, p, k, l, cfg, table)
+        return disk_eta_entry(t, k, l)
     raise DomainError(f"unknown disk operator {which!r}")
 
 

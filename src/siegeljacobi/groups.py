@@ -425,7 +425,10 @@ def parse_generator_word(word: str, n: int) -> SymplecticElement:
 
     ``t(x)`` translates by x * (ones symmetric), ``g(x)`` dilates by
     I + x * ones / n, and ``s`` is the inversion; terms compose left to right.
+    The degree n is at least 1.
     """
+    if n < 1:
+        raise DomainError("degree must be at least 1")
     g = SymplecticElement.identity(n)
     for raw in word.split(";"):
         tok = raw.strip()

@@ -103,6 +103,14 @@ def test_check_suite_deterministic_and_exit_codes():
     assert code3 == 2 and "unknown suite" in err
 
 
+def test_check_has_no_tolerance_flag():
+    # the check tolerances are fixed: no flag widens them
+    code, out, err = run_cli(["check", "--suite", "distance", "--seed", "1",
+                              "--tol-scale", "inf"])
+    assert code == 2 and out == ""
+    assert "--tol-scale" in err
+
+
 def test_malformed_json_is_usage_error():
     code, _, err = run_cli(["distance", "--p0", "{bad json", "--p1", "i"])
     assert code == 2
@@ -154,6 +162,8 @@ def test_non_finite_point_is_usage_error():
     (["metric", "--space", "hn", "--point", "i",
       "--t1", '{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}', "--t2", "1"],
      "domega"),
+    (["element", "--word", "s", "--n", "0"], "degree"),
+    (["element", "--word", "s", "--n", "-1"], "degree"),
 ])
 def test_non_finite_or_mismatched_number_is_usage_error(args, named):
     code, out, err = run_cli(args)

@@ -54,20 +54,20 @@ def test_laplacian_scalar_eigenfunctions():
     p = spaces.SiegelPoint.create(np.array([[0.2 + 1.4j]]))
     for s in (0.5, 1.7, 2.0):
         f = lambda q, s=s: q.omega[0, 0].imag ** s
-        val = diffops.laplacian_siegel(f, p, 1.0)
+        val = diffops.laplacian_siegel(DerivativeTable(f, p), 1.0)
         expected = s * (s - 1) * p.omega[0, 0].imag ** s
         assert abs(val - expected) <= 1e-7 * max(1.0, abs(expected))
-    assert abs(diffops.laplacian_siegel(lambda q: 3.0, p, 1.0)) < 1e-8
+    assert abs(diffops.laplacian_siegel(DerivativeTable(lambda q: 3.0, p), 1.0)) < 1e-8
     with pytest.raises(DomainError):
-        diffops.laplacian_siegel(lambda q: 1.0, p, -2.0)
+        diffops.laplacian_siegel(DerivativeTable(lambda q: 1.0, p), -2.0)
 
 
 def test_laplacian_weight_scaling():
     rng = np.random.default_rng(3)
     p = sampling.random_siegel_point(2, rng)
     f = sampling.random_polynomial_field("siegel", rng)
-    v1 = diffops.laplacian_siegel(f, p, 1.0)
-    v2 = diffops.laplacian_siegel(f, p, 2.0)
+    v1 = diffops.laplacian_siegel(DerivativeTable(f, p), 1.0)
+    v2 = diffops.laplacian_siegel(DerivativeTable(f, p), 2.0)
     assert abs(v1 - 2.0 * v2) < 1e-9 * max(1.0, abs(v1))
 
 
@@ -81,16 +81,16 @@ def test_jacobi_laplacian_table_cases():
         f_c = lambda q: q.omega[0, 0].imag ** s * q.z[0, 0].imag
         f_d = lambda q: q.omega[0, 0].real * q.z[0, 0].imag
         for f, lam in ((f_b, s * (s - 1)), (f_c, s * (s + 1)), (f_d, 0.0)):
-            val = diffops.laplacian_jacobi(f, p, params)
+            val = diffops.laplacian_jacobi(DerivativeTable(f, p), params)
             assert abs(val - lam * f(p)) <= 1e-6 * max(1.0, abs(f(p)))
 
 
 def test_disk_eta_trace_example():
     p = spaces.JacobiDiskPoint.create(np.zeros((1, 1)), np.array([[0.4 + 0.2j]]))
-    val = diffops.disk_eta_trace(lambda q: abs(q.eta[0, 0]) ** 2, p)
+    val = diffops.disk_eta_trace(DerivativeTable(lambda q: abs(q.eta[0, 0]) ** 2, p))
     assert abs(val - 1.0) < 1e-8
     # J_00 agrees with the trace at degree one, and S1 = sum_k J_kk
-    val_j = diffops.disk_eta_entry(lambda q: abs(q.eta[0, 0]) ** 2, p, 0, 0)
+    val_j = diffops.disk_eta_entry(DerivativeTable(lambda q: abs(q.eta[0, 0]) ** 2, p), 0, 0)
     assert abs(val_j - val) < 1e-10
 
 
@@ -99,32 +99,42 @@ def test_s1_is_trace_of_entry_operators():
     p = sampling.random_jacobi_disk_point(1, 2, rng)
     f = sampling.random_polynomial_field("jacobi_disk", rng)
     table = DerivativeTable(f, p)
-    s1 = diffops.disk_eta_trace(f, p, table=table)
-    total = sum(diffops.disk_eta_entry(f, p, k, k, table=table) for k in range(2))
+    s1 = diffops.disk_eta_trace(table)
+    total = sum(diffops.disk_eta_entry(table, k, k) for k in range(2))
     assert abs(s1 - total) < 1e-10
 
 
 def test_operator_invariance_sample():
     rng = np.random.default_rng(13)
-    cfg = FDConfig()
     params = MetricParams(1.0, 1.0)
     p = sampling.random_jacobi_point(2, 1, rng)
     g = groups.random_jacobi(2, 1, rng, 3)
     f = sampling.random_polynomial_field("jacobi", rng)
     fg = lambda q: f(groups.act_jacobi(g, q))
     gp = groups.act_jacobi(g, p)
-    lhs = diffops.laplacian_jacobi(fg, p, params, cfg)
-    rhs = diffops.laplacian_jacobi(f, gp, params, cfg)
+    lhs = diffops.laplacian_jacobi(DerivativeTable(fg, p), params)
+    rhs = diffops.laplacian_jacobi(DerivativeTable(f, gp), params)
     assert abs(lhs - rhs) <= 1e-4 * max(1.0, abs(rhs))
     pd = sampling.random_jacobi_disk_point(2, 1, rng, radius=0.4)
     gs = groups.embed_star(groups.random_jacobi(2, 1, rng, 3))
     fd = sampling.random_polynomial_field("jacobi_disk", rng)
     fdg = lambda q: fd(groups.act_jacobi_disk(gs, q))
     gpd = groups.act_jacobi_disk(gs, pd)
+    tld, trd = DerivativeTable(fdg, pd), DerivativeTable(fd, gpd)
     for op in ("s1", "s2", "j:0,0"):
-        lhs = diffops.disk_operator(fdg, pd, op, cfg)
-        rhs = diffops.disk_operator(fd, gpd, op, cfg)
+        lhs = diffops.disk_operator(tld, op)
+        rhs = diffops.disk_operator(trd, op)
         assert abs(lhs - rhs) <= 1e-4 * max(1.0, abs(rhs)), op
+
+
+def test_disk_operator_rejects_unknown_names_and_entries():
+    p = spaces.JacobiDiskPoint.create(np.array([[0.1j]]), np.array([[0.2 + 0.1j]]))
+    t = DerivativeTable(lambda q: abs(q.eta[0, 0]) ** 2, p)
+    assert t.point is p
+    with pytest.raises(DomainError, match="unknown disk operator"):
+        diffops.disk_operator(t, "s4")
+    with pytest.raises(DomainError, match="outside index range"):
+        diffops.disk_eta_entry(t, 1, 0)
 
 
 def test_s3_determinant_structure_degree_two():
@@ -137,8 +147,9 @@ def test_s3_determinant_structure_degree_two():
                 + cs[1] * abs(np.sum(q.eta)) ** 4
                 + cs[2] * (np.sum(q.eta ** 2) * np.sum(q.w)).real)
 
-    lhs = diffops.disk_eta_determinant(lambda q: fd(groups.act_jacobi_disk(gs, q)), pd)
-    rhs = diffops.disk_eta_determinant(fd, groups.act_jacobi_disk(gs, pd))
+    fdg = lambda q: fd(groups.act_jacobi_disk(gs, q))
+    lhs = diffops.disk_eta_determinant(DerivativeTable(fdg, pd))
+    rhs = diffops.disk_eta_determinant(DerivativeTable(fd, groups.act_jacobi_disk(gs, pd)))
     assert abs(lhs - rhs) <= 1e-3 * max(1.0, abs(rhs))
 
 
@@ -149,8 +160,8 @@ def test_disk_laplacian_transport_through_partial_cayley():
         pd = sampling.random_jacobi_disk_point(n, m, rng, radius=0.35)
         f = sampling.random_polynomial_field("jacobi_disk", rng)
         f_h = lambda q: f(cayley.partial_cayley_inverse(q))
-        lhs = diffops.laplacian_disk(f, pd, params)
-        rhs = diffops.laplacian_jacobi(f_h, cayley.partial_cayley(pd), params)
+        lhs = diffops.laplacian_disk(DerivativeTable(f, pd), params)
+        rhs = diffops.laplacian_jacobi(DerivativeTable(f_h, cayley.partial_cayley(pd)), params)
         assert abs(lhs - rhs) <= 1e-3 * max(1.0, abs(rhs))
 
 
