@@ -213,17 +213,8 @@ def cmd_theta(args) -> int:
     coord = theta.SL2Coord(parse_scalar_complex(args.tau), args.phi)
     h = HeisenbergElement(*(_finite(name, np.asarray(json.loads(getattr(args, name)), dtype=float))
                             for name in ("lam", "mu", "kappa")))
-    f = theta.gaussian(ctx)
-    value = theta.theta_sum(f, ctx, coord, h)
-    result = {"re": value.real, "im": value.imag}
-    if args.check:
-        rows = [r for r in checks.suite_theta(seed=args.seed)
-                if r.case.startswith(args.check)]
-        sys.stdout.write("case,lhs,rhs,residual,tol,pass\n"
-                         + "".join(r.csv() + "\n" for r in rows))
-        if any(not r.passed for r in rows):
-            return NUMERIC_FAILURE
-    _emit(result)
+    value = theta.theta_sum(theta.gaussian(ctx), ctx, coord, h)
+    _emit({"re": value.real, "im": value.imag})
     return 0
 
 
@@ -281,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lap.add_argument("--point", required=True)
     p_lap.set_defaults(func=cmd_laplacian)
 
-    p_th = sub.add_parser("theta", help="theta sum and transformation checks")
+    p_th = sub.add_parser("theta", help="theta lattice sum of the Gaussian")
     p_th.add_argument("--M", required=True)
     p_th.add_argument("--tau", required=True)
     p_th.add_argument("--phi", type=float, required=True)
@@ -289,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--mu", default="[[0.0]]")
     p_th.add_argument("--kappa", default="[[0.0]]")
     p_th.add_argument("--n-cut", type=int, default=10)
-    p_th.add_argument("--check", choices=("jacobi1", "jacobi2", "jacobi3", "gamma2"),
-                      default=None)
-    p_th.add_argument("--seed", type=int, default=0)
     p_th.set_defaults(func=cmd_theta)
 
     p_el = sub.add_parser("element", help="symplectic element from a generator word")

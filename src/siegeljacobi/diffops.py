@@ -27,7 +27,7 @@ from .errors import DomainError, ParameterError
 from .fields import is_batched
 from .linalg import safe_inv
 from .metrics import MetricParams, require_weight
-from .spaces import DiskPoint, JacobiDiskPoint, _Chart
+from .spaces import JacobiDiskPoint, JacobiPoint, SiegelPoint, _Chart
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,13 @@ class DerivativeTable:
 
 # -- Laplacians on the half-space models ----------------------------------------
 
+def _require_point(t: DerivativeTable, cls) -> None:
+    """DomainError unless the table was built at a point of class ``cls``."""
+    if not isinstance(t.point, cls):
+        raise DomainError(f"operator needs a table at a {cls.__name__}, "
+                          f"got one at a {type(t.point).__name__}")
+
+
 def _maass_contraction(y, block):
     return complex(np.einsum("ij,lk,kjli->", y, y, block))
 
@@ -170,6 +177,7 @@ def _maass_contraction(y, block):
 def laplacian_siegel(t: DerivativeTable, a: float = 1.0) -> complex:
     """(4/A) tr(Y t(Y d/dOmega_bar) d/dOmega) applied to the table's field at
     its SiegelPoint."""
+    _require_point(t, SiegelPoint)
     require_weight(a)
     return (4.0 / a) * _maass_contraction(t.point.omega.imag, t.block_sym_bar_sym())
 
@@ -181,6 +189,7 @@ def jacobi_laplacian_parts(t: DerivativeTable):
     Returns (part1, part2): part1 couples the omega-derivatives with the
     z-derivatives through V = Im z; part2 = tr(Y d/dZ t(d/dZ_bar)).
     """
+    _require_point(t, JacobiPoint)
     p = t.point
     y = p.omega.imag
     v = p.z.imag
@@ -208,7 +217,7 @@ def laplacian_jacobi(t: DerivativeTable, params: MetricParams = MetricParams()) 
 
 # -- Disk operators ---------------------------------------------------------------
 
-def _disk_mats(p: JacobiDiskPoint | DiskPoint):
+def _disk_mats(p: JacobiDiskPoint):
     w = p.w
     wb = np.conj(w)
     eye = np.eye(p.n)
@@ -218,6 +227,7 @@ def _disk_mats(p: JacobiDiskPoint | DiskPoint):
 def disk_eta_trace(t: DerivativeTable) -> complex:
     """S1 = tr((I - conj(W) W) d/d eta t(d/d eta_bar)) at the table's
     JacobiDiskPoint."""
+    _require_point(t, JacobiDiskPoint)
     _, _, _, q = _disk_mats(t.point)
     return complex(np.einsum("ij,kikj->", q, t.block_rect_bar_rect()))
 
@@ -232,6 +242,7 @@ def disk_w_part(t: DerivativeTable) -> complex:
     (1/A) S2 + (1/B) S1 the image of the half-space Laplacian under the
     partial Cayley transform.
     """
+    _require_point(t, JacobiDiskPoint)
     p = t.point
     w, wb, qp, q = _disk_mats(p)
     n = p.n
@@ -270,6 +281,7 @@ def laplacian_disk(t: DerivativeTable, params: MetricParams = MetricParams()) ->
 def disk_eta_entry(t: DerivativeTable, k: int, l: int) -> complex:
     """J_{kl} = sum_{ij} (I - conj(W) W)_{ij} d^2/(d etabar_{ki} d eta_{lj})
     at the table's JacobiDiskPoint (zero-based k, l)."""
+    _require_point(t, JacobiDiskPoint)
     m = t.point.m
     if not (0 <= k < m and 0 <= l < m):
         raise DomainError(f"entry ({k}, {l}) outside index range for m={m}")
@@ -304,6 +316,7 @@ def disk_eta_determinant(t: DerivativeTable) -> complex:
     differences of the table's field at its point (with an enlarged step to
     keep roundoff in check).
     """
+    _require_point(t, JacobiDiskPoint)
     f, p = t._f, t.point
     n, m = p.n, p.m
     _, _, _, q = _disk_mats(p)

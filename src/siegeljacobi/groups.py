@@ -15,7 +15,7 @@ from .errors import DimensionError, DomainError
 from .linalg import fractional_linear
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint
 
-GROUP_TOL = 1e-10
+GROUP_TOL = 1e-10      # max-norm residual of each group relation
 
 
 def symplectic_form(n: int):
@@ -57,9 +57,9 @@ class SymplecticElement:
         m = self.mat
         return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 
-    def is_valid(self, tol: float = GROUP_TOL) -> bool:
+    def is_valid(self) -> bool:
         j = symplectic_form(self.n)
-        return bool(np.max(np.abs(self.mat.T @ j @ self.mat - j)) <= tol)
+        return bool(np.max(np.abs(self.mat.T @ j @ self.mat - j)) <= GROUP_TOL)
 
     def multiply(self, other: "SymplecticElement") -> "SymplecticElement":
         if self.n != other.n:
@@ -116,9 +116,9 @@ class HeisenbergElement:
     def n(self) -> int:
         return self.lam.shape[1]
 
-    def is_valid(self, tol: float = GROUP_TOL) -> bool:
+    def is_valid(self) -> bool:
         s = self.kappa + self.mu @ self.lam.T
-        return bool(np.max(np.abs(s - s.T)) <= tol)
+        return bool(np.max(np.abs(s - s.T)) <= GROUP_TOL)
 
     def multiply(self, other: "HeisenbergElement") -> "HeisenbergElement":
         if (self.m, self.n) != (other.m, other.n):
@@ -181,8 +181,8 @@ class JacobiGroupElement:
     def m(self) -> int:
         return self.h.m
 
-    def is_valid(self, tol: float = GROUP_TOL) -> bool:
-        return self.sp.is_valid(tol) and self.h.is_valid(tol)
+    def is_valid(self) -> bool:
+        return self.sp.is_valid() and self.h.is_valid()
 
     def multiply(self, other: "JacobiGroupElement") -> "JacobiGroupElement":
         if (self.n, self.m) != (other.n, other.m):
@@ -252,13 +252,13 @@ class StarGroupElement:
         """(P, Q, conj(Q), conj(P)), laid out as ``SymplecticElement.blocks``."""
         return self.p, self.q, self.q.conj(), self.p.conj()
 
-    def is_valid(self, tol: float = GROUP_TOL) -> bool:
+    def is_valid(self) -> bool:
         n = self.n
         r1 = self.p.T @ self.p.conj() - self.q.conj().T @ self.q - np.eye(n)
         r2 = self.p.T @ self.q.conj() - self.q.conj().T @ self.p
         zeta = 1j * self.kappa + self.xi.conj() @ self.xi.T
         r3 = zeta - zeta.T
-        return bool(max(np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(r3))) <= tol)
+        return bool(max(np.max(np.abs(r)) for r in (r1, r2, r3)) <= GROUP_TOL)
 
     def multiply(self, other: "StarGroupElement") -> "StarGroupElement":
         if (self.n, self.m) != (other.n, other.m):
@@ -420,15 +420,19 @@ def random_element(seed, kind: str, n: int = 1, m: int = 1, max_word: int = 6):
     raise DomainError(f"unknown element kind {kind!r}")
 
 
+# a word of degree n is a 2n x 2n matrix: 16,384 entries at the bound
+MAX_DEGREE = 64
+
+
 def parse_generator_word(word: str, n: int) -> SymplecticElement:
     """Build a symplectic element from a word like ``t(0.5);g(1.2);s``.
 
     ``t(x)`` translates by x * (ones symmetric), ``g(x)`` dilates by
     I + x * ones / n, and ``s`` is the inversion; terms compose left to right.
-    The degree n is at least 1.
+    The degree n is at least 1 and at most MAX_DEGREE.
     """
-    if n < 1:
-        raise DomainError("degree must be at least 1")
+    if not 1 <= n <= MAX_DEGREE:
+        raise DomainError(f"degree must be between 1 and {MAX_DEGREE}, got {n}")
     g = SymplecticElement.identity(n)
     for raw in word.split(";"):
         tok = raw.strip()

@@ -6,35 +6,21 @@ The JSON wire format for a matrix is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 
 COND_LIMIT = 1e12
+# every validity test compares within ABS_TOL + REL_TOL * max(|a|, |b|), and
+# a positive definite matrix has its smallest eigenvalue above ABS_TOL
+ABS_TOL = 1e-10
+REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Combined absolute/relative comparison thresholds."""
-
-    abs: float = 1e-10
-    rel: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs < 0 or self.rel < 0:
-            raise DomainError("tolerances must be nonnegative")
-
-    def close(self, a, b):
-        """|a - b| <= abs + rel * max(|a|, |b|), entrywise for arrays."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        bound = self.abs + self.rel * np.maximum(np.abs(a), np.abs(b))
-        return bool(np.all(np.abs(a - b) <= bound))
-
-
-DEFAULT_TOL = Tolerance()
+def _close(a, b) -> bool:
+    """|a - b| <= ABS_TOL + REL_TOL * max(|a|, |b|), entrywise."""
+    bound = ABS_TOL + REL_TOL * np.maximum(np.abs(a), np.abs(b))
+    return bool(np.all(np.abs(a - b) <= bound))
 
 
 def as_complex_matrix(a):
@@ -53,15 +39,15 @@ def require_square(a, what="matrix"):
     return a
 
 
-def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff max |A_ij - A_ji| is within tol."""
+def is_symmetric(a) -> bool:
+    """True iff every A_ij is close to A_ji."""
     a = require_square(a)
-    return tol.close(a, a.T)
+    return _close(a, a.T)
 
 
-def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_hermitian(a) -> bool:
     a = require_square(a)
-    return tol.close(a, a.conj().T)
+    return _close(a, a.conj().T)
 
 
 def _square_stack(a, what="matrix"):
@@ -85,16 +71,16 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
-def is_positive_definite(s, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue of Hermitian ``s`` exceeds tol.abs.
+def is_positive_definite(s) -> bool:
+    """True iff the smallest eigenvalue of Hermitian ``s`` exceeds ABS_TOL.
 
     Boundary points are rejected: the spaces here are built on open cones.
     """
     s = require_square(s)
-    if not is_hermitian(s, tol):
+    if not is_hermitian(s):
         raise DomainError("positivity test requires a Hermitian matrix")
     eigs = np.linalg.eigvalsh(hermitize(s))
-    return bool(eigs[0] > tol.abs)
+    return bool(eigs[0] > ABS_TOL)
 
 
 def cholesky(s):
@@ -156,13 +142,13 @@ def principal_sqrt_log(s):
     eigenbasis.
 
     Both outputs are symmetric; a spectrum outside [0, 1) (within
-    DEFAULT_TOL) signals an invalid cross-ratio and raises DomainError.
+    ABS_TOL) signals an invalid cross-ratio and raises DomainError.
     """
     s = require_square(s)
-    if not is_symmetric(s) or np.max(np.abs(s.imag)) > DEFAULT_TOL.abs:
+    if not is_symmetric(s) or np.max(np.abs(s.imag)) > ABS_TOL:
         raise DomainError("principal_sqrt_log expects a real symmetric matrix")
     w, q = np.linalg.eigh(symmetrize(s).real)
-    if w[0] < -DEFAULT_TOL.abs or w[-1] >= 1.0 - 1e-14:
+    if w[0] < -ABS_TOL or w[-1] >= 1.0 - 1e-14:
         raise DomainError(f"eigenvalues {w} not inside [0, 1)")
     w = np.clip(w, 0.0, None)
     root = np.sqrt(w)

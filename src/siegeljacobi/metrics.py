@@ -168,21 +168,17 @@ def map_differential(fn, p, t: TangentVector) -> TangentVector:
     return TangentVector(*diffs) if len(diffs) == 2 else TangentVector.omega_only(diffs[0])
 
 
-def pushforward(g, p, t: TangentVector, mode: str = "exact") -> TangentVector:
+def pushforward(g, p, t: TangentVector) -> TangentVector:
     """Differential of the group action at p applied to t.
 
-    Exact mode covers the half-space action of the symplectic group, where
-    dOmega maps to t((C omega + D)^{-1}) dOmega (C omega + D)^{-1}; all other
-    actions use the central-difference mode (``map_differential``).
+    The half-space action of the symplectic group has the exact form
+    dOmega -> t((C omega + D)^{-1}) dOmega (C omega + D)^{-1}; every other
+    action goes through ``map_differential``.
     """
-    if mode == "exact":
-        if not (isinstance(g, groups.SymplecticElement) and isinstance(p, SiegelPoint)):
-            raise DomainError("exact pushforward is only available for the half-space action")
+    if isinstance(g, groups.SymplecticElement) and isinstance(p, SiegelPoint):
         _, _, c, d = g.blocks()
         denom_inv = safe_inv(c @ p.omega + d)
         return TangentVector.omega_only(denom_inv.T @ t.d_omega @ denom_inv, m=t.m)
-    if mode != "fd":
-        raise DomainError(f"unknown pushforward mode {mode!r}")
     return map_differential(lambda q: groups.act(g, q), p, t)
 
 

@@ -29,14 +29,13 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError
-from .linalg import DEFAULT_TOL, Tolerance
 
 
-def _prepare_symmetric(a, tol: Tolerance, what: str):
+def _prepare_symmetric(a, what: str):
     a = linalg.require_square(a, what)
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{what} has non-finite entries")
-    if not linalg.is_symmetric(a, tol):
+    if not linalg.is_symmetric(a):
         raise DomainError(f"{what} is not symmetric within tolerance")
     return linalg.symmetrize(a)
 
@@ -55,11 +54,11 @@ class _Point:
             fields[name] = a if a.ndim > 2 else linalg.as_complex_matrix(a)
 
     @classmethod
-    def create(cls, *parts, tol: Tolerance = DEFAULT_TOL):
+    def create(cls, *parts):
         names = list(cls.__dataclass_fields__)
         if len(parts) != len(names):
             raise TypeError(f"{cls.__name__}.create takes the parts {names}")
-        sym = _prepare_symmetric(parts[0], tol, names[0])
+        sym = _prepare_symmetric(parts[0], names[0])
         rest = [linalg.as_complex_matrix(a) for a in parts[1:]]
         for name, a in zip(names[1:], rest):
             if not np.all(np.isfinite(a)):
@@ -68,7 +67,7 @@ class _Point:
                 raise DimensionError(f"{name} has {a.shape[1]} columns, "
                                      f"{names[0]} degree {sym.shape[0]}")
         p = cls(sym, *rest)
-        if not p.is_valid(tol):
+        if not p.is_valid():
             raise DomainError(cls._not_positive)
         return p
 
@@ -89,13 +88,13 @@ class _Point:
         parts = self.parts()
         return parts[1].shape[-2] if len(parts) > 1 else 0
 
-    def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_valid(self) -> bool:
         sym, *rest = self.parts()
         if any(a.shape[1] != sym.shape[0] for a in rest):
             return False
-        if not linalg.is_symmetric(sym, tol):
+        if not linalg.is_symmetric(sym):
             return False
-        return linalg.is_positive_definite(self._positive(), tol)
+        return linalg.is_positive_definite(self._positive())
 
     def to_json(self) -> dict:
         return {name: linalg.matrix_to_json(getattr(self, name))
@@ -192,7 +191,8 @@ class TangentVector:
 
 
 def validate(point) -> bool:
-    """True iff all type invariants of the point hold within DEFAULT_TOL."""
+    """True iff all type invariants of the point hold within the fixed
+    tolerances of ``linalg`` (ABS_TOL, REL_TOL)."""
     if isinstance(point, _Point):
         return point.is_valid()
     raise DomainError(f"not a point type: {type(point)!r}")

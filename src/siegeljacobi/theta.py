@@ -16,14 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, DimensionError, DomainError, NumericError
-from .groups import HeisenbergElement, SymplecticElement
+from .groups import HeisenbergElement, SymplecticElement, dilation, inversion, translation
 
 TWO_PI = 2.0 * np.pi
+# nodes of one oscillatory kernel evaluation, and points of one truncated lattice
+MAX_NODES = 1 << 22
 
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Index matrix, lattice truncation radius, quadrature grid settings."""
+    """Index matrix, lattice truncation radius, quadrature grid settings; the
+    truncated lattice has at most MAX_NODES points."""
 
     m_mat: np.ndarray
     n: int = 1
@@ -45,6 +48,9 @@ class ThetaContext:
         if abs(ratio - round(ratio)) > 1e-9:
             raise DomainError("extent / step must be an integer")
         object.__setattr__(self, "m_mat", m_mat)
+        if (2 * self.n_cut + 1) ** self.dim > MAX_NODES:
+            raise DomainError(f"truncation radius n_cut = {self.n_cut} gives more than "
+                              f"{MAX_NODES} lattice points at mn = {self.dim}")
 
     @property
     def m(self) -> int:
@@ -195,35 +201,12 @@ def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 2
 
 def weil_generator_action(gen, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     """Action of a generator tagged as ('t', b, t0), ('g', alpha, t0) or
-    ('sigma', t0); a Heisenberg element acts by ``schrodinger_action``."""
-    tag = gen[0]
-    if tag == "t":
-        _, b, t0 = gen
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        if b.shape != (ctx.n, ctx.n) or np.max(np.abs(b - b.T)) > 1e-12:
-            raise DomainError("translation block must be symmetric n x n")
-
-        def fn(pts):
-            quad = np.einsum("ab,...bc,cd,...ad->...", ctx.m_mat, pts, b, pts)
-            return t0 * np.exp(1j * np.pi * quad) * f.eval_fn(pts)
-
-        return GridFunction(ctx, fn)
-    if tag == "g":
-        _, alpha, t0 = gen
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-        if alpha.shape != (ctx.n, ctx.n) or abs(np.linalg.det(alpha)) < 1e-12:
-            raise DomainError("dilation block must be invertible n x n")
-        scale = abs(np.linalg.det(alpha)) ** (ctx.m / 2.0)
-
-        def fn(pts):
-            return t0 * scale * f.eval_fn(pts @ alpha.T)
-
-        return GridFunction(ctx, fn)
-    if tag == "sigma":
-        # the Fourier generator is the matrix kernel at S = K(pi / 2)
-        out = weil_matrix_action(np.array([[0.0, -1.0], [1.0, 0.0]]), f, ctx)
-        return GridFunction(ctx, lambda pts: gen[1] * out.eval_fn(pts))
-    raise DomainError(f"unknown generator tag {tag!r}")
+    ('sigma', t0) at n = 1: t0 times the matrix kernel at the generator's
+    symplectic matrix, [[1, b], [0, 1]], [[alpha, 0], [0, 1/alpha]] or
+    S = K(pi / 2). A Heisenberg element acts by ``schrodinger_action``."""
+    out = weil_matrix_action(symplectic_of_generator(gen, ctx).mat, f, ctx)
+    t0 = gen[-1]
+    return GridFunction(ctx, lambda pts: t0 * out.eval_fn(pts))
 
 
 def conjugate_heisenberg(g: SymplecticElement, h: HeisenbergElement) -> HeisenbergElement:
@@ -232,15 +215,23 @@ def conjugate_heisenberg(g: SymplecticElement, h: HeisenbergElement) -> Heisenbe
 
 
 def symplectic_of_generator(gen, ctx: ThetaContext) -> SymplecticElement:
-    from .groups import dilation, inversion, translation
+    """The symplectic element of a generator of ``weil_generator_action``;
+    the generators are defined at n = 1 only."""
+    if ctx.n != 1:
+        raise DimensionError(f"Weil generators are defined at n = 1, not n = {ctx.n}")
     tag = gen[0]
-    if tag == "t":
-        return translation(np.atleast_2d(np.asarray(gen[1], dtype=float)))
-    if tag == "g":
-        return dilation(np.atleast_2d(np.asarray(gen[1], dtype=float)))
     if tag == "sigma":
         return inversion(ctx.n)
-    raise DomainError(f"generator {tag!r} has no symplectic part")
+    if tag not in ("t", "g"):
+        raise DomainError(f"unknown generator tag {tag!r}")
+    block = np.atleast_2d(np.asarray(gen[1], dtype=float))
+    if tag == "t":
+        if block.shape != (ctx.n, ctx.n):    # every 1 x 1 block is symmetric
+            raise DomainError("translation block must be symmetric n x n")
+        return translation(block)
+    if block.shape != (ctx.n, ctx.n) or abs(np.linalg.det(block)) < 1e-12:
+        raise DomainError("dilation block must be invertible n x n")
+    return dilation(block)
 
 
 def stone_von_neumann_residual(gen, h: HeisenbergElement, f: GridFunction,
@@ -337,7 +328,6 @@ def cocycle(m1, m2, m: int, n: int) -> complex:
 # -- Angular kernel and theta sums ---------------------------------------------------
 
 PHI_GUARD = 1e-6
-MAX_NODES = 1 << 22     # quadrature nodes of one oscillatory kernel evaluation
 
 
 def _angular_kernel(f: GridFunction, ctx: ThetaContext, phi: float):

@@ -164,6 +164,8 @@ def test_non_finite_point_is_usage_error():
      "domega"),
     (["element", "--word", "s", "--n", "0"], "degree"),
     (["element", "--word", "s", "--n", "-1"], "degree"),
+    (["element", "--word", "t(1)", "--n", "100000"], "degree"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "0", "--n-cut", "100000000"], "n_cut"),
 ])
 def test_non_finite_or_mismatched_number_is_usage_error(args, named):
     code, out, err = run_cli(args)

@@ -137,6 +137,20 @@ def test_disk_operator_rejects_unknown_names_and_entries():
         diffops.disk_eta_entry(t, 1, 0)
 
 
+def test_operators_reject_a_table_at_another_point_class():
+    jp = spaces.JacobiPoint.create(np.array([[0.3 + 1.2j]]), np.array([[0.1 + 0.4j]]))
+    table = DerivativeTable(lambda q: q.omega[0, 0].imag ** 1.7 * q.z[0, 0].real, jp)
+    with pytest.raises(DomainError, match="SiegelPoint, got one at a JacobiPoint"):
+        diffops.laplacian_siegel(table)
+    dp = spaces.DiskPoint.create(np.array([[0.3 + 0.1j]]))
+    disk_table = DerivativeTable(lambda q: abs(q.w[0, 0]) ** 2, dp)
+    for op in ("s1", "s2", "s3", "j:0,0"):
+        with pytest.raises(DomainError, match="JacobiDiskPoint, got one at a DiskPoint"):
+            diffops.disk_operator(disk_table, op)
+    with pytest.raises(DomainError, match="JacobiPoint, got one at a DiskPoint"):
+        diffops.laplacian_jacobi(disk_table)
+
+
 def test_s3_determinant_structure_degree_two():
     rng = np.random.default_rng(17)
     pd = sampling.random_jacobi_disk_point(2, 1, rng, radius=0.3)

@@ -83,7 +83,7 @@ def test_symplectic_closure():
     rng = np.random.default_rng(2)
     for _ in range(30):
         g = groups.random_symplectic(3, rng, 6)
-        assert g.is_valid(1e-10)
+        assert g.is_valid()
 
 
 def test_act_siegel_examples():

@@ -7,18 +7,12 @@ from siegeljacobi import linalg
 from siegeljacobi.errors import DimensionError, DomainError, NumericError
 
 
-def test_tolerance_defaults():
-    tol = linalg.Tolerance()
-    assert tol.abs == 1e-10 and tol.rel == 1e-10
-    assert tol.close(1.0, 1.0 + 5e-11)
-    assert not tol.close(1.0, 1.0 + 5e-9)
-    with pytest.raises(DomainError):
-        linalg.Tolerance(abs=-1.0)
-
-
 def test_is_symmetric_examples():
     assert linalg.is_symmetric(np.eye(2))
     assert not linalg.is_symmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    # |a - b| <= 1e-10 + 1e-10 max(|a|, |b|)
+    assert linalg.is_symmetric(np.array([[1.0, 1.0], [1.0 + 5e-11, 1.0]]))
+    assert not linalg.is_symmetric(np.array([[1.0, 1.0], [1.0 + 5e-9, 1.0]]))
     with pytest.raises(DimensionError):
         linalg.is_symmetric(np.ones((2, 3)))
 

@@ -96,16 +96,16 @@ def test_invariance_exact_and_fd():
         g = groups.random_jacobi(n, m, rng, 3)
         base = metrics.jacobi_metric(p, t1, t2, params)
         moved = metrics.jacobi_metric(groups.act_jacobi(g, p),
-                                      metrics.pushforward(g, p, t1, "fd"),
-                                      metrics.pushforward(g, p, t2, "fd"), params)
+                                      metrics.pushforward(g, p, t1),
+                                      metrics.pushforward(g, p, t2), params)
         assert abs(base - moved) <= 1e-5 * max(1.0, abs(base))
         ps = p.siegel_part()
         mat = groups.random_symplectic(n, rng, 4)
         ts = TangentVector.omega_only(t1.d_omega)
         base_s = metrics.siegel_metric(ps, ts, ts, 1.0)
         moved_s = metrics.siegel_metric(groups.act_siegel(mat, ps),
-                                        metrics.pushforward(mat, ps, ts, "exact"),
-                                        metrics.pushforward(mat, ps, ts, "exact"), 1.0)
+                                        metrics.pushforward(mat, ps, ts),
+                                        metrics.pushforward(mat, ps, ts), 1.0)
         assert abs(base_s - moved_s) <= 1e-9 * max(1.0, abs(base_s))
 
 
@@ -114,17 +114,14 @@ def test_pushforward_modes_agree_and_linear():
     p = sampling.random_siegel_point(2, rng)
     mat = groups.random_symplectic(2, rng, 4)
     t = TangentVector.omega_only(sampling.random_tangent(2, 0, rng).d_omega)
-    exact = metrics.pushforward(mat, p, t, "exact")
-    fd = metrics.pushforward(mat, p, t, "fd")
+    exact = metrics.pushforward(mat, p, t)
+    fd = metrics.map_differential(lambda q: groups.act_siegel(mat, q), p, t)
     assert np.max(np.abs(exact.d_omega - fd.d_omega)) < 1e-6
-    doubled = metrics.pushforward(mat, p, t.scale(2.0), "exact")
+    doubled = metrics.pushforward(mat, p, t.scale(2.0))
     assert np.max(np.abs(doubled.d_omega - 2.0 * exact.d_omega)) < 1e-12
     ident = groups.SymplecticElement.identity(2)
-    fixed = metrics.pushforward(ident, p, t, "exact")
+    fixed = metrics.pushforward(ident, p, t)
     assert np.max(np.abs(fixed.d_omega - t.d_omega)) < 1e-14
-    with pytest.raises(DomainError):
-        metrics.pushforward(groups.random_jacobi(2, 1, rng),
-                            sampling.random_jacobi_point(2, 1, rng), t, "exact")
 
 
 def test_volume_density():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import theta as th
-from siegeljacobi.errors import DomainError, NumericError
+from siegeljacobi.errors import DimensionError, DomainError, NumericError
 from siegeljacobi.groups import HeisenbergElement
 
 
@@ -22,6 +22,10 @@ def test_context_validation():
         th.ThetaContext(np.array([[-1.0]]))
     with pytest.raises(DomainError):
         th.ThetaContext(np.array([[1.0]]), n_cut=0)
+    # the truncated lattice has (2 n_cut + 1)^mn points, at most MAX_NODES
+    th.ThetaContext(np.eye(2), n_cut=1023)
+    with pytest.raises(DomainError, match="n_cut"):
+        th.ThetaContext(np.eye(2), n_cut=1024)
 
 
 def test_schrodinger_examples(ctx):
@@ -63,6 +67,19 @@ def test_weil_generator_examples(ctx):
     # Fourier generator fixes the matched Gaussian
     out3 = th.weil_generator_action(("sigma", 1.0), f, ctx)
     assert np.max(np.abs(out3.eval_fn(pts) - f.eval_fn(pts))) < 1e-10
+
+
+def test_weil_generator_guards(ctx):
+    f = th.gaussian(ctx)
+    with pytest.raises(DomainError, match="invertible"):
+        th.weil_generator_action(("g", np.array([[0.0]]), 1.0), f, ctx)
+    with pytest.raises(DomainError, match="symmetric"):
+        th.weil_generator_action(("t", np.eye(2), 1.0), f, ctx)
+    with pytest.raises(DomainError, match="unknown generator"):
+        th.weil_generator_action(("h", 1.0), f, ctx)
+    ctx2 = th.ThetaContext(np.array([[1.0]]), n=2, n_cut=4)
+    with pytest.raises(DimensionError):
+        th.weil_generator_action(("t", np.zeros((2, 2)), 1.0), th.gaussian(ctx2), ctx2)
 
 
 def test_sigma_self_dual_for_general_index():
