@@ -7,12 +7,19 @@ from siegeljacobi import linalg
 from siegeljacobi.errors import DimensionError, DomainError, NumericError
 
 
-def test_is_symmetric_examples():
-    assert linalg.is_symmetric(np.eye(2))
-    assert not linalg.is_symmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+def test_tolerance_defaults():
+    assert linalg.ABS_TOL == 1e-10 and linalg.REL_TOL == 1e-10
     # |a - b| <= 1e-10 + 1e-10 max(|a|, |b|)
     assert linalg.is_symmetric(np.array([[1.0, 1.0], [1.0 + 5e-11, 1.0]]))
     assert not linalg.is_symmetric(np.array([[1.0, 1.0], [1.0 + 5e-9, 1.0]]))
+    # positive definite means smallest eigenvalue above ABS_TOL
+    assert linalg.is_positive_definite(np.diag([1.0, 2e-10]))
+    assert not linalg.is_positive_definite(np.diag([1.0, 5e-11]))
+
+
+def test_is_symmetric_examples():
+    assert linalg.is_symmetric(np.eye(2))
+    assert not linalg.is_symmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(DimensionError):
         linalg.is_symmetric(np.ones((2, 3)))
 
