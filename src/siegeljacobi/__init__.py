@@ -4,7 +4,7 @@ distance, Jacobi-form machinery, and Schrodinger-Weil theta sums."""
 
 from .errors import (AccuracyError, ConvergenceError, DimensionError, DomainError,
                      NumericError, ParameterError)
-from .linalg import is_positive_definite, is_symmetric, principal_sqrt_log
+from .linalg import is_positive_definite, is_symmetric
 from .spaces import (DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint,
                      TangentVector, validate)
 from .groups import (HeisenbergElement, JacobiGroupElement, StarGroupElement,

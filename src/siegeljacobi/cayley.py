@@ -19,28 +19,28 @@ TO_HALF = (1j, 1j, -1.0, 1.0)    # [[iI, iI], [-I, I]]
 TO_DISK = (1.0, -1j, 1.0, 1j)    # [[I, -iI], [I, iI]]
 
 
-def _blocks(scalars, n: int):
+def blocks(scalars, n: int):
     return [s * np.eye(n) for s in scalars]
 
 
 def cayley(p: DiskPoint) -> SiegelPoint:
     """W -> i (I + W)(I - W)^{-1}."""
-    return SiegelPoint(*fractional_linear(*_blocks(TO_HALF, p.n), p.w))
+    return SiegelPoint(*fractional_linear(*blocks(TO_HALF, p.n), p.w))
 
 
 def cayley_inverse(p: SiegelPoint) -> DiskPoint:
     """omega -> (omega - iI)(omega + iI)^{-1}."""
-    return DiskPoint(*fractional_linear(*_blocks(TO_DISK, p.n), p.omega))
+    return DiskPoint(*fractional_linear(*blocks(TO_DISK, p.n), p.omega))
 
 
 def partial_cayley(p: JacobiDiskPoint) -> JacobiPoint:
     """(W, eta) -> (i (I + W)(I - W)^{-1}, 2 i eta (I - W)^{-1})."""
-    return JacobiPoint(*fractional_linear(*_blocks(TO_HALF, p.n), p.w, 2j * p.eta))
+    return JacobiPoint(*fractional_linear(*blocks(TO_HALF, p.n), p.w, 2j * p.eta))
 
 
 def partial_cayley_inverse(p: JacobiPoint) -> JacobiDiskPoint:
     """(omega, z) -> ((omega - iI)(omega + iI)^{-1}, z (omega + iI)^{-1})."""
-    return JacobiDiskPoint(*fractional_linear(*_blocks(TO_DISK, p.n), p.omega, p.z))
+    return JacobiDiskPoint(*fractional_linear(*blocks(TO_DISK, p.n), p.omega, p.z))
 
 
 def to_disk(p):

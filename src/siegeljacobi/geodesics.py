@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .linalg import safe_solve
+from .linalg import cholesky, safe_solve
 from .spaces import SiegelPoint
 
 EIG_IMAG_TOL = 1e-9
@@ -36,10 +36,19 @@ def cross_ratio_eigenvalues(p0: SiegelPoint, p1: SiegelPoint):
 def siegel_distance(p0: SiegelPoint, p1: SiegelPoint) -> float:
     """Geodesic length for the weight-1 invariant metric:
     rho^2 = sum_k log((1 + sqrt(r_k)) / (1 - sqrt(r_k)))^2 over the
-    cross-ratio eigenvalues r_k."""
-    vals = cross_ratio_eigenvalues(p0, p1)
-    roots = np.sqrt(vals)
-    return float(np.sqrt(np.sum(np.log((1.0 + roots) / (1.0 - roots)) ** 2)))
+    cross-ratio eigenvalues r_k. With Im O0 = L tL and
+    M = (O0 - conj(O1))^{-1} L, sqrt(r_k) are the singular values of the
+    disk image L^{-1}(O0 - O1) conj(M) of p1 once p0 is moved to iI, and
+    1 - r_k the eigenvalues of 4 M^H Im(O1) M: no subtraction cancels."""
+    o0, o1 = p0.omega, p1.omega
+    low = cholesky(o0.imag)
+    m = safe_solve(o0 - o1.conj(), low)
+    sigma = np.sort(np.linalg.svd(safe_solve(low, (o0 - o1) @ m.conj()), compute_uv=False))
+    one_minus_r = np.linalg.eigvalsh(4.0 * m.conj().T @ o1.imag @ m)[::-1]
+    # log((1 + s) / (1 - s)), taken where neither side cancels
+    terms = np.where(sigma < 0.7, 2.0 * np.arctanh(np.minimum(sigma, 0.7)),
+                     2.0 * np.log1p(sigma) - np.log(one_minus_r))
+    return float(np.sqrt(np.sum(terms**2)))
 
 
 def siegel_distance_series(p0: SiegelPoint, p1: SiegelPoint) -> float:

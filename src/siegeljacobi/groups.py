@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError
-from .linalg import fractional_linear
+from .linalg import fractional_linear, fractional_linear_differential
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint
 
 GROUP_TOL = 1e-10      # max-norm residual of each group relation
@@ -181,6 +181,9 @@ class JacobiGroupElement:
     def m(self) -> int:
         return self.h.m
 
+    def blocks(self):
+        return self.sp.blocks()
+
     def is_valid(self) -> bool:
         return self.sp.is_valid() and self.h.is_valid()
 
@@ -290,47 +293,65 @@ def embed_star(g: JacobiGroupElement) -> StarGroupElement:
 
 # -- Actions ------------------------------------------------------------------
 
+# point type -> (element type, the (L, K) of its action on a Jacobi space)
+_ACTIONS = {SiegelPoint: (SymplecticElement, None),
+            JacobiPoint: (JacobiGroupElement, lambda g: (g.h.lam, g.h.mu)),
+            DiskPoint: (StarGroupElement, None),
+            JacobiDiskPoint: (StarGroupElement, lambda g: (g.xi, g.xi.conj()))}
+
+
+def action_map(g, p) -> tuple:
+    """The blocks (A, B, C, D) of the fractional-linear map by which g acts
+    on p's space, and (L, K) on a Jacobi space (else None)."""
+    group, shift = _ACTIONS.get(type(p), (None, None))
+    if group is None or not isinstance(g, group):
+        raise DomainError(f"no action of {type(g).__name__} on {type(p).__name__}")
+    lk = None if shift is None else shift(g)
+    if g.n != p.n or (lk is not None and g.m != p.m):
+        raise DimensionError("degree mismatch")
+    return g.blocks(), lk
+
+
+def _numerator(lk, x, z):
+    """Z + L X + K; at K = 0, its differential along (dX, dZ)."""
+    l, k = lk
+    return z + l @ x + k
+
+
+def act(g, p):
+    """The action of g on p: the fractional-linear map of ``action_map``."""
+    blocks, lk = action_map(g, p)
+    x, *z = p.parts()
+    return type(p)(*fractional_linear(*blocks, x, *(_numerator(lk, x, r) for r in z)))
+
+
+def act_differential(g, p, d_parts) -> list:
+    """The differential of g's action at p along the parts [dX] or [dX, dZ],
+    which may be stacks; the numerator's differential is dZ + L dX."""
+    blocks, lk = action_map(g, p)
+    (x, *z), (dx, *dz) = p.parts(), d_parts
+    rect = [_numerator(lk, x, z[0]), _numerator((lk[0], 0.0), dx, dz[0])] if z else []
+    return fractional_linear_differential(*blocks, x, dx, *rect)
+
+
 def act_siegel(g: SymplecticElement, p: SiegelPoint) -> SiegelPoint:
     """Fractional-linear action (A omega + B)(C omega + D)^{-1}."""
-    if g.n != p.n:
-        raise DimensionError("degree mismatch")
-    return SiegelPoint(*fractional_linear(*g.blocks(), p.omega))
+    return act(g, p)
 
 
 def act_jacobi(g: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
     """The symplectic action on omega; z -> (z + lam omega + mu)(C omega + D)^{-1}."""
-    if (g.n, g.m) != (p.n, p.m):
-        raise DimensionError("degree mismatch")
-    rect = p.z + g.h.lam @ p.omega + g.h.mu
-    return JacobiPoint(*fractional_linear(*g.sp.blocks(), p.omega, rect))
+    return act(g, p)
 
 
 def act_disk(g: StarGroupElement, p: DiskPoint) -> DiskPoint:
     """W -> (P W + Q)(conj(Q) W + conj(P))^{-1}."""
-    if g.n != p.n:
-        raise DimensionError("degree mismatch")
-    return DiskPoint(*fractional_linear(*g.blocks(), p.w))
+    return act(g, p)
 
 
 def act_jacobi_disk(g: StarGroupElement, p: JacobiDiskPoint) -> JacobiDiskPoint:
     """The disk action on W; eta -> (eta + xi W + conj(xi))(conj(Q) W + conj(P))^{-1}."""
-    if (g.n, g.m) != (p.n, p.m):
-        raise DimensionError("degree mismatch")
-    rect = p.eta + g.xi @ p.w + g.xi.conj()
-    return JacobiDiskPoint(*fractional_linear(*g.blocks(), p.w, rect))
-
-
-def act(g, p):
-    """Dispatch to the action matching the element/point types."""
-    if isinstance(g, SymplecticElement) and isinstance(p, SiegelPoint):
-        return act_siegel(g, p)
-    if isinstance(g, JacobiGroupElement) and isinstance(p, JacobiPoint):
-        return act_jacobi(g, p)
-    if isinstance(g, StarGroupElement) and isinstance(p, DiskPoint):
-        return act_disk(g, p)
-    if isinstance(g, StarGroupElement) and isinstance(p, JacobiDiskPoint):
-        return act_jacobi_disk(g, p)
-    raise DomainError(f"no action of {type(g).__name__} on {type(p).__name__}")
+    return act(g, p)
 
 
 # -- Generators and random words ----------------------------------------------

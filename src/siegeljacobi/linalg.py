@@ -118,43 +118,29 @@ def safe_solve(a, b):
     return np.linalg.solve(a, b)
 
 
-def fractional_linear(a, b, c, d, x, rect=None) -> list:
-    """The parts [sym((A X + B)(C X + D)^{-1})] of a fractional-linear map,
-    followed by R (C X + D)^{-1} when a rectangular numerator R is given.
-
-    Both come from one ``safe_solve`` of t(C X + D) against the stacked
-    t(A X + B) and t(R): one conditioning check and one factorization. X and
-    R may carry leading batch axes (a stack of points); the blocks may not.
-    """
-    def t(y):
-        return y.swapaxes(-1, -2)
-
-    num = a @ x + b
-    rhs = t(num) if rect is None else np.concatenate([t(num), t(rect)], axis=-1)
-    sol = t(safe_solve(t(c @ x + d), rhs))
+def _over_denominator(c, x, d, num, rect):
+    """[sym(num (C X + D)^{-1})], then rect (C X + D)^{-1} unless rect is None,
+    from one ``safe_solve`` (one conditioning check, one factorization)."""
+    rhs = num.mT if rect is None else np.concatenate([num.mT, rect.mT], axis=-1)
+    sol = safe_solve((c @ x + d).mT, rhs).mT
     n = x.shape[-1]
     return [symmetrize(sol[..., :n, :])] + ([] if rect is None else [sol[..., n:, :]])
 
 
-def principal_sqrt_log(s):
-    """Principal square root of a real symmetric matrix with spectrum in [0, 1),
-    together with log((I + sqrt(s)) (I - sqrt(s))^{-1}) assembled on the same
-    eigenbasis.
+def fractional_linear(a, b, c, d, x, rect=None) -> list:
+    """The parts [sym((A X + B)(C X + D)^{-1})] of a fractional-linear map,
+    followed by R (C X + D)^{-1} when a rectangular numerator R is given.
+    X and R may carry leading batch axes (a stack of points); the blocks may not."""
+    return _over_denominator(c, x, d, a @ x + b, rect)
 
-    Both outputs are symmetric; a spectrum outside [0, 1) (within
-    ABS_TOL) signals an invalid cross-ratio and raises DomainError.
-    """
-    s = require_square(s)
-    if not is_symmetric(s) or np.max(np.abs(s.imag)) > ABS_TOL:
-        raise DomainError("principal_sqrt_log expects a real symmetric matrix")
-    w, q = np.linalg.eigh(symmetrize(s).real)
-    if w[0] < -ABS_TOL or w[-1] >= 1.0 - 1e-14:
-        raise DomainError(f"eigenvalues {w} not inside [0, 1)")
-    w = np.clip(w, 0.0, None)
-    root = np.sqrt(w)
-    sqrt_s = (q * root) @ q.T
-    log_ratio = (q * np.log((1.0 + root) / (1.0 - root))) @ q.T
-    return sqrt_s, log_ratio
+
+def fractional_linear_differential(a, b, c, d, x, dx, rect=None, d_rect=None) -> list:
+    """Differential of ``fractional_linear`` along (dX, dR), with F and G the
+    map's own parts: [sym((A - F C) dX (C X + D)^{-1})], then, when R is
+    given, (dR - G C dX)(C X + D)^{-1}. X, dX, R and dR may be stacks."""
+    f, *g = fractional_linear(a, b, c, d, x, rect)
+    d_num = None if rect is None else d_rect - g[0] @ c @ dx
+    return _over_denominator(c, x, d, (a - f @ c) @ dx, d_num)
 
 
 def random_unitary(n, rng):

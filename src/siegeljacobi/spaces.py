@@ -224,25 +224,30 @@ class _Chart:
         self.coords += [(1, im, (k, l)) for k in range(m) for l in range(n) for im in (0, 1)]
         self.dim = len(self.coords)
 
-    def coord_values(self, q=None) -> np.ndarray:
-        """The real coordinates of q, by default of the chart's own point."""
-        parts = self.parts if q is None else q.parts()
-        return np.array([parts[b][pos].imag if im else parts[b][pos].real
-                         for b, im, pos in self.coords])
+    def coord_values(self, parts=None) -> np.ndarray:
+        """The real coordinates of point or tangent parts (by default the
+        chart's point); stacked parts give one column per stacked entry."""
+        parts = self.parts if parts is None else parts
+        return np.array([parts[b][..., i, j].imag if im else parts[b][..., i, j].real
+                         for b, im, (i, j) in self.coords])
+
+    def basis(self) -> list:
+        """The tangent parts along each real coordinate, stacked in coordinate
+        order: a unit entry (1 or i), mirrored on the symmetric part."""
+        parts = [np.zeros((self.dim, *a.shape), dtype=complex) for a in self.parts]
+        for k, (b, im, (i, j)) in enumerate(self.coords):
+            parts[b][k, i, j] = 1j if im else 1.0
+            if b == 0:
+                parts[b][k, j, i] = parts[b][k, i, j]
+        return parts
 
     def wirtinger_basis(self):
         """W (dim x (n^2 + mn)): column i n + j is the weighted d/dOmega_ij,
         column n^2 + k n + l is d/dz_kl, both in the real coordinates;
         conj(W) gives the barred derivatives."""
-        n = self.n
-        w = np.zeros((self.dim, n * n + self.m * n), dtype=complex)
-        for idx, (b, im, (i, j)) in enumerate(self.coords):
-            val = -0.5j if im else 0.5
-            if b == 0:
-                w[idx, i * n + j] = w[idx, j * n + i] = val * (1.0 if i == j else 0.5)
-            else:
-                w[idx, n * n + i * n + j] = val
-        return w
+        weights = [np.where(np.eye(self.n, dtype=bool), 0.5, 0.25), 0.5]
+        return np.concatenate([(w * np.conj(b)).reshape(self.dim, -1)
+                               for w, b in zip(weights, self.basis())], axis=1)
 
     def shifted(self, shifts):
         """The stack of points whose real coordinates are those of the

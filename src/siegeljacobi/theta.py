@@ -398,10 +398,8 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
 
 
 def lattice_points(ctx: ThetaContext):
-    from itertools import product as _product
-    rng = range(-ctx.n_cut, ctx.n_cut + 1)
-    pts = np.array(list(_product(rng, repeat=ctx.dim)), dtype=float)
-    return pts.reshape(-1, ctx.m, ctx.n)
+    """The integer points of the box [-n_cut, n_cut]^(mn), shape (count, m, n)."""
+    return grid_points(ctx, extent=ctx.n_cut, step=1.0)
 
 
 def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,

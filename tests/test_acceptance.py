@@ -48,8 +48,9 @@ def test_criterion_3_metric_invariance(suite_rows):
     rows = suite_rows("metrics")
     assert sum("jacobi_invariance" in r.case for r in rows) >= 50
     assert any("closed_form_11" in r.case for r in rows)
-    _report(3, "metric invariance (FD 1e-5, exact 1e-9) and the degree-(1,1) "
-               "closed form at 1e-12", rows)
+    _report(3, "metric invariance, partial Cayley isometry and volume invariance "
+               "from the exact differential, and the degree-(1,1) closed form, "
+               "all at 1e-12", rows)
 
 
 def test_criterion_4_eigenfunction_table(suite_rows):

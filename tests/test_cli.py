@@ -32,6 +32,13 @@ def test_distance_command():
     assert abs(json.loads(out)["distance"] - np.log(2.0)) < 1e-12
 
 
+def test_distance_far_points(capsys):
+    # the cross-ratio eigenvalue rounds to 1 here, yet the distance is finite
+    assert cli.main(["distance", "--p0", "i", "--p1", "1e15i"]) == 0
+    rho = json.loads(capsys.readouterr().out)["distance"]
+    assert abs(rho - np.log(1e15)) <= 1e-13 * np.log(1e15)
+
+
 def test_distance_emit_eigs():
     code, out, _ = run_cli(["distance", "--p0", "i", "--p1", "2i", "--emit-eigs"])
     assert code == 0

@@ -5,7 +5,8 @@ conditioning check."""
 import numpy as np
 import pytest
 
-from siegeljacobi import cayley, groups, linalg, sampling
+from siegeljacobi import cayley, groups, linalg, metrics, sampling
+from siegeljacobi.spaces import TangentVector
 
 DEGREES = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))
 
@@ -119,3 +120,100 @@ def test_each_map_checks_conditioning_once(case, monkeypatch):
         calls.clear()
         case(n, m, np.random.default_rng(7))
         assert calls == [(n, n)]
+
+
+# -- the differential ------------------------------------------------------------
+
+def _star(n, m, rng):
+    return groups.embed_star(groups.random_jacobi(n, m, rng))
+
+
+ACTION_PAIRS = {    # name -> (element, point), each drawn from (n, m, rng)
+    "siegel": (lambda n, m, rng: groups.random_symplectic(n, rng),
+               lambda n, m, rng: sampling.random_siegel_point(n, rng)),
+    "jacobi": (groups.random_jacobi, sampling.random_jacobi_point),
+    "disk": (_star, lambda n, m, rng: sampling.random_disk_point(n, rng)),
+    "jacobi_disk": (_star, sampling.random_jacobi_disk_point),
+}
+
+
+def _action_differential(name):
+    element, sample = ACTION_PAIRS[name]
+
+    def case(n, m, rng):
+        g = element(n, m, rng)
+        p = sample(n, m, rng)
+        t = sampling.random_tangent(n, p.m, rng)
+        exact = metrics.pushforward(g, p, t)
+        return exact, metrics.map_differential(lambda q: groups.act(g, q), p, t)
+    return case
+
+
+def _cayley_differential(n, m, rng):
+    p = sampling.random_disk_point(n, rng)
+    t = TangentVector.omega_only(sampling.random_tangent(n, 0, rng).d_omega)
+    (d_w,) = linalg.fractional_linear_differential(*cayley.blocks(cayley.TO_HALF, n), p.w, t.d_omega)
+    return TangentVector.omega_only(d_w), metrics.map_differential(cayley.cayley, p, t)
+
+
+def _partial_cayley_differential(n, m, rng):
+    p = sampling.random_jacobi_disk_point(n, m, rng)
+    t = sampling.random_tangent(n, m, rng)
+    parts = linalg.fractional_linear_differential(*cayley.blocks(cayley.TO_HALF, n), p.w,
+                                                  t.d_omega, 2j * p.eta, 2j * t.d_z)
+    return TangentVector(*parts), metrics.map_differential(cayley.partial_cayley, p, t)
+
+
+DIFFERENTIALS = [_action_differential(name) for name in ACTION_PAIRS]
+DIFFERENTIALS += [_cayley_differential, _partial_cayley_differential]
+DIFFERENTIAL_IDS = list(ACTION_PAIRS) + ["cayley", "partial_cayley"]
+
+
+@pytest.mark.parametrize("case", DIFFERENTIALS, ids=DIFFERENTIAL_IDS)
+def test_differential_matches_central_differences(case):
+    for exact, fd in _cases(case, 47, count=10):
+        assert exact.m == fd.m
+        scale = max(np.max(np.abs(exact.d_omega)), np.max(np.abs(exact.d_z), initial=0.0))
+        resid = max(np.max(np.abs(exact.d_omega - fd.d_omega)),
+                    np.max(np.abs(exact.d_z - fd.d_z), initial=0.0))
+        assert resid <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("name", ACTION_PAIRS)
+def test_differential_matches_siegel_closed_form(name):
+    # every action lies in Sp(2n, C), where the symmetric part moves as
+    # dX -> t((C X + D)^{-1}) dX (C X + D)^{-1}
+    element, sample = ACTION_PAIRS[name]
+    rng = np.random.default_rng(53)
+    for n, m in DEGREES:
+        for _ in range(10):
+            g = element(n, m, rng)
+            p = sample(n, m, rng)
+            t = sampling.random_tangent(n, p.m, rng)
+            blocks, _ = groups.action_map(g, p)
+            x = p.parts()[0]
+            inv = np.linalg.inv(blocks[2] @ x + blocks[3])
+            expected = inv.T @ t.d_omega @ inv
+            got = metrics.pushforward(g, p, t).d_omega
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_differential_of_a_stack_matches_single_points():
+    rng = np.random.default_rng(59)
+    for n, m in DEGREES:
+        g = groups.random_jacobi(n, m, rng)
+        pts = [sampling.random_jacobi_point(n, m, rng) for _ in range(5)]
+        tangents = [sampling.random_tangent(n, m, rng) for _ in range(5)]
+        a, b, c, d = g.sp.blocks()
+
+        def args(x, z, dx, dz):
+            return x, dx, z + g.h.lam @ x + g.h.mu, dz + g.h.lam @ dx
+
+        stacked = linalg.fractional_linear_differential(a, b, c, d, *args(
+            np.stack([p.omega for p in pts]), np.stack([p.z for p in pts]),
+            np.stack([t.d_omega for t in tangents]), np.stack([t.d_z for t in tangents])))
+        for k, (p, t) in enumerate(zip(pts, tangents)):
+            single = linalg.fractional_linear_differential(
+                a, b, c, d, *args(p.omega, p.z, t.d_omega, t.d_z))
+            for got, want in zip(stacked, single):
+                assert np.array_equal(got[k], want)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -99,3 +100,29 @@ def test_cross_ratio_eigenvalues_stay_in_unit_interval():
         p1 = sampling.random_siegel_point(n, rng)
         vals = geodesics.cross_ratio_eigenvalues(p0, p1)
         assert np.all(vals >= 0.0) and np.all(vals < 1.0)
+
+
+def _mp_distance(o0, o1):
+    """The cross-ratio distance of two floating-point points, at 60 digits."""
+    with mpmath.workdps(60):
+        a, b = mpmath.matrix(o0.tolist()), mpmath.matrix(o1.tolist())
+        abar, bbar = a.apply(mpmath.conj), b.apply(mpmath.conj)
+        r = (a - b) * (a - bbar) ** -1 * (abar - bbar) * (abar - b) ** -1
+        roots = [mpmath.sqrt(abs(mpmath.re(e))) for e in mpmath.eig(r)[0]]
+        return float(mpmath.sqrt(sum(mpmath.log((1 + s) / (1 - s)) ** 2 for s in roots)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_distance_against_mpmath_at_every_separation(n):
+    rng = np.random.default_rng(61 + n)
+    for sep in 10.0 ** np.arange(-12, 16, 3):
+        for _ in range(2):
+            p0 = sampling.random_siegel_point(n, rng)
+            if sep < 1.0:
+                e = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+                p1 = spaces.SiegelPoint.create(p0.omega + 0.5 * sep * (e + e.T))
+            else:
+                q = sampling.random_siegel_point(n, rng).omega
+                p1 = spaces.SiegelPoint.create(q.real + 1j * sep * q.imag)
+            expected = _mp_distance(p0.omega, p1.omega)
+            assert abs(geodesics.siegel_distance(p0, p1) - expected) <= 1e-13 * expected

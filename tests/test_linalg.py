@@ -52,34 +52,6 @@ def test_cholesky_reconstruction(n, seed):
     assert resid <= 1e-12 * np.max(np.abs(s))
 
 
-def test_principal_sqrt_log_examples():
-    zero = np.zeros((2, 2))
-    root, log_ratio = linalg.principal_sqrt_log(zero)
-    assert np.allclose(root, 0.0) and np.allclose(log_ratio, 0.0)
-    root, log_ratio = linalg.principal_sqrt_log(np.array([[0.25]]))
-    assert np.isclose(root[0, 0], 0.5)
-    assert np.isclose(log_ratio[0, 0], np.log(3.0))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31 - 1))
-def test_principal_sqrt_reconstructs(n, seed):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    d = rng.uniform(0.01, 0.95, n)
-    s = q @ np.diag(d) @ q.T
-    root, _ = linalg.principal_sqrt_log(s)
-    assert np.max(np.abs(root @ root - s)) <= 1e-10
-    assert np.max(np.abs(root - root.T)) <= 1e-12
-
-
-def test_principal_sqrt_rejects_bad_spectrum():
-    with pytest.raises(DomainError):
-        linalg.principal_sqrt_log(np.diag([0.5, 1.5]))
-    with pytest.raises(DomainError):
-        linalg.principal_sqrt_log(np.diag([-0.2, 0.5]))
-
-
 def test_safe_inv_condition_guard():
     with pytest.raises(NumericError):
         linalg.safe_inv(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from siegeljacobi import cayley, groups, metrics, sampling, spaces
+from siegeljacobi import cayley, checks, groups, linalg, metrics, sampling, spaces
 from siegeljacobi.errors import DomainError
 from siegeljacobi.metrics import MetricParams
 from siegeljacobi.spaces import TangentVector
@@ -98,7 +98,7 @@ def test_invariance_exact_and_fd():
         moved = metrics.jacobi_metric(groups.act_jacobi(g, p),
                                       metrics.pushforward(g, p, t1),
                                       metrics.pushforward(g, p, t2), params)
-        assert abs(base - moved) <= 1e-5 * max(1.0, abs(base))
+        assert abs(base - moved) <= 1e-12 * max(1.0, abs(base))
         ps = p.siegel_part()
         mat = groups.random_symplectic(n, rng, 4)
         ts = TangentVector.omega_only(t1.d_omega)
@@ -106,7 +106,7 @@ def test_invariance_exact_and_fd():
         moved_s = metrics.siegel_metric(groups.act_siegel(mat, ps),
                                         metrics.pushforward(mat, ps, ts),
                                         metrics.pushforward(mat, ps, ts), 1.0)
-        assert abs(base_s - moved_s) <= 1e-9 * max(1.0, abs(base_s))
+        assert abs(base_s - moved_s) <= 1e-12 * max(1.0, abs(base_s))
 
 
 def test_pushforward_modes_agree_and_linear():
@@ -134,9 +134,9 @@ def test_volume_density():
         n = int(rng.integers(1, 3))
         ps = sampling.random_siegel_point(n, rng)
         mat = groups.random_symplectic(n, rng, 4)
-        jac = metrics.real_jacobian_det(lambda x: groups.act_siegel(mat, x), ps)
+        jac = metrics.real_jacobian_det(mat, ps)
         lhs = metrics.volume_density(groups.act_siegel(mat, ps)) * abs(jac)
-        assert abs(lhs - metrics.volume_density(ps)) <= 1e-6 * metrics.volume_density(ps)
+        assert abs(lhs - metrics.volume_density(ps)) <= 1e-12 * metrics.volume_density(ps)
 
 
 def test_real_jacobian_det_closed_form():
@@ -149,29 +149,37 @@ def test_real_jacobian_det_closed_form():
             mat = groups.random_symplectic(n, rng, 4)
             _, _, c, d = mat.blocks()
             expected = abs(np.linalg.det(c @ ps.omega + d)) ** (-2 * (n + 1))
-            jac = metrics.real_jacobian_det(lambda x: groups.act_siegel(mat, x), ps)
-            assert jac == pytest.approx(expected, rel=1e-9)
+            jac = metrics.real_jacobian_det(mat, ps)
+            assert jac == pytest.approx(expected, rel=1e-12)
 
 
 def test_cayley_isometries():
     rng = np.random.default_rng(19)
     params = MetricParams(1.0, 1.0)
     for n, m in ((1, 1), (2, 2)):
+        half = cayley.blocks(cayley.TO_HALF, n)
         for _ in range(6):
             pd = sampling.random_jacobi_disk_point(n, m, rng)
             t1 = sampling.random_tangent(n, m, rng)
             t2 = sampling.random_tangent(n, m, rng)
             lhs = metrics.jacobi_disk_metric(pd, t1, t2, params)
-            up1 = metrics.map_differential(cayley.partial_cayley, pd, t1)
-            up2 = metrics.map_differential(cayley.partial_cayley, pd, t2)
+            up1, up2 = (TangentVector(*linalg.fractional_linear_differential(
+                *half, pd.w, t.d_omega, 2j * pd.eta, 2j * t.d_z)) for t in (t1, t2))
             rhs = metrics.jacobi_metric(cayley.partial_cayley(pd), up1, up2, params)
-            assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
             d = pd.disk_part()
             td = TangentVector.omega_only(t1.d_omega)
             lhs_d = metrics.disk_metric(d, td, td, 1.0)
-            ud = metrics.map_differential(cayley.cayley, d, td)
+            ud = TangentVector.omega_only(
+                linalg.fractional_linear_differential(*half, d.w, td.d_omega)[0])
             rhs_d = metrics.siegel_metric(cayley.cayley(d), ud, ud, 1.0)
-            assert abs(lhs_d - rhs_d) <= 1e-6 * max(1.0, abs(rhs_d))
+            assert abs(lhs_d - rhs_d) <= 1e-12 * max(1.0, abs(rhs_d))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_metrics_suite_passes(seed):
+    rows = checks.run_suite("metrics", seed=seed)
+    assert rows and all(r.passed for r in rows)
 
 
 def test_metric_params_validation():
