@@ -1,13 +1,13 @@
 """Command-line interface: JSON/CSV front end over the library.
 
-Exit codes: 0 success, 1 numerical failure (tolerance breach), 2 usage or
-input error. Output is deterministic for fixed flags and seed.
+Exit codes: 0 success, 1 numerical failure (a tolerance breach, or an accuracy
+that a quadrature or truncation cannot reach), 2 usage or input error. Output
+is deterministic for fixed flags and seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from . import cayley, checks, diffops, fields, geodesics, linalg
 from . import metrics, reduction, spaces, theta
 from .diffops import DerivativeTable
-from .errors import ConvergenceError, DimensionError, DomainError, NumericError
+from .errors import AccuracyError, ConvergenceError, DimensionError, DomainError, NumericError
 from .groups import HeisenbergElement
 from .metrics import MetricParams
 from .spaces import TangentVector
@@ -23,28 +23,16 @@ from .spaces import TangentVector
 USAGE_ERROR = 2
 NUMERIC_FAILURE = 1
 
-_SCALAR_RE = re.compile(r"^([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)?([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)i$")
-
 
 def parse_scalar_complex(text: str) -> complex:
-    """Accepts 'a,b', 'i', '2i', 'a+bi' and plain real literals."""
+    """Accepts 'a,b', 'i', '2i', 'a+bi' and plain real literals: a text ending
+    in i is read as Python's complex literal with j for i."""
     text = text.strip()
     if "," in text:
         re_part, im_part = text.split(",")
         return complex(float(re_part), float(im_part))
     if text.endswith("i"):
-        if text in ("i", "+i"):
-            return 1j
-        if text == "-i":
-            return -1j
-        match = _SCALAR_RE.match(text)
-        if match:
-            re_s, im_s = match.groups()
-            im_s = im_s or ""
-            if re_s and im_s:
-                return complex(float(re_s), float(im_s if im_s not in "+-" else im_s + "1"))
-            return complex(0.0, float(re_s or "1"))
-        raise ValueError(f"cannot parse complex literal {text!r}")
+        return complex(text[:-1] + "j")
     return complex(float(text), 0.0)
 
 
@@ -133,7 +121,7 @@ def cmd_distance(args) -> int:
     rho = geodesics.siegel_distance(p0, p1)
     if args.emit_eigs:
         eigs = geodesics.cross_ratio_eigenvalues(p0, p1)
-        sys.stdout.write("eigenvalue\n" + "".join(f"{x!r}\n" for x in eigs))
+        sys.stdout.write("eigenvalue\n" + "".join(f"{float(x)!r}\n" for x in eigs))
     _emit({"distance": rho})
     return 0
 
@@ -304,7 +292,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ArithmeticError, ConvergenceError) as exc:
+    except (ArithmeticError, AccuracyError, ConvergenceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC_FAILURE
 

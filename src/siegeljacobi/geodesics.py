@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .linalg import cholesky, safe_solve
 from .spaces import SiegelPoint
-
-EIG_IMAG_TOL = 1e-9
 
 
 def cross_ratio(p0: SiegelPoint, p1: SiegelPoint):
@@ -20,31 +18,29 @@ def cross_ratio(p0: SiegelPoint, p1: SiegelPoint):
     return a @ b
 
 
+def _disk_image(p0: SiegelPoint, p1: SiegelPoint):
+    """sigma, ascending, and M = (O0 - conj(O1))^{-1} L with Im O0 = L tL:
+    sigma are the singular values of the disk image L^{-1}(O0 - O1) conj(M)
+    of p1 once p0 is moved to iI, and sigma^2 the cross-ratio eigenvalues."""
+    o0, o1 = p0.omega, p1.omega
+    low = cholesky(o0.imag)
+    m = safe_solve(o0 - o1.conj(), low)
+    return np.sort(np.linalg.svd(safe_solve(low, (o0 - o1) @ m.conj()), compute_uv=False)), m
+
+
 def cross_ratio_eigenvalues(p0: SiegelPoint, p1: SiegelPoint):
-    """Eigenvalues of the cross-ratio matrix, checked real and inside [0, 1)."""
-    r = cross_ratio(p0, p1)
-    eigs = np.linalg.eigvals(r)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.max(np.abs(eigs.imag)) > EIG_IMAG_TOL * scale:
-        raise NumericError(f"cross-ratio spectrum not real: {eigs}")
-    vals = eigs.real
-    if np.min(vals) < -EIG_IMAG_TOL or np.max(vals) >= 1.0 - 1e-14:
-        raise NumericError(f"cross-ratio eigenvalues {vals} outside [0, 1)")
-    return np.sort(np.clip(vals, 0.0, None))
+    """Eigenvalues r of the cross-ratio matrix, ascending, as the squares of
+    the disk-image singular values: real and in [0, 1] by construction."""
+    return _disk_image(p0, p1)[0] ** 2
 
 
 def siegel_distance(p0: SiegelPoint, p1: SiegelPoint) -> float:
     """Geodesic length for the weight-1 invariant metric:
-    rho^2 = sum_k log((1 + sqrt(r_k)) / (1 - sqrt(r_k)))^2 over the
-    cross-ratio eigenvalues r_k. With Im O0 = L tL and
-    M = (O0 - conj(O1))^{-1} L, sqrt(r_k) are the singular values of the
-    disk image L^{-1}(O0 - O1) conj(M) of p1 once p0 is moved to iI, and
-    1 - r_k the eigenvalues of 4 M^H Im(O1) M: no subtraction cancels."""
-    o0, o1 = p0.omega, p1.omega
-    low = cholesky(o0.imag)
-    m = safe_solve(o0 - o1.conj(), low)
-    sigma = np.sort(np.linalg.svd(safe_solve(low, (o0 - o1) @ m.conj()), compute_uv=False))
-    one_minus_r = np.linalg.eigvalsh(4.0 * m.conj().T @ o1.imag @ m)[::-1]
+    rho^2 = sum_k log((1 + sqrt(r_k)) / (1 - sqrt(r_k)))^2 over the cross-ratio
+    eigenvalues r_k, with sqrt(r_k) = sigma_k of ``_disk_image`` and 1 - r_k
+    the eigenvalues of 4 M^H Im(O1) M: no subtraction cancels."""
+    sigma, m = _disk_image(p0, p1)
+    one_minus_r = np.linalg.eigvalsh(4.0 * m.conj().T @ p1.omega.imag @ m)[::-1]
     # log((1 + s) / (1 - s)), taken where neither side cancels
     terms = np.where(sigma < 0.7, 2.0 * np.arctanh(np.minimum(sigma, 0.7)),
                      2.0 * np.log1p(sigma) - np.log(one_minus_r))

@@ -1,12 +1,13 @@
-"""Schrodinger representation kernels, Weil-representation generator actions,
-the angular-coordinate form on the upper half plane, the metaplectic cocycle,
-Iwasawa composition, and theta sums with their transformation laws.
+"""Schrodinger representation kernels, the Weil representation of SL(2, R)
+as one matrix kernel, the (tau, phi) coordinates of SL(2, R), the metaplectic
+cocycle, Iwasawa composition, and theta sums with their transformation laws.
 
 Test functions live on R^(m, n); the guaranteed quadrature mode covers
 mn <= 2. Functions are exact closures carrying a uniform grid for quadrature
 and sup-norm comparisons, so shifts and phase twists lose no accuracy. The one
-oscillatory quadrature, ``weil_matrix_action``, forms its cross phase from two
-small per-coordinate exp tables and one matrix product, never nodes x targets.
+Weil operator, ``weil_matrix_action``, holds the one c = 0 rule and the one
+oscillatory quadrature, whose cross phase comes from two small per-coordinate
+exp tables and one matrix product, never nodes x targets.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DimensionError, DomainError, NumericError
+from .errors import AccuracyError, DimensionError, DomainError
 from .groups import HeisenbergElement, SymplecticElement, dilation, inversion, translation
 
 TWO_PI = 2.0 * np.pi
@@ -304,14 +305,6 @@ def iwasawa_compose(c1: SL2Coord, c2: SL2Coord) -> SL2Coord:
     return SL2Coord(complex(u3, v3), phi3)
 
 
-def sl2_action_on_coord(mat, c: SL2Coord) -> SL2Coord:
-    """(tau, phi) -> ((a tau + b)/(c tau + d), phi + arg(c tau + d))."""
-    mat = np.asarray(mat, dtype=float)
-    a, b, cc, d = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
-    denom = cc * c.tau + d
-    return SL2Coord((a * c.tau + b) / denom, c.phi + np.angle(denom))
-
-
 def cocycle(m1, m2, m: int, n: int) -> complex:
     """exp(-i pi m n sign(c1 c2 c3) / 4) for the bottom-left entries of
     m1, m2 and their product."""
@@ -325,44 +318,22 @@ def cocycle(m1, m2, m: int, n: int) -> complex:
     return complex(np.exp(-1j * np.pi * m * n * np.sign(c1 * c2 * c3) / 4.0))
 
 
-# -- Angular kernel and theta sums ---------------------------------------------------
-
-PHI_GUARD = 1e-6
-
-
-def _angular_kernel(f: GridFunction, ctx: ThetaContext, phi: float):
-    """[R(i, phi) f] as a grid function: the matrix kernel at the rotation
-    K(phi), read at I or -I (the identity or the parity flip) within 1e-12 of
-    a multiple of pi."""
-    phi = float(phi) % TWO_PI
-    near = min(phi, abs(phi - np.pi), abs(phi - TWO_PI))
-    if near < 1e-12:
-        return weil_matrix_action(-np.eye(2) if abs(phi - np.pi) < 1e-12 else np.eye(2), f, ctx)
-    if near < PHI_GUARD:
-        raise NumericError(f"angle {phi} is too close to a multiple of pi "
-                           "for the oscillatory kernel")
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    return weil_matrix_action(np.array([[cos_phi, -sin_phi], [sin_phi, cos_phi]]), f, ctx)
-
+# -- The Weil operator of SL(2, R) and theta sums -------------------------------------
 
 def weil_sl2_action(coord: SL2Coord, f: GridFunction, ctx: ThetaContext) -> GridFunction:
-    """[R(tau, phi) f](x) = v^{mn/4} exp(pi i u ||x||^2_M) [R(i, phi) f](sqrt(v) x)."""
-    kernel = _angular_kernel(f, ctx, coord.phi)
-    u, v = coord.u, coord.v
-    pref = v ** (ctx.dim / 4.0)
-    root_v = np.sqrt(v)
-
-    def fn(pts):
-        return pref * np.exp(1j * np.pi * u * ctx.norm_sq(pts)) \
-            * kernel.eval_fn(root_v * pts)
-
-    return GridFunction(ctx, fn)
+    """[R(tau, phi) f] = R(N(u) A(v)) g, g = R(K(phi)) f. The cocycle is 1 as N(u) A(v)
+    has c = 0: it maps g to v^{mn/4} e^{pi i u ||x||^2_M} g(sqrt(v) x)."""
+    root_v, cos_phi, sin_phi = np.sqrt(coord.v), np.cos(coord.phi), np.sin(coord.phi)
+    upper = np.array([[root_v, coord.u / root_v], [0.0, 1.0 / root_v]])
+    rot = np.array([[cos_phi, -sin_phi], [sin_phi, cos_phi]])
+    return weil_matrix_action(upper, weil_matrix_action(rot, f, ctx), ctx)
 
 
 def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     """The Weil operator of a matrix in SL(2, R): |a|^{mn/2} e^{pi i a b ||x||^2}
-    f(a x) when c = 0, otherwise the oscillatory integral of f(y) against
-    e^{pi i (a ||x||^2 + d ||y||^2 - 2 (x, y)) / c}, the only oscillatory
+    f(a x) when c = 0, read as |c| < 1e-12 |(c, d)| (an Iwasawa angle within
+    1e-12 of a multiple of pi), otherwise the oscillatory integral of f(y)
+    against e^{pi i (a ||x||^2 + d ||y||^2 - 2 (x, y)) / c}, the only oscillatory
     quadrature here (sigma and R(i, phi) are its values at S and K(phi)). For Q
     targets and L nodes per axis the cross phase costs about 2 sqrt(L) Q
     exponentials at mn = 1 and 2 L Q at mn = 2, plus one matrix product. It
@@ -372,7 +343,7 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     if mat.shape != (2, 2) or abs(np.linalg.det(mat) - 1.0) > 1e-10:
         raise DomainError("expected a real 2 x 2 matrix of determinant 1")
     a, b, c, d = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
-    if abs(c) < 1e-14:
+    if abs(c) < 1e-12 * math.hypot(c, d):
         return GridFunction(ctx, lambda pts: abs(a) ** (ctx.dim / 2.0) * np.exp(
             1j * np.pi * a * b * ctx.norm_sq(pts)) * f.eval_fn(a * pts))
     if ctx.dim > 2:
@@ -423,10 +394,11 @@ def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
 
 def theta_left_translate(coord: SL2Coord, lam, mu, gamma_mat, l0, m0):
     """Theta parameters after left multiplication by the group element
-    (gamma, (l0, m0)): the coordinates move by the fractional-linear action
-    and (lam, mu) maps to ((lam, mu) + (l0, m0)) gamma^{-1}."""
+    (gamma, (l0, m0)): the coordinates move by Iwasawa composition to
+    (gamma tau, phi + arg(c tau + d)), and (lam, mu) maps to
+    ((lam, mu) + (l0, m0)) gamma^{-1}."""
     gamma_mat = np.asarray(gamma_mat, dtype=float)
-    new_coord = sl2_action_on_coord(gamma_mat, coord)
+    new_coord = iwasawa_compose(iwasawa(gamma_mat), coord)
     inv = np.linalg.inv(gamma_mat)
     a = np.asarray(lam, dtype=float) + np.asarray(l0, dtype=float)
     b = np.asarray(mu, dtype=float) + np.asarray(m0, dtype=float)

@@ -22,8 +22,13 @@ def test_scalar_complex_parsing():
     assert cli.parse_scalar_complex("-i") == -1j
     assert cli.parse_scalar_complex("1.5,2.0") == 1.5 + 2.0j
     assert cli.parse_scalar_complex("3.25") == 3.25
-    with pytest.raises(ValueError):
-        cli.parse_scalar_complex("abc")
+    assert cli.parse_scalar_complex("+i") == 1j
+    assert cli.parse_scalar_complex("0.3+1.2i") == 0.3 + 1.2j
+    assert cli.parse_scalar_complex("1-i") == 1 - 1j
+    assert cli.parse_scalar_complex("1e15i") == 1e15j
+    for text in ("1 + 2i", "abc"):
+        with pytest.raises(ValueError):
+            cli.parse_scalar_complex(text)
 
 
 def test_distance_command():
@@ -39,10 +44,18 @@ def test_distance_far_points(capsys):
     assert abs(rho - np.log(1e15)) <= 1e-13 * np.log(1e15)
 
 
-def test_distance_emit_eigs():
+def test_distance_emit_eigs(capsys):
     code, out, _ = run_cli(["distance", "--p0", "i", "--p1", "2i", "--emit-eigs"])
     assert code == 0
     assert out.splitlines()[0] == "eigenvalue"
+    # the far spectrum rounds to 1 and is printed, as plain numbers
+    assert cli.main(["distance", "--p0", "i", "--p1", "1e15i", "--emit-eigs"]) == 0
+    far = capsys.readouterr().out
+    for text in (out, far):
+        lines = text.splitlines()
+        assert lines[0] == "eigenvalue" and len(lines) == 3
+        assert 0.0 < float(lines[1]) <= 1.0
+        assert json.loads(lines[2])["distance"] > 0.0
 
 
 def test_theta_command_value():
@@ -235,6 +248,25 @@ def test_convergence_error_is_numeric_failure(monkeypatch, capsys):
     assert cli.main(["reduce", "--space", "hn", "--point", "i"]) == 1
     err = capsys.readouterr().err
     assert err == "numeric error: highest-point iteration hit the cap\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "theta", "--seed", "3"],
+    ["theta", "--M", "1", "--tau", "0,1", "--phi", "1e-9"],
+    ["theta", "--M", "1", "--tau", "0,1e-4", "--phi", "0.3"]])
+def test_accuracy_error_is_numeric_failure(argv, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric error: ") and len(err.splitlines()) == 1
+
+
+def test_theta_at_large_real_part(capsys):
+    # the kernel at N(u) A(v) and the kernel at K(phi) each pass the
+    # determinant check at |Re tau| = 1e7, where their product would not
+    assert cli.main(["theta", "--M", "1", "--tau", "1e7,1", "--phi", "1"]) == 0
+    value = json.loads(capsys.readouterr().out)
+    assert np.isfinite(value["re"]) and np.isfinite(value["im"])
 
 
 def test_check_out_file(tmp_path):

@@ -102,6 +102,19 @@ def test_cross_ratio_eigenvalues_stay_in_unit_interval():
         assert np.all(vals >= 0.0) and np.all(vals < 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalues_are_the_cross_ratio_spectrum(n):
+    """The squared disk-image singular values are the eigenvalues of the
+    cross-ratio matrix."""
+    rng = np.random.default_rng(29 + n)
+    for _ in range(10):
+        p0 = sampling.random_siegel_point(n, rng)
+        p1 = sampling.random_siegel_point(n, rng)
+        oracle = np.sort(np.linalg.eigvals(geodesics.cross_ratio(p0, p1)).real)
+        got = geodesics.cross_ratio_eigenvalues(p0, p1)
+        assert np.max(np.abs(got - oracle)) <= 1e-12
+
+
 def _mp_distance(o0, o1):
     """The cross-ratio distance of two floating-point points, at 60 digits."""
     with mpmath.workdps(60):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import theta as th
-from siegeljacobi.errors import DimensionError, DomainError, NumericError
+from siegeljacobi.errors import AccuracyError, DimensionError, DomainError
 from siegeljacobi.groups import HeisenbergElement
 
 
@@ -119,8 +119,54 @@ def test_sl2_coordinate_cases(ctx):
     odd = th.gaussian_poly(ctx, [[1]])
     parity_odd = th.weil_sl2_action(th.SL2Coord(1j, np.pi), odd, ctx)
     assert np.max(np.abs(parity_odd.eval_fn(pts) + odd.eval_fn(pts))) < 1e-14
-    with pytest.raises(NumericError):
-        th.weil_sl2_action(th.SL2Coord(1j, 1e-8), f, ctx)
+    # just past the 1e-12 snap band the kernel's grid guard refuses the angle
+    near_zero = th.weil_sl2_action(th.SL2Coord(1j, 1e-8), f, ctx)
+    with pytest.raises(AccuracyError):
+        near_zero.eval_fn(pts)
+
+
+def _prefactor_form(coord, f, ctx):
+    """R(tau, phi) f as v^{mn/4} e^{pi i u ||x||^2} [R(K(phi)) f](sqrt(v) x)."""
+    kernel = th.weil_matrix_action(_rotation(coord.phi), f, ctx)
+    u, v = coord.u, coord.v
+    return lambda pts: v ** (ctx.dim / 4.0) * np.exp(1j * np.pi * u * ctx.norm_sq(pts)) \
+        * kernel.eval_fn(np.sqrt(v) * pts)
+
+
+@pytest.mark.parametrize("m_mat", [[[1.0]], [[2.0]], [[2.0, 1.0], [1.0, 2.0]]])
+def test_weil_sl2_action_is_the_split_composition(m_mat):
+    """R(tau, phi) = R(N(u) A(v)) R(K(phi)) equals the prefactor form at
+    mn = 1 and 2."""
+    c = th.ThetaContext(np.array(m_mat), n=1, extent=3.0, step=0.25)
+    f = th.gaussian_poly(c, np.eye(c.m, 1, dtype=int))
+    pts = th.grid_points(c, extent=1.5, step=0.25)
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        coord = th.SL2Coord(complex(rng.uniform(-2, 2), rng.uniform(0.5, 2)),
+                            rng.choice([1, -1]) * rng.uniform(0.3, np.pi - 0.3))
+        got = th.weil_sl2_action(coord, f, c).eval_fn(pts)
+        ref = _prefactor_form(coord, f, c)(pts)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("v", [1e-4, 1.0, 1e6])
+@pytest.mark.parametrize("phi", [0.0, np.pi])
+def test_multiples_of_pi_take_the_c_zero_branch(monkeypatch, ctx, v, phi):
+    """At phi in {0, pi} both R(tau, phi) and the kernel at the coordinate
+    matrix are v^{1/4} e^{pi i u x^2} f(+-sqrt(v) x), with no quadrature. The
+    coordinate matrix carries sin(pi) ~ 1.2e-16 times u / v into a and ab."""
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the oscillatory quadrature ran at c = 0")
+
+    monkeypatch.setattr(th, "_chunked_kernel_sum", no_quadrature)
+    f = th.gaussian_poly(ctx, [[1]])
+    pts = th.grid_points(ctx, extent=2.0, step=1.0 / 64) / np.sqrt(max(v, 1.0))
+    coord = th.SL2Coord(complex(0.3, v), phi)
+    expect = v ** 0.25 * np.exp(1j * np.pi * 0.3 * pts[:, 0, 0] ** 2) \
+        * f.eval_fn(np.cos(phi) * np.sqrt(v) * pts)
+    for out, tol in ((th.weil_sl2_action(coord, f, ctx), 1e-13),
+                     (th.weil_matrix_action(coord.matrix(), f, ctx), 1e-13 + 1e-15 / v)):
+        assert np.max(np.abs(out.eval_fn(pts) - expect)) <= tol * np.max(np.abs(expect))
 
 
 def test_quarter_turn_is_fourier_transform(ctx):
@@ -202,7 +248,6 @@ def test_two_dimensional_gaussian_eigenfunction(m_mat, n):
 
 
 def test_oscillatory_kernel_guards(ctx):
-    from siegeljacobi.errors import AccuracyError
     ctx3 = th.ThetaContext(np.eye(3), n=1)
     with pytest.raises(DomainError):
         th.weil_matrix_action(_rotation(0.5), th.gaussian(ctx3), ctx3)
@@ -361,6 +406,30 @@ def test_product_invariance_generators(ctx):
             assert abs(moved - base) <= tol * base
 
 
+def test_left_translate_matches_the_fractional_linear_closed_form():
+    """The coordinates move to (g tau, phi + arg(c tau + d)) for integral and
+    random real g, with |Re tau| up to 1e7. The error is relative to
+    max(1, |g tau|): g = S has the Iwasawa angle fl(pi / 2), whose cosine
+    6.1e-17 is an absolute error where S tau = -1/tau is about 1e-7."""
+    rng = np.random.default_rng(23)
+    gammas = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[1.0, 2.0], [0.0, 1.0]]),
+              np.array([[2.0, 1.0], [1.0, 1.0]])]
+    for _ in range(6):
+        a = rng.standard_normal((2, 2))
+        a[:, 0] *= np.sign(np.linalg.det(a))
+        gammas.append(a / np.sqrt(np.linalg.det(a)))
+    for scale in (1.0, 1e3, 1e7):
+        for gm in gammas:
+            tau = complex(scale * rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            nc, _, _ = th.theta_left_translate(th.SL2Coord(tau, phi), 0.2, -0.1, gm, 0.0, 0.0)
+            (a, b), (c, d) = gm
+            g_tau = (a * tau + b) / (c * tau + d)
+            assert abs(nc.tau - g_tau) <= 1e-13 * max(1.0, abs(g_tau))
+            turn = nc.phi - phi - np.angle(c * tau + d)
+            assert abs(np.angle(np.exp(1j * turn))) <= 1e-13
+
+
 def test_sample_backed_grid_function(ctx):
     f = th.gaussian(ctx)
     samples = f.samples()
@@ -372,7 +441,6 @@ def test_sample_backed_grid_function(ctx):
 
 
 def test_theta_tail_budget_violation():
-    from siegeljacobi.errors import AccuracyError
     tiny = th.ThetaContext(np.array([[1.0]]), n=1, n_cut=2)
     f = th.gaussian(tiny)
     # very small v spreads the summand far beyond the truncation radius
@@ -384,7 +452,6 @@ def test_weil_kernel_node_count_guard():
     # at mn = 2 the per-axis guard allows (2 * 4623 + 1)^2 ~ 85 M nodes here;
     # the node-count bound raises before any grid is built
     import time
-    from siegeljacobi.errors import AccuracyError
     ctx2 = th.ThetaContext(np.array([[2.0, 1.0], [1.0, 2.0]]), n=1, n_cut=6, extent=3.0)
     op = th.weil_sl2_action(th.SL2Coord(0.3 + 1.2j, 0.15), th.gaussian_poly(ctx2, [[0], [0]]),
                             ctx2)
