@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .linalg import cholesky, safe_solve
 from .spaces import SiegelPoint
 
@@ -49,7 +49,9 @@ def siegel_distance(p0: SiegelPoint, p1: SiegelPoint) -> float:
 
 def siegel_distance_series(p0: SiegelPoint, p1: SiegelPoint) -> float:
     """Same distance through the series form 4 r (sum_k r^k / (2k+1))^2,
-    truncated once the tail bound falls below 1e-14 of the partial sum."""
+    truncated once the tail bound falls below 1e-14 of the partial sum.
+    Raises ConvergenceError, naming the eigenvalue r, when 100,000 terms do
+    not reach that bound (r close to 1)."""
     vals = cross_ratio_eigenvalues(p0, p1)
     total = 0.0
     for r in vals:
@@ -63,8 +65,11 @@ def siegel_distance_series(p0: SiegelPoint, p1: SiegelPoint) -> float:
             power *= r
             k += 1
             # remainder of sum_j r^j/(2j+1) past k is below power/((2k+1)(1-r))
-            if power / ((2 * k + 1) * (1.0 - r)) < 1e-14 * max(acc, 1.0) or k > 100_000:
+            if r < 1.0 and power / ((2 * k + 1) * (1.0 - r)) < 1e-14 * max(acc, 1.0):
                 break
+            if k > 100_000:
+                raise ConvergenceError(f"distance series not converged after {k} terms"
+                                       f" at cross-ratio eigenvalue {r:.17g}")
         total += 4.0 * r * acc * acc
     return float(np.sqrt(total))
 

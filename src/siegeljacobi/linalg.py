@@ -15,6 +15,15 @@ COND_LIMIT = 1e12
 # a positive definite matrix has its smallest eigenvalue above ABS_TOL
 ABS_TOL = 1e-10
 REL_TOL = 1e-10
+# require_conditioned clears a matrix without an SVD when the determinant
+# bound on its condition number is below _DET_MARGIN * COND_LIMIT. The margin
+# covers the rounding of the computed determinant: its relative error grows
+# like n rho eps cond (rho the growth factor of the LU) and stays below 1e-6
+# wherever the bound is under 1e8. The determinant must also be a normal
+# number, so that underflow cannot shrink the bound (at n = 1, where the norm
+# can still underflow, every nonzero matrix has condition number 1).
+_DET_MARGIN = 1e-4
+_TINY = np.finfo(float).tiny
 
 
 def _close(a, b) -> bool:
@@ -93,14 +102,36 @@ def cholesky(s):
 
 
 def require_conditioned(a):
-    """Conditioning guard on a square matrix or a stack of them: raises
-    NumericError, naming the first offending condition number, when any
-    2-norm condition number is non-finite or exceeds COND_LIMIT."""
-    cond = np.atleast_1d(np.linalg.cond(a))
+    """Conditioning guard on a square matrix or a stack of them; returns
+    ``np.linalg.det(a)``. Raises NumericError, naming the first offending
+    condition number, when any 2-norm condition number is non-finite or
+    exceeds COND_LIMIT.
+
+    A stack passes without an SVD when every determinant is a finite normal
+    number and the bound cond(A) < 2 (|A|_F / sqrt n)^n / |det A|
+    (Guggenheimer, Edelman and Johnson, College Math. J. 26 (1995) 2-5) is
+    below _DET_MARGIN * COND_LIMIT; any other stack is judged by
+    ``np.linalg.cond``, except that a matrix with a non-finite entry is
+    refused without one."""
+    a = np.asarray(a)
+    n = a.shape[-1]
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(a)
+        size = np.abs(det)
+        bound = 2.0 * (np.linalg.norm(a, axis=(-2, -1)) / n ** 0.5) ** n
+        if ((_TINY <= size) & (size < np.inf) & (bound < _DET_MARGIN * COND_LIMIT * size)).all():
+            return det
+    stack = a.reshape(-1, n, n)
+    # LAPACK refuses non-finite entries, so they get no SVD: such a matrix is
+    # named inf, or nan when it holds a nan, as np.linalg.cond names them
+    cond = np.where(np.isnan(stack).any(axis=(1, 2)), np.nan, np.inf)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    cond[finite] = np.linalg.cond(stack[finite])
     bad = ~(cond <= COND_LIMIT)
     if bad.any():
         worst = cond[np.argmax(bad)]
         raise NumericError(f"matrix condition estimate {worst:.3e} exceeds {COND_LIMIT:.1e}")
+    return det
 
 
 def safe_inv(a):

@@ -213,14 +213,12 @@ def candidate_det_ratios(p: SiegelPoint):
     ``siegel_candidates(p.n)``, in order.
 
     Siegel's identity det Im(g Omega) = det Y / |det(C Omega + D)|^2 gives all
-    of them from one stacked determinant. Every C Omega + D passes the
-    conditioning guard of ``linalg.safe_solve``, so an ill-conditioned
-    candidate raises NumericError as its action would.
+    of them from one stacked determinant, the one the conditioning guard of
+    ``linalg.safe_solve`` returns, so an ill-conditioned candidate raises
+    NumericError as its action would.
     """
     c, d = _candidate_blocks(p.n)
-    denom = c @ p.omega + d
-    require_conditioned(denom)
-    return 1.0 / np.abs(np.linalg.det(denom)) ** 2
+    return 1.0 / np.abs(require_conditioned(c @ p.omega + d)) ** 2
 
 
 def _reduce_degree_one(p: SiegelPoint, max_iter: int):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import geodesics, groups, sampling, spaces
-from siegeljacobi.errors import ParameterError
+from siegeljacobi.errors import ConvergenceError, ParameterError
 
 
 def test_cross_ratio_same_point_is_zero():
@@ -58,6 +58,14 @@ def test_series_form_matches_log_form():
         d_log = geodesics.siegel_distance(p0, p1)
         d_series = geodesics.siegel_distance_series(p0, p1)
         assert abs(d_log - d_series) < 1e-12
+
+
+def test_series_form_refuses_eigenvalues_near_one():
+    p0 = spaces.SiegelPoint(np.array([[1j]]))
+    # r = 0.9999996 needs more terms than the cap; at 1e16 i r rounds to 1.0
+    for y, r in ((1e7, "0\\.9999996"), (1e16, "1$")):
+        with pytest.raises(ConvergenceError, match=f"eigenvalue {r}"):
+            geodesics.siegel_distance_series(p0, spaces.SiegelPoint(np.array([[y * 1j]])))
 
 
 def test_triangle_inequality_sampled():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegeljacobi import linalg
+from siegeljacobi import linalg, reduction, sampling
 from siegeljacobi.errors import DimensionError, DomainError, NumericError
 
 
@@ -63,6 +63,94 @@ def test_conditioning_guard_on_stacks():
     for bad in (np.diag([1.0, 1e-13]), np.zeros((2, 2))):
         with pytest.raises(NumericError, match="exceeds 1.0e\\+12"):
             linalg.require_conditioned(np.stack([np.eye(2), bad, np.eye(2)]))
+
+
+def test_conditioning_guard_refuses_nan_entries():
+    # np.linalg.cond raises LinAlgError on these; the guard names them nan
+    nan = np.full((2, 2), np.nan)
+    message = "^matrix condition estimate nan exceeds 1.0e\\+12$"
+    with pytest.raises(NumericError, match=message):
+        linalg.safe_inv(nan)
+    with pytest.raises(NumericError, match=message):
+        linalg.safe_solve(nan, np.ones(2))
+    one_nan = np.stack([np.eye(2), np.eye(2), np.diag([1.0, 1e-13])])
+    one_nan[1, 1, 0] = np.nan
+    with pytest.raises(NumericError, match=message):
+        linalg.safe_solve(one_nan, np.ones((3, 2, 1)))
+    # the first offending matrix in stack order is named
+    with pytest.raises(NumericError, match="estimate 1.000e\\+13 exceeds"):
+        linalg.safe_solve(one_nan[::-1], np.ones((3, 2, 1)))
+
+
+def _svd_stack(n, count, seed, lo, kinds):
+    """count matrices scale U diag(sigma) V with sigma log-uniform in
+    [10^lo, 1], lo >= -16, and the overall scale in [1e-150, 1e150]; a slot
+    whose kind is zero, inf or singular is replaced by such a matrix."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-150.0, 150.0)
+    a = np.empty((count, n, n), dtype=complex)
+    for k, kind in enumerate(kinds[:count]):
+        sigma = 10.0 ** rng.uniform(lo, 0.0, n)
+        u, v = linalg.random_unitary(n, rng), linalg.random_unitary(n, rng)
+        a[k] = scale * (u * sigma) @ v
+        if kind == "zero" or (kind == "singular" and n == 1):
+            a[k] = 0.0
+        elif kind == "inf":
+            a[k, rng.integers(n), rng.integers(n)] = np.inf
+        elif kind == "singular":
+            a[k, -1] = a[k, 0]          # a repeated row: the LU pivot is exactly 0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=-16.0, max_value=0.0),
+       st.lists(st.sampled_from(["svd", "svd", "svd", "zero", "inf", "singular"]),
+                min_size=8, max_size=8))
+def test_conditioning_guard_matches_svd(n, count, seed, lo, kinds):
+    a = _svd_stack(n, count, seed, lo, kinds)
+    for stack in (a, a[0]):
+        cond = np.atleast_1d(np.linalg.cond(stack))
+        bad = ~(cond <= linalg.COND_LIMIT)
+        if bad.any():
+            with pytest.raises(NumericError) as info:
+                linalg.require_conditioned(stack)
+            assert str(info.value) == (f"matrix condition estimate {cond[np.argmax(bad)]:.3e}"
+                                       " exceeds 1.0e+12")
+        else:
+            with np.errstate(over="ignore"):    # a det past 1e308 is inf on both sides
+                det = np.linalg.det(stack)
+            assert linalg.require_conditioned(stack).tobytes() == det.tobytes()
+    # the determinant bound holds wherever the computed numbers can show it:
+    # at n = 2 it is cond + 1/cond, so beyond cond ~ 1e8 rounding hides the gap
+    keep = np.isfinite(a).all(axis=(1, 2))
+    keep[keep] = np.linalg.slogdet(a[keep])[0] != 0
+    a = a[keep]
+    cond = np.linalg.cond(a)
+    top = np.abs(a).max(axis=(1, 2))
+    unit_norm = np.linalg.norm(a / top[:, None, None], axis=(1, 2))
+    log_bound = (np.log(2.0) + n * (np.log(top) + np.log(unit_norm / np.sqrt(n)))
+                 - np.linalg.slogdet(a)[1])
+    shown = cond <= 1e8
+    assert np.all(log_bound[shown] > np.log(cond[shown]) - 1e-6)
+
+
+def test_conditioning_guard_runs_svd_only_past_the_bound(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(a):
+        calls.append(a.shape)
+        return cond(a)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        reduction.siegel_reduce(sampling.random_siegel_point(n, rng))
+    assert calls == []
+    with pytest.raises(NumericError):
+        linalg.require_conditioned(np.stack([np.eye(2), np.diag([1.0, 1e-13]), np.eye(2)]))
+    assert len(calls) == 1
 
 
 def test_matrix_json_round_trip():
