@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
@@ -70,19 +70,25 @@ def _forms(vecs, y):
     return ((vecs @ y)[:, None, :] @ vecs[:, :, None])[:, 0, 0]
 
 
+def _int_det(m) -> int:
+    """Exact determinant of a small square matrix of Python ints (Laplace
+    expansion along the first row)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
 def _minors_coprime(rows) -> bool:
     """True iff the k x k minors of the stacked rows have gcd 1 (the row set
     extends to a unimodular matrix)."""
-    mat = np.array(rows, dtype=int)
-    k, n = mat.shape
-    from itertools import combinations
+    rows = [[int(x) for x in row] for row in rows]
     g = 0
-    for cols in combinations(range(n), k):
-        minor = int(round(np.linalg.det(mat[:, cols]))) if k > 1 else int(mat[0, cols[0]])
-        g = gcd(g, abs(minor))
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        g = gcd(g, _int_det([[row[j] for j in cols] for row in rows]))
         if g == 1:
             return True
-    return g == 1
+    return False
 
 
 def _sign_fix(y):
@@ -161,8 +167,7 @@ def _candidate_generators(n: int):
             b[i, j] = b[j, i] = 1.0
             gens.append(translation(b))
             gens.append(translation(-b))
-    from itertools import permutations as _perms
-    for perm in _perms(range(n)):
+    for perm in permutations(range(n)):
         mat = np.eye(n)[list(perm)]
         if not np.allclose(mat, np.eye(n)):
             gens.append(dilation(mat))
@@ -201,9 +206,11 @@ def siegel_candidates(n: int):
 
 @cache
 def _candidate_blocks(n: int):
-    """The C and D blocks of ``siegel_candidates(n)`` as read-only stacks."""
+    """The C blocks of ``siegel_candidates(n)`` stacked into one complex
+    (K n) x n matrix, and the D blocks as a K x n x n stack; both read-only."""
     mats = np.array([g.mat for g in siegel_candidates(n)])
-    c, d = mats[:, n:, :n], mats[:, n:, n:]
+    c = mats[:, n:, :n].reshape(-1, n).astype(complex)
+    d = mats[:, n:, n:]
     c.flags.writeable = d.flags.writeable = False
     return c, d
 
@@ -216,9 +223,15 @@ def candidate_det_ratios(p: SiegelPoint):
     of them from one stacked determinant, the one the conditioning guard of
     ``linalg.safe_solve`` returns, so an ill-conditioned candidate raises
     NumericError as its action would.
+
+    All C Omega blocks come from one (K n) x n by n x n product. Every C
+    entry is -1, 0 or 1, with at most two nonzeros per row at n = 2 and one
+    at n = 3, so each entry of C Omega is an exact product or one rounded sum
+    of two: any summation order, and the per-candidate ``c @ Omega``, give
+    the same bits.
     """
     c, d = _candidate_blocks(p.n)
-    return 1.0 / np.abs(require_conditioned(c @ p.omega + d)) ** 2
+    return 1.0 / np.abs(require_conditioned((c @ p.omega).reshape(d.shape) + d)) ** 2
 
 
 def _reduce_degree_one(p: SiegelPoint, max_iter: int):
@@ -243,12 +256,15 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
 
     Returns (reduced point, certificate). The reduced point satisfies the
     Minkowski condition on Im and |Re| <= 1/2 entrywise exactly; the maximal
-    det Im condition is certified against the finite candidate set only.
+    det Im condition is certified against the finite candidate set only. At
+    n >= 2 the certificate reads that condition from the loop's last
+    candidate scan, which was made on the reduced point itself, so each
+    iteration scans once and the certificate adds no scan.
     """
     n = p.n
+    ratios = None
     if n == 1:
         out, gamma, iters = _reduce_degree_one(p, max_iter)
-        cert = ReductionCertificate(gamma, iters)
     else:
         if n > 3:
             raise DimensionError("siegel_reduce supports n <= 3")
@@ -286,14 +302,18 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
             raise ConvergenceError("highest-point iteration hit the cap",
                                    partial=ReductionCertificate(gamma, iters))
         out = current
-        cert = ReductionCertificate(gamma, iters)
-    cert.checks = certificate_checks(p, out, cert.gamma)
-    return out, cert
+    return out, ReductionCertificate(gamma, iters, _checks(p, out, gamma, ratios))
 
 
 def certificate_checks(original: SiegelPoint, reduced: SiegelPoint,
                        gamma: SymplecticElement) -> dict:
     """The certificate's conditions, the replay and candidate scan to CERT_TOL."""
+    return _checks(original, reduced, gamma, None)
+
+
+def _checks(original, reduced, gamma, ratios) -> dict:
+    """``certificate_checks``, with ``ratios`` the candidate scan of
+    ``reduced`` when the caller has made it (None: scan here)."""
     replay = groups.act_siegel(gamma, original)
     checks = {
         "gamma_symplectic": gamma.is_valid(),
@@ -304,8 +324,9 @@ def certificate_checks(original: SiegelPoint, reduced: SiegelPoint,
     if reduced.n == 1:
         checks["modulus_at_least_one"] = bool(abs(reduced.omega[0, 0]) >= 1.0 - 1e-12)
     else:
-        higher = candidate_det_ratios(reduced) > 1.0 + CERT_TOL
-        checks["det_im_maximal_over_candidates"] = not higher.any()
+        if ratios is None:
+            ratios = candidate_det_ratios(reduced)
+        checks["det_im_maximal_over_candidates"] = not (ratios > 1.0 + CERT_TOL).any()
     return checks
 
 

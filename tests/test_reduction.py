@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
@@ -196,6 +196,113 @@ def test_scan_ties_do_not_follow_rounding():
         _, cert_scaled = reduction.siegel_reduce(scaled)
         assert cert.passed and cert_scaled.passed
         assert np.array_equal(cert.gamma.mat, cert_scaled.gamma.mat), i
+
+
+def test_candidate_blocks_form_exactly(monkeypatch):
+    # every C entry is -1, 0 or 1, with at most two nonzeros per row at n = 2
+    # and one at n = 3: each entry of C Omega is an exact product or one
+    # rounded sum of two, so the scan's one 2-D product has the bits of the
+    # per-candidate products
+    formed = []
+    monkeypatch.setattr(reduction, "require_conditioned",
+                        lambda a: formed.append(a) or np.ones(a.shape[0]))
+    rng = np.random.default_rng(14)
+    for n, per_row in ((2, 2), (3, 1)):
+        c, _ = reduction._candidate_blocks(n)
+        assert set(np.unique(c)) <= {-1, 0, 1}
+        assert np.count_nonzero(c, axis=1).max() == per_row
+        mats = np.array([g.mat for g in reduction.siegel_candidates(n)])
+        c_ref, d_ref = mats[:, n:, :n], mats[:, n:, n:]
+        for _ in range(1000):
+            x, y = rng.standard_normal((2, n, n)) * 10.0 ** rng.uniform(-8, 8, (2, n, n))
+            omega = (x + x.T) + 1j * (y + y.T)
+            formed.clear()
+            reduction.candidate_det_ratios(spaces.SiegelPoint(omega))
+            assert formed[0].tobytes() == (c_ref @ omega + d_ref).tobytes()
+
+
+def _count_scans(monkeypatch):
+    """Record the point of every candidate scan and the verdict of every
+    Minkowski-violation check made inside ``reduction``."""
+    scans, verdicts = [], []
+    scan, violations = reduction.candidate_det_ratios, reduction.minkowski_violations
+
+    def counted_scan(p):
+        scans.append(p)
+        return scan(p)
+
+    def counted_violations(y):
+        found = violations(y)
+        verdicts.append(bool(found))
+        return found
+
+    monkeypatch.setattr(reduction, "candidate_det_ratios", counted_scan)
+    monkeypatch.setattr(reduction, "minkowski_violations", counted_violations)
+    return scans, verdicts
+
+
+def test_certificate_reuses_the_converged_scan(monkeypatch):
+    scans, verdicts = _count_scans(monkeypatch)
+    rng = np.random.default_rng(8)
+    for i in range(60):
+        p = sampling.random_siegel_point(2 + i % 2, rng, y_range=(0.1, 2.0))
+        scans.clear()
+        verdicts.clear()
+        red, cert = reduction.siegel_reduce(p)
+        # one scan in each iteration whose Minkowski pass held, none for the
+        # certificate, and the last one on the reduced point itself
+        assert len(scans) == cert.iterations - sum(verdicts), i
+        assert scans[-1] is red
+        scans.clear()
+        assert cert.checks == reduction.certificate_checks(p, red, cert.gamma), i
+        assert len(scans) == 1 and scans[0] is red
+        assert cert.passed, cert.checks
+
+
+def test_jacobi_certificate_reuses_the_converged_scan(monkeypatch):
+    scans, verdicts = _count_scans(monkeypatch)
+    inner = []
+    siegel_reduce = reduction.siegel_reduce
+
+    def recorded(p, max_iter):
+        red, cert = siegel_reduce(p, max_iter)
+        inner.append((p, red, cert))
+        return red, cert
+
+    monkeypatch.setattr(reduction, "siegel_reduce", recorded)
+    rng = np.random.default_rng(9)
+    for i in range(60):
+        n = 2 + i % 2
+        base = sampling.random_siegel_point(n, rng, y_range=(0.1, 2.0))
+        z = rng.uniform(-2.0, 2.0, (1, n)) + 1j * rng.uniform(-2.0, 2.0, (1, n))
+        scans.clear()
+        verdicts.clear()
+        inner.clear()
+        out, cert = reduction.jacobi_reduce(spaces.JacobiPoint.create(base.omega, z))
+        (p, red, cert_s), = inner
+        assert len(scans) == cert_s.iterations - sum(verdicts), i
+        assert scans[-1] is red
+        expect = reduction.certificate_checks(p, red, cert_s.gamma)
+        assert cert_s.checks == expect, i
+        # jacobi_reduce keeps the Siegel checks but replays the whole element
+        assert {k: cert.checks[k] for k in expect if k != "replay_matches"} == \
+            {k: v for k, v in expect.items() if k != "replay_matches"}
+        assert cert.passed, cert.checks
+
+
+def test_exact_minors_match_float_determinants():
+    rng = np.random.default_rng(4)
+    assert not reduction._minors_coprime([[2, 0], [0, 1]])
+    assert reduction._minors_coprime([[1, 1], [1, 2]])
+    for n in (2, 3):
+        vecs, _ = reduction._box(n, reduction.ENUM_BOUND)
+        for _ in range(300):
+            k = int(rng.integers(1, n + 1))
+            rows = vecs[rng.choice(len(vecs), k, replace=False)]
+            g = 0
+            for cols in combinations(range(n), k):
+                g = gcd(g, abs(int(round(np.linalg.det(rows[:, cols].astype(float))))))
+            assert reduction._minors_coprime(list(rows)) == (g == 1)
 
 
 def test_degree_two_orbit_round_trip():
