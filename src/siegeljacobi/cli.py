@@ -127,7 +127,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_cayley(args) -> int:
-    point = parse_point_arg(args.point)
+    # a bare matrix is the one part of the source space; JSON gives either model
+    bare = not args.point.strip().startswith("{")
+    point = parse_point_arg(args.point, ("dn" if args.dir == "fwd" else "hn") if bare else None)
     if args.dir == "fwd":
         out = cayley.to_half_space(point)
     else:

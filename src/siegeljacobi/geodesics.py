@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, DimensionError, ParameterError
 from .linalg import cholesky, safe_solve
 from .spaces import SiegelPoint
 
@@ -21,7 +21,10 @@ def cross_ratio(p0: SiegelPoint, p1: SiegelPoint):
 def _disk_image(p0: SiegelPoint, p1: SiegelPoint):
     """sigma, ascending, and M = (O0 - conj(O1))^{-1} L with Im O0 = L tL:
     sigma are the singular values of the disk image L^{-1}(O0 - O1) conj(M)
-    of p1 once p0 is moved to iI, and sigma^2 the cross-ratio eigenvalues."""
+    of p1 once p0 is moved to iI, and sigma^2 the cross-ratio eigenvalues.
+    Points of different degrees raise DimensionError."""
+    if p0.n != p1.n:
+        raise DimensionError(f"points of degrees {p0.n} and {p1.n} have no distance")
     o0, o1 = p0.omega, p1.omega
     low = cholesky(o0.imag)
     m = safe_solve(o0 - o1.conj(), low)

@@ -472,15 +472,22 @@ def parse_generator_word(word: str, n: int) -> SymplecticElement:
     return g
 
 
+def _real_from_json(obj, part):
+    """The real matrix of ``obj[part]``; a nonzero imaginary entry is refused."""
+    a = linalg.matrix_from_json(obj[part])
+    if np.any(a.imag != 0.0):
+        raise DomainError(f"{part} has nonzero imaginary entries")
+    return a.real
+
+
 def element_from_json(obj):
     """Decode a group element from its JSON object by the ``kind`` tag."""
     kind = obj.get("kind")
     if kind == "symplectic":
-        return SymplecticElement.create(linalg.matrix_from_json(obj["mat"]).real)
+        return SymplecticElement.create(_real_from_json(obj, "mat"))
     if kind == "heisenberg":
-        return HeisenbergElement.create(linalg.matrix_from_json(obj["lam"]).real,
-                                        linalg.matrix_from_json(obj["mu"]).real,
-                                        linalg.matrix_from_json(obj["kappa"]).real)
+        return HeisenbergElement.create(*(_real_from_json(obj, part)
+                                          for part in ("lam", "mu", "kappa")))
     if kind == "jacobi":
         return JacobiGroupElement.create(element_from_json(obj["sp"]),
                                          element_from_json(obj["h"]))
@@ -488,5 +495,5 @@ def element_from_json(obj):
         return StarGroupElement.create(linalg.matrix_from_json(obj["p"]),
                                        linalg.matrix_from_json(obj["q"]),
                                        linalg.matrix_from_json(obj["xi"]),
-                                       linalg.matrix_from_json(obj["kappa"]).real)
+                                       _real_from_json(obj, "kappa"))
     raise DomainError(f"unknown element kind {kind!r}")

@@ -12,7 +12,7 @@ exp tables and one matrix product, never nodes x targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class GridFunction:
 
     ctx: ThetaContext
     eval_fn: object
-    _samples: np.ndarray | None = field(default=None, repr=False)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -104,9 +103,8 @@ class GridFunction:
         return vals.reshape(x.shape[:-2])
 
     def samples(self):
-        if self._samples is None:
-            self._samples = np.asarray(self.eval_fn(grid_points(self.ctx)), dtype=complex)
-        return self._samples
+        return np.asarray(self.eval_fn(grid_points(self.ctx)), dtype=complex)
+
 
 def gaussian(ctx: ThetaContext) -> GridFunction:
     """The centered Gaussian exp(-pi ||x||^2_M)."""
@@ -126,29 +124,6 @@ def gaussian_poly(ctx: ThetaContext, exponents) -> GridFunction:
         return mono * np.exp(-np.pi * ctx.norm_sq(pts))
 
     return GridFunction(ctx, fn)
-
-
-def from_samples(ctx: ThetaContext, samples) -> GridFunction:
-    """Sample-backed function; evaluation is exact on grid nodes only."""
-    samples = np.asarray(samples, dtype=complex).ravel()
-    nodes = grid_points(ctx)
-    if samples.shape[0] != nodes.shape[0]:
-        raise DimensionError("sample count does not match the grid")
-    axis = _axis_nodes(ctx.extent, ctx.step)
-    shape = (len(axis),) * ctx.dim
-    cube = samples.reshape(shape)
-
-    def fn(pts):
-        flat = pts.reshape(-1, ctx.dim)
-        idx = (flat + ctx.extent) / ctx.step
-        rounded = np.round(idx)
-        if np.max(np.abs(idx - rounded)) > 1e-9:
-            raise DomainError("sample-backed functions evaluate on grid nodes only")
-        if np.any(rounded < 0) or np.any(rounded >= len(axis)):
-            raise DomainError("evaluation point outside the grid extent")
-        return cube[tuple(rounded.astype(int).T)]
-
-    return GridFunction(ctx, fn, _samples=samples)
 
 
 # -- Schrodinger representation ---------------------------------------------------
@@ -266,20 +241,31 @@ class SL2Coord:
     def v(self) -> float:
         return self.tau.imag
 
+    def upper(self):
+        """N(u) A(v) = [[sqrt(v), u / sqrt(v)], [0, 1 / sqrt(v)]]."""
+        root_v = np.sqrt(self.v)
+        return np.array([[root_v, self.u / root_v], [0.0, 1.0 / root_v]])
+
+    def rotation(self):
+        """K(phi) = [[cos(phi), -sin(phi)], [sin(phi), cos(phi)]]."""
+        cos_phi, sin_phi = np.cos(self.phi), np.sin(self.phi)
+        return np.array([[cos_phi, -sin_phi], [sin_phi, cos_phi]])
+
     def matrix(self):
-        u, v, phi = self.u, self.v, self.phi
-        upper = np.array([[1.0, u], [0.0, 1.0]])
-        diag = np.array([[np.sqrt(v), 0.0], [0.0, 1.0 / np.sqrt(v)]])
-        rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-        return upper @ diag @ rot
+        return self.upper() @ self.rotation()
+
+
+def _sl2(g) -> np.ndarray:
+    """g as a float array, once it is a real 2 x 2 matrix of determinant 1."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
+        raise DomainError("expected a real 2 x 2 matrix of determinant 1")
+    return g
 
 
 def iwasawa(g) -> SL2Coord:
     """Unique coordinates (tau, phi) with g = N(u) A(v) K(phi)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
-        raise DomainError("expected a real 2 x 2 matrix of determinant 1")
-    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    (a, b), (c, d) = _sl2(g)
     den = c * c + d * d
     u = (a * c + b * d) / den
     v = 1.0 / den
@@ -308,11 +294,7 @@ def iwasawa_compose(c1: SL2Coord, c2: SL2Coord) -> SL2Coord:
 def cocycle(m1, m2, m: int, n: int) -> complex:
     """exp(-i pi m n sign(c1 c2 c3) / 4) for the bottom-left entries of
     m1, m2 and their product."""
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    for g in (m1, m2):
-        if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
-            raise DomainError("expected real 2 x 2 matrices of determinant 1")
+    m1, m2 = _sl2(m1), _sl2(m2)
     c1, c2 = m1[1, 0], m2[1, 0]
     c3 = (m1 @ m2)[1, 0]
     return complex(np.exp(-1j * np.pi * m * n * np.sign(c1 * c2 * c3) / 4.0))
@@ -323,10 +305,7 @@ def cocycle(m1, m2, m: int, n: int) -> complex:
 def weil_sl2_action(coord: SL2Coord, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     """[R(tau, phi) f] = R(N(u) A(v)) g, g = R(K(phi)) f. The cocycle is 1 as N(u) A(v)
     has c = 0: it maps g to v^{mn/4} e^{pi i u ||x||^2_M} g(sqrt(v) x)."""
-    root_v, cos_phi, sin_phi = np.sqrt(coord.v), np.cos(coord.phi), np.sin(coord.phi)
-    upper = np.array([[root_v, coord.u / root_v], [0.0, 1.0 / root_v]])
-    rot = np.array([[cos_phi, -sin_phi], [sin_phi, cos_phi]])
-    return weil_matrix_action(upper, weil_matrix_action(rot, f, ctx), ctx)
+    return weil_matrix_action(coord.upper(), weil_matrix_action(coord.rotation(), f, ctx), ctx)
 
 
 def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
@@ -339,10 +318,7 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     exponentials at mn = 1 and 2 L Q at mn = 2, plus one matrix product. It
     raises AccuracyError, before any node is built, when extent / step > 2e5 or
     the grid would exceed MAX_NODES nodes."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (2, 2) or abs(np.linalg.det(mat) - 1.0) > 1e-10:
-        raise DomainError("expected a real 2 x 2 matrix of determinant 1")
-    a, b, c, d = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
+    (a, b), (c, d) = _sl2(mat)
     if abs(c) < 1e-12 * math.hypot(c, d):
         return GridFunction(ctx, lambda pts: abs(a) ** (ctx.dim / 2.0) * np.exp(
             1j * np.pi * a * b * ctx.norm_sq(pts)) * f.eval_fn(a * pts))
@@ -394,12 +370,14 @@ def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
 
 def theta_left_translate(coord: SL2Coord, lam, mu, gamma_mat, l0, m0):
     """Theta parameters after left multiplication by the group element
-    (gamma, (l0, m0)): the coordinates move by Iwasawa composition to
-    (gamma tau, phi + arg(c tau + d)), and (lam, mu) maps to
-    ((lam, mu) + (l0, m0)) gamma^{-1}."""
-    gamma_mat = np.asarray(gamma_mat, dtype=float)
-    new_coord = iwasawa_compose(iwasawa(gamma_mat), coord)
-    inv = np.linalg.inv(gamma_mat)
-    a = np.asarray(lam, dtype=float) + np.asarray(l0, dtype=float)
-    b = np.asarray(mu, dtype=float) + np.asarray(m0, dtype=float)
-    return new_coord, a * inv[0, 0] + b * inv[1, 0], a * inv[0, 1] + b * inv[1, 1]
+    (gamma, (l0, m0)): the coordinates move to (gamma tau, phi + arg(c tau + d)),
+    and (lam, mu) maps to ((lam, mu) + (l0, m0)) gamma^{-1} by
+    ``conjugate_heisenberg``."""
+    gamma = _sl2(gamma_mat)
+    (a, b), (c, d) = gamma
+    j = c * coord.tau + d
+    lam, mu = np.add(lam, l0), np.add(mu, m0)
+    h = conjugate_heisenberg(SymplecticElement(gamma), HeisenbergElement(
+        lam.reshape(-1, 1), mu.reshape(-1, 1), np.zeros((lam.size,) * 2)))
+    return (SL2Coord(complex((a * coord.tau + b) / j), coord.phi + np.angle(j)),
+            h.lam.reshape(lam.shape), h.mu.reshape(mu.shape))

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +13,28 @@ from siegeljacobi.checks import CheckRow
 from siegeljacobi.errors import ConvergenceError
 
 
-def run_cli(args):
+def run_process(args):
+    """(exit code, stdout, stderr) of ``python -m siegeljacobi.cli``: the real
+    entry point, where numpy's warnings print to stderr."""
     proc = subprocess.run([sys.executable, "-m", "siegeljacobi.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(args):
+    """(exit code, stdout, stderr) of ``cli.main(args)`` run in-process; each
+    warning raised on the way counts as one more stderr line, as it would
+    print in a process of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:       # argparse's usage errors
+            code = exc.code
+    lines = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), err.getvalue() + lines
 
 
 def test_scalar_complex_parsing():
@@ -32,7 +53,7 @@ def test_scalar_complex_parsing():
 
 
 def test_distance_command():
-    code, out, _ = run_cli(["distance", "--p0", '{"omega": "i"}', "--p1", '{"omega": "2i"}'])
+    code, out, _ = run_process(["distance", "--p0", '{"omega": "i"}', "--p1", '{"omega": "2i"}'])
     assert code == 0
     assert abs(json.loads(out)["distance"] - np.log(2.0)) < 1e-12
 
@@ -82,6 +103,19 @@ def test_cayley_command_round_trip():
     assert code == 0
     w = json.loads(out)["w"]["data"][0]
     assert abs(w[0]) < 1e-14 and abs(w[1]) < 1e-14
+
+
+def test_cayley_bare_point_is_the_source_part():
+    for direction, key, text in (("fwd", "w", "0.3"), ("inv", "omega", "0.3i")):
+        short = run_cli(["cayley", "--dir", direction, "--point", text])
+        full = run_cli(["cayley", "--dir", direction, "--point", json.dumps({key: text})])
+        assert short == full and short[0] == 0
+    omega = json.loads(run_cli(["cayley", "--dir", "fwd", "--point", "0.3"])[1])["omega"]
+    assert omega["data"][0][0] == 0.0 and abs(omega["data"][0][1] - 13 / 7) <= 1e-15
+    # a JSON point keeps its own model, and a point of the target model is refused
+    code, out, err = run_cli(["cayley", "--dir", "fwd", "--point", '{"omega": "i"}'])
+    assert code == 2 and out == ""
+    assert err == "input error: no half-space model for SiegelPoint\n"
 
 
 def test_metric_command():
@@ -186,6 +220,9 @@ def test_non_finite_point_is_usage_error():
     (["element", "--word", "s", "--n", "-1"], "degree"),
     (["element", "--word", "t(1)", "--n", "100000"], "degree"),
     (["theta", "--M", "1", "--tau", "0,1", "--phi", "0", "--n-cut", "100000000"], "n_cut"),
+    (["distance", "--p0", "i", "--p1",
+      '{"omega": {"rows": 2, "cols": 2, "data": [[0, 1], [0, 0], [0, 0], [0, 1]]}}'],
+     "degrees 1 and 2"),
 ])
 def test_non_finite_or_mismatched_number_is_usage_error(args, named):
     code, out, err = run_cli(args)
@@ -227,9 +264,15 @@ def test_bare_point_is_the_one_part_of_the_space():
 
 
 def test_overflow_writes_one_stderr_line():
-    code, out, err = run_cli(["element", "--word", "t(1e308);t(1e308)", "--n", "2"])
+    code, out, err = run_process(["element", "--word", "t(1e308);t(1e308)", "--n", "2"])
     assert code == 1 and out == ""
     assert err == "numeric error: result has non-finite entries\n"
+
+
+def test_numeric_error_is_one_line_at_process_level():
+    code, out, err = run_process(["theta", "--M", "1", "--tau", "0,1e-4", "--phi", "0.3"])
+    assert code == 1 and out == ""
+    assert err.startswith("numeric error: ") and len(err.splitlines()) == 1
 
 
 def test_non_finite_output_is_numeric_failure(capsys):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import geodesics, groups, sampling, spaces
-from siegeljacobi.errors import ConvergenceError, ParameterError
+from siegeljacobi.errors import ConvergenceError, DimensionError, ParameterError
 
 
 def test_cross_ratio_same_point_is_zero():
@@ -66,6 +66,16 @@ def test_series_form_refuses_eigenvalues_near_one():
     for y, r in ((1e7, "0\\.9999996"), (1e16, "1$")):
         with pytest.raises(ConvergenceError, match=f"eigenvalue {r}"):
             geodesics.siegel_distance_series(p0, spaces.SiegelPoint(np.array([[y * 1j]])))
+
+
+def test_points_of_different_degrees_are_refused():
+    p1 = spaces.SiegelPoint.create(np.array([[1j]]))
+    p2 = spaces.SiegelPoint.create(1j * np.eye(2))
+    for fn in (geodesics.siegel_distance, geodesics.cross_ratio_eigenvalues):
+        with pytest.raises(DimensionError, match="degrees 1 and 2"):
+            fn(p1, p2)
+        with pytest.raises(DimensionError, match="degrees 2 and 1"):
+            fn(p2, p1)
 
 
 def test_triangle_inequality_sampled():

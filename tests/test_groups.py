@@ -177,6 +177,24 @@ def test_element_json_round_trip():
         groups.element_from_json({"kind": "mystery"})
 
 
+def test_element_json_refuses_imaginary_real_parts():
+    identity = {"kind": "symplectic", "mat": {"rows": 2, "cols": 2,
+                                              "data": [[1, 0.5], [0, 0], [0, 0], [1, 0]]}}
+    with pytest.raises(DomainError, match="mat has nonzero imaginary entries"):
+        groups.element_from_json(identity)
+    # a real part of each kind, and of both halves of a Jacobi element
+    for kind, path in (("symplectic", ["mat"]), ("heisenberg", ["lam"]), ("heisenberg", ["mu"]),
+                       ("heisenberg", ["kappa"]), ("star", ["kappa"]),
+                       ("jacobi", ["sp", "mat"]), ("jacobi", ["h", "mu"])):
+        obj = groups.random_element(5, kind, n=2, m=2).to_json()
+        part = obj
+        for key in path:
+            part = part[key]
+        part["data"][-1][1] = 1e-300
+        with pytest.raises(DomainError, match=f"^{path[-1]} has nonzero imaginary entries"):
+            groups.element_from_json(obj)
+
+
 def test_generator_word_parsing():
     g = groups.parse_generator_word("t(0.5);s", 1)
     expected = groups.translation(np.array([[0.5]])).multiply(groups.inversion(1))

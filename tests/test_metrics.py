@@ -59,6 +59,23 @@ def test_hermitian_symmetry_and_positivity():
         assert abs(htt.imag) < 1e-12 and htt.real > 0
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_raw_forms_are_hermitian(n, m):
+    """Each raw form satisfies s(t1, t2) = conj s(t2, t1) on its own, so the
+    public metrics' average of the two cannot hide a transcription error."""
+    rng = np.random.default_rng(10 * n + m)
+    params = MetricParams(0.8, 1.7)
+    for raw, kind, weight, m_t in ((metrics._siegel_raw, "siegel", 0.8, 0),
+                                   (metrics._jacobi_raw, "jacobi", params, m),
+                                   (metrics._disk_raw, "disk", 0.8, 0),
+                                   (metrics._jacobi_disk_raw, "jacobi_disk", params, m)):
+        for _ in range(10):
+            p = sampling.random_point(kind, n, m, rng)
+            t1, t2 = sampling.random_tangent(n, m_t, rng), sampling.random_tangent(n, m_t, rng)
+            s12 = raw(p, t1, t2, weight)
+            assert abs(s12 - np.conj(raw(p, t2, t1, weight))) <= 1e-13 * max(1.0, abs(s12))
+
+
 def test_closed_form_degree_one():
     rng = np.random.default_rng(6)
     params = MetricParams(1.0, 1.0)

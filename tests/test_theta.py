@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -408,9 +409,8 @@ def test_product_invariance_generators(ctx):
 
 def test_left_translate_matches_the_fractional_linear_closed_form():
     """The coordinates move to (g tau, phi + arg(c tau + d)) for integral and
-    random real g, with |Re tau| up to 1e7. The error is relative to
-    max(1, |g tau|): g = S has the Iwasawa angle fl(pi / 2), whose cosine
-    6.1e-17 is an absolute error where S tau = -1/tau is about 1e-7."""
+    random real g, with |Re tau| up to 1e7, to 1e-13 relative to |g tau|, and
+    (lam, mu) to ((lam, mu) + (l0, m0)) g^{-1}."""
     rng = np.random.default_rng(23)
     gammas = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[1.0, 2.0], [0.0, 1.0]]),
               np.array([[2.0, 1.0], [1.0, 1.0]])]
@@ -422,22 +422,40 @@ def test_left_translate_matches_the_fractional_linear_closed_form():
         for gm in gammas:
             tau = complex(scale * rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
             phi = rng.uniform(0.0, 2.0 * np.pi)
-            nc, _, _ = th.theta_left_translate(th.SL2Coord(tau, phi), 0.2, -0.1, gm, 0.0, 0.0)
+            nc, nl, nm = th.theta_left_translate(th.SL2Coord(tau, phi), 0.2, -0.1, gm, 0.5, 1.0)
+            moved = np.array([0.7, 0.9]) @ np.linalg.inv(gm)
+            assert np.max(np.abs([nl, nm] - moved)) <= 1e-13 * np.max(np.abs(moved))
             (a, b), (c, d) = gm
             g_tau = (a * tau + b) / (c * tau + d)
-            assert abs(nc.tau - g_tau) <= 1e-13 * max(1.0, abs(g_tau))
+            assert abs(nc.tau - g_tau) <= 1e-13 * abs(g_tau)
             turn = nc.phi - phi - np.angle(c * tau + d)
             assert abs(np.angle(np.exp(1j * turn))) <= 1e-13
 
 
-def test_sample_backed_grid_function(ctx):
-    f = th.gaussian(ctx)
-    samples = f.samples()
-    g = th.from_samples(ctx, samples)
-    pts = th.grid_points(ctx)[::8]
-    assert np.max(np.abs(g.eval_fn(pts) - f.eval_fn(pts))) == 0.0
-    with pytest.raises(DomainError):
-        g.eval(np.array([[0.123456]]))
+def test_left_translate_against_mpmath():
+    """g tau within 1e-14 relative and phi + arg(c tau + d) within 1e-14
+    (mod 2 pi) of 40-digit values, for g = S at |Re tau| from 1 to 1e7 and for
+    random real g at |Re tau| up to 40 and 1e7."""
+    rng = np.random.default_rng(29)
+    cases = [(np.array([[0.0, -1.0], [1.0, 0.0]]), scale) for scale in np.logspace(0, 7, 15)]
+    for scale in (40.0, 1e7):
+        for _ in range(10):
+            a = rng.standard_normal((2, 2))
+            a[:, 0] *= np.sign(np.linalg.det(a))
+            cases.append((a / np.sqrt(np.linalg.det(a)), scale))
+    with mpmath.workdps(40):
+        for gm, scale in cases:
+            tau = complex(rng.choice([-1, 1]) * scale * rng.uniform(0.5, 1.0),
+                          rng.uniform(0.1, 3.0))
+            coord = th.SL2Coord(tau, rng.uniform(0.0, 2.0 * np.pi))
+            nc, _, _ = th.theta_left_translate(coord, 0.2, -0.1, gm, 0.0, 0.0)
+            (a, b), (c, d) = (map(mpmath.mpf, row) for row in gm)
+            t = mpmath.mpc(tau)
+            g_tau = (a * t + b) / (c * t + d)
+            assert float(abs(nc.tau - g_tau) / abs(g_tau)) <= 1e-14
+            turn = mpmath.mpf(nc.phi) - coord.phi - mpmath.arg(c * t + d)
+            turn -= 2 * mpmath.pi * mpmath.nint(turn / (2 * mpmath.pi))
+            assert float(abs(turn)) <= 1e-14
 
 
 def test_theta_tail_budget_violation():
