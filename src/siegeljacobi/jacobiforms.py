@@ -282,36 +282,24 @@ class Polynomial:
             out[tuple(e2)] = out.get(tuple(e2), 0.0) + c * k
         return Polynomial(self.m, self.n, out)
 
-    def substitute_linear(self, mapping) -> "Polynomial":
-        """Replace each variable by a linear combination of the variables;
-        mapping[(p, i)] is a Polynomial."""
-        result = Polynomial.constant(self.m, self.n, 0.0)
+    def transform(self, a, b) -> "Polynomial":
+        """P(Z) -> P(t(B) Z A) for A (n x n) and B (m x m): z_{pi} becomes
+        sum_{qj} B_{qp} A_{ji} z_{qj}, whose coefficients are column p n + i
+        of kron(B, A)."""
+        m, n = self.m, self.n
+        zero = Polynomial.constant(m, n, 0.0)
+        images = [sum((Polynomial.variable(m, n, *divmod(k, n)).scale(c)
+                       for k, c in enumerate(column) if c != 0), zero)
+                  for column in np.kron(np.asarray(b, dtype=complex),
+                                        np.asarray(a, dtype=complex)).T]
+        result = zero
         for e, c in self.coeffs.items():
-            term = Polynomial.constant(self.m, self.n, c)
-            for var, k in enumerate(e):
-                if k == 0:
-                    continue
-                p, i = divmod(var, self.n)
+            term = Polynomial.constant(m, n, c)
+            for image, k in zip(images, e):
                 for _ in range(k):
-                    term = term * mapping[(p, i)]
+                    term = term * image
             result = result + term
         return result
-
-    def transform(self, a, b) -> "Polynomial":
-        """P(Z) -> P(t(B) Z A) for A (n x n) and B (m x m)."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        mapping = {}
-        for p in range(self.m):
-            for i in range(self.n):
-                acc = Polynomial.constant(self.m, self.n, 0.0)
-                for q in range(self.m):
-                    for j in range(self.n):
-                        coeff = b[q, p] * a[j, i]
-                        if coeff != 0:
-                            acc = acc + Polynomial.variable(self.m, self.n, q, j).scale(coeff)
-                mapping[(p, i)] = acc
-        return self.substitute_linear(mapping)
 
     def eval(self, z) -> complex:
         z = np.asarray(z, dtype=complex).reshape(-1)

@@ -340,12 +340,12 @@ def toroidal_coefficients(p: JacobiPoint):
     return lam, mu
 
 
-def jacobi_reduce(p: JacobiPoint, max_iter: int = 200):
+def jacobi_reduce(p: JacobiPoint):
     """Reduce Omega to the Siegel domain, then translate Z into the toroidal
     cell {lam + mu Omega : 0 <= lam, mu < 1} by an integral Heisenberg
     element; returns (reduced point, certificate with the full group element).
     """
-    reduced_omega, cert_s = siegel_reduce(p.siegel_part(), max_iter)
+    _, cert_s = siegel_reduce(p.siegel_part())
     g_sp = JacobiGroupElement.from_symplectic(cert_s.gamma, p.m)
     moved = groups.act_jacobi(g_sp, p)
     lam_c, mu_c = toroidal_coefficients(moved)

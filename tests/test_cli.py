@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siegeljacobi import cli, reduction
+from siegeljacobi import checks, cli, groups, reduction, spaces
 from siegeljacobi.checks import CheckRow
 from siegeljacobi.errors import ConvergenceError
 
@@ -85,6 +85,11 @@ def test_theta_command_value():
     assert code == 0
     direct = sum(np.exp(-np.pi * w * w) for w in range(-8, 9))
     assert abs(json.loads(out)["re"] - direct) < 1e-10
+    # --M as matrix JSON is the scalar form
+    flags = ["--tau", "0.2,1.1", "--phi", "0.4"]
+    scalar = run_cli(["theta", "--M", "1", *flags])
+    matrix = run_cli(["theta", "--M", '{"rows": 1, "cols": 1, "data": [[1, 0]]}', *flags])
+    assert scalar[0] == 0 and matrix == scalar
 
 
 def test_reduce_command_identity_certificate(tmp_path):
@@ -98,11 +103,37 @@ def test_reduce_command_identity_certificate(tmp_path):
     assert [entry[0] for entry in gamma] == [1.0, 0.0, 0.0, 1.0]
 
 
+def test_reduce_jacobi_point_into_the_toroidal_cell(tmp_path):
+    cert_path = tmp_path / "cert.json"
+    point = '{"omega": "0.3,1.2", "z": "2.7,1.9"}'
+    code, out, _ = run_cli(["reduce", "--space", "hnm", "--point", point,
+                            "--cert", str(cert_path)])
+    assert code == 0
+    reduced = spaces.point_from_json(json.loads(out))
+    lam, mu = reduction.toroidal_coefficients(reduced)
+    assert np.all((0.0 <= lam) & (lam < 1.0)) and np.all((0.0 <= mu) & (mu < 1.0))
+    cert = json.loads(cert_path.read_text())
+    assert cert["checks"] and all(cert["checks"].values())
+    gamma = groups.element_from_json(cert["gamma"])
+    replay = groups.act_jacobi(gamma, cli.parse_point_arg(point, "hnm"))
+    for a, b in zip(replay.parts(), reduced.parts()):
+        assert np.max(np.abs(a - b)) <= 1e-9
+
+
 def test_cayley_command_round_trip():
     code, out, _ = run_cli(["cayley", "--dir", "inv", "--point", '{"omega": "i"}'])
     assert code == 0
     w = json.loads(out)["w"]["data"][0]
     assert abs(w[0]) < 1e-14 and abs(w[1]) < 1e-14
+    # a Jacobi point goes to (w, eta) and back
+    point = '{"omega": "0.3,1.2", "z": "0.5,0.4"}'
+    code, out, _ = run_cli(["cayley", "--dir", "inv", "--point", point])
+    assert code == 0 and sorted(json.loads(out)) == ["eta", "w"]
+    code, back, _ = run_cli(["cayley", "--dir", "fwd", "--point", out])
+    assert code == 0
+    back = spaces.point_from_json(json.loads(back))
+    for a, b in zip(back.parts(), cli.parse_point_arg(point, "hnm").parts()):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_cayley_bare_point_is_the_source_part():
@@ -136,6 +167,17 @@ def test_element_command():
     assert code == 0
     data = json.loads(out)["mat"]["data"]
     assert [e[0] for e in data] == [0.5, -1.0, 1.0, 0.0]
+    # g(x) at degree n dilates by I + (x / n) ones
+    code, out, _ = run_cli(["element", "--word", "g(0.5)", "--n", "2"])
+    assert code == 0
+    g = groups.element_from_json(json.loads(out))
+    alpha = np.eye(2) + 0.25 * np.ones((2, 2))
+    assert np.max(np.abs(g.mat - groups.dilation(alpha).mat)) <= 1e-15
+
+
+def test_no_subcommand_is_usage_error():
+    code, out, _ = run_cli([])
+    assert code == 2 and out.startswith("usage:")
 
 
 def test_laplacian_command():
@@ -155,6 +197,15 @@ def test_check_suite_deterministic_and_exit_codes():
     assert out1.splitlines()[0] == "case,lhs,rhs,residual,tol,pass"
     code3, _, err = run_cli(["check", "--suite", "nope"])
     assert code3 == 2 and "unknown suite" in err
+
+
+def test_check_failing_row_is_numeric_failure(monkeypatch):
+    row = CheckRow("forced_00", 1.0, 0.0, 1.0, 0.5)
+    monkeypatch.setitem(checks.SUITES, "cayley", lambda seed: [row])
+    code, out, err = run_cli(["check", "--suite", "cayley"])
+    assert code == 1
+    assert out.splitlines() == ["case,lhs,rhs,residual,tol,pass", row.csv()]
+    assert err == "FAIL forced_00: residual 1.000e+00 > tol 5.000e-01\n"
 
 
 def test_check_has_no_tolerance_flag():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegeljacobi import groups, sampling, spaces
+from siegeljacobi import groups, linalg, sampling, spaces
 from siegeljacobi.errors import DomainError
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -193,6 +193,26 @@ def test_element_json_refuses_imaginary_real_parts():
         part["data"][-1][1] = 1e-300
         with pytest.raises(DomainError, match=f"^{path[-1]} has nonzero imaginary entries"):
             groups.element_from_json(obj)
+
+
+def test_invalid_elements_are_refused():
+    mat = linalg.matrix_to_json
+    bad_sp = {"kind": "symplectic", "mat": mat(np.diag([2.0, 1.0]))}
+    with pytest.raises(DomainError, match="^matrix fails the symplectic relation$"):
+        groups.element_from_json(bad_sp)
+    bad_h = {"kind": "heisenberg", "lam": mat(np.zeros((2, 1))), "mu": mat(np.zeros((2, 1))),
+             "kappa": mat([[0.0, 1.0], [0.0, 0.0]])}
+    with pytest.raises(DomainError, match=r"^kappa \+ mu t\(lam\) is not symmetric$"):
+        groups.element_from_json(bad_h)
+    # element_from_json checks both halves first, so only a direct call
+    # reaches the Jacobi element's own refusal
+    with pytest.raises(DomainError, match="^invalid Jacobi group element$"):
+        groups.JacobiGroupElement.create(groups.SymplecticElement(np.diag([2.0, 1.0])),
+                                         groups.HeisenbergElement.identity(1, 1))
+    bad_star = {"kind": "star", "p": mat([[2.0]]), "q": mat([[0.0]]), "xi": mat([[0.0]]),
+                "kappa": mat([[0.0]])}
+    with pytest.raises(DomainError, match="^invalid star group element$"):
+        groups.element_from_json(bad_star)
 
 
 def test_generator_word_parsing():

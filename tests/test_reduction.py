@@ -264,8 +264,8 @@ def test_jacobi_certificate_reuses_the_converged_scan(monkeypatch):
     inner = []
     siegel_reduce = reduction.siegel_reduce
 
-    def recorded(p, max_iter):
-        red, cert = siegel_reduce(p, max_iter)
+    def recorded(p):
+        red, cert = siegel_reduce(p)
         inner.append((p, red, cert))
         return red, cert
 
