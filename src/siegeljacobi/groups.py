@@ -6,6 +6,7 @@ acting on the disk models, and the embedding of the Jacobi group into it.
 """
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +26,45 @@ def symplectic_form(n: int):
     return j
 
 
+class _Element:
+    """Layout shared by the four element types, as ``spaces._Point`` is for
+    the points: each subclass is a frozen dataclass whose fields are its
+    parts, in JSON order, and declares ``_kind`` (its JSON tag), ``_real``
+    (the parts JSON must give as real matrices) and ``_invalid`` (the
+    message given when ``is_valid`` fails)."""
+
+    _real = ()
+
+    @classmethod
+    def create(cls, *parts):
+        g = cls(*parts)
+        if not g.is_valid():
+            raise DomainError(cls._invalid)
+        return g
+
+    def parts(self) -> list:
+        return [getattr(self, name) for name in self.__dataclass_fields__]
+
+    def to_json(self) -> dict:
+        return {"kind": self._kind,
+                **{name: a.to_json() if isinstance(a, _Element) else linalg.matrix_to_json(a)
+                   for name, a in zip(self.__dataclass_fields__, self.parts())}}
+
+
 @dataclass(frozen=True)
-class SymplecticElement:
+class SymplecticElement(_Element):
     """Real 2n x 2n matrix M with  t(M) J M = J."""
 
     mat: np.ndarray
+    _kind = "symplectic"
+    _real = ("mat",)
+    _invalid = "matrix fails the symplectic relation"
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
             raise DimensionError(f"symplectic matrix must be 2n x 2n, got {mat.shape}")
         object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def create(cls, mat):
-        g = cls(mat)
-        if not g.is_valid():
-            raise DomainError("matrix fails the symplectic relation")
-        return g
 
     @classmethod
     def identity(cls, n: int):
@@ -71,17 +93,17 @@ class SymplecticElement:
         j = symplectic_form(self.n)
         return SymplecticElement(-j @ self.mat.T @ j)
 
-    def to_json(self) -> dict:
-        return {"kind": "symplectic", "mat": linalg.matrix_to_json(self.mat)}
-
 
 @dataclass(frozen=True)
-class HeisenbergElement:
+class HeisenbergElement(_Element):
     """Heisenberg element (lam, mu; kappa) with kappa + mu t(lam) symmetric."""
 
     lam: np.ndarray
     mu: np.ndarray
     kappa: np.ndarray
+    _kind = "heisenberg"
+    _real = ("lam", "mu", "kappa")
+    _invalid = "kappa + mu t(lam) is not symmetric"
 
     def __post_init__(self):
         lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
@@ -95,13 +117,6 @@ class HeisenbergElement:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", kappa)
-
-    @classmethod
-    def create(cls, lam, mu, kappa):
-        h = cls(lam, mu, kappa)
-        if not h.is_valid():
-            raise DomainError("kappa + mu t(lam) is not symmetric")
-        return h
 
     @classmethod
     def identity(cls, n: int, m: int):
@@ -136,30 +151,19 @@ class HeisenbergElement:
         n = self.n
         return HeisenbergElement(lm[:, :n], lm[:, n:], self.kappa)
 
-    def to_json(self) -> dict:
-        return {"kind": "heisenberg",
-                "lam": linalg.matrix_to_json(self.lam),
-                "mu": linalg.matrix_to_json(self.mu),
-                "kappa": linalg.matrix_to_json(self.kappa)}
-
 
 @dataclass(frozen=True)
-class JacobiGroupElement:
+class JacobiGroupElement(_Element):
     """Pair of a symplectic part and a Heisenberg part."""
 
     sp: SymplecticElement
     h: HeisenbergElement
+    _kind = "jacobi"
+    _invalid = "invalid Jacobi group element"
 
     def __post_init__(self):
         if self.sp.n != self.h.n:
             raise DimensionError("symplectic and Heisenberg degrees differ")
-
-    @classmethod
-    def create(cls, sp: SymplecticElement, h: HeisenbergElement):
-        g = cls(sp, h)
-        if not g.is_valid():
-            raise DomainError("invalid Jacobi group element")
-        return g
 
     @classmethod
     def identity(cls, n: int, m: int):
@@ -197,12 +201,9 @@ class JacobiGroupElement:
         sp_inv = self.sp.inverse()
         return JacobiGroupElement(sp_inv, self.h.inverse().translate_right(sp_inv))
 
-    def to_json(self) -> dict:
-        return {"kind": "jacobi", "sp": self.sp.to_json(), "h": self.h.to_json()}
-
 
 @dataclass(frozen=True)
-class StarGroupElement:
+class StarGroupElement(_Element):
     """Element of the conjugated Jacobi group acting on the disk models.
 
     The symplectic part is the block matrix [[P, Q], [conj(Q), conj(P)]]; the
@@ -214,6 +215,9 @@ class StarGroupElement:
     q: np.ndarray
     xi: np.ndarray
     kappa: np.ndarray
+    _kind = "star"
+    _real = ("kappa",)
+    _invalid = "invalid star group element"
 
     def __post_init__(self):
         p = linalg.require_square(self.p, "p")
@@ -230,13 +234,6 @@ class StarGroupElement:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "kappa", kappa)
-
-    @classmethod
-    def create(cls, p, q, xi, kappa):
-        g = cls(p, q, xi, kappa)
-        if not g.is_valid():
-            raise DomainError("invalid star group element")
-        return g
 
     @classmethod
     def identity(cls, n: int, m: int):
@@ -275,11 +272,6 @@ class StarGroupElement:
         zeta3 = (1j * self.kappa + 1j * other.kappa
                  + xi_t @ other.xi.conj().T - eta_t @ other.xi.T)
         return StarGroupElement(p3, q3, xi_t + other.xi, (-1j * zeta3).real)
-
-    def to_json(self) -> dict:
-        return {"kind": "star",
-                "p": linalg.matrix_to_json(self.p), "q": linalg.matrix_to_json(self.q),
-                "xi": linalg.matrix_to_json(self.xi), "kappa": linalg.matrix_to_json(self.kappa)}
 
 
 def embed_star(g: JacobiGroupElement) -> StarGroupElement:
@@ -461,12 +453,12 @@ def parse_generator_word(word: str, n: int) -> SymplecticElement:
             continue
         if tok == "s":
             g = g.multiply(inversion(n))
-        elif tok.startswith("t(") and tok.endswith(")"):
+        elif tok[:2] in ("t(", "g(") and tok.endswith(")"):
             x = float(tok[2:-1])
-            g = g.multiply(translation(x * np.ones((n, n))))
-        elif tok.startswith("g(") and tok.endswith(")"):
-            x = float(tok[2:-1])
-            g = g.multiply(dilation(np.eye(n) + (x / n) * np.ones((n, n))))
+            if not np.isfinite(x):
+                raise DomainError(f"generator token {tok!r} has a non-finite parameter")
+            g = g.multiply(translation(x * np.ones((n, n))) if tok[0] == "t"
+                           else dilation(np.eye(n) + (x / n) * np.ones((n, n))))
         else:
             raise DomainError(f"cannot parse generator token {tok!r}")
     return g
@@ -480,20 +472,26 @@ def _real_from_json(obj, part):
     return a.real
 
 
+_KINDS = {cls._kind: cls for cls in (SymplecticElement, HeisenbergElement,
+                                     JacobiGroupElement, StarGroupElement)}
+
+
 def element_from_json(obj):
-    """Decode a group element from its JSON object by the ``kind`` tag."""
-    kind = obj.get("kind")
-    if kind == "symplectic":
-        return SymplecticElement.create(_real_from_json(obj, "mat"))
-    if kind == "heisenberg":
-        return HeisenbergElement.create(*(_real_from_json(obj, part)
-                                          for part in ("lam", "mu", "kappa")))
-    if kind == "jacobi":
-        return JacobiGroupElement.create(element_from_json(obj["sp"]),
-                                         element_from_json(obj["h"]))
-    if kind == "star":
-        return StarGroupElement.create(linalg.matrix_from_json(obj["p"]),
-                                       linalg.matrix_from_json(obj["q"]),
-                                       linalg.matrix_from_json(obj["xi"]),
-                                       _real_from_json(obj, "kappa"))
-    raise DomainError(f"unknown element kind {kind!r}")
+    """Decode a group element from its JSON object by the ``kind`` tag: each
+    part in field order, a nested element as the class its field declares."""
+    cls = _KINDS.get(obj.get("kind"))
+    if cls is None:
+        raise DomainError(f"unknown element kind {obj.get('kind')!r}")
+    parts = []
+    for name, part_cls in typing.get_type_hints(cls).items():
+        if name in cls._real:
+            parts.append(_real_from_json(obj, name))
+        elif part_cls is np.ndarray:
+            parts.append(linalg.matrix_from_json(obj[name]))
+        else:
+            part = element_from_json(obj[name])
+            if not isinstance(part, part_cls):
+                raise DomainError(f"{name} must be a {part_cls._kind} element, "
+                                  f"got {part._kind}")
+            parts.append(part)
+    return cls.create(*parts)

@@ -44,8 +44,8 @@ class _Point:
     """Layout shared by the four point types: a symmetric n x n part (omega
     or w), then on the Jacobi spaces an m x n part (z or eta). Each subclass
     is a frozen dataclass whose fields are its parts, in this order, and
-    supplies the matrix that must be positive definite and the message given
-    when it is not."""
+    supplies ``_positive``, the matrix of its symmetric part that must be
+    positive definite, and the message given when it is not."""
 
     def __post_init__(self):
         fields = self.__dict__    # frozen: write the instance dict directly
@@ -94,7 +94,9 @@ class _Point:
             return False
         if not linalg.is_symmetric(sym):
             return False
-        return linalg.is_positive_definite(self._positive())
+        # symmetric within tolerance only: test the symmetrized part, which
+        # is the same bits when sym is exactly symmetric
+        return linalg.is_positive_definite(self._positive(linalg.symmetrize(sym)))
 
     def to_json(self) -> dict:
         return {name: linalg.matrix_to_json(getattr(self, name))
@@ -107,9 +109,7 @@ class SiegelPoint(_Point):
 
     omega: np.ndarray
     _not_positive = "Im(omega) is not positive definite"
-
-    def _positive(self):
-        return self.omega.imag
+    _positive = staticmethod(np.imag)
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,7 @@ class JacobiPoint(_Point):
     omega: np.ndarray
     z: np.ndarray
     _not_positive = SiegelPoint._not_positive
-
-    def _positive(self):
-        return self.omega.imag
+    _positive = staticmethod(np.imag)
 
     def siegel_part(self) -> SiegelPoint:
         return SiegelPoint(self.omega)
@@ -137,9 +135,7 @@ class DiskPoint(_Point):
 
     w: np.ndarray
     _not_positive = "I - conj(W) W is not positive definite"
-
-    def _positive(self):
-        return _disk_gram(self.w)
+    _positive = staticmethod(_disk_gram)
 
 
 @dataclass(frozen=True)
@@ -149,9 +145,7 @@ class JacobiDiskPoint(_Point):
     w: np.ndarray
     eta: np.ndarray
     _not_positive = DiskPoint._not_positive
-
-    def _positive(self):
-        return _disk_gram(self.w)
+    _positive = staticmethod(_disk_gram)
 
     def disk_part(self) -> DiskPoint:
         return DiskPoint(self.w)

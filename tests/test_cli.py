@@ -208,6 +208,24 @@ def test_check_failing_row_is_numeric_failure(monkeypatch):
     assert err == "FAIL forced_00: residual 1.000e+00 > tol 5.000e-01\n"
 
 
+@pytest.mark.parametrize("seed", [94, 99])
+def test_nonannihilation_is_relative_to_the_series_size(seed):
+    # |M-operator| of the mixed series is 3.1e-7 and 5.3e-8 at these seeds,
+    # correct values that an absolute 1e-6 threshold refused
+    code, out, err = run_cli(["check", "--suite", "jacobiforms", "--seed", str(seed)])
+    assert code == 0 and err == ""
+
+
+def test_nonannihilation_catches_an_annihilating_operator(monkeypatch):
+    m_operator = checks.jacobiforms.apply_m_operator
+    monkeypatch.setattr(checks.jacobiforms, "apply_m_operator",
+                        lambda s, p: 1e-8 * m_operator(s, p))
+    code, out, err = run_cli(["check", "--suite", "jacobiforms", "--seed", "2026"])
+    assert code == 1
+    failed = [line for line in err.splitlines() if line.startswith("FAIL nonannihilation_")]
+    assert len(failed) == 10
+
+
 def test_check_has_no_tolerance_flag():
     # the check tolerances are fixed: no flag widens them
     code, out, err = run_cli(["check", "--suite", "distance", "--seed", "1",
@@ -274,6 +292,10 @@ def test_non_finite_point_is_usage_error():
     (["distance", "--p0", "i", "--p1",
       '{"omega": {"rows": 2, "cols": 2, "data": [[0, 1], [0, 0], [0, 0], [0, 1]]}}'],
      "degrees 1 and 2"),
+    (["element", "--word", "t(nan)", "--n", "1"], "'t(nan)'"),
+    (["element", "--word", "t(inf)", "--n", "1"], "'t(inf)'"),
+    (["element", "--word", "g(nan)", "--n", "1"], "'g(nan)'"),
+    (["element", "--word", "s;g(inf)", "--n", "1"], "'g(inf)'"),
 ])
 def test_non_finite_or_mismatched_number_is_usage_error(args, named):
     code, out, err = run_cli(args)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,29 @@ def test_element_json_round_trip():
         assert back.to_json() == g.to_json()
     with pytest.raises(DomainError):
         groups.element_from_json({"kind": "mystery"})
+    # one fixed element per kind and its JSON text, key order included
+    sp_text = ('{"kind": "symplectic", "mat": {"rows": 2, "cols": 2, '
+               '"data": [[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}}')
+    h_text = ('{"kind": "heisenberg", "lam": {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}, '
+              '"mu": {"rows": 1, "cols": 1, "data": [[-1.0, 0.0]]}, '
+              '"kappa": {"rows": 1, "cols": 1, "data": [[0.25, 0.0]]}}')
+    star_text = ('{"kind": "star", "p": {"rows": 1, "cols": 1, "data": [[0.0, 1.0]]}, '
+                 '"q": {"rows": 1, "cols": 1, "data": [[0.0, 0.0]]}, '
+                 '"xi": {"rows": 1, "cols": 1, "data": [[0.25, -0.5]]}, '
+                 '"kappa": {"rows": 1, "cols": 1, "data": [[-0.125, 0.0]]}}')
+    h = groups.HeisenbergElement([[0.5]], [[-1.0]], [[0.25]])
+    for g, text in ((groups.inversion(1), sp_text), (h, h_text),
+                    (groups.JacobiGroupElement(groups.inversion(1), h),
+                     f'{{"kind": "jacobi", "sp": {sp_text}, "h": {h_text}}}'),
+                    (groups.StarGroupElement([[1j]], [[0.0]], [[0.25 - 0.5j]], [[-0.125]]),
+                     star_text)):
+        assert json.dumps(g.to_json()) == text
+        assert json.dumps(groups.element_from_json(json.loads(text)).to_json()) == text
+    # a Jacobi element's halves must be of the kinds its fields declare
+    sp, h = json.loads(sp_text), json.loads(h_text)
+    for first, second, named in ((h, h, "sp"), (sp, sp, "h"), (h, sp, "sp")):
+        with pytest.raises(DomainError, match=f"^{named} must be a "):
+            groups.element_from_json({"kind": "jacobi", "sp": first, "h": second})
 
 
 def test_element_json_refuses_imaginary_real_parts():

@@ -1,26 +1,27 @@
 """Every library name the benchmark's tracer wraps must exist: a missing one
 makes ``perfbench/tracing.instrument`` fail and so the whole benchmark run.
-The names are read from ``perfbench/tracing.py`` with ``ast``, without
-importing perfbench."""
+Likewise the battery workload runs the suites it names. The names are read
+from ``perfbench/tracing.py`` and ``perfbench/workloads.py`` with ``ast``,
+without importing perfbench."""
 import ast
 import importlib
 from pathlib import Path
 
-from siegeljacobi import theta
+from siegeljacobi import checks, theta
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _constants():
-    tree = ast.parse(TRACING.read_text())
+def _constants(module, names):
+    tree = ast.parse((PERFBENCH / module).read_text())
     return {target.id: ast.literal_eval(node.value)
             for node in tree.body if isinstance(node, ast.Assign)
             for target in node.targets
-            if isinstance(target, ast.Name) and target.id in ("SPANNED", "GRID_METHODS", "TABLE")}
+            if isinstance(target, ast.Name) and target.id in names}
 
 
 def test_every_wrapped_name_is_callable_in_its_module():
-    consts = _constants()
+    consts = _constants("tracing.py", ("SPANNED", "GRID_METHODS", "TABLE"))
     spanned = dict(consts["SPANNED"])
     mod_name, _, name = consts["TABLE"].partition(".")
     spanned.setdefault(mod_name, []).append(name)
@@ -31,3 +32,7 @@ def test_every_wrapped_name_is_callable_in_its_module():
                 if not callable(getattr(theta.GridFunction, meth, None))]
     assert all(spanned.values()) and consts["GRID_METHODS"]
     assert not missing, missing
+
+
+def test_battery_runs_every_suite_in_order():
+    assert _constants("workloads.py", ("SUITES",))["SUITES"] == tuple(checks.SUITES)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegeljacobi import cayley, groups, sampling, spaces
 from siegeljacobi.errors import DimensionError, DomainError
@@ -25,6 +27,32 @@ def test_boundary_points_rejected():
         spaces.SiegelPoint.create(np.array([[0j]]))
     with pytest.raises(DomainError):
         spaces.DiskPoint.create(np.array([[1.0 + 0j]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([spaces.SiegelPoint, spaces.DiskPoint]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.floats(-2.0, 8.0), st.floats(-14.0, -6.0))
+def test_is_valid_answers_as_create_decides(cls, n, seed, log_scale, log_asym):
+    # a symmetric part of size up to 1e8 whose positive part is O(1), made
+    # asymmetric by up to 1e-6 of its size: is_valid answers (never raises)
+    # and agrees with create, which symmetrizes what it accepts
+    rng = np.random.default_rng(seed)
+    sym = rng.uniform(-1.0, 1.0, (n, n))
+    y = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(-0.5, 2.0) * np.eye(n)
+    if cls is spaces.SiegelPoint:
+        a = 10.0 ** log_scale * (sym + sym.T) + 1j * (y + y.T)
+    else:
+        a = (sym + sym.T + 1j * (y + y.T)) / (2.0 * n)
+    noise = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    a = a + 10.0 ** log_asym * np.max(np.abs(a)) * noise
+    valid = cls(a).is_valid()
+    assert isinstance(valid, bool)
+    try:
+        cls.create(a)
+    except DomainError:
+        assert not valid
+    else:
+        assert valid
 
 
 def test_shape_mismatch_rejected():
