@@ -273,6 +273,19 @@ def suite_laplacians(seed: int = 0):
 
 # -- distance ------------------------------------------------------------------------
 
+# the axis_exact rows: i diag(a) against i diag(r a), every entry moved by r
+_AXIS_DIAG = (1.0, 2.5, 0.4)
+_AXIS_RATIOS = (1 - 1e-12, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3, 0.5, 2.0,
+                1e3, 1e6, 1e9, 1e12, 1e15, 1e-15)
+
+
+def _axis_distance(a, b) -> float:
+    """The norm of log b - log a for positive vectors, per entry log1p((b - a) / a)
+    where b / a is in [1/2, 2] (there b - a is exact), else log b - log a."""
+    near = (0.5 <= b / a) & (b / a <= 2.0)
+    return float(np.linalg.norm(np.where(near, np.log1p((b - a) / a), np.log(b) - np.log(a))))
+
+
 def suite_distance(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
@@ -312,6 +325,13 @@ def suite_distance(seed: int = 0):
             d = geodesics.siegel_distance(geodesics.special_geodesic(a, s),
                                           geodesics.special_geodesic(a, t))
             _row(rows, f"unit_speed_n{n}_{j}", d, abs(s - t), 1e-8)
+    for n in (1, 2, 3):
+        a = np.array(_AXIS_DIAG[:n])
+        for j, r in enumerate(_AXIS_RATIOS):
+            d = geodesics.siegel_distance(SiegelPoint(1j * np.diag(a)),
+                                          SiegelPoint(1j * np.diag(r * a)))
+            exact = _axis_distance(a, r * a)
+            _row(rows, f"axis_exact_n{n}_{j:02d}", d, exact, 1e-13, scale=exact)
     return rows
 
 

@@ -42,13 +42,18 @@ class FDConfig:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Callable field with an optional declared smoothness radius."""
+    """Callable field with an optional declared smoothness radius; it is
+    batched when ``fn`` is (``fields.is_batched`` follows ``__wrapped__``)."""
 
     fn: object
     radius: float = np.inf
 
     def __call__(self, p):
         return self.fn(p)
+
+    @property
+    def __wrapped__(self):
+        return self.fn
 
 
 # Fourth-order central differences along one coordinate: the weight numerators

@@ -350,9 +350,8 @@ def act_jacobi_disk(g: StarGroupElement, p: JacobiDiskPoint) -> JacobiDiskPoint:
 
 def translation(b) -> SymplecticElement:
     """t(b): omega -> omega + b for symmetric b."""
-    b = np.asarray(b, dtype=float)
-    b = np.atleast_2d(b)
-    if not np.allclose(b, b.T, atol=1e-12):
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if not linalg.is_symmetric(b):
         raise DomainError("translation block must be symmetric")
     n = b.shape[0]
     mat = np.eye(2 * n)
@@ -479,19 +478,23 @@ _KINDS = {cls._kind: cls for cls in (SymplecticElement, HeisenbergElement,
 def element_from_json(obj):
     """Decode a group element from its JSON object by the ``kind`` tag: each
     part in field order, a nested element as the class its field declares."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"element JSON must be an object, got {type(obj).__name__}")
     cls = _KINDS.get(obj.get("kind"))
     if cls is None:
         raise DomainError(f"unknown element kind {obj.get('kind')!r}")
     parts = []
     for name, part_cls in typing.get_type_hints(cls).items():
+        if name not in obj:
+            raise DomainError(f"{cls._kind} element JSON has no part {name!r}")
         if name in cls._real:
             parts.append(_real_from_json(obj, name))
         elif part_cls is np.ndarray:
             parts.append(linalg.matrix_from_json(obj[name]))
         else:
-            part = element_from_json(obj[name])
-            if not isinstance(part, part_cls):
-                raise DomainError(f"{name} must be a {part_cls._kind} element, "
-                                  f"got {part._kind}")
-            parts.append(part)
+            part = obj[name]
+            kind = part.get("kind") if isinstance(part, dict) else type(part).__name__
+            if kind != part_cls._kind:
+                raise DomainError(f"{name} must be a {part_cls._kind} element, got {kind}")
+            parts.append(element_from_json(part))
     return cls.create(*parts)

@@ -193,11 +193,23 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj):
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise DimensionError("matrix JSON needs keys rows, cols, data")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+    except (TypeError, ValueError):
+        raise DimensionError(f"rows and cols must be integers, got {obj['rows']!r}, "
+                             f"{obj['cols']!r}") from None
     if rows < 1 or cols < 1:
         raise DimensionError("rows and cols must be >= 1")
     data = obj["data"]
+    if not isinstance(data, list):
+        raise DimensionError(f"data must be a list of [re, im] pairs, got {type(data).__name__}")
     if len(data) != rows * cols:
         raise DimensionError(f"data length {len(data)} != rows*cols {rows * cols}")
-    flat = [complex(float(re), float(im)) for re, im in data]
+    flat = []
+    for k, pair in enumerate(data):
+        try:
+            re, im = pair
+            flat.append(complex(float(re), float(im)))
+        except (TypeError, ValueError):
+            raise DimensionError(f"data entry {k} is not an [re, im] pair: {pair!r}") from None
     return np.array(flat, dtype=complex).reshape(rows, cols)

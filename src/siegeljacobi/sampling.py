@@ -19,7 +19,7 @@ def random_siegel_point(n: int, rng, y_range=(0.5, 2.0)) -> SiegelPoint:
 def random_jacobi_point(n: int, m: int, rng) -> JacobiPoint:
     base = random_siegel_point(n, rng)
     z = rng.uniform(-1.0, 1.0, (m, n)) + 1j * rng.uniform(-1.0, 1.0, (m, n))
-    return JacobiPoint.create(base.omega, z)
+    return JacobiPoint(base.omega, z)    # omega is checked, z finite and m x n
 
 
 def random_disk_point(n: int, rng, radius: float = 0.5) -> DiskPoint:
@@ -34,7 +34,7 @@ def random_disk_point(n: int, rng, radius: float = 0.5) -> DiskPoint:
 def random_jacobi_disk_point(n: int, m: int, rng, radius: float = 0.5) -> JacobiDiskPoint:
     base = random_disk_point(n, rng, radius)
     eta = 0.7 * (rng.uniform(-1.0, 1.0, (m, n)) + 1j * rng.uniform(-1.0, 1.0, (m, n)))
-    return JacobiDiskPoint.create(base.w, eta)
+    return JacobiDiskPoint(base.w, eta)    # w is checked, eta finite and m x n
 
 
 def random_point(kind: str, n: int, m: int, rng):

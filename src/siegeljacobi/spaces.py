@@ -10,16 +10,16 @@ Spaces:
 
 The four point types share one layout: ``parts()`` is the symmetric part
 followed, on the Jacobi spaces, by the rectangular one, and ``_Chart`` gives
-the real coordinates of a point in that layout. ``create`` symmetrizes inputs
-whose asymmetry is below tolerance and rejects anything worse, non-finite
-entries and mismatched shapes; degenerate boundary points are rejected, never
-clamped.
+the real coordinates of a point in that layout. One validity pass decides:
+``create`` runs it (asymmetry below tolerance is symmetrized away; worse,
+non-finite entries, mismatched shapes and boundary points are refused, never
+clamped), and ``is_valid()`` says whether ``create`` accepts a point's parts.
 
 A point may also be a stack of points: parts with a leading batch axis, as
 the finite-difference stencils of ``diffops`` build them. ``n`` and ``m``
 read the trailing axes, so the group actions and Cayley maps take stacks
-as they are; ``create`` and ``is_valid`` handle single points only, and
-``unstack`` splits a stack into single points.
+as they are; ``create`` takes single points only (a stack is not valid),
+and ``unstack`` splits a stack into single points.
 """
 from __future__ import annotations
 
@@ -29,15 +29,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError
-
-
-def _prepare_symmetric(a, what: str):
-    a = linalg.require_square(a, what)
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{what} has non-finite entries")
-    if not linalg.is_symmetric(a):
-        raise DomainError(f"{what} is not symmetric within tolerance")
-    return linalg.symmetrize(a)
 
 
 class _Point:
@@ -54,11 +45,16 @@ class _Point:
             fields[name] = a if a.ndim > 2 else linalg.as_complex_matrix(a)
 
     @classmethod
-    def create(cls, *parts):
+    def _checked(cls, parts) -> list:
+        """The one validity pass: the parts, symmetrized, or the first failed check's error."""
         names = list(cls.__dataclass_fields__)
         if len(parts) != len(names):
             raise TypeError(f"{cls.__name__}.create takes the parts {names}")
-        sym = _prepare_symmetric(parts[0], names[0])
+        sym = linalg.require_square(parts[0], names[0])
+        if not np.all(np.isfinite(sym)):
+            raise DomainError(f"{names[0]} has non-finite entries")
+        if not linalg.is_symmetric(sym):
+            raise DomainError(f"{names[0]} is not symmetric within tolerance")
         rest = [linalg.as_complex_matrix(a) for a in parts[1:]]
         for name, a in zip(names[1:], rest):
             if not np.all(np.isfinite(a)):
@@ -66,10 +62,14 @@ class _Point:
             if a.shape[1] != sym.shape[0]:
                 raise DimensionError(f"{name} has {a.shape[1]} columns, "
                                      f"{names[0]} degree {sym.shape[0]}")
-        p = cls(sym, *rest)
-        if not p.is_valid():
+        sym = linalg.symmetrize(sym)    # overflows on entries past half the float range
+        if not (np.all(np.isfinite(sym)) and linalg.is_positive_definite(cls._positive(sym))):
             raise DomainError(cls._not_positive)
-        return p
+        return [sym, *rest]
+
+    @classmethod
+    def create(cls, *parts):
+        return cls(*cls._checked(parts))
 
     def parts(self) -> list:
         return [getattr(self, name) for name in self.__dataclass_fields__]
@@ -89,14 +89,12 @@ class _Point:
         return parts[1].shape[-2] if len(parts) > 1 else 0
 
     def is_valid(self) -> bool:
-        sym, *rest = self.parts()
-        if any(a.shape[1] != sym.shape[0] for a in rest):
+        """True iff ``create`` accepts this point's parts."""
+        try:
+            self._checked(self.parts())
+        except (DimensionError, DomainError):
             return False
-        if not linalg.is_symmetric(sym):
-            return False
-        # symmetric within tolerance only: test the symmetrized part, which
-        # is the same bits when sym is exactly symmetric
-        return linalg.is_positive_definite(self._positive(linalg.symmetrize(sym)))
+        return True
 
     def to_json(self) -> dict:
         return {name: linalg.matrix_to_json(getattr(self, name))
@@ -194,6 +192,8 @@ def validate(point) -> bool:
 
 def point_from_json(obj):
     """Decode a point from its JSON object; the key set selects the space."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"point JSON must be an object, got {type(obj).__name__}")
     for cls in (JacobiPoint, SiegelPoint, JacobiDiskPoint, DiskPoint):
         names = cls.__dataclass_fields__
         if set(names) <= set(obj):

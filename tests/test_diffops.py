@@ -222,6 +222,25 @@ def test_scalar_field_radius_guard():
         DerivativeTable(field, p)
 
 
+def test_scalar_field_keeps_the_batched_marker():
+    p = spaces.SiegelPoint.create(np.array([[0.3 + 1.1j]]))
+    calls = []
+    y = fields.builtin_field("y")
+
+    @fields.batched
+    def counted(q):
+        calls.append(q)
+        return y(q)
+
+    field = diffops.ScalarField(counted, radius=10.0)
+    assert fields.is_batched(field)
+    table = DerivativeTable(field, p)
+    assert len(calls) == 1
+    bare = DerivativeTable(counted, p)
+    for a, b in ((table.value, bare.value), (table.g1, bare.g1), (table.g2, bare.g2)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_non_finite_field_rejected():
     p = spaces.SiegelPoint.create(np.array([[1j]]))
     with pytest.raises(DomainError):

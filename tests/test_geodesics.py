@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from siegeljacobi import geodesics, groups, sampling, spaces
+from siegeljacobi import checks, geodesics, groups, sampling, spaces
 from siegeljacobi.errors import ConvergenceError, DimensionError, ParameterError
 
 
@@ -157,3 +157,20 @@ def test_distance_against_mpmath_at_every_separation(n):
                 p1 = spaces.SiegelPoint.create(q.real + 1j * sep * q.imag)
             expected = _mp_distance(p0.omega, p1.omega)
             assert abs(geodesics.siegel_distance(p0, p1) - expected) <= 1e-13 * expected
+
+
+def test_axis_exact_rows_against_mpmath():
+    """The distance and the closed form of the axis_exact rows, i diag(a)
+    against i diag(r a), both within 1e-15 relative of the 60-digit
+    |log b - log a| of the rounded entries."""
+    for n in (1, 2, 3):
+        a = np.array(checks._AXIS_DIAG[:n])
+        for r in checks._AXIS_RATIOS:
+            b = r * a
+            with mpmath.workdps(60):
+                expected = float(mpmath.sqrt(sum(mpmath.log(mpmath.mpf(y) / mpmath.mpf(x)) ** 2
+                                                 for x, y in zip(a, b))))
+            d = geodesics.siegel_distance(spaces.SiegelPoint(1j * np.diag(a)),
+                                          spaces.SiegelPoint(1j * np.diag(b)))
+            for got in (d, checks._axis_distance(a, b)):
+                assert abs(got - expected) <= 1e-15 * expected, (n, r, got, expected)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegeljacobi import groups, linalg, sampling, spaces
-from siegeljacobi.errors import DomainError
+from siegeljacobi.errors import DimensionError, DomainError
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -238,6 +238,41 @@ def test_invalid_elements_are_refused():
                 "kappa": mat([[0.0]])}
     with pytest.raises(DomainError, match="^invalid star group element$"):
         groups.element_from_json(bad_star)
+
+
+def test_malformed_element_json_names_what_is_wrong():
+    mat = linalg.matrix_to_json
+    h = groups.HeisenbergElement([[0.5]], [[-1.0]], [[0.25]]).to_json()
+    for obj, message in ((5, "^element JSON must be an object, got int$"),
+                         ([1, 2], "^element JSON must be an object, got list$"),
+                         ({"kind": "jacobi", "sp": 5, "h": 5},
+                          "^sp must be a symplectic element, got int$"),
+                         ({"kind": "jacobi", "sp": groups.inversion(1).to_json(), "h": [h]},
+                          "^h must be a heisenberg element, got list$"),
+                         ({"kind": "heisenberg", "lam": mat([[0.5]])},
+                          "^heisenberg element JSON has no part 'mu'$"),
+                         ({"kind": "symplectic"}, "^symplectic element JSON has no part 'mat'$"),
+                         ({"kind": "jacobi", "sp": groups.inversion(1).to_json()},
+                          "^jacobi element JSON has no part 'h'$")):
+        with pytest.raises(DomainError, match=message):
+            groups.element_from_json(obj)
+    # a malformed matrix inside an element is named by its entry
+    bad = {**h, "mu": {"rows": 1, "cols": 1, "data": [[1.0]]}}
+    with pytest.raises(DimensionError, match=r"^data entry 0 is not an \[re, im\] pair"):
+        groups.element_from_json(bad)
+
+
+def test_translation_blocks_follow_the_linalg_symmetry_rule():
+    assert np.array_equal(groups.translation([[1.0, 2.0], [2.0, 3.0]]).mat[:2, 2:],
+                          [[1.0, 2.0], [2.0, 3.0]])
+    # asymmetric within 1e-10 + 1e-10 max(|a|, |b|): accepted and averaged
+    g = groups.translation([[100.0, 50.0], [50.0 + 5e-9, 100.0]])
+    assert g.mat[0, 3] == g.mat[1, 2] == 0.5 * (100.0 + 5e-9)
+    # 5e-4 at scale 100 passes np.allclose's default rtol, but not this rule
+    with pytest.raises(DomainError, match="^translation block must be symmetric$"):
+        groups.translation([[1.0, 100.0], [100.0 + 5e-4, 1.0]])
+    with pytest.raises(DimensionError):
+        groups.translation([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
 
 
 def test_generator_word_parsing():

@@ -161,6 +161,16 @@ def test_matrix_json_round_trip():
     assert np.array_equal(back, a)
     with pytest.raises(DimensionError):
         linalg.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
+    for bad, message in (({"rows": None, "cols": 1, "data": [[1, 0]]}, "rows and cols must be"),
+                         ({"rows": "x", "cols": 1, "data": [[1, 0]]}, "rows and cols must be"),
+                         ({"rows": 1, "cols": 1, "data": None}, "data must be a list"),
+                         ({"rows": 1, "cols": 1, "data": {"a": [1, 0]}}, "data must be a list")):
+        with pytest.raises(DimensionError, match=f"^{message}"):
+            linalg.matrix_from_json(bad)
+    # an entry that is not an [re, im] pair of numbers is named
+    for entry in ([1.0], [1.0, 2.0, 3.0], 5, None, ["a", 0.0], [None, 0.0]):
+        with pytest.raises(DimensionError, match=r"^data entry 1 is not an \[re, im\] pair"):
+            linalg.matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], entry]})
 
 
 def test_random_unitary_is_unitary():

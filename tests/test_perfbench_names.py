@@ -1,9 +1,11 @@
 """Every library name the benchmark's tracer wraps must exist: a missing one
 makes ``perfbench/tracing.instrument`` fail and so the whole benchmark run.
-Likewise the battery workload runs the suites it names. The names are read
-from ``perfbench/tracing.py`` and ``perfbench/workloads.py`` with ``ast``,
+Likewise the battery workload runs the suites it names, and the workloads
+call the library through the names they read. The names are read from
+``perfbench/tracing.py`` and ``perfbench/workloads.py`` with ``ast``,
 without importing perfbench."""
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -36,3 +38,38 @@ def test_every_wrapped_name_is_callable_in_its_module():
 
 def test_battery_runs_every_suite_in_order():
     assert _constants("workloads.py", ("SUITES",))["SUITES"] == tuple(checks.SUITES)
+
+
+def _library_aliases(tree):
+    """The local names a module binds to siegeljacobi and its submodules."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name.split(".")[0] == "siegeljacobi")
+        elif isinstance(node, ast.ImportFrom) and node.module == "siegeljacobi":
+            aliases.update((a.asname or a.name, f"siegeljacobi.{a.name}") for a in node.names)
+    return aliases
+
+
+def test_every_library_name_the_workloads_read_resolves():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    aliases = _library_aliases(tree)
+    assert set(aliases) == {"sj", "cli", "reduction", "theta"}
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id in aliases:
+            chains.add((node.id, *reversed(names)))
+    missing = []
+    for root, *attrs in sorted(chains):
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(aliases[root]))
+        except AttributeError:
+            missing.append(".".join((root, *attrs)))
+    assert {("sj", "SiegelPoint", "create"), ("sj", "JacobiPoint", "create"),
+            ("theta", "weil_generator_action"), ("cli", "main")} <= chains
+    assert not missing, missing

@@ -29,13 +29,17 @@ def test_boundary_points_rejected():
         spaces.DiskPoint.create(np.array([[1.0 + 0j]]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([spaces.SiegelPoint, spaces.DiskPoint]), st.integers(1, 3),
-       st.integers(0, 2**32 - 1), st.floats(-2.0, 8.0), st.floats(-14.0, -6.0))
-def test_is_valid_answers_as_create_decides(cls, n, seed, log_scale, log_asym):
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([spaces.SiegelPoint, spaces.JacobiPoint, spaces.DiskPoint,
+                        spaces.JacobiDiskPoint]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.floats(-2.0, 8.0), st.floats(-14.0, -6.0),
+       st.sampled_from([None, np.nan, np.inf, complex(0.0, -np.inf)]))
+def test_is_valid_answers_as_create_decides(cls, n, seed, log_scale, log_asym, bad):
     # a symmetric part of size up to 1e8 whose positive part is O(1), made
-    # asymmetric by up to 1e-6 of its size: is_valid answers (never raises)
-    # and agrees with create, which symmetrizes what it accepts
+    # asymmetric by up to 1e-6 of its size, then on the Jacobi spaces a
+    # 1 x n part, and when drawn a non-finite entry in one of the parts:
+    # is_valid answers (never raises) and agrees with create, which
+    # symmetrizes what it accepts
     rng = np.random.default_rng(seed)
     sym = rng.uniform(-1.0, 1.0, (n, n))
     y = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(-0.5, 2.0) * np.eye(n)
@@ -45,10 +49,15 @@ def test_is_valid_answers_as_create_decides(cls, n, seed, log_scale, log_asym):
         a = (sym + sym.T + 1j * (y + y.T)) / (2.0 * n)
     noise = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
     a = a + 10.0 ** log_asym * np.max(np.abs(a)) * noise
-    valid = cls(a).is_valid()
+    parts = [a, rng.uniform(-1.0, 1.0, (1, n)) + 1j * rng.uniform(-1.0, 1.0, (1, n))]
+    parts = parts[:len(cls.__dataclass_fields__)]
+    if bad is not None:
+        part = parts[rng.integers(len(parts))]
+        part[tuple(rng.integers(0, k) for k in part.shape)] = bad
+    valid = cls(*parts).is_valid()
     assert isinstance(valid, bool)
     try:
-        cls.create(a)
+        cls.create(*parts)
     except DomainError:
         assert not valid
     else:
@@ -92,4 +101,7 @@ def test_point_json_round_trip():
         assert (p.n, p.m) == (2, len(p.parts()) - 1)
     with pytest.raises(DomainError):
         spaces.point_from_json({"nonsense": 1})
+    for obj in (5, [1, 2], "omega"):
+        with pytest.raises(DomainError, match="^point JSON must be an object, got "):
+            spaces.point_from_json(obj)
 
