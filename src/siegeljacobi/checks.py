@@ -169,6 +169,16 @@ def suite_metrics(seed: int = 0):
         expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = -v / y**2
         rows.append(CheckRow(f"closed_form_11_{i:03d}", 0.0, 0.0,
                              float(np.max(np.abs(gram - expected))), 1e-12))
+    # the Cayley transform is an isometry of D_n onto H_n
+    for i in range(30):
+        n = 1 + i % 3
+        w = sampling.random_disk_point(n, rng)
+        t1, t2 = sampling.random_tangent(n, 0, rng), sampling.random_tangent(n, 0, rng)
+        t1c, t2c = (TangentVector.omega_only(*linalg.fractional_linear_differential(
+            *cayley.blocks(cayley.TO_HALF, n), w.w, t.d_omega)) for t in (t1, t2))
+        rhs = metrics.siegel_metric(cayley.cayley(w), t1c, t2c, 1.0)
+        _row(rows, f"cayley_isometry_{i:03d}", metrics.disk_metric(w, t1, t2, 1.0), rhs,
+             1e-12, scale=max(1.0, abs(rhs)))
     return rows
 
 

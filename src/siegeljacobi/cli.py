@@ -58,6 +58,15 @@ def _finite(name: str, a):
     return a
 
 
+def _real_array(name: str, text: str):
+    """The JSON array ``text`` as a finite real array (DomainError naming it otherwise)."""
+    try:
+        a = np.asarray(json.loads(text), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} is not a real array: {exc}") from None
+    return _finite(name, a)
+
+
 # the point class each --space value takes
 SPACES = {"hn": spaces.SiegelPoint, "hnm": spaces.JacobiPoint,
           "dn": spaces.DiskPoint, "dnm": spaces.JacobiDiskPoint}
@@ -201,7 +210,7 @@ def cmd_theta(args) -> int:
     m_mat = parse_matrix_arg(args.M).real
     ctx = theta.ThetaContext(m_mat, n=1, n_cut=args.n_cut)
     coord = theta.SL2Coord(parse_scalar_complex(args.tau), args.phi)
-    h = HeisenbergElement(*(_finite(name, np.asarray(json.loads(getattr(args, name)), dtype=float))
+    h = HeisenbergElement(*(_real_array(name, getattr(args, name))
                             for name in ("lam", "mu", "kappa")))
     value = theta.theta_sum(theta.gaussian(ctx), ctx, coord, h)
     _emit({"re": value.real, "im": value.imag})

@@ -112,16 +112,21 @@ def _stencil(f, chart, steps, entries=None):
     return vals, out, ei, ej
 
 
+def _require_within_radius(f, reach: float) -> None:
+    """ParameterError unless stencil points at most ``reach`` from the point in
+    each chart coordinate stay inside f's declared smoothness radius."""
+    if reach >= getattr(f, "radius", np.inf):
+        raise ParameterError("finite-difference step exceeds the field's smoothness radius")
+
+
 class DerivativeTable:
     """First and second Wirtinger derivatives of a field f at the point p."""
 
     def __init__(self, f, p, cfg: FDConfig = FDConfig()):
         self.point = p
         self.chart = chart = _Chart(p)
-        radius = getattr(f, "radius", np.inf)
         steps = cfg.step * (1.0 + np.abs(chart.coord_values()))
-        if 2 * max(steps, default=0.0) >= radius:
-            raise ParameterError("finite-difference step exceeds the field's smoothness radius")
+        _require_within_radius(f, 2 * max(steps, default=0.0))
         self._f = f
         dim = chart.dim
         vals, out, ei, ej = _stencil(f, chart, steps)
@@ -319,7 +324,8 @@ def disk_eta_determinant(t: DerivativeTable) -> complex:
     to the eta-trace kernel and is read from the table, while for n >= 2 the
     constant-coefficient entry operators are composed by nested finite
     differences of the table's field at its point (with an enlarged step to
-    keep roundoff in check).
+    keep roundoff in check), refused with ParameterError when those reach
+    past the field's declared radius.
     """
     _require_point(t, JacobiDiskPoint)
     f, p = t._f, t.point
@@ -330,6 +336,12 @@ def disk_eta_determinant(t: DerivativeTable) -> complex:
         ebe = t.block_rect_bar_rect()
         return det_q * complex(sum(ebe[k, 0, k, 0] for k in range(m)))
     nested_cfg = FDConfig(step=8e-3)
+    # level k of the nesting moves an eta coordinate by at most 2 steps, its
+    # step taken at a point up to the reach of the levels before it
+    reach, eta_size = 0.0, float(np.max(np.abs(p.eta.real) + np.abs(p.eta.imag)))
+    for _ in range(n):
+        reach += 2 * nested_cfg.step * (1.0 + eta_size + 2 * reach)
+    _require_within_radius(f, reach)
     total = 0.0 + 0.0j
     for perm in permutations(range(n)):
         sign = (-1.0) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))

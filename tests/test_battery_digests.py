@@ -1,0 +1,27 @@
+import contextlib
+import hashlib
+import importlib.util
+import io
+import pathlib
+
+from siegeljacobi import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("battery_digests",
+                                                  ROOT / "scripts" / "battery_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_is_the_hash_of_the_cli_output():
+    digests = _script()
+    assert digests.parse_seeds("0-2,11,2026") == [0, 1, 2, 11, 2026]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "--suite", "cayley", "--seed", "2026"])
+    sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digests.digest(cli, "cayley", 2026) == f"cayley 2026 exit={code} stdout={sha} stderr=[]"

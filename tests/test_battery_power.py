@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from siegeljacobi import checks, geodesics, jacobiforms, theta
+from siegeljacobi import checks, geodesics, jacobiforms, metrics, theta
 
 
 def _scaled(fn, factor):
@@ -31,6 +31,10 @@ MUTANTS = [
     ("distance", geodesics, "siegel_distance", _scaled, 1 + 1e-9),
     ("jacobiforms", jacobiforms, "automorphic_factor", _scaled, 1 + 1e-7),
     ("theta", theta, "weil_matrix_action", _chirp_frequency, 1 + 1e-6),
+    ("metrics", metrics, "siegel_metric", _scaled, 1 + 1e-9),
+    ("metrics", metrics, "jacobi_metric", _scaled, 1 + 1e-9),
+    ("metrics", metrics, "disk_metric", _scaled, 1 + 1e-9),
+    ("metrics", metrics, "jacobi_disk_metric", _scaled, 1 + 1e-9),
 ]
 
 

@@ -296,6 +296,9 @@ def test_non_finite_point_is_usage_error():
     (["element", "--word", "t(inf)", "--n", "1"], "'t(inf)'"),
     (["element", "--word", "g(nan)", "--n", "1"], "'g(nan)'"),
     (["element", "--word", "s;g(inf)", "--n", "1"], "'g(inf)'"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "0.3", "--lam", '{"a": 1}'], "lam"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "0.3", "--mu", "{}"], "mu"),
+    (["theta", "--M", "1", "--tau", "0,1", "--phi", "0.3", "--kappa", "[[{}]]"], "kappa"),
 ])
 def test_non_finite_or_mismatched_number_is_usage_error(args, named):
     code, out, err = run_cli(args)

@@ -167,6 +167,28 @@ def test_s3_determinant_structure_degree_two():
     assert abs(lhs - rhs) <= 1e-3 * max(1.0, abs(rhs))
 
 
+def test_s3_nested_stencil_honours_the_field_radius():
+    """At n = 2 the nested S3 stencil reaches about 0.059 from p, though the
+    table's own stencil reaches only 0.0034: a field declared smooth within
+    0.01 is accepted by the table and refused by S3, with the table's error."""
+    rng = np.random.default_rng(17)
+    pd = sampling.random_jacobi_disk_point(2, 1, rng, radius=0.3)
+    groups.random_jacobi(2, 1, rng, 2)          # the draws of the structure test
+    cs = rng.uniform(-1, 1, 3)
+
+    def fd(q):
+        return (cs[0] * abs(np.sum(q.eta)) ** 2
+                + cs[1] * abs(np.sum(q.eta)) ** 4
+                + cs[2] * (np.sum(q.eta ** 2) * np.sum(q.w)).real)
+
+    table = DerivativeTable(diffops.ScalarField(fd, radius=0.01), pd)
+    with pytest.raises(ParameterError, match="smoothness radius"):
+        diffops.disk_eta_determinant(table)
+    value = -1.274727600832572e-09 - 8.101636455608813e-11j
+    assert diffops.disk_eta_determinant(DerivativeTable(diffops.ScalarField(fd), pd)) == value
+    assert diffops.disk_eta_determinant(DerivativeTable(fd, pd)) == value
+
+
 def test_disk_laplacian_transport_through_partial_cayley():
     rng = np.random.default_rng(21)
     params = MetricParams(1.2, 0.8)

@@ -61,19 +61,22 @@ def test_hermitian_symmetry_and_positivity():
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_raw_forms_are_hermitian(n, m):
-    """Each raw form satisfies s(t1, t2) = conj s(t2, t1) on its own, so the
-    public metrics' average of the two cannot hide a transcription error."""
+    """Each metric evaluates its form once, with no symmetrizing average, so
+    h(t1, t2) = conj h(t2, t1) and a real, positive h(t, t) hold only because
+    the formula is right: to rounding, not bit for bit."""
     rng = np.random.default_rng(10 * n + m)
     params = MetricParams(0.8, 1.7)
-    for raw, kind, weight, m_t in ((metrics._siegel_raw, "siegel", 0.8, 0),
-                                   (metrics._jacobi_raw, "jacobi", params, m),
-                                   (metrics._disk_raw, "disk", 0.8, 0),
-                                   (metrics._jacobi_disk_raw, "jacobi_disk", params, m)):
+    for metric, kind, weight, m_t in ((metrics.siegel_metric, "siegel", 0.8, 0),
+                                      (metrics.jacobi_metric, "jacobi", params, m),
+                                      (metrics.disk_metric, "disk", 0.8, 0),
+                                      (metrics.jacobi_disk_metric, "jacobi_disk", params, m)):
         for _ in range(10):
             p = sampling.random_point(kind, n, m, rng)
             t1, t2 = sampling.random_tangent(n, m_t, rng), sampling.random_tangent(n, m_t, rng)
-            s12 = raw(p, t1, t2, weight)
-            assert abs(s12 - np.conj(raw(p, t2, t1, weight))) <= 1e-13 * max(1.0, abs(s12))
+            h12 = metric(p, t1, t2, weight)
+            assert abs(h12 - np.conj(metric(p, t2, t1, weight))) <= 1e-13 * max(1.0, abs(h12))
+            htt = metric(p, t1, t1, weight)
+            assert htt.real > 0 and abs(htt.imag) <= 1e-13 * abs(htt)
 
 
 def test_closed_form_degree_one():
