@@ -6,7 +6,8 @@ Imports ``siegeljacobi`` from SRC_DIR, runs ``siegeljacobi check --suite S
 --seed N`` in-process through ``cli.main`` for every suite S and seed N, and
 prints one line per (suite, seed): the exit code, the sha256 of stdout and the
 stderr lines. SEEDS is a comma-separated list of seeds and inclusive ranges,
-such as ``0-99,2026`` (default ``2026``). Two trees give the same CLI output
+such as ``0-99,2026`` (default ``2026``); an empty, reversed or non-integer
+item prints this text on stderr and exits 2. Two trees give the same CLI output
 where their lines agree, so diffing the output for the two is the check.
 """
 from __future__ import annotations
@@ -19,11 +20,15 @@ import sys
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'0-2,2026' -> [0, 1, 2, 2026]."""
+    """'0-2,2026' -> [0, 1, 2, 2026]; ValueError on an empty, reversed or
+    non-integer item."""
     seeds = []
     for item in text.split(","):
-        lo, _, hi = item.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = item.partition("-")
+        lo, hi = int(lo), int(hi if dash else lo)
+        if hi < lo:
+            raise ValueError(f"reversed seed range {item!r}")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
@@ -38,12 +43,15 @@ def digest(cli, suite: str, seed: int) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
+    try:
+        if len(argv) not in (1, 2):
+            raise ValueError("expected SRC_DIR [SEEDS]")
+        seeds = parse_seeds(argv[1] if len(argv) == 2 else "2026")
+    except ValueError:
         print(__doc__, file=sys.stderr)
         return 2
     sys.path.insert(0, argv[0])
     from siegeljacobi import checks, cli
-    seeds = parse_seeds(argv[1] if len(argv) == 2 else "2026")
     for suite in checks.SUITES:
         for seed in seeds:
             print(digest(cli, suite, seed), flush=True)

@@ -13,7 +13,7 @@ from . import linalg, reduction, sampling, theta
 from .diffops import DerivativeTable
 from .groups import HeisenbergElement
 from .metrics import MetricParams
-from .spaces import JacobiPoint, SiegelPoint, TangentVector, _Chart
+from .spaces import JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector, _Chart
 
 
 @dataclass
@@ -179,6 +179,23 @@ def suite_metrics(seed: int = 0):
         rhs = metrics.siegel_metric(cayley.cayley(w), t1c, t2c, 1.0)
         _row(rows, f"cayley_isometry_{i:03d}", metrics.disk_metric(w, t1, t2, 1.0), rhs,
              1e-12, scale=max(1.0, abs(rhs)))
+    # Heisenberg translations far out in the fibre, drawing nothing from rng:
+    # (lam, mu) = (10^e, 0) at (i, 0), and xi = 10^e (1 - i) at (0, 0) on the
+    # disk, carry t = (1, 1) to tangents of squared length exactly 2 and 8
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    t = TangentVector(one + 0j, one + 0j)
+    for space, metric, act, embed, p0, (lam, mu) in (
+            ("", metrics.jacobi_metric, groups.act_jacobi, lambda g: g,
+             JacobiPoint(1j * one, 0j * one), (1.0, 0.0)),
+            ("_disk", metrics.jacobi_disk_metric, groups.act_jacobi_disk, groups.embed_star,
+             JacobiDiskPoint(0j * one, 0j * one), (2.0, -2.0))):
+        rhs = metric(p0, t, t, params)
+        for e in (3, 6, 9, 12):
+            h = HeisenbergElement(lam * 10.0**e * one, mu * 10.0**e * one, zero)
+            g = embed(groups.JacobiGroupElement.from_heisenberg(h))
+            moved = metrics.pushforward(g, p0, t)
+            _row(rows, f"heisenberg_far{space}_e{e}", metric(act(g, p0), moved, moved, params),
+                 rhs, 1e-12, scale=max(1.0, abs(rhs)))
     return rows
 
 

@@ -230,8 +230,8 @@ def laplacian_jacobi(t: DerivativeTable, params: MetricParams = MetricParams()) 
 def _disk_mats(p: JacobiDiskPoint):
     w = p.w
     wb = np.conj(w)
-    eye = np.eye(p.n)
-    return w, wb, eye - w @ wb, eye - wb @ w
+    qp = np.eye(p.n) - w @ wb
+    return w, wb, qp, np.conj(qp)  # I - conj(W) W = conj(I - W conj(W))
 
 
 def disk_eta_trace(t: DerivativeTable) -> complex:

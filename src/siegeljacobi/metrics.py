@@ -9,10 +9,15 @@ Each metric is its sesquilinear form h(t1, t2), evaluated once: the line
 element with holomorphic differentials taken from t1 and antiholomorphic ones
 from conj(t2). The form is Hermitian, so h(t1, t2) = conj h(t2, t1) to
 rounding and h(t, t) is the line element, with an imaginary part of rounding
-size (below 1e-15 |h|). The Jacobi metrics extend the base metrics: A times
-the Siegel metric of Omega plus B times a Heisenberg part on the Siegel-Jacobi
-space, 4A times the disk metric of W plus 4B times one on the Siegel-Jacobi
-disk.
+size (below 1e-15 |h|).
+
+The Jacobi metrics add B times a square to the base metric of weight A: on
+the Siegel-Jacobi space B tr(Y^{-1} t(K) conj(K)) with K = dZ - V Y^{-1} dOmega
+(Y = Im Omega, V = Im Z), which in the toroidal coordinates Z = lam + mu Omega
+reads K = dlam + dmu Omega, the flat metric of the torus fibre; on the
+Siegel-Jacobi disk 4B tr(L t(K) conj(K)) with L = (I - W conj(W))^{-1} and
+K = deta + (eta conj(W) - conj(eta)) L dW. The square keeps full accuracy far
+out in the fibre, where the paper's expanded traces cancel.
 """
 from __future__ import annotations
 
@@ -61,65 +66,38 @@ def siegel_metric(p: SiegelPoint, t1: TangentVector, t2: TangentVector, a: float
 
 def jacobi_metric(p: JacobiPoint, t1: TangentVector, t2: TangentVector,
                   params: MetricParams = MetricParams()) -> complex:
-    """A times the Siegel metric of Omega plus B times the Heisenberg part."""
+    """A times the Siegel metric of Omega plus B tr(Y^{-1} t(K1) conj(K2)),
+    with K = dZ - V Y^{-1} dOmega (Y = Im Omega, V = Im Z) taken from t1, t2."""
     yi = safe_inv(p.omega.imag)
-    v = p.z.imag
-    d_om = t1.d_omega
-    d_om_bar = np.conj(t2.d_omega)
-    d_z = t1.d_z
-    d_z_bar = np.conj(t2.d_z)
-    return siegel_metric(p.siegel_part(), t1, t2, params.A) + params.B * (
-        _tr(yi @ v.T @ v @ yi @ d_om @ yi @ d_om_bar)
-        + _tr(yi @ d_z.T @ d_z_bar)
-        - _tr(v @ yi @ d_om @ yi @ d_z_bar.T)
-        - _tr(v @ yi @ d_om_bar @ yi @ d_z.T)
-    )
+    vyi = p.z.imag @ yi
+    k1, k2 = (t.d_z - vyi @ t.d_omega for t in (t1, t2))
+    heisenberg = _tr(yi @ k1.T @ np.conj(k2))
+    return siegel_metric(p.siegel_part(), t1, t2, params.A) + params.B * heisenberg
 
 
 # -- Generalized unit disk ------------------------------------------------------
 
 def disk_metric(p: DiskPoint, t1: TangentVector, t2: TangentVector, a: float = 1.0) -> complex:
-    """4A tr((I - W conj(W))^{-1} dW (I - conj(W) W)^{-1} conj(dW))."""
+    """4A tr((I - W conj(W))^{-1} dW (I - conj(W) W)^{-1} conj(dW)); the right
+    inverse is the conjugate of the left one."""
     require_weight(a)
-    eye = np.eye(p.n)
-    wbar = np.conj(p.w)
-    left = safe_inv(eye - p.w @ wbar)
-    right = safe_inv(eye - wbar @ p.w)
-    return 4.0 * a * _tr(left @ t1.d_omega @ right @ np.conj(t2.d_omega))
+    left = safe_inv(np.eye(p.n) - p.w @ np.conj(p.w))
+    return 4.0 * a * _tr(left @ t1.d_omega @ np.conj(left) @ np.conj(t2.d_omega))
 
 
 # -- Siegel-Jacobi disk ---------------------------------------------------------
 
 def jacobi_disk_metric(p: JacobiDiskPoint, t1: TangentVector, t2: TangentVector,
                        params: MetricParams = MetricParams()) -> complex:
-    """4A times the disk metric of W plus 4B times the Heisenberg part."""
-    eye = np.eye(p.n)
-    w = p.w
-    wb = np.conj(w)
-    eta = p.eta
-    etab = np.conj(eta)
-    lw = safe_inv(eye - w @ wb)        # (I - W conj(W))^{-1}
-    rw = safe_inv(eye - wb @ w)        # (I - conj(W) W)^{-1}
-    one_m_w = eye - w
-    one_m_wb = eye - wb
-    inv_one_m_w = safe_inv(one_m_w)
-    inv_one_m_wb = np.conj(inv_one_m_w)
-    dw = t1.d_omega
-    dwb = np.conj(t2.d_omega)
-    de = t1.d_z
-    deb = np.conj(t2.d_z)
-
-    b_terms = _tr(lw @ de.T @ deb)
-    b_terms += _tr((eta @ wb - etab) @ lw @ dw @ rw @ deb.T)
-    b_terms += _tr((etab @ w - eta) @ rw @ dwb @ lw @ de.T)
-    b_terms -= _tr(lw @ eta.T @ eta @ rw @ wb @ dw @ rw @ dwb)
-    b_terms -= _tr(w @ rw @ etab.T @ etab @ lw @ dw @ rw @ dwb)
-    b_terms += _tr(lw @ eta.T @ etab @ lw @ dw @ rw @ dwb)
-    b_terms += _tr(inv_one_m_wb @ etab.T @ eta @ wb @ lw @ dw @ rw @ dwb)
-    b_terms += _tr(inv_one_m_wb @ one_m_w @ rw @ etab.T @ eta @ rw
-                   @ one_m_wb @ inv_one_m_w @ dw @ rw @ dwb)
-    b_terms -= _tr(lw @ one_m_w @ inv_one_m_wb @ etab.T @ eta @ inv_one_m_w @ dw @ rw @ dwb)
-    return disk_metric(p.disk_part(), t1, t2, params.A) + 4.0 * params.B * b_terms
+    """The disk metric of W with weight A plus 4B tr(L t(K1) conj(K2)), with
+    L = (I - W conj(W))^{-1} and K = deta + (eta conj(W) - conj(eta)) L dW
+    taken from t1, t2."""
+    wb = np.conj(p.w)
+    lw = safe_inv(np.eye(p.n) - p.w @ wb)
+    shift = (p.eta @ wb - np.conj(p.eta)) @ lw
+    k1, k2 = (t.d_z + shift @ t.d_omega for t in (t1, t2))
+    heisenberg = _tr(lw @ k1.T @ np.conj(k2))
+    return disk_metric(p.disk_part(), t1, t2, params.A) + 4.0 * params.B * heisenberg
 
 
 # -- Volume density -------------------------------------------------------------

@@ -25,3 +25,14 @@ def test_digest_is_the_hash_of_the_cli_output():
         code = cli.main(["check", "--suite", "cayley", "--seed", "2026"])
     sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digests.digest(cli, "cayley", 2026) == f"cayley 2026 exit={code} stdout={sha} stderr=[]"
+
+
+def test_bad_seeds_print_the_usage_and_exit_2():
+    """An empty, reversed or non-integer SEEDS item is refused before any suite
+    runs, so a listing that says nothing cannot agree with another."""
+    digests = _script()
+    for seeds in ("99-0", "2026,x", "", "0,,2", "1.5", "0-", "-3"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = digests.main([str(ROOT / "src"), seeds])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", digests.__doc__ + "\n"), seeds

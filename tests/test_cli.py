@@ -160,6 +160,15 @@ def test_metric_command():
                               "--t2", '{"domega": "1", "dz": "0,0"}'])
     assert code2 == 0
     assert abs(json.loads(out2)["re"] - 1.0) < 1e-12
+    # t = (1, 1) at the base point, moved far out in the fibre by a Heisenberg
+    # translation: the squared lengths stay exactly 2 and 8
+    for space, point, dz, expected in (
+            ("hnm", '{"omega": "i", "z": "1e12i"}', "1000000000001", 2.0),
+            ("dnm", '{"w": "0", "eta": "1e12,1e12"}', "1000000000001,-1000000000000", 8.0)):
+        tangent = json.dumps({"domega": "1", "dz": dz})
+        code, out, _ = run_cli(["metric", "--space", space, "--point", point,
+                                "--t1", tangent, "--t2", tangent])
+        assert code == 0 and json.loads(out) == {"re": expected, "im": 0.0}
 
 
 def test_element_command():

@@ -79,6 +79,85 @@ def test_raw_forms_are_hermitian(n, m):
             assert htt.real > 0 and abs(htt.imag) <= 1e-13 * abs(htt)
 
 
+def _tr(x):
+    return complex(np.trace(x))
+
+
+def _half_space_expansion(p, t1, t2):
+    """The paper's Heisenberg part on the Siegel-Jacobi space, four traces."""
+    yi = np.linalg.inv(p.omega.imag)
+    v = p.z.imag
+    d_om, d_om_bar = t1.d_omega, np.conj(t2.d_omega)
+    d_z, d_z_bar = t1.d_z, np.conj(t2.d_z)
+    return (_tr(yi @ v.T @ v @ yi @ d_om @ yi @ d_om_bar) + _tr(yi @ d_z.T @ d_z_bar)
+            - _tr(v @ yi @ d_om @ yi @ d_z_bar.T) - _tr(v @ yi @ d_om_bar @ yi @ d_z.T))
+
+
+def _disk_expansion(p, t1, t2):
+    """The paper's Heisenberg part on the Siegel-Jacobi disk, nine traces
+    (without the factor 4)."""
+    eye = np.eye(p.n)
+    w, eta = p.w, p.eta
+    wb, etab = np.conj(w), np.conj(eta)
+    lw, rw = np.linalg.inv(eye - w @ wb), np.linalg.inv(eye - wb @ w)
+    one_m_w, one_m_wb = eye - w, eye - wb
+    inv_one_m_w = np.linalg.inv(one_m_w)
+    inv_one_m_wb = np.conj(inv_one_m_w)
+    dw, dwb = t1.d_omega, np.conj(t2.d_omega)
+    de, deb = t1.d_z, np.conj(t2.d_z)
+    return (_tr(lw @ de.T @ deb)
+            + _tr((eta @ wb - etab) @ lw @ dw @ rw @ deb.T)
+            + _tr((etab @ w - eta) @ rw @ dwb @ lw @ de.T)
+            - _tr(lw @ eta.T @ eta @ rw @ wb @ dw @ rw @ dwb)
+            - _tr(w @ rw @ etab.T @ etab @ lw @ dw @ rw @ dwb)
+            + _tr(lw @ eta.T @ etab @ lw @ dw @ rw @ dwb)
+            + _tr(inv_one_m_wb @ etab.T @ eta @ wb @ lw @ dw @ rw @ dwb)
+            + _tr(inv_one_m_wb @ one_m_w @ rw @ etab.T @ eta @ rw
+                  @ one_m_wb @ inv_one_m_w @ dw @ rw @ dwb)
+            - _tr(lw @ one_m_w @ inv_one_m_wb @ etab.T @ eta @ inv_one_m_w @ dw @ rw @ dwb))
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+def test_heisenberg_parts_match_the_paper_expansions(n, m):
+    """Each Jacobi metric's B-part, isolated as the difference of the weights
+    (A, 2) and (A, 1), is the paper's expanded traces: the square of K is the
+    same form, written independently."""
+    rng = np.random.default_rng(100 + 10 * n + m)
+    for metric, kind, factor, ref in ((metrics.jacobi_metric, "jacobi", 1.0, _half_space_expansion),
+                                      (metrics.jacobi_disk_metric, "jacobi_disk", 4.0,
+                                       _disk_expansion)):
+        for _ in range(20):
+            p = sampling.random_point(kind, n, m, rng)
+            t1, t2 = sampling.random_tangent(n, m, rng), sampling.random_tangent(n, m, rng)
+            part = (metric(p, t1, t2, MetricParams(0.7, 2.0))
+                    - metric(p, t1, t2, MetricParams(0.7, 1.0)))
+            expected = factor * ref(p, t1, t2)
+            assert abs(part - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 3), (3, 2)])
+def test_horizontal_tangents_carry_only_the_base_metric(n, m):
+    """Where K = 0 (dZ = V Y^{-1} dOmega on the half space, deta =
+    -(eta conj(W) - conj(eta)) (I - W conj(W))^{-1} dW on the disk) each Jacobi
+    metric is its base metric with weight A, whatever B is."""
+    rng = np.random.default_rng(200 + 10 * n + m)
+    params = MetricParams(0.7, 1.9)
+    for _ in range(10):
+        t1, t2 = sampling.random_tangent(n, 0, rng), sampling.random_tangent(n, 0, rng)
+        p = sampling.random_jacobi_point(n, m, rng)
+        shift = p.z.imag @ np.linalg.inv(p.omega.imag)
+        h1, h2 = (TangentVector(t.d_omega, shift @ t.d_omega) for t in (t1, t2))
+        base = metrics.siegel_metric(p.siegel_part(), t1, t2, params.A)
+        assert abs(metrics.jacobi_metric(p, h1, h2, params) - base) <= 1e-14 * max(1.0, abs(base))
+        pd = sampling.random_jacobi_disk_point(n, m, rng)
+        wb = np.conj(pd.w)
+        shift = -(pd.eta @ wb - np.conj(pd.eta)) @ np.linalg.inv(np.eye(n) - pd.w @ wb)
+        h1, h2 = (TangentVector(t.d_omega, shift @ t.d_omega) for t in (t1, t2))
+        base = metrics.disk_metric(pd.disk_part(), t1, t2, params.A)
+        value = metrics.jacobi_disk_metric(pd, h1, h2, params)
+        assert abs(value - base) <= 1e-14 * max(1.0, abs(base))
+
+
 def test_closed_form_degree_one():
     rng = np.random.default_rng(6)
     params = MetricParams(1.0, 1.0)
