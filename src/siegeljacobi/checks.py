@@ -13,7 +13,7 @@ from . import linalg, reduction, sampling, theta
 from .diffops import DerivativeTable
 from .groups import HeisenbergElement
 from .metrics import MetricParams
-from .spaces import JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector, _Chart
+from .spaces import JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector, _Chart, stack
 
 
 @dataclass
@@ -34,16 +34,29 @@ class CheckRow:
 
 
 def _row(rows, case, lhs, rhs, tol, scale=1.0):
-    lhs_v = complex(lhs)
-    rhs_v = complex(rhs)
-    resid = abs(lhs_v - rhs_v) / scale
-    rows.append(CheckRow(case, abs(lhs_v), abs(rhs_v), resid, tol))
+    lhs_v, rhs_v = complex(lhs), complex(rhs)
+    rows.append(CheckRow(case, abs(lhs_v), abs(rhs_v), abs(lhs_v - rhs_v) / scale, tol))
 
 
-def _gap(p, q) -> float:
+def _gap(p, q):
     """Largest |entry| of p - q over the parts of two points of one space, or
-    of two group elements of one kind whose parts are matrices."""
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(p.parts(), q.parts()))
+    of two group elements of one kind whose parts are matrices; one per
+    stacked entry on stacks."""
+    return np.max([np.max(np.abs(a - b), axis=(-2, -1)) for a, b in zip(p.parts(), q.parts())],
+                  axis=0)
+
+
+def _stacked(keys, draws, fn) -> list:
+    """Per row, the values of ``fn``, called once per distinct key on the rows
+    with that key: each argument is the stack of the rows' draws, and each
+    value has one entry per row."""
+    out = [None] * len(draws)
+    for key in dict.fromkeys(keys):
+        idx = [i for i, k in enumerate(keys) if k == key]
+        values = fn(*map(stack, zip(*(draws[i] for i in idx))))
+        for k, i in enumerate(idx):
+            out[i] = [v[k] for v in values]
+    return out
 
 
 # -- actions ------------------------------------------------------------------------
@@ -52,34 +65,34 @@ def suite_actions(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
     tol = 1e-10
-    degrees = [(1, 1), (2, 1), (2, 2), (3, 1)]
-    for i in range(100):
-        n, m = degrees[i % len(degrees)]
-        p = sampling.random_siegel_point(n, rng)
-        g1 = groups.random_symplectic(n, rng, 4)
-        g2 = groups.random_symplectic(n, rng, 4)
-        pj = sampling.random_jacobi_point(n, m, rng)
-        j1 = groups.random_jacobi(n, m, rng, 4)
-        j2 = groups.random_jacobi(n, m, rng, 4)
-        pd = sampling.random_disk_point(n, rng)
-        s1 = groups.embed_star(groups.random_jacobi(n, m, rng, 4))
-        s2 = groups.embed_star(groups.random_jacobi(n, m, rng, 4))
-        pjd = sampling.random_jacobi_disk_point(n, m, rng)
-        valid = True
-        for name, act, (a, b), q in (("siegel", groups.act_siegel, (g1, g2), p),
-                                     ("jacobi", groups.act_jacobi, (j1, j2), pj),
-                                     ("disk", groups.act_disk, (s1, s2), pd),
-                                     ("jacobi_disk", groups.act_jacobi_disk, (s1, s2), pjd)):
+    degrees = [(1, 1), (2, 1), (2, 2), (3, 1)] * 25
+    draws = [(sampling.random_siegel_point(n, rng),
+              *(groups.random_symplectic(n, rng, 4) for _ in range(2)),
+              sampling.random_jacobi_point(n, m, rng),
+              *(groups.random_jacobi(n, m, rng, 4) for _ in range(2)),
+              sampling.random_disk_point(n, rng),
+              *(groups.random_jacobi(n, m, rng, 4) for _ in range(2)),
+              sampling.random_jacobi_disk_point(n, m, rng)) for n, m in degrees]
+
+    def stacked(p, g1, g2, pj, j1, j2, pd, s1, s2, pjd):
+        s1, s2 = groups.embed_star(s1), groups.embed_star(s2)
+        gaps, valid = [], np.full(len(p.omega), True)
+        for act, a, b, q in ((groups.act_siegel, g1, g2, p), (groups.act_jacobi, j1, j2, pj),
+                             (groups.act_disk, s1, s2, pd), (groups.act_jacobi_disk, s1, s2, pjd)):
             lhs = act(a.multiply(b), q)
-            rows.append(CheckRow(f"{name}_axiom_{i:03d}", 0.0, 0.0,
-                                 _gap(lhs, act(a, act(b, q))), tol))
-            valid = valid and lhs.is_valid()
-        if not valid:
-            rows.append(CheckRow(f"validity_{i:03d}", 0.0, 0.0, 1.0, tol))
+            gaps.append(_gap(lhs, act(a, act(b, q))))
+            # a stack that is not valid is asked point by point
+            valid &= lhs.is_valid() or np.array([x.is_valid() for x in lhs.unstack()])
         # embedding homomorphism on the very elements used above
         hom = groups.embed_star(j1.multiply(j2))
-        prod = groups.embed_star(j1).multiply(groups.embed_star(j2))
-        rows.append(CheckRow(f"embedding_hom_{i:03d}", 0.0, 0.0, _gap(hom, prod), tol))
+        return gaps + [valid, _gap(hom, groups.embed_star(j1).multiply(groups.embed_star(j2)))]
+
+    for i, (*gaps, valid, hom) in enumerate(_stacked(degrees, draws, stacked)):
+        for name, gap in zip(("siegel", "jacobi", "disk", "jacobi_disk"), gaps):
+            rows.append(CheckRow(f"{name}_axiom_{i:03d}", 0.0, 0.0, gap, tol))
+        if not valid:
+            rows.append(CheckRow(f"validity_{i:03d}", 0.0, 0.0, 1.0, tol))
+        rows.append(CheckRow(f"embedding_hom_{i:03d}", 0.0, 0.0, hom, tol))
     return rows
 
 
@@ -88,27 +101,25 @@ def suite_actions(seed: int = 0):
 def suite_cayley(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
-    tol_compat = 1e-9
-    tol_round = 1e-12
-    degrees = [(1, 1), (2, 1), (2, 2), (3, 2)]
-    for i in range(50):
-        n, m = degrees[i % len(degrees)]
-        w = sampling.random_disk_point(n, rng)
-        mat = groups.random_symplectic(n, rng, 4)
-        star = groups.embed_star(groups.JacobiGroupElement.from_symplectic(mat, m))
+    tols = {"compat_disk": 1e-9, "compat_jacobi": 1e-9, "roundtrip": 1e-12, "roundtrip_disk": 1e-12}
+    degrees = ([(1, 1), (2, 1), (2, 2), (3, 2)] * 13)[:50]
+    draws = [(sampling.random_disk_point(n, rng), groups.random_symplectic(n, rng, 4),
+              sampling.random_jacobi_disk_point(n, m, rng), groups.random_jacobi(n, m, rng, 4),
+              sampling.random_jacobi_point(n, m, rng)) for n, m in degrees]
+
+    def stacked(w, mat, pjd, g0, pj):
+        star = groups.embed_star(groups.JacobiGroupElement.from_symplectic(mat, pj.m))
         lhs = groups.act_siegel(mat, cayley.cayley(w))
-        rhs = cayley.cayley(groups.act_disk(star, w))
-        rows.append(CheckRow(f"compat_disk_{i:03d}", 0.0, 0.0, _gap(lhs, rhs), tol_compat))
-        pjd = sampling.random_jacobi_disk_point(n, m, rng)
-        g0 = groups.random_jacobi(n, m, rng, 4)
+        compat_disk = _gap(lhs, cayley.cayley(groups.act_disk(star, w)))
         lhs = groups.act_jacobi(g0, cayley.partial_cayley(pjd))
         rhs = cayley.partial_cayley(groups.act_jacobi_disk(groups.embed_star(g0), pjd))
-        rows.append(CheckRow(f"compat_jacobi_{i:03d}", 0.0, 0.0, _gap(lhs, rhs), tol_compat))
-        pj = sampling.random_jacobi_point(n, m, rng)
         back = cayley.partial_cayley(cayley.partial_cayley_inverse(pj))
-        rows.append(CheckRow(f"roundtrip_{i:03d}", 0.0, 0.0, _gap(back, pj), tol_round))
         fwd = cayley.partial_cayley_inverse(cayley.partial_cayley(pjd))
-        rows.append(CheckRow(f"roundtrip_disk_{i:03d}", 0.0, 0.0, _gap(fwd, pjd), tol_round))
+        return compat_disk, _gap(lhs, rhs), _gap(back, pj), _gap(fwd, pjd)
+
+    for i, gaps in enumerate(_stacked(degrees, draws, stacked)):
+        for (name, tol), gap in zip(tols.items(), gaps):
+            rows.append(CheckRow(f"{name}_{i:03d}", 0.0, 0.0, gap, tol))
     return rows
 
 
@@ -118,51 +129,46 @@ def suite_metrics(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
     params = MetricParams(1.0, 1.0)
-    degrees = [(1, 1), (2, 1), (2, 2)]
-    for i in range(50):
-        n, m = degrees[i % len(degrees)]
-        p = sampling.random_jacobi_point(n, m, rng)
-        t1 = sampling.random_tangent(n, m, rng)
-        t2 = sampling.random_tangent(n, m, rng)
-        g = groups.random_jacobi(n, m, rng, 3)
+    degrees = ([(1, 1), (2, 1), (2, 2)] * 17)[:50]
+    draws = [(sampling.random_jacobi_point(n, m, rng), sampling.random_tangent(n, m, rng),
+              sampling.random_tangent(n, m, rng), groups.random_jacobi(n, m, rng, 3),
+              groups.random_symplectic(n, rng, 4), sampling.random_jacobi_disk_point(n, m, rng))
+             for n, m in degrees]
+
+    def stacked(p, t1, t2, g, mat, pd):
+        """(lhs, rhs, scale) per row family, then the moved Siegel points."""
         base = metrics.jacobi_metric(p, t1, t2, params)
-        moved = metrics.jacobi_metric(groups.act_jacobi(g, p),
-                                      metrics.pushforward(g, p, t1),
+        moved = metrics.jacobi_metric(groups.act_jacobi(g, p), metrics.pushforward(g, p, t1),
                                       metrics.pushforward(g, p, t2), params)
-        _row(rows, f"jacobi_invariance_{i:03d}", base, moved, 1e-12,
-             scale=max(1.0, abs(base)))
         ps = p.siegel_part()
-        ts1 = TangentVector.omega_only(t1.d_omega)
-        ts2 = TangentVector.omega_only(t2.d_omega)
-        mat = groups.random_symplectic(n, rng, 4)
+        ts1, ts2 = (TangentVector.omega_only(t.d_omega) for t in (t1, t2))
         mps = groups.act_siegel(mat, ps)
         base_s = metrics.siegel_metric(ps, ts1, ts2, 1.0)
         moved_s = metrics.siegel_metric(mps, metrics.pushforward(mat, ps, ts1),
                                         metrics.pushforward(mat, ps, ts2), 1.0)
-        _row(rows, f"siegel_invariance_{i:03d}", base_s, moved_s, 1e-12,
-             scale=max(1.0, abs(base_s)))
-        pd = sampling.random_jacobi_disk_point(n, m, rng)
-        lhs = metrics.jacobi_disk_metric(pd, t1, t2, params)
-        half = cayley.blocks(cayley.TO_HALF, n)
+        half = cayley.blocks(cayley.TO_HALF, pd.n)
         t1p, t2p = (TangentVector(*linalg.fractional_linear_differential(
             *half, pd.w, t.d_omega, 2j * pd.eta, 2j * t.d_z)) for t in (t1, t2))
         rhs = metrics.jacobi_metric(cayley.partial_cayley(pd), t1p, t2p, params)
-        _row(rows, f"partial_cayley_isometry_{i:03d}", lhs, rhs, 1e-12,
-             scale=max(1.0, abs(rhs)))
-        if i % 5 == 0:
+        return (base, moved, base, base_s, moved_s, base_s,
+                metrics.jacobi_disk_metric(pd, t1, t2, params), rhs, rhs, mps.unstack())
+
+    names = ("jacobi_invariance", "siegel_invariance", "partial_cayley_isometry")
+    for i, (*values, mps) in enumerate(_stacked(degrees, draws, stacked)):
+        for name, lhs, rhs, scale in zip(names, values[::3], values[1::3], values[2::3]):
+            _row(rows, f"{name}_{i:03d}", lhs, rhs, 1e-12, scale=max(1.0, abs(scale)))
+        if i % 5 == 0:    # the power in volume_density is libm's only on a single point
+            ps, mat = draws[i][0].siegel_part(), draws[i][4]
             dens = metrics.volume_density(ps)
-            jac = metrics.real_jacobian_det(mat, ps)
-            dens_m = metrics.volume_density(mps) * abs(jac)
-            _row(rows, f"volume_invariance_{i:03d}", dens, dens_m, 1e-12,
-                 scale=max(1.0, abs(dens)))
+            dens_m = metrics.volume_density(mps) * abs(metrics.real_jacobian_det(mat, ps))
+            _row(rows, f"volume_invariance_{i:03d}", dens, dens_m, 1e-12, scale=max(1.0, abs(dens)))
     # closed form at degree (1, 1), entrywise
     for i in range(10):
         p = sampling.random_jacobi_point(1, 1, rng)
-        basis = [TangentVector(*parts) for parts in zip(*_Chart(p).basis())]
-        y = p.omega[0, 0].imag
-        v = p.z[0, 0].imag
-        gram = np.array([[metrics.jacobi_metric(p, a, b, params).real for b in basis]
-                         for a in basis])
+        pairs = (TangentVector(*(b[k] for b in _Chart(p).basis()))
+                 for k in np.divmod(np.arange(16), 4))
+        gram = metrics.jacobi_metric(p, *pairs, params).real.reshape(4, 4)
+        y, v = p.omega[0, 0].imag, p.z[0, 0].imag
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = (y + v * v) / y**3
         expected[2, 2] = expected[3, 3] = 1.0 / y
@@ -170,15 +176,17 @@ def suite_metrics(seed: int = 0):
         rows.append(CheckRow(f"closed_form_11_{i:03d}", 0.0, 0.0,
                              float(np.max(np.abs(gram - expected))), 1e-12))
     # the Cayley transform is an isometry of D_n onto H_n
-    for i in range(30):
-        n = 1 + i % 3
-        w = sampling.random_disk_point(n, rng)
-        t1, t2 = sampling.random_tangent(n, 0, rng), sampling.random_tangent(n, 0, rng)
+    draws = [(sampling.random_disk_point(n, rng), sampling.random_tangent(n, 0, rng),
+              sampling.random_tangent(n, 0, rng)) for n in [1, 2, 3] * 10]
+
+    def isometry(w, t1, t2):
         t1c, t2c = (TangentVector.omega_only(*linalg.fractional_linear_differential(
-            *cayley.blocks(cayley.TO_HALF, n), w.w, t.d_omega)) for t in (t1, t2))
-        rhs = metrics.siegel_metric(cayley.cayley(w), t1c, t2c, 1.0)
-        _row(rows, f"cayley_isometry_{i:03d}", metrics.disk_metric(w, t1, t2, 1.0), rhs,
-             1e-12, scale=max(1.0, abs(rhs)))
+            *cayley.blocks(cayley.TO_HALF, w.n), w.w, t.d_omega)) for t in (t1, t2))
+        return (metrics.disk_metric(w, t1, t2, 1.0),
+                metrics.siegel_metric(cayley.cayley(w), t1c, t2c, 1.0))
+
+    for i, (lhs, rhs) in enumerate(_stacked([1, 2, 3] * 10, draws, isometry)):
+        _row(rows, f"cayley_isometry_{i:03d}", lhs, rhs, 1e-12, scale=max(1.0, abs(rhs)))
     # Heisenberg translations far out in the fibre, drawing nothing from rng:
     # (lam, mu) = (10^e, 0) at (i, 0), and xi = 10^e (1 - i) at (0, 0) on the
     # disk, carry t = (1, 1) to tangents of squared length exactly 2 and 8
@@ -247,8 +255,7 @@ def suite_laplacians(seed: int = 0):
         rhs_parts = diffops.jacobi_laplacian_parts(tr_)
         for name, lhs, rhs in (("part_omega", lhs_parts[0], rhs_parts[0]),
                                ("part_z", lhs_parts[1], rhs_parts[1])):
-            _row(rows, f"invariance_{name}_{i:02d}", lhs, rhs, 1e-4,
-                 scale=max(1.0, abs(rhs)))
+            _row(rows, f"invariance_{name}_{i:02d}", lhs, rhs, 1e-4, scale=max(1.0, abs(rhs)))
         _row(rows, f"invariance_laplacian_{i:02d}",
              diffops.laplacian_jacobi(tl, params),
              diffops.laplacian_jacobi(tr_, params), 1e-4, scale=max(1.0, abs(rhs_parts[0])))
@@ -256,8 +263,7 @@ def suite_laplacians(seed: int = 0):
         fs = sampling.random_polynomial_field("siegel", rng)
         mat = groups.random_symplectic(n, rng, 3)
         lhs, rhs = map(diffops.laplacian_siegel, _tables(fs, groups.act_siegel, mat, ps))
-        _row(rows, f"invariance_siegel_{i:02d}", lhs, rhs, 1e-4,
-             scale=max(1.0, abs(rhs)))
+        _row(rows, f"invariance_siegel_{i:02d}", lhs, rhs, 1e-4, scale=max(1.0, abs(rhs)))
         # disk operators
         nd, md = (1, 1) if i % 3 == 0 else ((1, 2) if i % 3 == 1 else (2, 1))
         pd = sampling.random_jacobi_disk_point(nd, md, rng, radius=0.4)
@@ -279,20 +285,18 @@ def suite_laplacians(seed: int = 0):
             _row(rows, f"transport_disk_laplacian_{i:02d}", lhs, rhs, 1e-3,
                  scale=max(1.0, abs(rhs)))
     # unitary invariance of the polynomial generators
-    from .diffops import invariant_polynomial
-    from .linalg import random_unitary
     for i in range(10):
         n, m = (2, 1) if i % 2 == 0 else (3, 2)
         om = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         om = 0.5 * (om + om.T)
         z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        h = random_unitary(n, rng)
+        h = linalg.random_unitary(n, rng)
         names = [f"q:{j}" for j in range(1, n + 1)]
         names += [f"psi:0,{2 * k},0:1,1" for k in range(n)]
         names += [f"psi:1,{2 * k},0:1,1" for k in range(n)]
         for nm in names:
-            v1 = invariant_polynomial(nm, om, z)
-            v2 = invariant_polynomial(nm, h @ om @ h.T, z @ h.T)
+            v1 = diffops.invariant_polynomial(nm, om, z)
+            v2 = diffops.invariant_polynomial(nm, h @ om @ h.T, z @ h.T)
             _row(rows, f"poly_unitary_{nm.replace(':', '_').replace(',', '')}_{i:02d}",
                  v1, v2, 1e-10, scale=max(1.0, abs(v1)))
     return rows
@@ -320,45 +324,45 @@ def suite_distance(seed: int = 0):
     for a in (2.0, 5.0, 10.0):
         d = geodesics.siegel_distance(base, SiegelPoint(np.array([[a * 1j]])))
         _row(rows, f"axis_log_{a}", d, np.log(a), 1e-10)
-    for i in range(60):
-        n = [1, 2, 3][i % 3]
-        p0 = sampling.random_siegel_point(n, rng)
-        p1 = sampling.random_siegel_point(n, rng)
-        d = geodesics.siegel_distance(p0, p1)
-        mat = groups.random_symplectic(n, rng, 4)
+    draws = [(sampling.random_siegel_point(n, rng), sampling.random_siegel_point(n, rng),
+              groups.random_symplectic(n, rng, 4)) for n in [1, 2, 3] * 20]
+
+    def isometry(p0, p1, mat):
         q0, q1 = groups.act_siegel(mat, p0), groups.act_siegel(mat, p1)
-        _row(rows, f"isometry_{i:03d}", d, geodesics.siegel_distance(q0, q1), 1e-8)
-        _row(rows, f"symmetry_{i:03d}", d, geodesics.siegel_distance(p1, p0), 1e-10)
-        _row(rows, f"series_{i:03d}", d, geodesics.siegel_distance_series(p0, p1), 1e-12)
-        eig0 = geodesics.cross_ratio_eigenvalues(p0, p1)
-        eig1 = geodesics.cross_ratio_eigenvalues(q0, q1)
-        rows.append(CheckRow(f"cross_ratio_spectrum_{i:03d}", 0.0, 0.0,
-                             float(np.max(np.abs(eig0 - eig1))), 1e-9))
+        eig0, eig1 = (geodesics.cross_ratio_eigenvalues(*pair) for pair in ((p0, p1), (q0, q1)))
+        return (geodesics.siegel_distance(p0, p1), geodesics.siegel_distance(q0, q1),
+                geodesics.siegel_distance(p1, p0), np.max(np.abs(eig0 - eig1), axis=-1))
+
+    for i, (d, moved, swapped, spectrum) in enumerate(_stacked([1, 2, 3] * 20, draws, isometry)):
+        _row(rows, f"isometry_{i:03d}", d, moved, 1e-8)
+        _row(rows, f"symmetry_{i:03d}", d, swapped, 1e-10)
+        _row(rows, f"series_{i:03d}", d, geodesics.siegel_distance_series(*draws[i][:2]), 1e-12)
+        rows.append(CheckRow(f"cross_ratio_spectrum_{i:03d}", 0.0, 0.0, spectrum, 1e-9))
+    draws = [tuple(sampling.random_siegel_point(n, rng) for _ in range(3)) for n in [1, 2] * 100]
+
+    def slack(p0, p1, p2):
+        return [geodesics.siegel_distance(p0, p2) + geodesics.siegel_distance(p2, p1)
+                - geodesics.siegel_distance(p0, p1)]
+
     worst = 0.0
-    for i in range(200):
-        n = [1, 2][i % 2]
-        p0 = sampling.random_siegel_point(n, rng)
-        p1 = sampling.random_siegel_point(n, rng)
-        p2 = sampling.random_siegel_point(n, rng)
-        slack = (geodesics.siegel_distance(p0, p2) + geodesics.siegel_distance(p2, p1)
-                 - geodesics.siegel_distance(p0, p1))
-        worst = max(worst, -slack)
+    for (s,) in _stacked([1, 2] * 100, draws, slack):
+        worst = max(worst, -s)
     rows.append(CheckRow("triangle_inequality", 0.0, 0.0, worst, 1e-10))
     logs = np.log(np.array([2.0, 0.4, 3.0]))
-    for i, n in enumerate((1, 2, 3)):
+    for n in (1, 2, 3):
         a = np.exp(logs[:n] / np.linalg.norm(logs[:n]))
-        for j in range(6):
-            s, t = rng.uniform(-2.0, 2.0, 2)
-            d = geodesics.siegel_distance(geodesics.special_geodesic(a, s),
-                                          geodesics.special_geodesic(a, t))
-            _row(rows, f"unit_speed_n{n}_{j}", d, abs(s - t), 1e-8)
+        st = [rng.uniform(-2.0, 2.0, 2) for _ in range(6)]
+        d = geodesics.siegel_distance(*(stack([geodesics.special_geodesic(a, x) for x in col])
+                                        for col in zip(*st)))
+        for j, (s, t) in enumerate(st):
+            _row(rows, f"unit_speed_n{n}_{j}", d[j], abs(s - t), 1e-8)
     for n in (1, 2, 3):
         a = np.array(_AXIS_DIAG[:n])
+        d = geodesics.siegel_distance(*(SiegelPoint(np.stack([1j * np.diag(r * a) for r in ratios]))
+                                        for ratios in ([1.0] * len(_AXIS_RATIOS), _AXIS_RATIOS)))
         for j, r in enumerate(_AXIS_RATIOS):
-            d = geodesics.siegel_distance(SiegelPoint(1j * np.diag(a)),
-                                          SiegelPoint(1j * np.diag(r * a)))
             exact = _axis_distance(a, r * a)
-            _row(rows, f"axis_exact_n{n}_{j:02d}", d, exact, 1e-13, scale=exact)
+            _row(rows, f"axis_exact_n{n}_{j:02d}", d[j], exact, 1e-13, scale=exact)
     return rows
 
 
@@ -395,18 +399,12 @@ def suite_reduction(seed: int = 0):
     for i in range(25):
         p = sampling.random_siegel_point(2, rng, y_range=(0.3, 2.0))
         red, cert = reduction.siegel_reduce(p)
-        if not cert.passed:
-            viol_count += 1
-        if np.max(np.abs(red.omega.real)) > 0.5 + 1e-12:
-            viol_count += 1
-        if reduction.minkowski_violations(red.omega.imag):
-            viol_count += 1
+        viol_count += sum([not cert.passed, np.max(np.abs(red.omega.real)) > 0.5 + 1e-12,
+                           bool(reduction.minkowski_violations(red.omega.imag))])
         g0 = reduction.siegel_candidates(2)[int(rng.integers(0, 80))]
         red2, _ = reduction.siegel_reduce(groups.act_siegel(g0, red))
-        d1 = float(np.linalg.det(red.omega.imag))
-        d2 = float(np.linalg.det(red2.omega.imag))
-        _row(rows, f"n2_orbit_det_im_{i:02d}", d1, d2, 1e-9,
-             scale=max(1.0, abs(d1)))
+        d1, d2 = (float(np.linalg.det(r.omega.imag)) for r in (red, red2))
+        _row(rows, f"n2_orbit_det_im_{i:02d}", d1, d2, 1e-9, scale=max(1.0, abs(d1)))
     rows.append(CheckRow("n2_zero_violations", 0.0, 0.0, float(viol_count), 0.5))
     for i in range(12):
         n, m = (1, 1) if i % 2 == 0 else (2, 2)
@@ -579,21 +577,18 @@ def suite_theta(seed: int = 0):
         base = theta.theta_sum(f, ctx, theta.SL2Coord(tau, phi), hb(lam, mu, kap))
         moved = theta.theta_sum(f, ctx, theta.SL2Coord(tau + 2, phi),
                                 hb(lam, s - 2 * lam + mu, kap - s * lam))
-        _row(rows, f"jacobi2_{i:02d}", moved, base, 1e-8,
-             scale=max(1e-12, abs(base)))
+        _row(rows, f"jacobi2_{i:02d}", moved, base, 1e-8, scale=max(1e-12, abs(base)))
         l0, m0, k0 = (float(x) for x in rng.integers(-3, 4, 3))
         lhs = theta.theta_sum(f, ctx, theta.SL2Coord(tau, phi),
                               hb(lam + l0, mu + m0, kap + k0 + l0 * mu - m0 * lam))
         rhs = np.exp(1j * np.pi * m_val * (k0 + m0 * l0)) * base
-        _row(rows, f"jacobi3_{i:02d}", lhs, rhs, 1e-8,
-             scale=max(1e-12, abs(rhs)))
+        _row(rows, f"jacobi3_{i:02d}", lhs, rhs, 1e-8, scale=max(1e-12, abs(rhs)))
         if m_val == 1.0:
             lhs1 = theta.theta_sum(f, ctx, theta.SL2Coord(-1 / tau, phi + np.angle(tau)),
                                    hb(-mu, lam, kap))
             sgn = np.sign(np.sin(phi) * np.sin(phi + np.angle(tau)))
             rhs1 = np.exp(-1j * np.pi * sgn / 4.0) * base
-            _row(rows, f"jacobi1_{i:02d}", lhs1, rhs1, 1e-3,
-                 scale=max(1e-12, abs(rhs1)))
+            _row(rows, f"jacobi1_{i:02d}", lhs1, rhs1, 1e-3, scale=max(1e-12, abs(rhs1)))
     # product invariance under the three generator families
     s_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
     t_star = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -614,8 +609,7 @@ def suite_theta(seed: int = 0):
             nc, nl, nm_ = theta.theta_left_translate(coord, lam, mu, gm, l0, m0)
             moved = abs(theta.theta_sum(g1, ctx1, nc, hb(float(nl), float(nm_)))
                         * np.conj(theta.theta_sum(g2, ctx1, nc, hb(float(nl), float(nm_)))))
-            _row(rows, f"gamma2_{name}_{i:02d}", moved, base, tol,
-                 scale=max(1e-12, base))
+            _row(rows, f"gamma2_{name}_{i:02d}", moved, base, tol, scale=max(1e-12, base))
     # Stone-von Neumann residual per generator
     for m_val in (1.0, 2.0):
         ctx = theta.ThetaContext(np.array([[m_val]]), n=1)

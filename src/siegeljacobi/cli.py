@@ -94,13 +94,16 @@ def parse_point_arg(text: str, space: str | None = None):
     return point
 
 
-def _emit(obj) -> None:
-    """Print obj as one line of strict JSON; NaN and infinities are refused."""
+def _json_line(obj) -> str:
+    """obj as one line of strict JSON; NaN and infinities are refused."""
     try:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError:
         raise NumericError("result has non-finite entries") from None
-    print(text)
+
+
+def _emit(obj) -> None:
+    print(_json_line(obj))
 
 
 def cmd_check(args) -> int:
@@ -128,10 +131,12 @@ def cmd_distance(args) -> int:
     p0 = parse_point_arg(args.p0, "hn")
     p1 = parse_point_arg(args.p1, "hn")
     rho = geodesics.siegel_distance(p0, p1)
-    if args.emit_eigs:
-        eigs = geodesics.cross_ratio_eigenvalues(p0, p1)
+    # every value is computed and checked before anything is written
+    eigs = geodesics.cross_ratio_eigenvalues(p0, p1) if args.emit_eigs else None
+    line = _json_line({"distance": rho})
+    if eigs is not None:
         sys.stdout.write("eigenvalue\n" + "".join(f"{float(x)!r}\n" for x in eigs))
-    _emit({"distance": rho})
+    print(line)
     return 0
 
 

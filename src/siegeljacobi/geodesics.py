@@ -1,10 +1,19 @@
 """Geodesic distance on the Siegel upper half space via cross-ratio
-eigenvalues, and the special diagonal geodesics through iI."""
+eigenvalues, and the special diagonal geodesics through iI.
+
+``siegel_distance`` and ``cross_ratio_eigenvalues`` also take two stacks of
+points and give per stacked pair the bits of the single call. Neither
+returns NaN or an eigenvalue outside [0, 1]: a disk-image singular value
+above 1, or a computed 1 - r that is not positive, raises NumericError
+naming it. A singular value that rounds to 1 is kept: the distance reads
+1 - r from its own positive eigenvalues, not from 1 - sigma."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, ParameterError
+from .errors import ConvergenceError, DimensionError, NumericError, ParameterError
 from .linalg import cholesky, safe_solve
 from .spaces import SiegelPoint
 
@@ -28,7 +37,15 @@ def _disk_image(p0: SiegelPoint, p1: SiegelPoint):
     o0, o1 = p0.omega, p1.omega
     low = cholesky(o0.imag)
     m = safe_solve(o0 - o1.conj(), low)
-    return np.sort(np.linalg.svd(safe_solve(low, (o0 - o1) @ m.conj()), compute_uv=False)), m
+    sigma = np.sort(np.linalg.svd(safe_solve(low, (o0 - o1) @ m.conj()), compute_uv=False))
+    _require(sigma <= 1.0, sigma, "disk-image singular value {!r} exceeds 1")
+    return sigma, m
+
+
+def _require(ok, values, message) -> None:
+    """NumericError naming the first of ``values`` where ``ok`` is False."""
+    if not ok.all():
+        raise NumericError(message.format(float(values[~ok][0])))
 
 
 def cross_ratio_eigenvalues(p0: SiegelPoint, p1: SiegelPoint):
@@ -43,11 +60,16 @@ def siegel_distance(p0: SiegelPoint, p1: SiegelPoint) -> float:
     eigenvalues r_k, with sqrt(r_k) = sigma_k of ``_disk_image`` and 1 - r_k
     the eigenvalues of 4 M^H Im(O1) M: no subtraction cancels."""
     sigma, m = _disk_image(p0, p1)
-    one_minus_r = np.linalg.eigvalsh(4.0 * m.conj().T @ p1.omega.imag @ m)[::-1]
-    # log((1 + s) / (1 - s)), taken where neither side cancels
+    one_minus_r = np.linalg.eigvalsh(4.0 * m.conj().mT @ p1.omega.imag @ m)[..., ::-1]
+    _require(one_minus_r > 0.0, one_minus_r, "1 - r = {!r} at a cross-ratio eigenvalue r "
+             "is not positive")
+    # log((1 + s) / (1 - s)), taken where neither side cancels; log(1 - r) is
+    # libm's, entry by entry, as numpy gives it on this reversed view of one
+    # point but not on every stack (its vector log can round differently)
     terms = np.where(sigma < 0.7, 2.0 * np.arctanh(np.minimum(sigma, 0.7)),
-                     2.0 * np.log1p(sigma) - np.log(one_minus_r))
-    return float(np.sqrt(np.sum(terms**2)))
+                     2.0 * np.log1p(sigma) - np.vectorize(math.log, otypes=[float])(one_minus_r))
+    rho = np.sqrt(np.sum(terms**2, axis=-1))
+    return rho if rho.ndim else float(rho)
 
 
 def siegel_distance_series(p0: SiegelPoint, p1: SiegelPoint) -> float:

@@ -3,6 +3,12 @@
 Covered here: the real symplectic group, the Heisenberg group of degree
 (n, m), their semidirect product (the Jacobi group), the conjugated group
 acting on the disk models, and the embedding of the Jacobi group into it.
+
+An element may also be a stack of elements, its parts carrying one leading
+batch axis, as a point may be a stack of points (``spaces.stack`` builds
+either). ``n``, ``m`` and ``blocks()`` read the trailing axes, so products,
+inverses, ``embed_star`` and the actions work on stacks as they are, and an
+element's relation holds for a stack when it holds for every element.
 """
 from __future__ import annotations
 
@@ -62,7 +68,7 @@ class SymplecticElement(_Element):
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+        if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] % 2:
             raise DimensionError(f"symplectic matrix must be 2n x 2n, got {mat.shape}")
         object.__setattr__(self, "mat", mat)
 
@@ -72,16 +78,16 @@ class SymplecticElement(_Element):
 
     @property
     def n(self) -> int:
-        return self.mat.shape[0] // 2
+        return self.mat.shape[-1] // 2
 
     def blocks(self):
         n = self.n
         m = self.mat
-        return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+        return m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:]
 
     def is_valid(self) -> bool:
         j = symplectic_form(self.n)
-        return bool(np.max(np.abs(self.mat.T @ j @ self.mat - j)) <= GROUP_TOL)
+        return bool(np.max(np.abs(self.mat.mT @ j @ self.mat - j)) <= GROUP_TOL)
 
     def multiply(self, other: "SymplecticElement") -> "SymplecticElement":
         if self.n != other.n:
@@ -91,7 +97,7 @@ class SymplecticElement(_Element):
     def inverse(self) -> "SymplecticElement":
         # t(M) J M = J gives M^{-1} = J^{-1} t(M) J without a linear solve.
         j = symplectic_form(self.n)
-        return SymplecticElement(-j @ self.mat.T @ j)
+        return SymplecticElement(-j @ self.mat.mT @ j)
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,8 @@ class HeisenbergElement(_Element):
         kappa = np.atleast_2d(np.asarray(self.kappa, dtype=float))
         if lam.shape != mu.shape:
             raise DimensionError(f"lam {lam.shape} and mu {mu.shape} differ")
-        m = lam.shape[0]
-        if kappa.shape != (m, m):
+        m = lam.shape[-2]
+        if kappa.shape != (*lam.shape[:-2], m, m):
             raise DimensionError(f"kappa must be {m} x {m}, got {kappa.shape}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
@@ -125,31 +131,31 @@ class HeisenbergElement(_Element):
 
     @property
     def m(self) -> int:
-        return self.lam.shape[0]
+        return self.lam.shape[-2]
 
     @property
     def n(self) -> int:
-        return self.lam.shape[1]
+        return self.lam.shape[-1]
 
     def is_valid(self) -> bool:
-        s = self.kappa + self.mu @ self.lam.T
-        return bool(np.max(np.abs(s - s.T)) <= GROUP_TOL)
+        s = self.kappa + self.mu @ self.lam.mT
+        return bool(np.max(np.abs(s - s.mT)) <= GROUP_TOL)
 
     def multiply(self, other: "HeisenbergElement") -> "HeisenbergElement":
         if (self.m, self.n) != (other.m, other.n):
             raise DimensionError("degree mismatch")
-        kappa = self.kappa + other.kappa + self.lam @ other.mu.T - self.mu @ other.lam.T
+        kappa = self.kappa + other.kappa + self.lam @ other.mu.mT - self.mu @ other.lam.mT
         return HeisenbergElement(self.lam + other.lam, self.mu + other.mu, kappa)
 
     def inverse(self) -> "HeisenbergElement":
-        kappa = -self.kappa + self.lam @ self.mu.T - self.mu @ self.lam.T
+        kappa = -self.kappa + self.lam @ self.mu.mT - self.mu @ self.lam.mT
         return HeisenbergElement(-self.lam, -self.mu, kappa)
 
     def translate_right(self, sp: SymplecticElement) -> "HeisenbergElement":
         """(lam, mu) -> (lam, mu) M, kappa unchanged."""
-        lm = np.hstack([self.lam, self.mu]) @ sp.mat
+        lm = np.concatenate([self.lam, self.mu], axis=-1) @ sp.mat
         n = self.n
-        return HeisenbergElement(lm[:, :n], lm[:, n:], self.kappa)
+        return HeisenbergElement(lm[..., :n], lm[..., n:], self.kappa)
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,8 @@ class JacobiGroupElement(_Element):
     def __post_init__(self):
         if self.sp.n != self.h.n:
             raise DimensionError("symplectic and Heisenberg degrees differ")
+        if self.sp.mat.shape[:-2] != self.h.lam.shape[:-2]:
+            raise DimensionError("symplectic and Heisenberg stacks differ")
 
     @classmethod
     def identity(cls, n: int, m: int):
@@ -171,7 +179,10 @@ class JacobiGroupElement(_Element):
 
     @classmethod
     def from_symplectic(cls, sp: SymplecticElement, m: int):
-        return cls(sp, HeisenbergElement.identity(sp.n, m))
+        """sp with the identity Heisenberg part, stacked as sp is."""
+        batch = sp.mat.shape[:-2]
+        z = np.zeros((*batch, m, sp.n))
+        return cls(sp, HeisenbergElement(z, z, np.zeros((*batch, m, m))))
 
     @classmethod
     def from_heisenberg(cls, h: HeisenbergElement):
@@ -220,15 +231,17 @@ class StarGroupElement(_Element):
     _invalid = "invalid star group element"
 
     def __post_init__(self):
-        p = linalg.require_square(self.p, "p")
-        q = linalg.require_square(self.q, "q")
+        p = linalg.square_stack(self.p, "p")
+        q = linalg.square_stack(self.q, "q")
         xi = np.atleast_2d(np.asarray(self.xi, dtype=complex))
         kappa = np.atleast_2d(np.asarray(self.kappa, dtype=float))
         if p.shape != q.shape:
             raise DimensionError("p and q shapes differ")
-        if xi.shape[1] != p.shape[0]:
+        if xi.shape[-1] != p.shape[-1]:
             raise DimensionError("xi column count must match the degree")
-        if kappa.shape != (xi.shape[0],) * 2:
+        if xi.shape[:-2] != p.shape[:-2]:
+            raise DimensionError(f"xi {xi.shape} and p {p.shape} stack differently")
+        if kappa.shape != (*xi.shape[:-1], xi.shape[-2]):
             raise DimensionError("kappa must be m x m")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -242,11 +255,11 @@ class StarGroupElement(_Element):
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.xi.shape[0]
+        return self.xi.shape[-2]
 
     def blocks(self):
         """(P, Q, conj(Q), conj(P)), laid out as ``SymplecticElement.blocks``."""
@@ -254,10 +267,10 @@ class StarGroupElement(_Element):
 
     def is_valid(self) -> bool:
         n = self.n
-        r1 = self.p.T @ self.p.conj() - self.q.conj().T @ self.q - np.eye(n)
-        r2 = self.p.T @ self.q.conj() - self.q.conj().T @ self.p
-        zeta = 1j * self.kappa + self.xi.conj() @ self.xi.T
-        r3 = zeta - zeta.T
+        r1 = self.p.mT @ self.p.conj() - self.q.conj().mT @ self.q - np.eye(n)
+        r2 = self.p.mT @ self.q.conj() - self.q.conj().mT @ self.p
+        zeta = 1j * self.kappa + self.xi.conj() @ self.xi.mT
+        r3 = zeta - zeta.mT
         return bool(max(np.max(np.abs(r)) for r in (r1, r2, r3)) <= GROUP_TOL)
 
     def multiply(self, other: "StarGroupElement") -> "StarGroupElement":
@@ -270,7 +283,7 @@ class StarGroupElement(_Element):
         xi_t = self.xi @ other.p + self.xi.conj() @ other.q.conj()
         eta_t = self.xi @ other.q + self.xi.conj() @ other.p.conj()
         zeta3 = (1j * self.kappa + 1j * other.kappa
-                 + xi_t @ other.xi.conj().T - eta_t @ other.xi.T)
+                 + xi_t @ other.xi.conj().mT - eta_t @ other.xi.mT)
         return StarGroupElement(p3, q3, xi_t + other.xi, (-1j * zeta3).real)
 
 

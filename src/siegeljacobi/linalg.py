@@ -26,10 +26,11 @@ _DET_MARGIN = 1e-4
 _TINY = np.finfo(float).tiny
 
 
-def _close(a, b) -> bool:
-    """|a - b| <= ABS_TOL + REL_TOL * max(|a|, |b|), entrywise."""
+def close_each(a, b):
+    """|a - b| <= ABS_TOL + REL_TOL * max(|a|, |b|) in every entry, for one
+    matrix or for each matrix of a stack."""
     bound = ABS_TOL + REL_TOL * np.maximum(np.abs(a), np.abs(b))
-    return bool(np.all(np.abs(a - b) <= bound))
+    return (np.abs(a - b) <= bound).all(axis=(-2, -1))
 
 
 def as_complex_matrix(a):
@@ -51,15 +52,21 @@ def require_square(a, what="matrix"):
 def is_symmetric(a) -> bool:
     """True iff every A_ij is close to A_ji."""
     a = require_square(a)
-    return _close(a, a.T)
+    return bool(close_each(a, a.T))
 
 
 def is_hermitian(a) -> bool:
     a = require_square(a)
-    return _close(a, a.conj().T)
+    return bool(close_each(a, a.conj().T))
 
 
-def _square_stack(a, what="matrix"):
+def as_complex_stack(a):
+    """A complex matrix, or a stack of them along leading axes."""
+    a = np.asarray(a, dtype=complex)
+    return a if a.ndim > 2 else as_complex_matrix(a)
+
+
+def square_stack(a, what="matrix"):
     """A complex square matrix, or a stack of them along leading axes."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 3:
@@ -71,13 +78,14 @@ def _square_stack(a, what="matrix"):
 
 def symmetrize(a):
     """(A + tA) / 2 of a square matrix or of each matrix in a stack."""
-    a = _square_stack(a)
+    a = square_stack(a)
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def hermitize(a):
-    a = require_square(a)
-    return 0.5 * (a + a.conj().T)
+    """(A + A^H) / 2 of a square matrix or of each matrix in a stack."""
+    a = square_stack(a)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def is_positive_definite(s) -> bool:
@@ -93,8 +101,9 @@ def is_positive_definite(s) -> bool:
 
 
 def cholesky(s):
-    """Cholesky factor L with L L^H = s for Hermitian positive definite s."""
-    s = require_square(s)
+    """Cholesky factor L with L L^H = s for Hermitian positive definite s, or
+    the factors of a stack of such matrices."""
+    s = square_stack(s)
     try:
         return np.linalg.cholesky(hermitize(s))
     except np.linalg.LinAlgError as exc:
@@ -135,8 +144,9 @@ def require_conditioned(a):
 
 
 def safe_inv(a):
-    """Inverse with a conditioning guard; raises NumericError when cond > 1e12."""
-    a = require_square(a)
+    """Inverse with a conditioning guard; raises NumericError when cond > 1e12.
+    A may be a stack of square matrices, and one guard covers the stack."""
+    a = square_stack(a)
     require_conditioned(a)
     return np.linalg.inv(a)
 
@@ -144,7 +154,7 @@ def safe_inv(a):
 def safe_solve(a, b):
     """A^{-1} b behind the conditioning guard; A may be a stack of square
     matrices, with b stacked alike, and one guard covers the stack."""
-    a = _square_stack(a)
+    a = square_stack(a)
     require_conditioned(a)
     return np.linalg.solve(a, b)
 
@@ -161,7 +171,8 @@ def _over_denominator(c, x, d, num, rect):
 def fractional_linear(a, b, c, d, x, rect=None) -> list:
     """The parts [sym((A X + B)(C X + D)^{-1})] of a fractional-linear map,
     followed by R (C X + D)^{-1} when a rectangular numerator R is given.
-    X and R may carry leading batch axes (a stack of points); the blocks may not."""
+    X, R and the blocks may carry leading batch axes (a stack of points, of
+    group elements, or both), which broadcast as in ``np.matmul``."""
     return _over_denominator(c, x, d, a @ x + b, rect)
 
 

@@ -11,6 +11,9 @@ from conj(t2). The form is Hermitian, so h(t1, t2) = conj h(t2, t1) to
 rounding and h(t, t) is the line element, with an imaginary part of rounding
 size (below 1e-15 |h|).
 
+The metrics take stacks of points and tangents, and ``pushforward`` stacks of
+elements as well; each stacked entry gets the bits of the single call.
+
 The Jacobi metrics add B times a square to the base metric of weight A: on
 the Siegel-Jacobi space B tr(Y^{-1} t(K) conj(K)) with K = dZ - V Y^{-1} dOmega
 (Y = Im Omega, V = Im Z), which in the toroidal coordinates Z = lam + mu Omega
@@ -49,8 +52,10 @@ class MetricParams:
         require_weight(self.B)
 
 
-def _tr(x) -> complex:
-    return complex(np.trace(x))
+def _tr(x):
+    """The trace, or the traces of a stack as an array."""
+    t = np.trace(x, axis1=-2, axis2=-1)
+    return t if t.ndim else complex(t)
 
 
 # -- Siegel upper half space ----------------------------------------------------
@@ -71,7 +76,7 @@ def jacobi_metric(p: JacobiPoint, t1: TangentVector, t2: TangentVector,
     yi = safe_inv(p.omega.imag)
     vyi = p.z.imag @ yi
     k1, k2 = (t.d_z - vyi @ t.d_omega for t in (t1, t2))
-    heisenberg = _tr(yi @ k1.T @ np.conj(k2))
+    heisenberg = _tr(yi @ k1.mT @ np.conj(k2))
     return siegel_metric(p.siegel_part(), t1, t2, params.A) + params.B * heisenberg
 
 
@@ -96,7 +101,7 @@ def jacobi_disk_metric(p: JacobiDiskPoint, t1: TangentVector, t2: TangentVector,
     lw = safe_inv(np.eye(p.n) - p.w @ wb)
     shift = (p.eta @ wb - np.conj(p.eta)) @ lw
     k1, k2 = (t.d_z + shift @ t.d_omega for t in (t1, t2))
-    heisenberg = _tr(lw @ k1.T @ np.conj(k2))
+    heisenberg = _tr(lw @ k1.mT @ np.conj(k2))
     return disk_metric(p.disk_part(), t1, t2, params.A) + 4.0 * params.B * heisenberg
 
 

@@ -286,7 +286,7 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
             b = -np.round(current.omega.real)
             b = 0.5 * (b + b.T)
             g2 = translation(b)
-            current = groups.act_siegel(g2, current)
+            current = SiegelPoint(current.omega + b)    # t(b) in closed form, bit for bit
             gamma = g2.multiply(gamma)
             ratios = candidate_det_ratios(current)
             top = ratios.max()

@@ -1,8 +1,12 @@
-"""Deterministic random points, tangents and fields for the check suites."""
+"""Deterministic random points, tangents and fields for the check suites.
+
+The points are valid by construction, so they are built without ``create``
+(which would only symmetrize them); ``spaces.stack`` validates a stack of them."""
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import DomainError
 from .fields import batched
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector
@@ -13,13 +17,13 @@ def random_siegel_point(n: int, rng, y_range=(0.5, 2.0)) -> SiegelPoint:
     x = 0.5 * (x + x.T)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     y = q @ np.diag(rng.uniform(*y_range, n)) @ q.T
-    return SiegelPoint.create(x + 1j * y)
+    return SiegelPoint(linalg.symmetrize(x + 1j * y))
 
 
 def random_jacobi_point(n: int, m: int, rng) -> JacobiPoint:
     base = random_siegel_point(n, rng)
     z = rng.uniform(-1.0, 1.0, (m, n)) + 1j * rng.uniform(-1.0, 1.0, (m, n))
-    return JacobiPoint(base.omega, z)    # omega is checked, z finite and m x n
+    return JacobiPoint(base.omega, z)
 
 
 def random_disk_point(n: int, rng, radius: float = 0.5) -> DiskPoint:
@@ -28,13 +32,13 @@ def random_disk_point(n: int, rng, radius: float = 0.5) -> DiskPoint:
     norm = np.linalg.norm(w, 2)
     if norm > radius:
         w *= radius / norm
-    return DiskPoint.create(w)
+    return DiskPoint(w)    # symmetric: the scaling keeps w = t(w) exactly
 
 
 def random_jacobi_disk_point(n: int, m: int, rng, radius: float = 0.5) -> JacobiDiskPoint:
     base = random_disk_point(n, rng, radius)
     eta = 0.7 * (rng.uniform(-1.0, 1.0, (m, n)) + 1j * rng.uniform(-1.0, 1.0, (m, n)))
-    return JacobiDiskPoint(base.w, eta)    # w is checked, eta finite and m x n
+    return JacobiDiskPoint(base.w, eta)
 
 
 def random_point(kind: str, n: int, m: int, rng):

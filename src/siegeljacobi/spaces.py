@@ -16,10 +16,13 @@ non-finite entries, mismatched shapes and boundary points are refused, never
 clamped), and ``is_valid()`` says whether ``create`` accepts a point's parts.
 
 A point may also be a stack of points: parts with a leading batch axis, as
-the finite-difference stencils of ``diffops`` build them. ``n`` and ``m``
-read the trailing axes, so the group actions and Cayley maps take stacks
-as they are; ``create`` takes single points only (a stack is not valid),
-and ``unstack`` splits a stack into single points.
+the finite-difference stencils of ``diffops`` and the check battery build
+them. ``n`` and ``m`` read the trailing axes, so the group actions, Cayley
+maps and metrics take stacks as they are. ``create`` checks a stack in one
+vectorized pass and raises the error of its first invalid point, and
+``is_valid()`` is True when every point is valid. ``stack`` builds a stack
+(of points, tangent vectors or group elements) and ``unstack`` splits a
+stack of points into single points.
 """
 from __future__ import annotations
 
@@ -41,8 +44,7 @@ class _Point:
     def __post_init__(self):
         fields = self.__dict__    # frozen: write the instance dict directly
         for name in self.__dataclass_fields__:
-            a = np.asarray(fields[name], dtype=complex)
-            fields[name] = a if a.ndim > 2 else linalg.as_complex_matrix(a)
+            fields[name] = linalg.as_complex_stack(fields[name])
 
     @classmethod
     def _checked(cls, parts) -> list:
@@ -50,7 +52,10 @@ class _Point:
         names = list(cls.__dataclass_fields__)
         if len(parts) != len(names):
             raise TypeError(f"{cls.__name__}.create takes the parts {names}")
-        sym = linalg.require_square(parts[0], names[0])
+        sym = np.asarray(parts[0], dtype=complex)
+        if sym.ndim > 2:
+            return cls._checked_stack(sym, [np.asarray(a, dtype=complex) for a in parts[1:]])
+        sym = linalg.require_square(sym, names[0])
         if not np.all(np.isfinite(sym)):
             raise DomainError(f"{names[0]} has non-finite entries")
         if not linalg.is_symmetric(sym):
@@ -66,6 +71,33 @@ class _Point:
         if not (np.all(np.isfinite(sym)) and linalg.is_positive_definite(cls._positive(sym))):
             raise DomainError(cls._not_positive)
         return [sym, *rest]
+
+    @classmethod
+    def _checked_stack(cls, sym, rest) -> list:
+        """``_checked`` on a stack: each check runs on every point at once,
+        and each point that fails one is checked alone, so the first of them
+        raises its own error."""
+        names = list(cls.__dataclass_fields__)
+        for name, a in zip(names[1:], rest):
+            if a.shape[:-2] != sym.shape[:-2]:
+                raise DimensionError(f"{name} shape {a.shape} does not stack with "
+                                     f"{names[0]} shape {sym.shape}")
+        n = sym.shape[-1]
+        if sym.shape[-2] != n or any(a.shape[-1] != n for a in rest):
+            # a part of the wrong shape fails every point: the first one raises
+            cls._checked([a.reshape(-1, *a.shape[-2:])[0] for a in (sym, *rest)])
+        with np.errstate(all="ignore"):
+            ok = np.isfinite(sym).all(axis=(-2, -1)) & linalg.close_each(sym, sym.mT)
+            for a in rest:
+                ok &= np.isfinite(a).all(axis=(-2, -1))
+            checked = linalg.symmetrize(sym)
+            pos = cls._positive(checked)
+            ok &= np.isfinite(checked).all(axis=(-2, -1)) & np.isfinite(pos).all(axis=(-2, -1))
+            pos = np.where(ok[..., None, None], pos, np.eye(n))
+            ok &= np.linalg.eigvalsh(linalg.hermitize(pos))[..., 0] > linalg.ABS_TOL
+        for k in map(tuple, np.argwhere(~ok)):
+            cls._checked([a[k] for a in (sym, *rest)])
+        return [checked, *rest]
 
     @classmethod
     def create(cls, *parts):
@@ -89,7 +121,8 @@ class _Point:
         return parts[1].shape[-2] if len(parts) > 1 else 0
 
     def is_valid(self) -> bool:
-        """True iff ``create`` accepts this point's parts."""
+        """True iff ``create`` accepts this point's parts: on a stack, iff
+        every point is valid."""
         try:
             self._checked(self.parts())
         except (DimensionError, DomainError):
@@ -124,7 +157,7 @@ class JacobiPoint(_Point):
 
 
 def _disk_gram(w):
-    return linalg.hermitize(np.eye(w.shape[0]) - w.conj() @ w)
+    return linalg.hermitize(np.eye(w.shape[-1]) - w.conj() @ w)
 
 
 @dataclass(frozen=True)
@@ -161,25 +194,38 @@ class TangentVector:
     d_z: np.ndarray
 
     def __post_init__(self):
-        d_omega = linalg.require_square(self.d_omega, "d_omega")
+        d_omega = linalg.square_stack(self.d_omega, "d_omega")
         object.__setattr__(self, "d_omega", linalg.symmetrize(d_omega))
-        object.__setattr__(self, "d_z", linalg.as_complex_matrix(self.d_z))
+        object.__setattr__(self, "d_z", linalg.as_complex_stack(self.d_z))
 
     @classmethod
     def omega_only(cls, d_omega, m: int = 0):
-        d_omega = linalg.as_complex_matrix(d_omega)
-        return cls(d_omega, np.zeros((max(m, 0), d_omega.shape[0]), dtype=complex))
+        d_omega = linalg.as_complex_stack(d_omega)
+        return cls(d_omega, np.zeros((*d_omega.shape[:-2], max(m, 0), d_omega.shape[-1]),
+                                     dtype=complex))
 
     @property
     def n(self) -> int:
-        return self.d_omega.shape[0]
+        return self.d_omega.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.d_z.shape[0]
+        return self.d_z.shape[-2]
 
     def scale(self, c) -> "TangentVector":
         return TangentVector(c * self.d_omega, c * self.d_z)
+
+
+def stack(items):
+    """The stack of equal-shaped points, tangent vectors or group elements of
+    one type: each field stacked along a new leading axis, a nested element
+    field by field. A stack of points is made by ``create``: one validity
+    pass for all of them."""
+    first = items[0]
+    if isinstance(first, np.ndarray):
+        return np.stack(items)
+    make = first.create if isinstance(first, _Point) else type(first)
+    return make(*(stack([getattr(x, name) for x in items]) for name in first.__dataclass_fields__))
 
 
 def validate(point) -> bool:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siegeljacobi import checks, cli, groups, reduction, spaces
+from siegeljacobi import checks, cli, groups, linalg, reduction, spaces
 from siegeljacobi.checks import CheckRow
 from siegeljacobi.errors import ConvergenceError
 
@@ -77,6 +77,23 @@ def test_distance_emit_eigs(capsys):
         assert lines[0] == "eigenvalue" and len(lines) == 3
         assert 0.0 < float(lines[1]) <= 1.0
         assert json.loads(lines[2])["distance"] > 0.0
+
+
+def _far_pair_args():
+    """--p0 iI and --p1 i R diag(e^25, e^-25) t(R), R the rotation by 0.3 rad:
+    a pair whose disk image has a singular value that rounds above 1."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    far = 1j * rot @ np.diag([np.exp(25.0), np.exp(-25.0)]) @ rot.T
+    return ["--p0", json.dumps({"omega": linalg.matrix_to_json(1j * np.eye(2))}),
+            "--p1", json.dumps({"omega": linalg.matrix_to_json(far)})]
+
+
+def test_distance_writes_nothing_when_a_value_fails():
+    for extra in ([], ["--emit-eigs"]):
+        code, out, err = run_cli(["distance", *_far_pair_args(), *extra])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [err.strip()] and err.startswith("numeric error:")
 
 
 def test_theta_command_value():

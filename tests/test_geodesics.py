@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import checks, geodesics, groups, sampling, spaces
-from siegeljacobi.errors import ConvergenceError, DimensionError, ParameterError
+from siegeljacobi.errors import ConvergenceError, DimensionError, NumericError, ParameterError
 
 
 def test_cross_ratio_same_point_is_zero():
@@ -66,6 +66,23 @@ def test_series_form_refuses_eigenvalues_near_one():
     for y, r in ((1e7, "0\\.9999996"), (1e16, "1$")):
         with pytest.raises(ConvergenceError, match=f"eigenvalue {r}"):
             geodesics.siegel_distance_series(p0, spaces.SiegelPoint(np.array([[y * 1j]])))
+
+
+def test_a_disk_image_past_the_boundary_is_refused():
+    # iI against i R diag(e^25, e^-25) t(R): the computed disk image has a
+    # singular value above 1, where 1 - r would be negative and its log NaN
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    p0 = spaces.SiegelPoint(1j * np.eye(2))
+    p1 = spaces.SiegelPoint(1j * rot @ np.diag([np.exp(25.0), np.exp(-25.0)]) @ rot.T)
+    for fn in (geodesics.siegel_distance, geodesics.cross_ratio_eigenvalues):
+        with pytest.raises(NumericError, match=r"^disk-image singular value 1\.0000\d+ exceeds 1$"):
+            fn(p0, p1)
+    # a singular value that rounds to 1 is kept, and the distance stays finite
+    far = spaces.SiegelPoint(np.array([[1e16j]]))
+    assert geodesics.cross_ratio_eigenvalues(spaces.SiegelPoint(np.array([[1j]])), far)[0] == 1.0
+    assert np.isclose(geodesics.siegel_distance(spaces.SiegelPoint(np.array([[1j]])), far),
+                      np.log(1e16), rtol=1e-13)
 
 
 def test_points_of_different_degrees_are_refused():

@@ -355,3 +355,14 @@ def test_det_im_monotonicity_via_certificate():
         p = sampling.random_siegel_point(2, rng, y_range=(0.2, 0.9))
         red, _ = reduction.siegel_reduce(p)
         assert np.linalg.det(red.omega.imag) >= np.linalg.det(p.omega.imag) - 1e-12
+
+
+def test_translation_in_closed_form_is_the_general_action():
+    # siegel_reduce moves by t(b) as Omega + b: the bits of act_siegel(t(b), Omega)
+    rng = np.random.default_rng(61)
+    for n in (2, 3) * 150:
+        p = sampling.random_siegel_point(n, rng)
+        b = np.round(rng.uniform(-3.0, 3.0, (n, n)))
+        b = 0.5 * (b + b.T)
+        moved = groups.act_siegel(groups.translation(b), p)
+        assert np.array_equal(moved.omega, p.omega + b)
