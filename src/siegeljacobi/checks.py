@@ -227,23 +227,26 @@ def suite_laplacians(seed: int = 0):
     rng = np.random.default_rng(seed)
     rows = []
     params = MetricParams(1.0, 1.0)
-    # eigenfunction table at degree (1, 1)
-    for i in range(20):
-        p = sampling.random_jacobi_point(1, 1, rng)
+    # eigenfunction table at degree (1, 1): one table per field at the stack
+    # of the 20 points; the Bessel rows keep one table per point, as a stack
+    # would multiply the quadrature's temporaries
+    points = [sampling.random_jacobi_point(1, 1, rng) for _ in range(20)]
+    at_all = stack(points)
+    table = {}    # (s, name) -> per point: Laplacian, eigenvalue times f, |f|
+    for s in (0.5, 1.7, 2.0):
+        for name, lam in fields.eigenfunction_table(s):
+            t = DerivativeTable(fields.builtin_field(name, s=s), at_all)
+            table[s, name] = diffops.laplacian_jacobi(t, params), lam * t.value, np.abs(t.value)
+    for i, p in enumerate(points):
         for s in (0.5, 1.7, 2.0):
-            for name, lam in fields.eigenfunction_table(s):
-                f = fields.builtin_field(name, s=s)
-                val = diffops.laplacian_jacobi(DerivativeTable(f, p), params)
-                fv = f(p)
-                _row(rows, f"table_{name}_s{s}_{i:02d}", val, lam * fv,
-                     1e-4, scale=max(1.0, abs(fv)))
+            for name, _ in fields.eigenfunction_table(s):
+                val, rhs, size = (v[i] for v in table[s, name])
+                _row(rows, f"table_{name}_s{s}_{i:02d}", val, rhs, 1e-4, scale=max(1.0, size))
             if i < 5:
                 a = (1.0, -1.0, 2.0)[i % 3]
-                f = fields.builtin_field("bessel", s=s, a=a)
-                val = diffops.laplacian_jacobi(DerivativeTable(f, p), params)
-                fv = f(p)
-                _row(rows, f"table_bessel_s{s}_{i:02d}", val, s * (s - 1) * fv,
-                     1e-3, scale=max(1e-6, abs(fv)))
+                t = DerivativeTable(fields.builtin_field("bessel", s=s, a=a), p)
+                _row(rows, f"table_bessel_s{s}_{i:02d}", diffops.laplacian_jacobi(t, params),
+                     s * (s - 1) * t.value, 1e-3, scale=max(1e-6, abs(t.value)))
     # operator invariance on random fields
     for i in range(20):
         n, m = (1, 1) if i % 2 == 0 else (2, 1)

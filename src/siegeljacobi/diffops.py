@@ -9,6 +9,11 @@ serves as many operators at its point as needed. The points of a
 stencil (``_plan``, cached per chart dimension) form one stack of points; a
 field marked ``fields.batched`` (also behind ``__wrapped__``) gets the stack in
 one call and returns one value per point, any other gets one point at a time.
+p may itself be a stack of points (see ``spaces``): the stencils of all its
+points then form one stack, so a batched field is still called once, and the
+table's values and derivatives gain a leading axis over the points. The
+operators take such a table and return one value per point, each with the
+bits of the table at that point alone; the nested S3 at n >= 2 refuses it.
 Matrix derivative conventions: for a symmetric complex matrix the (i, j)
 entry of the derivative matrix carries the weight (1 + delta_ij)/2 applied to
 the symmetric-variable partial; for rectangular z-type matrices the layout is
@@ -20,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import permutations
+from operator import mul
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DimensionError, DomainError, NumericError, ParameterError
 from .fields import is_batched
 from .linalg import safe_inv
 from .metrics import MetricParams, require_weight
@@ -36,8 +42,8 @@ class FDConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ParameterError("step must be positive")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ParameterError("step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -95,20 +101,28 @@ def _plan(dim, entries=None):
 def _stencil(f, chart, steps, entries=None):
     """f at the points of ``_plan`` (one call of a batched f, else one call per
     point; a non-finite value raises), the entries summed term by term with the
-    scalar stencil's arithmetic (h^2 = pow(h, 2)), and the entries' coordinates."""
+    scalar stencil's arithmetic (h^2 = pow(h, 2)), and the entries' coordinates.
+    ``steps`` is (dim,) at a point and (N, dim) at a stack of N points, whose
+    values and entries gain that leading axis. Weights that are not finite (a
+    step whose square or product underflows) raise NumericError."""
     offsets, slots, nums, kind, ei, ej = _plan(chart.dim, entries)
-    points = chart.shifted(offsets * steps)
+    hi, hj = steps[..., ei], steps[..., ej]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        denom = np.choose(kind, [_C * hi, _C * np.float_power(hi, 2), hi * hj])
+        weights = nums / denom[..., None, :]
+    if not np.all(np.isfinite(weights)):
+        raise NumericError("finite-difference weights are not finite: the step is too small")
+    points = chart.shifted(offsets * steps[..., None, :])
     if is_batched(f):
         vals = np.asarray(f(points), dtype=complex)
     else:
         vals = np.array([complex(f(q)) for q in points.unstack()])
     if not np.all(np.isfinite(vals)):
         raise DomainError("field evaluated to a non-finite value")
-    hi, hj = steps[ei], steps[ej]
-    weights = nums / np.choose(kind, [_C * hi, _C * np.float_power(hi, 2), hi * hj])
-    out = np.zeros(len(kind), dtype=complex)
-    for w, s in zip(weights, slots):
-        out += w * vals[s]
+    vals = vals.reshape(*steps.shape[:-1], len(offsets))
+    out = np.zeros((*steps.shape[:-1], len(kind)), dtype=complex)
+    for w, s in zip(weights.swapaxes(0, -2), slots):
+        out += w * vals[..., s]
     return vals, out, ei, ej
 
 
@@ -120,19 +134,21 @@ def _require_within_radius(f, reach: float) -> None:
 
 
 class DerivativeTable:
-    """First and second Wirtinger derivatives of a field f at the point p."""
+    """First and second Wirtinger derivatives of a field f at the point p, or
+    at each point of a stack p: then ``value`` (f at the point), ``g1``,
+    ``g2`` and ``hess`` carry a leading axis over the points."""
 
     def __init__(self, f, p, cfg: FDConfig = FDConfig()):
         self.point = p
         self.chart = chart = _Chart(p)
-        steps = cfg.step * (1.0 + np.abs(chart.coord_values()))
-        _require_within_radius(f, 2 * max(steps, default=0.0))
+        steps = cfg.step * (1.0 + np.abs(chart.coord_values().T))
+        _require_within_radius(f, 2 * np.max(steps, initial=0.0))
         self._f = f
         dim = chart.dim
         vals, out, ei, ej = _stencil(f, chart, steps)
-        self.value, self.g1 = vals[0], out[:dim]
-        self.g2 = np.zeros((dim, dim), dtype=complex)
-        self.g2[ei[dim:], ej[dim:]] = self.g2[ej[dim:], ei[dim:]] = out[dim:]
+        self.value, self.g1 = vals[..., 0][()], out[..., :dim]    # [()]: a scalar at a point
+        self.g2 = np.zeros((*out.shape[:-1], dim, dim), dtype=complex)
+        self.g2[..., ei[dim:], ej[dim:]] = self.g2[..., ej[dim:], ei[dim:]] = out[..., dim:]
         self.w = chart.wirtinger_basis()
         self.hess = np.conj(self.w).T @ self.g2 @ self.w
 
@@ -141,34 +157,34 @@ class DerivativeTable:
         """Weighted matrix d/dOmega (or conj) as an n x n array."""
         n = self.chart.n
         w = np.conj(self.w) if bar else self.w
-        return (w[:, :n * n].T @ self.g1).reshape(n, n)
+        return (self.g1 @ w[:, :n * n]).reshape(*self.value.shape, n, n)
 
     def d_rect(self, bar=False):
         """Matrix d/dZ (or conj): entry (l, k) differentiates z_{kl}."""
         n, m = self.chart.n, self.chart.m
         w = np.conj(self.w) if bar else self.w
-        return (w[:, n * n:].T @ self.g1).reshape(m, n).T
+        return (self.g1 @ w[:, n * n:]).reshape(*self.value.shape, m, n).mT
 
     # second derivative blocks: slices of H = conj(W)^T g2 W ----------------
     def block_sym_bar_sym(self):
         """T[a, b, c, d] = (d/dOmega_bar)_ab (d/dOmega)_cd, both weighted."""
         n = self.chart.n
-        return self.hess[:n * n, :n * n].reshape(n, n, n, n)
+        return self.hess[..., :n * n, :n * n].reshape(*self.value.shape, n, n, n, n)
 
     def block_rect_bar_rect(self):
         """T[k, e, k2, j] = d^2 / d zbar_{ke} d z_{k2 j}."""
         n, m = self.chart.n, self.chart.m
-        return self.hess[n * n:, n * n:].reshape(m, n, m, n)
+        return self.hess[..., n * n:, n * n:].reshape(*self.value.shape, m, n, m, n)
 
     def block_sym_bar_rect(self):
         """T[a, b, k, d] = (d/dOmega_bar)_ab d/dz_{kd}."""
         n, m = self.chart.n, self.chart.m
-        return self.hess[:n * n, n * n:].reshape(n, n, m, n)
+        return self.hess[..., :n * n, n * n:].reshape(*self.value.shape, n, n, m, n)
 
     def block_rect_bar_sym(self):
         """T[k, e, a, b] = d/dzbar_{ke} (d/dOmega)_ab."""
         n, m = self.chart.n, self.chart.m
-        return self.hess[n * n:, :n * n].reshape(m, n, n, n)
+        return self.hess[..., n * n:, :n * n].reshape(*self.value.shape, m, n, n, n)
 
 
 # -- Laplacians on the half-space models ----------------------------------------
@@ -180,8 +196,33 @@ def _require_point(t: DerivativeTable, cls) -> None:
                           f"got one at a {type(t.point).__name__}")
 
 
+def _contract(spec, *operands):
+    """The full contraction ``np.einsum(spec, *operands)`` over each operand's
+    trailing axes: a complex on a point's table, one value per point on a
+    stack's. numpy's einsum groups a sum by its inner loop, which a batch
+    axis changes, so a stack is contracted in one call only where each
+    contraction is a single product (every trailing extent 1), and point by
+    point elsewhere, so that each value keeps the bits of its point."""
+    ins = spec.split("->")[0].split(",")
+    batch = np.shape(operands[0])[:np.ndim(operands[0]) - len(ins[0])]
+    if not batch:
+        return complex(np.einsum(spec, *operands))
+    if all(np.size(a) == np.prod(batch) for a in operands):
+        return np.einsum(",".join("..." + s for s in ins) + "->...", *operands)
+    return np.array([np.einsum(spec, *(a[k] for a in operands)) for k in range(batch[0])])
+
+
+def _per_point(op, *values):
+    """``op`` on complex values, or point by point on stacks of them, with
+    Python's complex arithmetic: numpy's vector complex product and division
+    round differently."""
+    if np.ndim(values[0]) == 0:
+        return op(*map(complex, values))
+    return np.array([op(*v) for v in zip(*(a.tolist() for a in values))], dtype=complex)
+
+
 def _maass_contraction(y, block):
-    return complex(np.einsum("ij,lk,kjli->", y, y, block))
+    return _contract("ij,lk,kjli->", y, y, block)
 
 
 def laplacian_siegel(t: DerivativeTable, a: float = 1.0) -> complex:
@@ -211,11 +252,11 @@ def jacobi_laplacian_parts(t: DerivativeTable):
     part1 = _maass_contraction(y, obo)
     # V-quadratic piece: tr(Y S(Ebar V Y^{-1}) Y S(E V Y^{-1})) expanded, the
     # unique quadratic form compatible with the Heisenberg translations
-    part1 += 0.5 * complex(np.einsum("ka,Kb,Kakb->", v, v, zbz))
-    part1 += 0.5 * complex(np.einsum("kK,ef,kfKe->", v @ yi @ v.T, y, zbz))
-    part1 += complex(np.einsum("kc,de,eckd->", v, y, obz))
-    part1 += complex(np.einsum("kJ,je,kejJ->", v, y, zbo))
-    part2 = complex(np.einsum("ij,kikj->", y, zbz))
+    part1 += 0.5 * _contract("ka,Kb,Kakb->", v, v, zbz)
+    part1 += 0.5 * _contract("kK,ef,kfKe->", v @ yi @ v.mT, y, zbz)
+    part1 += _contract("kc,de,eckd->", v, y, obz)
+    part1 += _contract("kJ,je,kejJ->", v, y, zbo)
+    part2 = _contract("ij,kikj->", y, zbz)
     return part1, part2
 
 
@@ -239,7 +280,7 @@ def disk_eta_trace(t: DerivativeTable) -> complex:
     JacobiDiskPoint."""
     _require_point(t, JacobiDiskPoint)
     _, _, _, q = _disk_mats(t.point)
-    return complex(np.einsum("ij,kikj->", q, t.block_rect_bar_rect()))
+    return _contract("ij,kikj->", q, t.block_rect_bar_rect())
 
 
 def disk_w_part(t: DerivativeTable) -> complex:
@@ -267,25 +308,26 @@ def disk_w_part(t: DerivativeTable) -> complex:
     wbe = t.block_sym_bar_rect()
     ebw = t.block_rect_bar_sym()
     val = _maass_contraction(qp, wbw)
-    val += complex(np.einsum("kj,ec,kecj->", eta - etab @ w, q, ebw))
-    val += complex(np.einsum("kc,de,eckd->", etab - eta @ wb, qp, wbe))
+    val += _contract("kj,ec,kecj->", eta - etab @ w, q, ebw)
+    val += _contract("kc,de,eckd->", etab - eta @ wb, qp, wbe)
     g1 = v @ (eye - wb)
     g2 = v @ (eye - w)
-    kmat = g1 @ safe_inv(qp) @ g2.T + etab @ (rb @ q @ r) @ eta.T
+    kmat = g1 @ safe_inv(qp) @ g2.mT + etab @ (rb @ q @ r) @ eta.mT
     h2 = etab @ rb @ q
-    h3 = q @ r @ eta.T
+    h3 = q @ r @ eta.mT
     j1 = eta @ r @ qp
-    val += 0.5 * complex(np.einsum("ka,Kb,Kakb->", g1, g2, ebe))
-    val += 0.5 * complex(np.einsum("kK,ef,kfKe->", kmat, qp, ebe))
-    val += 0.5 * complex(np.einsum("ka,Kb,Kakb->", j1 - g1, h2, ebe))
-    val -= 0.5 * complex(np.einsum("kK,ef,Kekf->", v @ etab.T + eta @ v.T, q, ebe))
-    val -= 0.5 * complex(np.einsum("ka,bK,kbKa->", g2, h3, ebe))
+    val += 0.5 * _contract("ka,Kb,Kakb->", g1, g2, ebe)
+    val += 0.5 * _contract("kK,ef,kfKe->", kmat, qp, ebe)
+    val += 0.5 * _contract("ka,Kb,Kakb->", j1 - g1, h2, ebe)
+    val -= 0.5 * _contract("kK,ef,Kekf->", v @ etab.mT + eta @ v.mT, q, ebe)
+    val -= 0.5 * _contract("ka,bK,kbKa->", g2, h3, ebe)
     return val
 
 
 def laplacian_disk(t: DerivativeTable, params: MetricParams = MetricParams()) -> complex:
     """(1/A) S2 + (1/B) S1: the Laplacian of the invariant disk metric."""
-    return (disk_w_part(t) / params.A) + (disk_eta_trace(t) / params.B)
+    return _per_point(lambda s2, s1: s2 / params.A + s1 / params.B,
+                      disk_w_part(t), disk_eta_trace(t))
 
 
 def disk_eta_entry(t: DerivativeTable, k: int, l: int) -> complex:
@@ -297,11 +339,14 @@ def disk_eta_entry(t: DerivativeTable, k: int, l: int) -> complex:
         raise DomainError(f"entry ({k}, {l}) outside index range for m={m}")
     _, _, _, q = _disk_mats(t.point)
     ebe = t.block_rect_bar_rect()
-    return complex(np.einsum("ij,ij->", q, ebe[k, :, l, :]))
+    return _contract("ij,ij->", q, ebe[..., k, :, l, :])
 
 
 def eta_pair_value(f, p: JacobiDiskPoint, hol, antihol, cfg: FDConfig) -> complex:
-    """d^2 f / (d eta_{hol} d etabar_{antihol}) at p via a lean cross stencil."""
+    """d^2 f / (d eta_{hol} d etabar_{antihol}) at p via a lean cross stencil;
+    p is one point, and a stack of points is refused with DimensionError."""
+    if p.w.ndim > 2:
+        raise DimensionError("eta_pair_value takes one point, not a stack of points")
     chart = _Chart(p)
     idx = {desc: i for i, desc in enumerate(chart.coords)}
     ur, ui = idx[(1, 0, hol)], idx[(1, 1, hol)]
@@ -325,16 +370,21 @@ def disk_eta_determinant(t: DerivativeTable) -> complex:
     constant-coefficient entry operators are composed by nested finite
     differences of the table's field at its point (with an enlarged step to
     keep roundoff in check), refused with ParameterError when those reach
-    past the field's declared radius.
+    past the field's declared radius. At n = 1 the table may be at a stack
+    of points; at n >= 2 such a table is refused with DimensionError.
     """
     _require_point(t, JacobiDiskPoint)
     f, p = t._f, t.point
     n, m = p.n, p.m
     _, _, _, q = _disk_mats(p)
-    det_q = complex(np.linalg.det(q))
     if n == 1:
         ebe = t.block_rect_bar_rect()
-        return det_q * complex(sum(ebe[k, 0, k, 0] for k in range(m)))
+        return _per_point(mul, np.linalg.det(q),
+                          sum(ebe[..., k, 0, k, 0] for k in range(m)))
+    if np.ndim(t.value):
+        raise DimensionError("disk_eta_determinant at n >= 2 nests stencils at one point; "
+                             "it takes no table at a stack of points")
+    det_q = complex(np.linalg.det(q))
     nested_cfg = FDConfig(step=8e-3)
     # level k of the nesting moves an eta coordinate by at most 2 steps, its
     # step taken at a point up to the reach of the levels before it

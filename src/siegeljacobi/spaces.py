@@ -274,7 +274,7 @@ class _Chart:
     def basis(self) -> list:
         """The tangent parts along each real coordinate, stacked in coordinate
         order: a unit entry (1 or i), mirrored on the symmetric part."""
-        parts = [np.zeros((self.dim, *a.shape), dtype=complex) for a in self.parts]
+        parts = [np.zeros((self.dim, *a.shape[-2:]), dtype=complex) for a in self.parts]
         for k, (b, im, (i, j)) in enumerate(self.coords):
             parts[b][k, i, j] = 1j if im else 1.0
             if b == 0:
@@ -291,8 +291,10 @@ class _Chart:
 
     def shifted(self, shifts):
         """The stack of points whose real coordinates are those of the
-        chart's point plus each row of ``shifts`` (shape (K, dim))."""
-        x = self.coord_values() + shifts
+        chart's point plus each row of ``shifts`` (shape (K, dim)); at a stack
+        of N points, shifts of shape (N, K, dim) give the N K points, the K
+        of the first point first."""
+        x = (self.coord_values().T[..., None, :] + shifts).reshape(-1, self.dim)
         k, n = len(x), self.n
         entries = np.empty((k, self.dim // 2), dtype=complex)
         entries.real, entries.imag = x[:, 0::2], x[:, 1::2]

@@ -237,6 +237,24 @@ def test_fd_config_validation():
         FDConfig(step=0.0)
 
 
+def test_fd_config_refuses_a_non_finite_step():
+    # a nan step used to pass the sign test and fail later as a field value
+    for step in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError):
+            FDConfig(step=step)
+
+
+def test_a_step_whose_square_underflows_is_refused():
+    # at step 1e-300 h^2 and h_i h_j underflow to 0: the stencil weights would
+    # be infinite and the Laplacian nan+nanj
+    p = spaces.JacobiPoint.create(np.array([[0.3 + 1.2j]]), np.array([[0.1 + 0.4j]]))
+    f = fields.builtin_field("y^s*x*v", s=1.7)
+    for q in (p, spaces.stack([p, p])):
+        with pytest.raises(NumericError, match="weights"):
+            diffops.laplacian_jacobi(DerivativeTable(f, q, FDConfig(step=1e-300)))
+    assert np.isfinite(diffops.laplacian_jacobi(DerivativeTable(f, p, FDConfig(step=1e-6))))
+
+
 def test_scalar_field_radius_guard():
     p = spaces.SiegelPoint.create(np.array([[1j]]))
     field = diffops.ScalarField(lambda q: q.omega[0, 0], radius=1e-9)

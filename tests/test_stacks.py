@@ -1,11 +1,14 @@
 """Stacks of points, tangents and group elements give, entry by entry, the
 bits of the single calls, and a stack of points is validated in one pass
 that raises the error of its first invalid point."""
+from functools import partial
+
 import numpy as np
 import pytest
 
-from siegeljacobi import cayley, geodesics, groups, metrics, sampling, spaces
-from siegeljacobi.errors import DimensionError, DomainError
+from siegeljacobi import cayley, diffops, fields, geodesics, groups, metrics, sampling, spaces
+from siegeljacobi.diffops import DerivativeTable
+from siegeljacobi.errors import DimensionError, DomainError, ParameterError
 from siegeljacobi.metrics import MetricParams
 from siegeljacobi.spaces import TangentVector, stack
 
@@ -152,3 +155,117 @@ def test_stacks_of_the_wrong_shape_are_refused():
                      stack([groups.random_heisenberg(2, 1, rng) for _ in range(4)]))):
         with pytest.raises(DimensionError):
             make()
+
+
+# -- derivative tables at a stack of points --------------------------------------
+
+# setup -> (point kind, n, m, operators on a table with their names)
+_DISK_OPS = [("s1", diffops.disk_eta_trace), ("s2", diffops.disk_w_part),
+             ("s3", diffops.disk_eta_determinant),
+             ("laplacian", lambda t: diffops.laplacian_disk(t, PARAMS))]
+TABLE_SETUPS = {
+    "siegel_1": ("siegel", 1, 0, [("laplacian", lambda t: diffops.laplacian_siegel(t, 1.5))]),
+    "siegel_2": ("siegel", 2, 0, [("laplacian", lambda t: diffops.laplacian_siegel(t, 1.5))]),
+    **{f"jacobi_{n}{m}": ("jacobi", n, m, [
+        ("parts", lambda t: np.stack(diffops.jacobi_laplacian_parts(t), axis=-1)),
+        ("laplacian", lambda t: diffops.laplacian_jacobi(t, PARAMS))])
+       for n, m in ((1, 1), (2, 1), (1, 2))},
+    **{f"disk_1{m}": ("jacobi_disk", 1, m, _DISK_OPS + [
+        (f"j:{k},{l}", partial(diffops.disk_eta_entry, k=k, l=l))
+        for k in range(m) for l in range(m)]) for m in (1, 2)},
+}
+
+
+def _table_setup(name, seed):
+    kind, n, m, ops = TABLE_SETUPS[name]
+    rng = np.random.default_rng(seed)
+    points = [sampling.random_point(kind, n, m, rng) for _ in range(10)]
+    field = sampling.random_polynomial_field(kind, rng)
+    return points, field, ops
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["batched", "plain"])
+@pytest.mark.parametrize("name", TABLE_SETUPS)
+def test_a_table_at_a_stack_gives_the_bits_of_the_tables_at_its_points(name, plain):
+    points, field, ops = _table_setup(name, 330)
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return complex(field(q)) if plain else field(q)
+
+    f = counted if plain else fields.batched(counted)
+    table = DerivativeTable(f, stack(points))
+    # a batched field is called once, a plain one once per stencil point
+    assert len(calls) == (len(points) * len(diffops._plan(table.chart.dim)[0]) if plain else 1)
+    singles = [DerivativeTable(f, q) for q in points]
+    for attr in ("value", "g1", "g2", "hess"):
+        assert np.array_equal(getattr(table, attr), np.stack([getattr(t, attr) for t in singles]))
+    for op_name, op in ops:
+        got = op(table)
+        assert got.shape[0] == len(points), op_name
+        assert np.array_equal(got, np.stack([op(t) for t in singles])), op_name
+
+
+def test_the_eigenfunction_values_of_a_stacked_table_are_the_fields_values():
+    # the laplacians suite's right-hand sides read table.value: f at each point
+    rng = np.random.default_rng(340)
+    p = stack([sampling.random_jacobi_point(1, 1, rng) for _ in range(20)])
+    for s in (0.5, 1.7, 2.0):
+        for name, _ in fields.eigenfunction_table(s):
+            f = fields.builtin_field(name, s=s)
+            values = DerivativeTable(f, p).value
+            assert np.array_equal(values, [complex(f(q)) for q in p.unstack()]), (name, s)
+
+
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_a_non_finite_value_at_one_point_of_a_stack_raises_the_single_point_error(k):
+    points = [spaces.JacobiPoint(np.array([[0.1 * j + 1.0j]]), np.array([[0.2 - 0.1j]]))
+              for j in range(10)]
+    x_bad = points[k].omega[0, 0].real
+
+    @fields.batched
+    def f(q):
+        x = q.omega[..., 0, 0].real
+        return np.where(np.abs(x - x_bad) < 0.02, np.nan, x * q.z[..., 0, 0].imag)
+
+    with pytest.raises(DomainError) as single:
+        DerivativeTable(f, points[k])
+    for j in set(range(10)) - {k}:
+        DerivativeTable(f, points[j])
+    with pytest.raises(DomainError) as stacked:
+        DerivativeTable(f, stack(points))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_a_table_at_one_point_keeps_scalar_values():
+    for name in TABLE_SETUPS:
+        points, field, ops = _table_setup(name, 350)
+        table = DerivativeTable(field, points[0])
+        assert isinstance(table.value, complex)
+        for op_name, op in ops:
+            values = diffops.jacobi_laplacian_parts(table) if op_name == "parts" else [op(table)]
+            assert all(type(v) is complex for v in values), (name, op_name)
+
+
+def test_what_cannot_be_stacked_is_refused():
+    rng = np.random.default_rng(360)
+    points = [sampling.random_jacobi_disk_point(2, 1, rng, radius=0.4) for _ in range(3)]
+    table = DerivativeTable(sampling.random_polynomial_field("jacobi_disk", rng), stack(points))
+    for op in (diffops.disk_eta_determinant, partial(diffops.disk_operator, which="s3")):
+        with pytest.raises(DimensionError, match="disk_eta_determinant"):
+            op(table)
+    with pytest.raises(DimensionError, match="eta_pair_value"):
+        diffops.eta_pair_value(table._f, stack(points), (0, 0), (0, 1), diffops.FDConfig())
+
+
+def test_the_radius_guard_reads_the_largest_step_of_the_stack():
+    # steps grow with the coordinates: only the far point's reaches the radius
+    near = [spaces.SiegelPoint(np.array([[0.1 * j + 1.0j]])) for j in range(4)]
+    far = spaces.SiegelPoint(np.array([[40.0 + 1.0j]]))
+    field = diffops.ScalarField(fields.builtin_field("y"), radius=0.02)
+    DerivativeTable(field, stack(near))
+    with pytest.raises(ParameterError):
+        DerivativeTable(field, far)
+    with pytest.raises(ParameterError):
+        DerivativeTable(field, stack(near + [far]))
