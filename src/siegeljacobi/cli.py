@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -294,8 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps nothing of a parse in the parser, so one parser serves every
+# call in a process; it is built at the first call, not at import
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()

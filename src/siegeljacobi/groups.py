@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -361,33 +362,54 @@ def act_jacobi_disk(g: StarGroupElement, p: JacobiDiskPoint) -> JacobiDiskPoint:
 
 # -- Generators and random words ----------------------------------------------
 
+# The generators' matrices, unchecked: the public generators validate their
+# block first, and random words, whose blocks are valid by construction, use
+# them directly.
+
+def _translation_matrix(b):
+    n = b.shape[0]
+    mat = np.eye(2 * n)
+    mat[:n, n:] = 0.5 * (b + b.T)
+    return mat
+
+
+def _dilation_matrix(alpha):
+    n = alpha.shape[0]
+    mat = np.zeros((2 * n, 2 * n))
+    mat[:n, :n] = alpha.T
+    mat[n:, n:] = np.linalg.inv(alpha)
+    return mat
+
+
+@cache
+def _inversion_matrix(n: int):
+    mat = np.zeros((2 * n, 2 * n))
+    mat[:n, n:] = -np.eye(n)
+    mat[n:, :n] = np.eye(n)
+    mat.flags.writeable = False    # shared by every caller through the cache
+    return mat
+
+
 def translation(b) -> SymplecticElement:
     """t(b): omega -> omega + b for symmetric b."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if not linalg.is_symmetric(b):
         raise DomainError("translation block must be symmetric")
-    n = b.shape[0]
-    mat = np.eye(2 * n)
-    mat[:n, n:] = 0.5 * (b + b.T)
-    return SymplecticElement(mat)
+    return SymplecticElement(_translation_matrix(b))
 
 
 def dilation(alpha) -> SymplecticElement:
-    """g(alpha): omega -> t(alpha) omega alpha for invertible alpha."""
+    """g(alpha): omega -> t(alpha) omega alpha for invertible alpha, read as
+    a square alpha with |det alpha| >= 1e-12."""
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    n = alpha.shape[0]
-    mat = np.zeros((2 * n, 2 * n))
-    mat[:n, :n] = alpha.T
-    mat[n:, n:] = np.linalg.inv(alpha)
-    return SymplecticElement(mat)
+    if alpha.shape[0] != alpha.shape[1] or abs(np.linalg.det(alpha)) < 1e-12:
+        raise DomainError("dilation block must be invertible n x n")
+    return SymplecticElement(_dilation_matrix(alpha))
 
 
 def inversion(n: int) -> SymplecticElement:
-    """sigma_n: omega -> -omega^{-1}."""
-    mat = np.zeros((2 * n, 2 * n))
-    mat[:n, n:] = -np.eye(n)
-    mat[n:, :n] = np.eye(n)
-    return SymplecticElement(mat)
+    """sigma_n: omega -> -omega^{-1}; its matrix is shared and read-only."""
+    return SymplecticElement(_inversion_matrix(n))
 
 
 def embedded_sl2(m2, n: int, slot: int) -> SymplecticElement:
@@ -402,20 +424,22 @@ def embedded_sl2(m2, n: int, slot: int) -> SymplecticElement:
 
 
 def random_symplectic(n: int, rng, max_word: int = 6) -> SymplecticElement:
-    """Bounded random word in t(b), g(alpha), sigma_n."""
-    g = SymplecticElement.identity(n)
+    """Bounded random word in t(b), g(alpha), sigma_n. The word multiplies
+    the generators' matrices, which are valid by construction, and makes one
+    element of the product."""
+    mat = np.eye(2 * n)
     length = int(rng.integers(0, max_word + 1))
     for _ in range(length):
         kind = int(rng.integers(0, 3))
         if kind == 0:
             b = rng.uniform(-1.0, 1.0, size=(n, n))
-            g = g.multiply(translation(0.5 * (b + b.T)))
+            mat = mat @ _translation_matrix(0.5 * (b + b.T))
         elif kind == 1:
             alpha = np.eye(n) + 0.25 * rng.uniform(-1.0, 1.0, size=(n, n))
-            g = g.multiply(dilation(alpha))
+            mat = mat @ _dilation_matrix(alpha)
         else:
-            g = g.multiply(inversion(n))
-    return g
+            mat = mat @ _inversion_matrix(n)
+    return SymplecticElement(mat)
 
 
 def random_heisenberg(n: int, m: int, rng) -> HeisenbergElement:

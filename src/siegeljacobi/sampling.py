@@ -13,10 +13,17 @@ from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, Tangen
 
 
 def random_siegel_point(n: int, rng, y_range=(0.5, 2.0)) -> SiegelPoint:
+    """X + iY with X uniform and Y = Q diag(d) tQ, Q from the QR of a
+    Gaussian. At n = 1 the Gaussian is drawn, so the rng advances as at
+    every n, but its QR is skipped: LAPACK's Q of a 1 x 1 matrix is exactly
+    1 (the reflector's tau is 0), so Y is diag(d) to the bit."""
     x = rng.uniform(-1.0, 1.0, (n, n))
     x = 0.5 * (x + x.T)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    y = q @ np.diag(rng.uniform(*y_range, n)) @ q.T
+    gauss = rng.standard_normal((n, n))
+    y = np.diag(rng.uniform(*y_range, n))
+    if n > 1:
+        q, _ = np.linalg.qr(gauss)
+        y = q @ y @ q.T
     return SiegelPoint(linalg.symmetrize(x + 1j * y))
 
 

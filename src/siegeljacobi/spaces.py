@@ -247,6 +247,9 @@ def point_from_json(obj):
     raise DomainError(f"point JSON with keys {sorted(obj)} not recognized")
 
 
+_WIRTINGER = {}    # (n, m) -> the read-only W of _Chart.wirtinger_basis
+
+
 class _Chart:
     """Real coordinates of a point: the real and imaginary parts of the
     upper-triangle entries of its symmetric part, then of the entries of its
@@ -284,10 +287,16 @@ class _Chart:
     def wirtinger_basis(self):
         """W (dim x (n^2 + mn)): column i n + j is the weighted d/dOmega_ij,
         column n^2 + k n + l is d/dz_kl, both in the real coordinates;
-        conj(W) gives the barred derivatives."""
-        weights = [np.where(np.eye(self.n, dtype=bool), 0.5, 0.25), 0.5]
-        return np.concatenate([(w * np.conj(b)).reshape(self.dim, -1)
-                               for w, b in zip(weights, self.basis())], axis=1)
+        conj(W) gives the barred derivatives. W depends on (n, m) alone, so
+        every chart of that degree shares one read-only copy."""
+        w = _WIRTINGER.get((self.n, self.m))
+        if w is None:
+            weights = [np.where(np.eye(self.n, dtype=bool), 0.5, 0.25), 0.5]
+            w = np.concatenate([(wt * np.conj(b)).reshape(self.dim, -1)
+                                for wt, b in zip(weights, self.basis())], axis=1)
+            w.flags.writeable = False
+            _WIRTINGER[self.n, self.m] = w
+        return w
 
     def shifted(self, shifts):
         """The stack of points whose real coordinates are those of the

@@ -205,7 +205,7 @@ def symplectic_of_generator(gen, ctx: ThetaContext) -> SymplecticElement:
         if block.shape != (ctx.n, ctx.n):    # every 1 x 1 block is symmetric
             raise DomainError("translation block must be symmetric n x n")
         return translation(block)
-    if block.shape != (ctx.n, ctx.n) or abs(np.linalg.det(block)) < 1e-12:
+    if block.shape != (ctx.n, ctx.n):
         raise DomainError("dilation block must be invertible n x n")
     return dilation(block)
 

@@ -428,3 +428,38 @@ def test_check_out_file(tmp_path):
     for line in text.strip().splitlines()[1:] + [row.csv()]:
         for field in line.split(",")[1:5]:
             float(field)
+
+
+def test_singular_dilation_names_the_block():
+    code, out, err = run_cli(["element", "--word", "g(-1)", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == "input error: dilation block must be invertible n x n\n"
+
+
+# successive commands in one process, each default-taking call after one that
+# set the option, and the usage errors
+SUCCESSIVE = [
+    ["element", "--word", "t(0.5);s", "--n", "2"],
+    ["element", "--word", "g(0.5)"],
+    ["metric", "--space", "hn", "--A", "2", "--point", "i", "--t1", "1", "--t2", "1"],
+    ["metric", "--space", "hn", "--point", "i", "--t1", "1", "--t2", "1"],
+    ["distance", "--p0", "i", "--p1", "2i", "--emit-eigs"],
+    ["distance", "--p0", "i", "--p1", "3i"],
+    ["reduce", "--space", "hn", "--point", "0.3+0.5i"],
+    ["check", "--suite", "cayley", "--seed", "3"],
+    ["check", "--suite", "cayley"],
+    ["element", "--word", "g(-1)"],
+    [],
+    ["distance", "--p0", "i"],
+]
+
+
+def test_one_parser_serves_successive_calls():
+    in_turn = [run_cli(args) for args in SUCCESSIVE]
+    fresh = []
+    for args in SUCCESSIVE:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(args))
+    assert in_turn == fresh
+    assert [code for code, _, _ in in_turn] == [0] * 9 + [2] * 3
+    assert cli._parser() is cli._parser()

@@ -282,3 +282,50 @@ def test_generator_word_parsing():
     assert groups.parse_generator_word("", 2).mat.shape == (4, 4)
     with pytest.raises(DomainError):
         groups.parse_generator_word("x(1)", 1)
+
+
+def test_dilation_refuses_a_singular_block():
+    for alpha in ([[0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1e-13]], np.ones((2, 3))):
+        with pytest.raises(DomainError, match="^dilation block must be invertible n x n$"):
+            groups.dilation(alpha)
+    with pytest.raises(DomainError, match="invertible"):
+        groups.parse_generator_word("t(0.5);g(-1)", 1)
+
+
+def _reference_word(n, rng, max_word):
+    """random_symplectic's word, element by element from the public generators."""
+    g = groups.SymplecticElement.identity(n)
+    for _ in range(int(rng.integers(0, max_word + 1))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            b = rng.uniform(-1.0, 1.0, size=(n, n))
+            g = g.multiply(groups.translation(0.5 * (b + b.T)))
+        elif kind == 1:
+            alpha = np.eye(n) + 0.25 * rng.uniform(-1.0, 1.0, size=(n, n))
+            g = g.multiply(groups.dilation(alpha))
+        else:
+            g = g.multiply(groups.inversion(n))
+    return g
+
+
+def _reference_siegel_omega(n, rng):
+    """random_siegel_point's omega with a QR at every degree, n = 1 included."""
+    x = rng.uniform(-1.0, 1.0, (n, n))
+    x = 0.5 * (x + x.T)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    y = q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T
+    return linalg.symmetrize(x + 1j * y)
+
+
+def test_random_draws_match_the_public_generators_bit_for_bit():
+    for seed in range(200):
+        for n in (1, 2, 3):
+            for max_word in range(7):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert np.array_equal(groups.random_symplectic(n, ours, max_word).mat,
+                                      _reference_word(n, ref, max_word).mat)
+                assert np.array_equal(sampling.random_siegel_point(n, ours).omega,
+                                      _reference_siegel_omega(n, ref))
+                assert ours.random() == ref.random()    # the rng advanced alike
+    sigma = groups.inversion(2).mat
+    assert not sigma.flags.writeable and groups.inversion(2).mat is sigma

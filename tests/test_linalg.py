@@ -135,6 +135,23 @@ def test_conditioning_guard_matches_svd(n, count, seed, lo, kinds):
     assert np.all(log_bound[shown] > np.log(cond[shown]) - 1e-6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=-16.0, max_value=0.0),
+       st.sampled_from(["svd", "svd", "svd", "zero", "inf", "nan", "singular"]))
+def test_scalar_check_clears_only_conditioned_matrices(n, seed, lo, kind):
+    # the Python-float bound that require_conditioned tries first on one
+    # small matrix: it never raises, and it clears no matrix whose condition
+    # number is past the bound's own limit of 1e8, so none past COND_LIMIT
+    a = _svd_stack(n, 1, seed, lo, ["svd" if kind == "nan" else kind])[0]
+    if kind == "nan":
+        a[seed % n, seed // n % n] = np.nan
+    for m in (a, a.real):
+        if linalg._clears(m.tolist(), n):
+            cond = np.linalg.cond(m)
+            assert cond <= linalg._DET_MARGIN * linalg.COND_LIMIT * (1 + 1e-6)
+
+
 def test_conditioning_guard_runs_svd_only_past_the_bound(monkeypatch):
     calls = []
     cond = np.linalg.cond

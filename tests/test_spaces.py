@@ -105,3 +105,11 @@ def test_point_json_round_trip():
         with pytest.raises(DomainError, match="^point JSON must be an object, got "):
             spaces.point_from_json(obj)
 
+
+def test_wirtinger_basis_is_shared_per_degree_and_read_only():
+    rng = np.random.default_rng(3)
+    w = spaces._Chart(sampling.random_jacobi_point(2, 1, rng)).wirtinger_basis()
+    for p in (sampling.random_jacobi_point(2, 1, rng), sampling.random_jacobi_disk_point(2, 1, rng)):
+        assert spaces._Chart(p).wirtinger_basis() is w
+    assert not w.flags.writeable and w.shape == (10, 6)
+    assert spaces._Chart(sampling.random_siegel_point(2, rng)).wirtinger_basis().shape == (6, 4)
