@@ -149,7 +149,13 @@ def cmd_cayley(args) -> int:
         out = cayley.to_half_space(point)
     else:
         out = cayley.to_disk(point)
-    _emit(out.to_json())
+    line = _json_line(out.to_json())
+    # rounding can carry the image of a point near the boundary onto it
+    try:
+        type(out).create(*out.parts())
+    except (DimensionError, DomainError) as exc:
+        raise NumericError(f"the image is not a valid point: {exc}") from None
+    print(line)
     return 0
 
 

@@ -84,6 +84,12 @@ def slash(f, idx: JacobiFormIndex, g: JacobiGroupElement):
     return slashed
 
 
+def _gate_block(t, r, lambda_gamma, m_mat):
+    """[[T/lambda, R/2], [t(R)/2, M]]: the block of the semidefiniteness gate
+    and of the singularity test."""
+    return np.block([[t / lambda_gamma, r / 2.0], [r.T / 2.0, m_mat]])
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Finite Fourier expansion sum c(T, R) e(tr(T Omega)/lambda) e(tr(R Z)).
@@ -117,7 +123,7 @@ class FourierSeries:
                 raise DomainError("R must be integral")
             if np.linalg.eigvalsh(t)[0] < -1e-9:
                 raise DomainError("T must be positive semidefinite")
-            block = np.block([[t / lambda_gamma, r / 2.0], [r.T / 2.0, index.m_mat]])
+            block = _gate_block(t, r, lambda_gamma, index.m_mat)
             if np.linalg.eigvalsh(0.5 * (block + block.T))[0] < -1e-9:
                 raise DomainError("term fails the semidefiniteness gate")
             key = (tuple(np.round(2 * t).astype(int).ravel()),
@@ -169,13 +175,13 @@ def fourier_field(s: FourierSeries):
 
 
 def singular_gate_determinant(s: FourierSeries, t, r) -> float:
-    block = np.block([[t, r / 2.0], [r.T / 2.0, s.index.m_mat]])
-    return float(np.linalg.det(block))
+    return float(np.linalg.det(_gate_block(t, r, s.lambda_gamma, s.index.m_mat)))
 
 
 def is_singular(s: FourierSeries) -> bool:
     """True iff every stored nonzero coefficient sits on the vanishing locus
-    of det [[T, R/2], [t(R)/2, M]] (|det| <= 1e-9)."""
+    of det [[T/lambda, R/2], [t(R)/2, M]] (|det| <= 1e-9), where each term's
+    factor det(T/lambda - R M^{-1} t(R)/4) in ``apply_m_operator`` vanishes."""
     for t, r, c in s.items():
         if abs(c) == 0.0:
             continue

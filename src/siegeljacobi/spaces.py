@@ -18,20 +18,25 @@ clamped), and ``is_valid()`` says whether ``create`` accepts a point's parts.
 A point may also be a stack of points: parts with a leading batch axis, as
 the finite-difference stencils of ``diffops`` and the check battery build
 them. ``n`` and ``m`` read the trailing axes, so the group actions, Cayley
-maps and metrics take stacks as they are. ``create`` checks a stack in one
-vectorized pass and raises the error of its first invalid point, and
-``is_valid()`` is True when every point is valid. ``stack`` builds a stack
-(of points, tangent vectors or group elements) and ``unstack`` splits a
-stack of points into single points.
+maps and metrics take stacks as they are. A single point is checked as a
+stack of one: a stack raises the error its first invalid point raises alone,
+and ``is_valid()`` is True when every point is valid. ``stack`` builds a
+stack (of points, tangent vectors or group elements) and ``unstack`` splits
+it into single points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError
+
+
+def _finite(a):
+    return np.isfinite(a).all(axis=(-2, -1))
 
 
 class _Point:
@@ -48,56 +53,50 @@ class _Point:
 
     @classmethod
     def _checked(cls, parts) -> list:
-        """The one validity pass: the parts, symmetrized, or the first failed check's error."""
+        """The one validity pass, for one point (a stack with no leading
+        axes) or a stack alike: the parts, the symmetric one symmetrized, or
+        the error of the first failed check of the first invalid point. Each
+        check runs once over every point, in the order that decides a single
+        point; a part of the wrong shape fails every point."""
         names = list(cls.__dataclass_fields__)
         if len(parts) != len(names):
             raise TypeError(f"{cls.__name__}.create takes the parts {names}")
-        sym = np.asarray(parts[0], dtype=complex)
+        sym, *rest = (np.asarray(a, dtype=complex) for a in parts)
         if sym.ndim > 2:
-            return cls._checked_stack(sym, [np.asarray(a, dtype=complex) for a in parts[1:]])
-        sym = linalg.require_square(sym, names[0])
-        if not np.all(np.isfinite(sym)):
-            raise DomainError(f"{names[0]} has non-finite entries")
-        if not linalg.is_symmetric(sym):
-            raise DomainError(f"{names[0]} is not symmetric within tolerance")
-        rest = [linalg.as_complex_matrix(a) for a in parts[1:]]
-        for name, a in zip(names[1:], rest):
-            if not np.all(np.isfinite(a)):
-                raise DomainError(f"{name} has non-finite entries")
-            if a.shape[1] != sym.shape[0]:
-                raise DimensionError(f"{name} has {a.shape[1]} columns, "
-                                     f"{names[0]} degree {sym.shape[0]}")
-        sym = linalg.symmetrize(sym)    # overflows on entries past half the float range
-        if not (np.all(np.isfinite(sym)) and linalg.is_positive_definite(cls._positive(sym))):
-            raise DomainError(cls._not_positive)
-        return [sym, *rest]
-
-    @classmethod
-    def _checked_stack(cls, sym, rest) -> list:
-        """``_checked`` on a stack: each check runs on every point at once,
-        and each point that fails one is checked alone, so the first of them
-        raises its own error."""
-        names = list(cls.__dataclass_fields__)
-        for name, a in zip(names[1:], rest):
-            if a.shape[:-2] != sym.shape[:-2]:
-                raise DimensionError(f"{name} shape {a.shape} does not stack with "
-                                     f"{names[0]} shape {sym.shape}")
+            for name, a in zip(names[1:], rest):
+                if a.shape[:-2] != sym.shape[:-2]:
+                    raise DimensionError(f"{name} shape {a.shape} does not stack with "
+                                         f"{names[0]} shape {sym.shape}")
+        else:
+            sym = linalg.as_complex_matrix(sym)
+            rest = [a.reshape(1, 1) if a.ndim == 0 else a for a in rest]
         n = sym.shape[-1]
-        if sym.shape[-2] != n or any(a.shape[-1] != n for a in rest):
-            # a part of the wrong shape fails every point: the first one raises
-            cls._checked([a.reshape(-1, *a.shape[-2:])[0] for a in (sym, *rest)])
+        if sym.shape[-2] != n:
+            raise DimensionError(f"{names[0]} must be square, got shape {sym.shape[-2:]}")
         with np.errstate(all="ignore"):
-            ok = np.isfinite(sym).all(axis=(-2, -1)) & linalg.close_each(sym, sym.mT)
-            for a in rest:
-                ok &= np.isfinite(a).all(axis=(-2, -1))
-            checked = linalg.symmetrize(sym)
-            pos = cls._positive(checked)
-            ok &= np.isfinite(checked).all(axis=(-2, -1)) & np.isfinite(pos).all(axis=(-2, -1))
-            pos = np.where(ok[..., None, None], pos, np.eye(n))
-            ok &= np.linalg.eigvalsh(linalg.hermitize(pos))[..., 0] > linalg.ABS_TOL
-        for k in map(tuple, np.argwhere(~ok)):
-            cls._checked([a[k] for a in (sym, *rest)])
-        return [checked, *rest]
+            checks = [(_finite(sym), DomainError(f"{names[0]} has non-finite entries")),
+                      (linalg.close_each(sym, sym.mT),
+                       DomainError(f"{names[0]} is not symmetric within tolerance"))]
+            for name, a in zip(names[1:], rest):
+                if a.ndim != sym.ndim:    # beside one point: a stack's parts share its rank
+                    checks.append((False, DimensionError(f"expected a matrix, got ndim={a.ndim}")))
+                    break
+                checks += [(_finite(a), DomainError(f"{name} has non-finite entries")),
+                           (a.shape[-1] == n, DimensionError(
+                               f"{name} has {a.shape[-1]} columns, {names[0]} degree {n}"))]
+            sym = linalg.symmetrize(sym)    # overflows on entries past half the float range
+            pos = cls._positive(sym)
+            finite = _finite(sym) & _finite(pos)    # an overflow is not positive definite
+            # complex for every type: a real solver moves a wide-range Im's least eigenvalue
+            pos = np.where(finite[..., None, None], pos, np.eye(n, dtype=complex))
+            positive = finite & (np.linalg.eigvalsh(pos)[..., 0] > linalg.ABS_TOL)
+            checks.append((positive, DomainError(cls._not_positive)))
+        ok = reduce(np.logical_and, (mask for mask, _ in checks))
+        bad = np.argwhere(~ok)
+        for mask, error in checks:    # an empty stack has no point, but a wrong shape
+            if (not np.broadcast_to(mask, ok.shape)[tuple(bad[0])]) if len(bad) else mask is False:
+                raise error
+        return [sym, *rest]
 
     @classmethod
     def create(cls, *parts):

@@ -353,7 +353,9 @@ def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
               h: HeisenbergElement) -> complex:
     """Sum over the integer lattice of [W(h) R(tau, phi) f](omega); raises
     AccuracyError when a term on the boundary shell of the truncated lattice
-    exceeds 1e-10 of max(1, |sum|)."""
+    exceeds 1e-10 of max(1, |sum|) or 1e-10 of the largest term. The first
+    bound keeps a cancelling sum from loosening the budget; the second holds
+    where every term, and so the sum, is far below 1."""
     if (h.m, h.n) != (ctx.m, ctx.n):
         raise DimensionError("Heisenberg degrees do not match the context")
     transformed = schrodinger_action(h, weil_sl2_action(coord, f, ctx), ctx)
@@ -361,8 +363,9 @@ def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
     terms = np.asarray(transformed.eval_fn(lattice), dtype=complex)
     total = complex(np.sum(terms))
     shell = np.max(np.abs(lattice), axis=(1, 2)) >= ctx.n_cut
-    tail = float(np.max(np.abs(terms[shell])))
-    if tail > 1e-10 * max(1.0, abs(total)):
+    sizes = np.abs(terms)
+    tail = float(np.max(sizes[shell]))
+    if tail > 1e-10 * min(max(1.0, abs(total)), float(np.max(sizes))):
         raise AccuracyError(f"boundary lattice terms of size {tail:.2e} violate "
                             "the truncation budget; increase n_cut")
     return total

@@ -166,6 +166,32 @@ def test_cayley_bare_point_is_the_source_part():
     assert err == "input error: no half-space model for SiegelPoint\n"
 
 
+@pytest.mark.parametrize("direction, point, reason", [
+    # 1 - |w| is below the float spacing at 1, so w reads exactly 1
+    ("inv", "1e17i", "I - conj(W) W is not positive definite"),
+    ("inv", '{"omega": "1e17i", "z": "0"}', "I - conj(W) W is not positive definite"),
+    # 1 - |w|^2 is just above 1e-10, but Im(omega) = (1 + w) / (1 - w) is 2.5e-11
+    ("fwd", "-0.99999999995", "Im(omega) is not positive definite")])
+def test_cayley_refuses_an_image_that_is_not_a_valid_point(direction, point, reason):
+    code, out, err = run_cli(["cayley", "--dir", direction, f"--point={point}"])
+    assert (code, out) == (1, "")
+    assert err == f"numeric error: the image is not a valid point: {reason}\n"
+
+
+def test_cayley_image_near_the_boundary_is_printed():
+    code, out, err = run_cli(["cayley", "--dir", "inv", "--point", "1e9i"])
+    assert (code, err) == (0, "")
+    w = json.loads(out)["w"]["data"]
+    assert w[0][1] == 0.0 and abs(w[0][0] - (1e9 - 1) / (1e9 + 1)) < 1e-15
+
+
+def test_overflowing_disk_point_is_not_positive_definite():
+    # finite W, but I - conj(W) W overflows
+    code, out, err = run_cli(["cayley", "--dir", "fwd", "--point", "1e200"])
+    assert (code, out) == (2, "")
+    assert err == "input error: I - conj(W) W is not positive definite\n"
+
+
 def test_metric_command():
     code, out, _ = run_cli(["metric", "--space", "hn", "--A", "1", "--point", "i",
                             "--t1", "1", "--t2", "1"])

@@ -132,6 +132,19 @@ def test_is_singular_examples(index_one):
     assert not jf.is_singular(mixed)
 
 
+def test_is_singular_reads_t_over_lambda(index_one):
+    # at lambda = 2 the operator multiplies a term by det(T/2 - R M^{-1} t(R)/4)
+    p = sampling.random_jacobi_point(1, 1, np.random.default_rng(24))
+    sing = jf.FourierSeries.build(1, index_one, [(np.array([[2.0]]), np.array([[2.0]]), 1.0)],
+                                  lambda_gamma=2)
+    assert jf.is_singular(sing)
+    assert jf.apply_m_operator(sing, p) == 0.0 and jf.fourier_eval(sing, p) != 0.0
+    plain = jf.FourierSeries.build(1, index_one, [(np.array([[2.0]]), np.array([[0.0]]), 1.0)],
+                                   lambda_gamma=2)
+    assert not jf.is_singular(plain)
+    assert jf.apply_m_operator(plain, p) != 0.0
+
+
 def test_m_operator_examples(index_one):
     rng = np.random.default_rng(11)
     p = sampling.random_jacobi_point(1, 1, rng)

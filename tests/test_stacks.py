@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegeljacobi import cayley, diffops, fields, geodesics, groups, metrics, sampling, spaces
 from siegeljacobi.diffops import DerivativeTable
@@ -116,6 +118,79 @@ def test_create_on_a_stack_raises_its_first_invalid_points_own_error():
     ws[3] = 1.5 * np.eye(2)
     with pytest.raises(DomainError, match=r"^I - conj\(W\) W is not positive definite$"):
         spaces.DiskPoint.create(np.stack(ws))
+
+
+def _spoiled(kind, parts, fault):
+    """The parts of a point with ``fault`` put in; "none" leaves them valid."""
+    sym, *rest = (a.copy() for a in parts)
+    disk = kind in ("disk", "jacobi_disk")
+    if fault == "non-finite":
+        sym[-1, 0] = np.nan
+    elif fault == "non-finite rectangular" and rest:
+        rest[0][0, -1] = np.inf
+    elif fault == "asymmetric" and len(sym) > 1:
+        sym[0, 1] += 1e-3
+    elif fault == "non-positive":
+        sym = 1.5 * np.eye(len(sym)) if disk else sym.real - 0.5j * np.eye(len(sym))
+    elif fault == "overflowing":
+        # a finite W whose I - conj(W) W overflows; an Omega whose symmetrization does
+        sym[0, 0] = 1e200 if disk else 1.5e308 + 1j
+    return [sym, *rest]
+
+
+_CLASSES = {"siegel": spaces.SiegelPoint, "jacobi": spaces.JacobiPoint,
+            "disk": spaces.DiskPoint, "jacobi_disk": spaces.JacobiDiskPoint}
+_FAULTS = ["none", "non-finite", "non-finite rectangular", "asymmetric", "non-positive",
+           "overflowing"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_CLASSES)),
+       n=st.integers(1, 2), m=st.integers(1, 2),
+       faults=st.lists(st.sampled_from(_FAULTS), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_create_on_a_stack_is_create_on_its_first_invalid_point(kind, n, m, faults, seed):
+    rng = np.random.default_rng(seed)
+    points = [_spoiled(kind, sampling.random_point(kind, n, m, rng).parts(), fault)
+              for fault in faults]
+    cls = _CLASSES[kind]
+    stacked = [np.stack(parts) for parts in zip(*points)]
+    singles = []
+    for parts in points:
+        try:
+            singles.append(cls.create(*parts))
+        except (DimensionError, DomainError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                cls.create(*stacked)
+            assert str(raised.value) == str(exc)
+            assert not cls(*stacked).is_valid()
+            return
+    checked = cls.create(*stacked)
+    for a, b in zip(checked.parts(), map(np.stack, zip(*(q.parts() for q in singles)))):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert cls(*stacked).is_valid()
+
+
+def test_a_wrong_shape_fails_every_point_in_the_order_of_a_single_point():
+    omega, nan, inf = 1j * np.eye(1), np.array([[np.nan]]), np.array([[np.inf, 0.0]])
+    for parts, message in [((nan, np.zeros(1)), "omega has non-finite entries"),
+                           ((omega, np.zeros(1)), "expected a matrix, got ndim=1"),
+                           ((omega, inf), "z has non-finite entries"),
+                           ((omega, np.zeros((1, 2))), "z has 2 columns, omega degree 1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spaces.JacobiPoint.create(*parts)
+    # in a stack whose z has 2 columns, the first point fails first on what it fails alone
+    omegas, zs = np.stack([omega] * 3), np.zeros((3, 1, 2))
+    zs[1, 0, 0] = np.inf
+    with pytest.raises(DimensionError, match="^z has 2 columns, omega degree 1$"):
+        spaces.JacobiPoint.create(omegas, zs)
+    zs[0, 0, 0] = np.inf
+    with pytest.raises(DomainError, match="^z has non-finite entries$"):
+        spaces.JacobiPoint.create(omegas, zs)
+    # an empty stack has no invalid point, but its shapes must still fit
+    with pytest.raises(DimensionError, match="^z has 2 columns, omega degree 1$"):
+        spaces.JacobiPoint.create(omegas[:0], zs[:0])
+    assert spaces.JacobiPoint.create(omegas[:0], zs[:0, :, :1]).is_valid()
 
 
 def test_is_valid_on_a_stack_is_false_exactly_when_a_point_is_invalid():

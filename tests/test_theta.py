@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from siegeljacobi import theta as th
+from siegeljacobi import cli, theta as th
 from siegeljacobi.errors import AccuracyError, DimensionError, DomainError
 from siegeljacobi.groups import HeisenbergElement
 
@@ -464,6 +464,21 @@ def test_theta_tail_budget_violation():
     # very small v spreads the summand far beyond the truncation radius
     with pytest.raises(AccuracyError):
         th.theta_sum(f, tiny, th.SL2Coord(0.01j, 0.0), hb(0.0, 0.0))
+
+
+@pytest.mark.parametrize("v", [1e-40, 1e-60])
+def test_theta_tail_budget_holds_where_every_term_is_below_one(v):
+    # each lattice term is about the centre term, so the boundary shell is a
+    # fifth of the sum however small the sum is
+    tiny = th.ThetaContext(np.array([[1.0]]), n=1, n_cut=2)
+    with pytest.raises(AccuracyError):
+        th.theta_sum(th.gaussian(tiny), tiny, th.SL2Coord(v * 1j, 0.0), hb(0.0, 0.0))
+
+
+def test_theta_command_refuses_a_sum_far_below_one(capsys):
+    assert cli.main(["theta", "--M", "1", "--tau", "0,1e-300", "--phi", "0.3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric error: boundary lattice terms")
 
 
 def test_weil_kernel_node_count_guard():
