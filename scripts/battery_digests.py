@@ -1,14 +1,19 @@
-"""Digest the CLI output of every check suite for one source tree.
+"""Digest the CLI output of every check suite, or of a fixed corpus of other
+commands, for one source tree.
 
     python scripts/battery_digests.py SRC_DIR [SEEDS]
+    python scripts/battery_digests.py SRC_DIR --cli
 
 Imports ``siegeljacobi`` from SRC_DIR, runs ``siegeljacobi check --suite S
 --seed N`` in-process through ``cli.main`` for every suite S and seed N, and
 prints one line per (suite, seed): the exit code, the sha256 of stdout and the
 stderr lines. SEEDS is a comma-separated list of seeds and inclusive ranges,
 such as ``0-99,2026`` (default ``2026``); an empty, reversed or non-integer
-item prints this text on stderr and exits 2. Two trees give the same CLI output
-where their lines agree, so diffing the output for the two is the check.
+item prints this text on stderr and exits 2. With ``--cli`` it prints the
+same digest, after the arguments as JSON, for each invocation of CORPUS: a
+success and a refusal of every command but ``check``, then edge cases whose
+messages a refactor may change. Two trees give the same CLI output where
+their lines agree, so diffing the output for the two is the check.
 """
 from __future__ import annotations
 
@@ -32,26 +37,61 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def digest(cli, suite: str, seed: int) -> str:
-    """One line for ``check --suite suite --seed seed`` run through cli.main."""
+# a success and a refusal per command, then edge cases: far reduced points,
+# a complex index matrix and a stack given as a generator block
+CORPUS = [
+    ["distance", "--p0", "i", "--p1", "2i"],
+    ["distance", "--p0", "i", "--p1", "0,-1"],
+    ["cayley", "--dir", "fwd", "--point", "0.3"],
+    ["cayley", "--dir", "fwd", "--point", "1e200"],
+    ["reduce", "--space", "hn", "--point", "0.3+0.5i"],
+    ["reduce", "--space", "hn", "--point", "0,-1"],
+    ["reduce", "--space", "hnm", "--point", '{"omega": "3.7+0.2i", "z": "1.3-0.4i"}'],
+    ["metric", "--space", "hnm", "--point", '{"omega": "i", "z": "0.2"}',
+     "--t1", '{"domega": "1", "dz": "0.5"}', "--t2", "1"],
+    ["metric", "--space", "dn", "--point", "i", "--t1", "1", "--t2", "1"],
+    ["laplacian", "--space", "hn", "--field", "y^s", "--s", "1.5", "--point", "2i"],
+    ["laplacian", "--space", "hn", "--field", "nope", "--point", "i"],
+    ["theta", "--M", "1", "--tau", "0.2,1.1", "--phi", "0.3", "--lam", "[[0.25]]"],
+    ["theta", "--M", "0", "--tau", "0,1", "--phi", "0.3"],
+    ["element", "--word", "t(0.5);g(0.2);s", "--n", "2"],
+    ["element", "--word", "g(-1)", "--n", "1"],
+    ["reduce", "--space", "hn", "--point", "1e155i"],
+    ["reduce", "--space", "hn", "--point", "1e300i"],
+    ["reduce", "--space", "hnm", "--point", '{"omega": "1e300i", "z": "0.5"}'],
+    ["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"],
+    ["theta", "--M", '{"rows": 1, "cols": 1, "data": [[2, 0]]}', "--tau", "0,1", "--phi", "1"],
+]
+
+
+def run(cli, argv: list[str]) -> str:
+    """The exit code, the sha256 of stdout and the stderr lines of cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["check", "--suite", suite, "--seed", str(seed)])
+        code = cli.main(argv)
     sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
     stderr = json.dumps(err.getvalue().splitlines())
-    return f"{suite} {seed} exit={code} stdout={sha} stderr={stderr}"
+    return f"exit={code} stdout={sha} stderr={stderr}"
+
+
+def digest(cli, suite: str, seed: int) -> str:
+    """One line for ``check --suite suite --seed seed`` run through cli.main."""
+    return f"{suite} {seed} " + run(cli, ["check", "--suite", suite, "--seed", str(seed)])
 
 
 def main(argv: list[str]) -> int:
     try:
         if len(argv) not in (1, 2):
-            raise ValueError("expected SRC_DIR [SEEDS]")
-        seeds = parse_seeds(argv[1] if len(argv) == 2 else "2026")
+            raise ValueError("expected SRC_DIR [SEEDS | --cli]")
+        corpus = argv[1:] == ["--cli"]
+        seeds = [] if corpus else parse_seeds(argv[1] if len(argv) == 2 else "2026")
     except ValueError:
         print(__doc__, file=sys.stderr)
         return 2
     sys.path.insert(0, argv[0])
     from siegeljacobi import checks, cli
+    for args in CORPUS if corpus else []:
+        print(json.dumps(args), run(cli, args), flush=True)
     for suite in checks.SUITES:
         for seed in seeds:
             print(digest(cli, suite, seed), flush=True)

@@ -501,9 +501,8 @@ def suite_jacobiforms(seed: int = 0):
         fd = _fd_m_operator_degree_one(mixed, p)
         _row(rows, f"m_operator_fd_{i:02d}", val_mixed, fd, 1e-4,
              scale=max(1.0, abs(fd)))
-        # relative to the series' own size sum |c e(tr(T Omega) + tr(R Z))|
-        size = sum(abs(c * np.exp(2j * np.pi * (np.trace(t @ p.omega) + np.trace(r @ p.z))))
-                   for t, r, c in mixed.items())
+        # relative to the series' own size, the sum of its terms' moduli
+        size = sum(abs(mixed.term(t, r, c, p)) for t, r, c in mixed.items())
         rows.append(CheckRow(f"nonannihilation_{i:02d}", abs(val_mixed), 0.0,
                              0.0 if abs(val_mixed) > 1e-6 * size else 1.0, 0.5))
     # degree-lowering projection vs large-parameter evaluation

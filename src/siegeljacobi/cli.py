@@ -219,8 +219,7 @@ def cmd_laplacian(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    m_mat = parse_matrix_arg(args.M).real
-    ctx = theta.ThetaContext(m_mat, n=1, n_cut=args.n_cut)
+    ctx = theta.ThetaContext(parse_matrix_arg(args.M), n=1, n_cut=args.n_cut)
     coord = theta.SL2Coord(parse_scalar_complex(args.tau), args.phi)
     h = HeisenbergElement(*(_real_array(name, getattr(args, name))
                             for name in ("lam", "mu", "kappa")))

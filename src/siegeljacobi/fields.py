@@ -14,6 +14,7 @@ import inspect
 import numpy as np
 
 from .errors import DomainError
+from .linalg import real_array
 
 
 def batched(fn):
@@ -31,7 +32,7 @@ def bessel_k(s: complex, z):
     """K_s(z) = (1/2) integral_0^inf exp(-(z/2)(t + 1/t)) t^{s-1} dt for Re z > 0,
     via t = e^theta and the trapezoid rule of step 1/64 on |theta| <= 8. An array
     of z gives the array of values, each with the bits of the scalar call."""
-    zs = np.asarray(z, dtype=float)
+    zs = real_array(z, "z")
     if np.any(zs <= 0):
         raise DomainError("the integral representation needs Re z > 0")
     step = 1.0 / 64.0

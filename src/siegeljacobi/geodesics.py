@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NumericError, ParameterError
-from .linalg import cholesky, safe_solve
+from .linalg import cholesky, real_array, safe_solve
 from .spaces import SiegelPoint
 
 
@@ -104,7 +104,7 @@ def special_geodesic(a, t: float) -> SiegelPoint:
 
     Requires sum_k log(a_k)^2 = 1 within 1e-8.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = np.atleast_1d(real_array(a, "geodesic parameters"))
     if np.any(a <= 0):
         raise ParameterError("geodesic parameters must be positive")
     logs = np.log(a)

@@ -36,11 +36,10 @@ def symplectic_form(n: int):
 class _Element:
     """Layout shared by the four element types, as ``spaces._Point`` is for
     the points: each subclass is a frozen dataclass whose fields are its
-    parts, in JSON order, and declares ``_kind`` (its JSON tag), ``_real``
-    (the parts JSON must give as real matrices) and ``_invalid`` (the
-    message given when ``is_valid`` fails)."""
-
-    _real = ()
+    parts, in JSON order, and declares ``_kind`` (its JSON tag) and
+    ``_invalid`` (the message given when ``is_valid`` fails). A real part is
+    read by ``linalg.real_array``, so a nonzero imaginary entry is refused by
+    name, from JSON or from a constructor alike."""
 
     @classmethod
     def create(cls, *parts):
@@ -64,11 +63,10 @@ class SymplecticElement(_Element):
 
     mat: np.ndarray
     _kind = "symplectic"
-    _real = ("mat",)
     _invalid = "matrix fails the symplectic relation"
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
+        mat = linalg.real_array(self.mat, "mat")
         if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] % 2:
             raise DimensionError(f"symplectic matrix must be 2n x 2n, got {mat.shape}")
         object.__setattr__(self, "mat", mat)
@@ -109,13 +107,12 @@ class HeisenbergElement(_Element):
     mu: np.ndarray
     kappa: np.ndarray
     _kind = "heisenberg"
-    _real = ("lam", "mu", "kappa")
     _invalid = "kappa + mu t(lam) is not symmetric"
 
     def __post_init__(self):
-        lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
-        mu = np.atleast_2d(np.asarray(self.mu, dtype=float))
-        kappa = np.atleast_2d(np.asarray(self.kappa, dtype=float))
+        lam = np.atleast_2d(linalg.real_array(self.lam, "lam"))
+        mu = np.atleast_2d(linalg.real_array(self.mu, "mu"))
+        kappa = np.atleast_2d(linalg.real_array(self.kappa, "kappa"))
         if lam.shape != mu.shape:
             raise DimensionError(f"lam {lam.shape} and mu {mu.shape} differ")
         m = lam.shape[-2]
@@ -228,14 +225,13 @@ class StarGroupElement(_Element):
     xi: np.ndarray
     kappa: np.ndarray
     _kind = "star"
-    _real = ("kappa",)
     _invalid = "invalid star group element"
 
     def __post_init__(self):
+        kappa = np.atleast_2d(linalg.real_array(self.kappa, "kappa"))
         p = linalg.square_stack(self.p, "p")
         q = linalg.square_stack(self.q, "q")
         xi = np.atleast_2d(np.asarray(self.xi, dtype=complex))
-        kappa = np.atleast_2d(np.asarray(self.kappa, dtype=float))
         if p.shape != q.shape:
             raise DimensionError("p and q shapes differ")
         if xi.shape[-1] != p.shape[-1]:
@@ -391,8 +387,10 @@ def _inversion_matrix(n: int):
 
 
 def translation(b) -> SymplecticElement:
-    """t(b): omega -> omega + b for symmetric b."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    """t(b): omega -> omega + b for one symmetric n x n block b."""
+    b = np.atleast_2d(linalg.real_array(b, "translation block"))
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise DimensionError(f"translation block must be one n x n matrix, got shape {b.shape}")
     if not linalg.is_symmetric(b):
         raise DomainError("translation block must be symmetric")
     return SymplecticElement(_translation_matrix(b))
@@ -400,9 +398,9 @@ def translation(b) -> SymplecticElement:
 
 def dilation(alpha) -> SymplecticElement:
     """g(alpha): omega -> t(alpha) omega alpha for invertible alpha, read as
-    a square alpha with |det alpha| >= 1e-12."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    if alpha.shape[0] != alpha.shape[1] or abs(np.linalg.det(alpha)) < 1e-12:
+    one n x n block with |det alpha| >= 1e-12."""
+    alpha = np.atleast_2d(linalg.real_array(alpha, "dilation block"))
+    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1] or abs(np.linalg.det(alpha)) < 1e-12:
         raise DomainError("dilation block must be invertible n x n")
     return SymplecticElement(_dilation_matrix(alpha))
 
@@ -500,14 +498,6 @@ def parse_generator_word(word: str, n: int) -> SymplecticElement:
     return g
 
 
-def _real_from_json(obj, part):
-    """The real matrix of ``obj[part]``; a nonzero imaginary entry is refused."""
-    a = linalg.matrix_from_json(obj[part])
-    if np.any(a.imag != 0.0):
-        raise DomainError(f"{part} has nonzero imaginary entries")
-    return a.real
-
-
 _KINDS = {cls._kind: cls for cls in (SymplecticElement, HeisenbergElement,
                                      JacobiGroupElement, StarGroupElement)}
 
@@ -524,9 +514,7 @@ def element_from_json(obj):
     for name, part_cls in typing.get_type_hints(cls).items():
         if name not in obj:
             raise DomainError(f"{cls._kind} element JSON has no part {name!r}")
-        if name in cls._real:
-            parts.append(_real_from_json(obj, name))
-        elif part_cls is np.ndarray:
+        if part_cls is np.ndarray:
             parts.append(linalg.matrix_from_json(obj[name]))
         else:
             part = obj[name]

@@ -35,7 +35,7 @@ class JacobiFormIndex:
     weight: int = 0
 
     def __post_init__(self):
-        m_mat = np.atleast_2d(np.asarray(self.m_mat, dtype=float))
+        m_mat = np.atleast_2d(linalg.real_array(self.m_mat, "index matrix"))
         if m_mat.shape[0] != m_mat.shape[1] or np.max(np.abs(m_mat - m_mat.T)) > 1e-12:
             raise DomainError("index matrix must be symmetric")
         if not _is_half_integral(m_mat):
@@ -105,16 +105,19 @@ class FourierSeries:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lambda_gamma == 0:
+        lam = float(self.lambda_gamma)
+        if lam == 0 or not lam.is_integer():
             raise DomainError("lambda must be a nonzero integer")
+        object.__setattr__(self, "lambda_gamma", int(lam))
 
     @classmethod
     def build(cls, n: int, index: JacobiFormIndex, terms, lambda_gamma: int = 1):
         """terms: iterable of (T, R, coefficient); a term off the gate raises DomainError."""
-        store = {}
+        series = cls(n, index, lambda_gamma)
+        store = series.terms
         for t, r, c in terms:
-            t = np.atleast_2d(np.asarray(t, dtype=float))
-            r = np.atleast_2d(np.asarray(r, dtype=float))
+            t = np.atleast_2d(linalg.real_array(t, "T"))
+            r = np.atleast_2d(linalg.real_array(r, "R"))
             if t.shape != (n, n) or r.shape != (n, index.m):
                 raise DimensionError(f"term shapes {t.shape}, {r.shape} do not match (n, m)")
             if np.max(np.abs(t - t.T)) > 1e-9 or not _is_half_integral(t):
@@ -123,13 +126,13 @@ class FourierSeries:
                 raise DomainError("R must be integral")
             if np.linalg.eigvalsh(t)[0] < -1e-9:
                 raise DomainError("T must be positive semidefinite")
-            block = _gate_block(t, r, lambda_gamma, index.m_mat)
+            block = _gate_block(t, r, series.lambda_gamma, index.m_mat)
             if np.linalg.eigvalsh(0.5 * (block + block.T))[0] < -1e-9:
                 raise DomainError("term fails the semidefiniteness gate")
             key = (tuple(np.round(2 * t).astype(int).ravel()),
                    tuple(np.round(r).astype(int).ravel()))
             store[key] = store.get(key, 0.0) + complex(c)
-        return cls(n, index, int(lambda_gamma), store)
+        return series
 
     def items(self):
         m = self.index.m
@@ -137,6 +140,11 @@ class FourierSeries:
             t = np.array(t2_flat, dtype=float).reshape(self.n, self.n) / 2.0
             r = np.array(r_flat, dtype=float).reshape(self.n, m)
             yield t, r, c
+
+    def term(self, t, r, c, p: JacobiPoint) -> complex:
+        """The term c e(tr(T Omega) / lambda) e(tr(R Z)) of ``items()`` at p."""
+        return c * np.exp((TWO_PI_I / self.lambda_gamma) * np.trace(t @ p.omega)
+                          + TWO_PI_I * np.trace(r @ p.z))
 
     def to_json(self) -> dict:
         return {"lambda": self.lambda_gamma, "M": linalg.matrix_to_json(self.index.m_mat),
@@ -146,17 +154,17 @@ class FourierSeries:
 
     @classmethod
     def from_json(cls, obj) -> "FourierSeries":
-        idx = JacobiFormIndex(linalg.matrix_from_json(obj["M"]).real, int(obj.get("k", 0)))
+        idx = JacobiFormIndex(linalg.matrix_from_json(obj["M"]), obj.get("k", 0))
         terms = []
         n = None
         for item in obj.get("terms", []):
-            t = linalg.matrix_from_json(item["T"]).real
-            r = linalg.matrix_from_json(item["R"]).real
+            t = linalg.matrix_from_json(item["T"])
+            r = linalg.matrix_from_json(item["R"])
             n = t.shape[0]
             terms.append((t, r, complex(item["c"][0], item["c"][1])))
         if n is None:
             raise DomainError("series JSON has no terms; the degree is undetermined")
-        return cls.build(n, idx, terms, int(obj.get("lambda", 1)))
+        return cls.build(n, idx, terms, obj.get("lambda", 1))
 
 
 def fourier_eval(s: FourierSeries, p: JacobiPoint) -> complex:
@@ -165,8 +173,7 @@ def fourier_eval(s: FourierSeries, p: JacobiPoint) -> complex:
         raise DimensionError("point degrees do not match the series")
     total = 0.0 + 0.0j
     for t, r, c in s.items():
-        total += c * np.exp((TWO_PI_I / s.lambda_gamma) * np.trace(t @ p.omega)
-                            + TWO_PI_I * np.trace(r @ p.z))
+        total += s.term(t, r, c, p)
     return complex(total)
 
 
@@ -206,9 +213,7 @@ def apply_m_operator(s: FourierSeries, p: JacobiPoint) -> complex:
     total = 0.0 + 0.0j
     for t, r, c in s.items():
         factor = np.linalg.det(t / s.lambda_gamma - 0.25 * r @ mm_inv @ r.T)
-        term = c * np.exp((TWO_PI_I / s.lambda_gamma) * np.trace(t @ p.omega)
-                          + TWO_PI_I * np.trace(r @ p.z))
-        total += factor * term
+        total += factor * s.term(t, r, c, p)
     return complex(det_y * (-2.0 * np.pi) ** s.n * total)
 
 
@@ -321,7 +326,7 @@ class Polynomial:
 def pluriharmonic_defects(poly: Polynomial, s_mat) -> float:
     """Largest coefficient magnitude among the n^2 polynomials
     sum_{pq} (S^{-1})_{pq} d^2 P / (dz_{pi} dz_{qj})."""
-    s_mat = np.atleast_2d(np.asarray(s_mat, dtype=float))
+    s_mat = np.atleast_2d(linalg.real_array(s_mat, "quadratic form"))
     if s_mat.shape != (poly.m, poly.m):
         raise DimensionError("quadratic form size must match the variable rows")
     t = safe_inv(s_mat).real

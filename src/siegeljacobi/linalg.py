@@ -35,47 +35,42 @@ def close_each(a, b):
     return (np.abs(a - b) <= bound).all(axis=(-2, -1))
 
 
-def as_complex_matrix(a):
+def as_complex_stack(a):
+    """A complex matrix, or a stack of them along leading axes; a scalar
+    reads as a 1 x 1 matrix."""
     a = np.asarray(a, dtype=complex)
     if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
+        return a.reshape(1, 1)
+    if a.ndim == 1:
+        raise DimensionError("expected a matrix, got ndim=1")
     return a
-
-
-def require_square(a, what="matrix"):
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{what} must be square, got shape {a.shape}")
-    return a
-
-
-def is_symmetric(a) -> bool:
-    """True iff every A_ij is close to A_ji."""
-    a = require_square(a)
-    return bool(close_each(a, a.T))
-
-
-def is_hermitian(a) -> bool:
-    a = require_square(a)
-    return bool(close_each(a, a.conj().T))
-
-
-def as_complex_stack(a):
-    """A complex matrix, or a stack of them along leading axes."""
-    a = np.asarray(a, dtype=complex)
-    return a if a.ndim > 2 else as_complex_matrix(a)
 
 
 def square_stack(a, what="matrix"):
     """A complex square matrix, or a stack of them along leading axes."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 3:
-        return require_square(a, what)
+    a = as_complex_stack(a)
     if a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"{what} stack must be square, got shape {a.shape}")
+        raise DimensionError(f"{what} must be square, got shape {a.shape}")
     return a
+
+
+def real_array(a, what):
+    """``a`` as a float array. An entry with a nonzero imaginary part is
+    refused, naming ``what``; a complex entry with zero imaginary part reads
+    as its real part, copied into the C-ordered array the real input would
+    give. Real input costs one type test and no copy."""
+    if np.iscomplexobj(a):
+        a = np.asarray(a)
+        if np.any(a.imag != 0.0):
+            raise DomainError(f"{what} has nonzero imaginary entries")
+        return np.array(a.real, dtype=float, order="C")
+    return np.asarray(a, dtype=float)
+
+
+def is_symmetric(a) -> bool:
+    """True iff every A_ij is close to A_ji, in every matrix of a stack."""
+    a = square_stack(a)
+    return bool(close_each(a, a.mT).all())
 
 
 def symmetrize(a):
@@ -90,16 +85,25 @@ def hermitize(a):
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def is_positive_definite(s) -> bool:
-    """True iff the smallest eigenvalue of Hermitian ``s`` exceeds ABS_TOL.
+def positive_each(s):
+    """Per matrix of a Hermitian stack (or for one matrix): finite, with its
+    smallest eigenvalue above ABS_TOL. Boundary points are refused: the
+    spaces here are built on open cones. The eigenvalues come from the
+    complex solver whatever the input type: on a matrix of wide dynamic range
+    the real one can move the smallest eigenvalue across the tolerance."""
+    s = square_stack(s)
+    finite = np.isfinite(s).all(axis=(-2, -1))
+    s = np.where(finite[..., None, None], s, np.eye(s.shape[-1], dtype=complex))
+    return finite & (np.linalg.eigvalsh(s)[..., 0] > ABS_TOL)
 
-    Boundary points are rejected: the spaces here are built on open cones.
-    """
-    s = require_square(s)
-    if not is_hermitian(s):
+
+def is_positive_definite(s) -> bool:
+    """True iff Hermitian ``s``, or every matrix of a Hermitian stack, passes
+    ``positive_each``."""
+    s = square_stack(s)
+    if not close_each(s, s.conj().mT).all():
         raise DomainError("positivity test requires a Hermitian matrix")
-    eigs = np.linalg.eigvalsh(hermitize(s))
-    return bool(eigs[0] > ABS_TOL)
+    return bool(positive_each(hermitize(s)).all())
 
 
 def cholesky(s):
@@ -232,7 +236,9 @@ def random_unitary(n, rng):
 # -- JSON wire format ---------------------------------------------------------
 
 def matrix_to_json(a) -> dict:
-    a = as_complex_matrix(a)
+    a = as_complex_stack(a)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     data = [[float(x.real), float(x.imag)] for x in a.reshape(-1)]
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 

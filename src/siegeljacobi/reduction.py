@@ -19,7 +19,7 @@ from . import groups
 from .errors import ConvergenceError, DimensionError, DomainError
 from .groups import (HeisenbergElement, JacobiGroupElement, SymplecticElement,
                      dilation, embedded_sl2, inversion, translation)
-from .linalg import require_conditioned, safe_inv
+from .linalg import real_array, require_conditioned, safe_inv
 from .spaces import JacobiPoint, SiegelPoint
 
 ENUM_BOUND = 3
@@ -106,7 +106,7 @@ def minkowski_reduce(y):
     Covers n <= 3 only (DimensionError otherwise); the candidate vectors fill
     the max-norm box of radius ENUM_BOUND, the certification boundary.
     """
-    y = np.asarray(y, dtype=float)
+    y = real_array(y, "y")
     n = y.shape[0]
     if y.shape != (n, n) or np.max(np.abs(y - y.T)) > 1e-10:
         raise DomainError("expected a real symmetric matrix")
@@ -138,7 +138,7 @@ def minkowski_violations(y):
     ENUM_BOUND, each beyond the relative slack CERT_TOL: for each k, vectors
     a with coprime tail a_k..a_n must satisfy a y ta >= y_kk; superdiagonal
     entries must be nonnegative."""
-    y = np.asarray(y, dtype=float)
+    y = real_array(y, "y")
     n = y.shape[0]
     scale = float(np.max(np.abs(y)))
     vecs, coprime_tail = _box(n, ENUM_BOUND)
@@ -241,7 +241,8 @@ def _reduce_degree_one(p: SiegelPoint, max_iter: int):
         shift = -np.round(omega.real)
         omega += shift
         gamma = np.array([[1.0, shift], [0.0, 1.0]]) @ gamma
-        if abs(omega) ** 2 < 1.0 - 1e-15:
+        # |omega| >= 1 first: the square of a far point overflows a float
+        if abs(omega) < 1.0 and abs(omega) ** 2 < 1.0 - 1e-15:
             omega = -1.0 / omega
             gamma = np.array([[0.0, -1.0], [1.0, 0.0]]) @ gamma
             continue

@@ -62,13 +62,13 @@ class _Point:
         if len(parts) != len(names):
             raise TypeError(f"{cls.__name__}.create takes the parts {names}")
         sym, *rest = (np.asarray(a, dtype=complex) for a in parts)
+        sym = linalg.as_complex_stack(sym)
         if sym.ndim > 2:
             for name, a in zip(names[1:], rest):
                 if a.shape[:-2] != sym.shape[:-2]:
                     raise DimensionError(f"{name} shape {a.shape} does not stack with "
                                          f"{names[0]} shape {sym.shape}")
         else:
-            sym = linalg.as_complex_matrix(sym)
             rest = [a.reshape(1, 1) if a.ndim == 0 else a for a in rest]
         n = sym.shape[-1]
         if sym.shape[-2] != n:
@@ -85,11 +85,8 @@ class _Point:
                            (a.shape[-1] == n, DimensionError(
                                f"{name} has {a.shape[-1]} columns, {names[0]} degree {n}"))]
             sym = linalg.symmetrize(sym)    # overflows on entries past half the float range
-            pos = cls._positive(sym)
-            finite = _finite(sym) & _finite(pos)    # an overflow is not positive definite
-            # complex for every type: a real solver moves a wide-range Im's least eigenvalue
-            pos = np.where(finite[..., None, None], pos, np.eye(n, dtype=complex))
-            positive = finite & (np.linalg.eigvalsh(pos)[..., 0] > linalg.ABS_TOL)
+            # an overflow is not positive definite
+            positive = _finite(sym) & linalg.positive_each(cls._positive(sym))
             checks.append((positive, DomainError(cls._not_positive)))
         ok = reduce(np.logical_and, (mask for mask, _ in checks))
         bad = np.argwhere(~ok)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import AccuracyError, DimensionError, DomainError
 from .groups import HeisenbergElement, SymplecticElement, dilation, inversion, translation
+from .linalg import real_array
 
 TWO_PI = 2.0 * np.pi
 # nodes of one oscillatory kernel evaluation, and points of one truncated lattice
@@ -36,7 +37,7 @@ class ThetaContext:
     step: float = 1.0 / 16.0
 
     def __post_init__(self):
-        m_mat = np.atleast_2d(np.asarray(self.m_mat, dtype=float))
+        m_mat = np.atleast_2d(real_array(self.m_mat, "index matrix"))
         if m_mat.shape[0] != m_mat.shape[1] or np.max(np.abs(m_mat - m_mat.T)) > 1e-12:
             raise DomainError("index matrix must be symmetric")
         if np.max(np.abs(m_mat - np.round(m_mat))) > 1e-12:
@@ -94,7 +95,7 @@ class GridFunction:
     eval_fn: object
 
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
+        x = real_array(x, "x")
         single = x.ndim == 2
         pts = x[None, :, :] if single else x.reshape(-1, self.ctx.m, self.ctx.n)
         vals = np.asarray(self.eval_fn(pts), dtype=complex)
@@ -200,7 +201,7 @@ def symplectic_of_generator(gen, ctx: ThetaContext) -> SymplecticElement:
         return inversion(ctx.n)
     if tag not in ("t", "g"):
         raise DomainError(f"unknown generator tag {tag!r}")
-    block = np.atleast_2d(np.asarray(gen[1], dtype=float))
+    block = np.atleast_2d(real_array(gen[1], "generator block"))
     if tag == "t":
         if block.shape != (ctx.n, ctx.n):    # every 1 x 1 block is symmetric
             raise DomainError("translation block must be symmetric n x n")
@@ -257,7 +258,7 @@ class SL2Coord:
 
 def _sl2(g) -> np.ndarray:
     """g as a float array, once it is a real 2 x 2 matrix of determinant 1."""
-    g = np.asarray(g, dtype=float)
+    g = real_array(g, "SL(2, R) matrix")
     if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
         raise DomainError("expected a real 2 x 2 matrix of determinant 1")
     return g

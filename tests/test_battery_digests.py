@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import pathlib
 
 from siegeljacobi import cli
@@ -36,3 +37,30 @@ def test_bad_seeds_print_the_usage_and_exit_2():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = digests.main([str(ROOT / "src"), seeds])
         assert (code, out.getvalue(), err.getvalue()) == (2, "", digests.__doc__ + "\n"), seeds
+
+
+def test_cli_corpus_digests_each_invocation():
+    digests = _script()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = digests.main([str(ROOT / "src"), "--cli"])
+    lines = out.getvalue().splitlines()
+    assert (code, err.getvalue(), len(lines)) == (0, "", len(digests.CORPUS))
+    # every command but check, each with a success and a refusal
+    commands = {args[0] for args in digests.CORPUS}
+    assert commands == {"distance", "cayley", "reduce", "metric", "laplacian", "theta", "element"}
+    for args, line in zip(digests.CORPUS, lines):
+        assert line == f"{json.dumps(args)} {digests.run(cli, args)}"
+    exits = {(args[0], line.split(" exit=")[1][0]) for args, line in zip(digests.CORPUS, lines)}
+    assert exits >= {(c, e) for c in commands for e in "02"}
+    assert lines[digests.CORPUS.index(["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"])] \
+        .endswith('stderr=["input error: index matrix has nonzero imaginary entries"]')
+
+
+def test_cli_flag_takes_no_seeds():
+    digests = _script()
+    for argv in (["--cli", "2026"], ["2026", "--cli"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = digests.main([str(ROOT / "src"), *argv])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", digests.__doc__ + "\n"), argv

@@ -351,6 +351,8 @@ def test_non_finite_point_is_usage_error():
     (["theta", "--M", "1", "--tau", "0,1", "--phi", "0.3", "--lam", '{"a": 1}'], "lam"),
     (["theta", "--M", "1", "--tau", "0,1", "--phi", "0.3", "--mu", "{}"], "mu"),
     (["theta", "--M", "1", "--tau", "0,1", "--phi", "0.3", "--kappa", "[[{}]]"], "kappa"),
+    (["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"],
+     "index matrix has nonzero imaginary entries"),
 ])
 def test_non_finite_or_mismatched_number_is_usage_error(args, named):
     code, out, err = run_cli(args)
@@ -489,3 +491,14 @@ def test_one_parser_serves_successive_calls():
     assert in_turn == fresh
     assert [code for code, _, _ in in_turn] == [0] * 9 + [2] * 3
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("args, y", [
+    (["reduce", "--space", "hn", "--point", "1e155i"], 1e155),
+    (["reduce", "--space", "hn", "--point", "1e300i"], 1e300),
+    (["reduce", "--space", "hnm", "--point", '{"omega": "1e300i", "z": "0.5"}'], 1e300),
+])
+def test_far_reduced_point_is_printed(args, y):
+    code, out, err = run_cli(args)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["omega"]["data"] == [[0.0, y]]

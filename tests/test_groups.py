@@ -329,3 +329,19 @@ def test_random_draws_match_the_public_generators_bit_for_bit():
                 assert ours.random() == ref.random()    # the rng advanced alike
     sigma = groups.inversion(2).mat
     assert not sigma.flags.writeable and groups.inversion(2).mat is sigma
+
+
+def test_generators_take_one_block():
+    stack = np.stack([np.eye(2)] * 2)
+    with pytest.raises(DomainError, match="^dilation block must be invertible n x n$"):
+        groups.dilation(stack)
+    with pytest.raises(DimensionError, match=r"^translation block must be one n x n matrix, "
+                                             r"got shape \(2, 2, 2\)$"):
+        groups.translation(stack)
+    with pytest.raises(DimensionError, match="^translation block must be one n x n matrix"):
+        groups.translation(np.ones((2, 3)))
+    for make, name in ((groups.translation, "translation"), (groups.dilation, "dilation")):
+        with pytest.raises(DomainError, match=f"^{name} block has nonzero imaginary entries$"):
+            make(np.eye(2) + 1e-300j)
+        assert np.array_equal(make(np.eye(2) + 0j).mat, make(np.eye(2)).mat)
+    assert groups.translation(0.5).mat.shape == groups.dilation(2.0).mat.shape == (2, 2)

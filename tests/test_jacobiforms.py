@@ -308,3 +308,34 @@ def test_polynomial_eval_and_diff():
     assert np.isclose(poly.eval(z), 6.0)
     assert np.isclose(poly.diff(0, 0).eval(z), 3.0)
     assert np.isclose(poly.diff(0, 0).diff(0, 1).eval(z), 1.0)
+
+
+def test_lambda_and_weight_are_not_truncated(index_one):
+    term = [(np.array([[1.0]]), np.array([[1.0]]), 1.0)]
+    for lam in (1.5, 0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="^lambda must be a nonzero integer$"):
+            jf.FourierSeries.build(1, index_one, term, lambda_gamma=lam)
+        with pytest.raises(DomainError, match="^lambda must be a nonzero integer$"):
+            jf.FourierSeries(1, index_one, lam)
+    series = jf.FourierSeries.build(1, index_one, term, lambda_gamma=2.0)
+    assert series.lambda_gamma == 2 and type(series.lambda_gamma) is int
+    obj = series.to_json()
+    for key, value, message in (("lambda", 2.7, "^lambda must be a nonzero integer$"),
+                                ("k", 1.5, "^weight must be an integer$")):
+        with pytest.raises(DomainError, match=message):
+            jf.FourierSeries.from_json({**obj, key: value})
+    back = jf.FourierSeries.from_json({**obj, "k": 3.0})
+    assert back.index.weight == 3 and back.lambda_gamma == 2
+
+
+def test_series_term_is_the_evaluated_term(index_one):
+    series = jf.FourierSeries.build(1, index_one, [
+        (np.array([[1.0]]), np.array([[1.0]]), 1.0 + 0.5j),
+        (np.array([[2.0]]), np.array([[0.0]]), -0.25)], lambda_gamma=2)
+    p = spaces.JacobiPoint.create(np.array([[0.2 + 0.9j]]), np.array([[0.3 + 0.1j]]))
+    terms = [series.term(t, r, c, p) for t, r, c in series.items()]
+    # e(tr(T Omega) / lambda) e(tr(R Z)): the 1/lambda is in the term
+    t, r, c = next(series.items())
+    assert np.isclose(terms[0], c * np.exp(2j * np.pi * (t[0, 0] * p.omega[0, 0] / 2
+                                                          + r[0, 0] * p.z[0, 0])))
+    assert jf.fourier_eval(series, p) == complex(sum(terms, 0.0 + 0.0j))

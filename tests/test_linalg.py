@@ -195,3 +195,39 @@ def test_random_unitary_is_unitary():
     for n in (1, 2, 4):
         u = linalg.random_unitary(n, rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
+
+
+def test_shape_helpers_read_a_scalar_and_refuse_a_vector():
+    assert linalg.as_complex_stack(2.0).shape == (1, 1)
+    assert linalg.square_stack(np.zeros((3, 2, 2))).dtype == complex
+    with pytest.raises(DimensionError, match="^expected a matrix, got ndim=1$"):
+        linalg.as_complex_stack(np.zeros(2))
+    with pytest.raises(DimensionError, match=r"^p must be square, got shape \(3, 2, 1\)$"):
+        linalg.square_stack(np.zeros((3, 2, 1)), "p")
+    with pytest.raises(DimensionError, match="^expected a matrix, got ndim=3$"):
+        linalg.matrix_to_json(np.zeros((2, 1, 1)))
+
+
+def test_real_array_refuses_imaginary_entries_by_name():
+    x = np.eye(2)
+    assert linalg.real_array(x, "x") is x    # real input: no copy
+    z = linalg.real_array(x + 0j, "x")
+    assert z.dtype == float and z.flags.c_contiguous and np.array_equal(z, x)
+    assert linalg.real_array(1 + 0j, "z").shape == ()
+    for bad in (1j, [[1.0, 2j]], np.array([np.nan * 1j])):
+        with pytest.raises(DomainError, match="^z has nonzero imaginary entries$"):
+            linalg.real_array(bad, "z")
+
+
+def test_symmetry_and_positivity_answer_for_a_stack():
+    good = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+    bad = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    assert linalg.is_symmetric(good) and linalg.is_positive_definite(good)
+    assert linalg.is_symmetric(bad) and not linalg.is_positive_definite(bad)
+    assert list(linalg.positive_each(bad)) == [True, False]
+    assert not linalg.is_symmetric(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+    with pytest.raises(DomainError, match="^positivity test requires a Hermitian matrix$"):
+        linalg.is_positive_definite(np.stack([np.eye(2), [[1.0, 1j], [1j, 1.0]]]))
+    # a non-finite matrix is not positive definite, and gets no eigenvalue solve
+    assert list(linalg.positive_each(np.stack([np.eye(2), np.full((2, 2), np.inf)]))) \
+        == [True, False]

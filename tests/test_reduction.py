@@ -366,3 +366,15 @@ def test_translation_in_closed_form_is_the_general_action():
         b = 0.5 * (b + b.T)
         moved = groups.act_siegel(groups.translation(b), p)
         assert np.array_equal(moved.omega, p.omega + b)
+
+
+def test_far_reduced_points_do_not_overflow():
+    # |omega|^2 of a point past 1e154 i overflows a float; the point is reduced
+    for y in (1e155, 1e300):
+        p = spaces.SiegelPoint.create(np.array([[1j * y]]))
+        red, cert = reduction.siegel_reduce(p)
+        assert np.array_equal(red.omega, p.omega) and cert.passed
+        assert np.array_equal(cert.gamma.mat, np.eye(2))
+    p = spaces.JacobiPoint.create(np.array([[1e300j]]), np.array([[0.5]]))
+    red, cert = reduction.jacobi_reduce(p)
+    assert np.array_equal(red.omega, p.omega) and np.array_equal(red.z, p.z) and cert.passed
