@@ -411,8 +411,15 @@ def inversion(n: int) -> SymplecticElement:
 
 
 def embedded_sl2(m2, n: int, slot: int) -> SymplecticElement:
-    """An SL(2, R) matrix acting on one diagonal coordinate of the half space."""
-    a, b, c, d = (float(m2[0][0]), float(m2[0][1]), float(m2[1][0]), float(m2[1][1]))
+    """An SL(2, R) matrix, read as one real 2 x 2 matrix, acting on one
+    diagonal coordinate of the half space."""
+    try:
+        m2 = np.asarray(m2)
+    except ValueError:    # a ragged nesting
+        raise DimensionError("SL(2, R) matrix must be one 2 x 2 matrix, got ragged rows") from None
+    if m2.shape != (2, 2):
+        raise DimensionError(f"SL(2, R) matrix must be one 2 x 2 matrix, got shape {m2.shape}")
+    (a, b), (c, d) = linalg.real_array(m2, "SL(2, R) matrix")
     mat = np.eye(2 * n)
     mat[slot, slot] = a
     mat[slot, n + slot] = b

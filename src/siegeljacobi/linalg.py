@@ -19,11 +19,15 @@ ABS_TOL = 1e-10
 REL_TOL = 1e-10
 # require_conditioned clears a matrix without an SVD when the determinant
 # bound on its condition number is below _DET_MARGIN * COND_LIMIT. The margin
-# covers the rounding of the computed determinant: its relative error grows
-# like n rho eps cond (rho the growth factor of the LU) and stays below 1e-6
-# wherever the bound is under 1e8. The determinant must also be a normal
-# number, so that underflow cannot shrink the bound (at n = 1, where the norm
-# can still underflow, every nonzero matrix has condition number 1).
+# covers the rounding of the computed determinant. At n <= 3, the cofactor
+# expansion errs by at most gamma (a few units of roundoff) times the
+# permanent of |A| <= n^{n/2} (|A|_F / sqrt n)^n (Cauchy-Schwarz per row,
+# then the mean step of Hadamard's inequality): relatively, about n^{n/2}
+# gamma times the bound, near 2e-7 wherever the bound is under 1e8. Above,
+# the LU's error grows like n rho eps cond (rho its growth factor). The
+# determinant must also be a normal number, so that underflow cannot shrink
+# the bound (at n = 1, where the norm can still underflow, every nonzero
+# matrix has condition number 1).
 _DET_MARGIN = 1e-4
 _TINY = np.finfo(float).tiny
 
@@ -116,21 +120,27 @@ def cholesky(s):
         raise DomainError(f"matrix is not positive definite: {exc}") from exc
 
 
-def _clears(rows, n) -> bool:
-    """The determinant bound of ``require_conditioned`` on one n x n matrix,
-    n <= 3, given as nested lists, in Python floats: the cofactor
-    determinant and the squared Frobenius norm. True only where the bound
-    clears the matrix; an overflow gives inf or nan, which clears nothing.
-    (``abs`` of a complex and ``float ** k`` would raise OverflowError, so the
-    moduli come from ``math.hypot`` and the powers from products.)"""
+def _cofactor_det(m, n):
+    """Cofactor determinant of an n x n matrix, 0 < n <= 3, read with the
+    matrix axes first: nested lists of Python numbers, or an array of shape
+    (n, n, ...) whose trailing axes index a stack of matrices."""
     if n == 1:
-        det = rows[0][0]
-    elif n == 2:
-        (a, b), (c, d) = rows
-        det = a * d - b * c
-    else:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return m[0][0]
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _cleared_det(rows, n):
+    """The determinant bound of ``require_conditioned`` on one n x n matrix,
+    0 < n <= 3, given as nested lists, in Python floats: the cofactor
+    determinant where the bound clears the matrix, else None. An overflow
+    gives inf or nan, which clears nothing. (``abs`` of a complex and
+    ``float ** k`` would raise OverflowError, so the modulus comes from
+    ``math.hypot`` and the powers from products.)"""
+    det = _cofactor_det(rows, n)
     size = math.hypot(det.real, det.imag)
     sq = 0.0
     for row in rows:
@@ -138,14 +148,14 @@ def _clears(rows, n) -> bool:
             sq += x.real * x.real + x.imag * x.imag
     mean = sq / n
     bound = 2.0 * (math.sqrt(mean) if n == 1 else mean if n == 2 else mean * math.sqrt(mean))
-    return _TINY <= size < math.inf and bound < _DET_MARGIN * COND_LIMIT * size
+    return det if _TINY <= size < math.inf and bound < _DET_MARGIN * COND_LIMIT * size else None
 
 
 def require_conditioned(a):
-    """Conditioning guard on a square matrix or a stack of them; returns
-    ``np.linalg.det(a)``. Raises NumericError, naming the first offending
-    condition number, when any 2-norm condition number is non-finite or
-    exceeds COND_LIMIT.
+    """Conditioning guard on a square matrix or a stack of them; returns the
+    determinant, by ``_cofactor_det`` at n <= 3 and ``np.linalg.det`` above.
+    Raises NumericError, naming the first offending condition number, when
+    any 2-norm condition number is non-finite or exceeds COND_LIMIT.
 
     A stack passes without an SVD when every determinant is a finite normal
     number and the bound cond(A) < 2 (|A|_F / sqrt n)^n / |det A|
@@ -154,18 +164,19 @@ def require_conditioned(a):
     ``np.linalg.cond``, except that a matrix with a non-finite entry is
     refused without one.
 
-    A single matrix of degree n <= 3 is first tried by ``_clears``, the same
-    bound in Python floats, which costs 1-4 us where the stacked path's numpy
-    calls cost 10-20 us. That check can only clear: a matrix it does not clear
-    goes down the stacked path, which makes every refusal and its message.
-    A cleared matrix still returns ``np.linalg.det(a)``, so callers get the
-    LU determinant's bits, not the cofactor expansion's."""
+    A single matrix of degree n <= 3 is first tried by ``_cleared_det``, the
+    same bound in Python floats, which costs 1-4 us where the stacked path's
+    numpy calls cost 10-20 us, and a matrix it clears returns the determinant
+    it computed. That check can only clear: a matrix it does not clear goes
+    down the stacked path, which makes every refusal and its message."""
     a = np.asarray(a)
     n = a.shape[-1]
-    if a.ndim == 2 and 0 < n <= 3 and _clears(a.tolist(), n):
-        return np.linalg.det(a)
+    small = 0 < n <= 3
+    if a.ndim == 2 and small and (det := _cleared_det(a.tolist(), n)) is not None:
+        return det
     with np.errstate(all="ignore"):
-        det = np.linalg.det(a)
+        det = (_cofactor_det(a.transpose(a.ndim - 2, a.ndim - 1, *range(a.ndim - 2)), n)
+               if small else np.linalg.det(a))
         size = np.abs(det)
         bound = 2.0 * (np.linalg.norm(a, axis=(-2, -1)) / n ** 0.5) ** n
         if ((_TINY <= size) & (size < np.inf) & (bound < _DET_MARGIN * COND_LIMIT * size)).all():

@@ -60,11 +60,15 @@ def _tr(x):
 
 # -- Siegel upper half space ----------------------------------------------------
 
+def _siegel_form(yi, t1, t2, a):
+    """The Siegel metric of weight a where Y^{-1} = yi."""
+    return a * _tr(yi @ t1.d_omega @ yi @ np.conj(t2.d_omega))
+
+
 def siegel_metric(p: SiegelPoint, t1: TangentVector, t2: TangentVector, a: float = 1.0) -> complex:
     """A tr(Y^{-1} dOmega Y^{-1} conj(dOmega)) as a Hermitian form."""
     require_weight(a)
-    yi = safe_inv(p.omega.imag)
-    return a * _tr(yi @ t1.d_omega @ yi @ np.conj(t2.d_omega))
+    return _siegel_form(safe_inv(p.omega.imag), t1, t2, a)
 
 
 # -- Siegel-Jacobi space --------------------------------------------------------
@@ -77,17 +81,21 @@ def jacobi_metric(p: JacobiPoint, t1: TangentVector, t2: TangentVector,
     vyi = p.z.imag @ yi
     k1, k2 = (t.d_z - vyi @ t.d_omega for t in (t1, t2))
     heisenberg = _tr(yi @ k1.mT @ np.conj(k2))
-    return siegel_metric(p.siegel_part(), t1, t2, params.A) + params.B * heisenberg
+    return _siegel_form(yi, t1, t2, params.A) + params.B * heisenberg
 
 
 # -- Generalized unit disk ------------------------------------------------------
+
+def _disk_form(left, t1, t2, a):
+    """The disk metric of weight a where (I - W conj(W))^{-1} = left."""
+    return 4.0 * a * _tr(left @ t1.d_omega @ np.conj(left) @ np.conj(t2.d_omega))
+
 
 def disk_metric(p: DiskPoint, t1: TangentVector, t2: TangentVector, a: float = 1.0) -> complex:
     """4A tr((I - W conj(W))^{-1} dW (I - conj(W) W)^{-1} conj(dW)); the right
     inverse is the conjugate of the left one."""
     require_weight(a)
-    left = safe_inv(np.eye(p.n) - p.w @ np.conj(p.w))
-    return 4.0 * a * _tr(left @ t1.d_omega @ np.conj(left) @ np.conj(t2.d_omega))
+    return _disk_form(safe_inv(np.eye(p.n) - p.w @ np.conj(p.w)), t1, t2, a)
 
 
 # -- Siegel-Jacobi disk ---------------------------------------------------------
@@ -102,7 +110,7 @@ def jacobi_disk_metric(p: JacobiDiskPoint, t1: TangentVector, t2: TangentVector,
     shift = (p.eta @ wb - np.conj(p.eta)) @ lw
     k1, k2 = (t.d_z + shift @ t.d_omega for t in (t1, t2))
     heisenberg = _tr(lw @ k1.mT @ np.conj(k2))
-    return disk_metric(p.disk_part(), t1, t2, params.A) + 4.0 * params.B * heisenberg
+    return _disk_form(lw, t1, t2, params.A) + 4.0 * params.B * heisenberg
 
 
 # -- Volume density -------------------------------------------------------------

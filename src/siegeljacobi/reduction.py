@@ -82,7 +82,13 @@ def _int_det(m) -> int:
 def _minors_coprime(rows) -> bool:
     """True iff the k x k minors of the stacked rows have gcd 1 (the row set
     extends to a unimodular matrix)."""
-    rows = [[int(x) for x in row] for row in rows]
+    return _coprime_minors(tuple(map(tuple, np.asarray(rows, dtype=int).tolist())))
+
+
+@cache
+def _coprime_minors(rows) -> bool:
+    """``_minors_coprime`` on a tuple of integer rows, kept: a reduction asks
+    about the same few row sets again and again."""
     g = 0
     for cols in combinations(range(len(rows[0])), len(rows)):
         g = gcd(g, _int_det([[row[j] for j in cols] for row in rows]))
@@ -222,7 +228,8 @@ def candidate_det_ratios(p: SiegelPoint):
     Siegel's identity det Im(g Omega) = det Y / |det(C Omega + D)|^2 gives all
     of them from one stacked determinant, the one the conditioning guard of
     ``linalg.safe_solve`` returns, so an ill-conditioned candidate raises
-    NumericError as its action would.
+    NumericError as its action would. It is a cofactor expansion, with no LU;
+    its rounding stays inside DET_SLACK, the scan's tie rule.
 
     All C Omega blocks come from one (K n) x n by n x n product. Every C
     entry is -1, 0 or 1, with at most two nonzeros per row at n = 2 and one

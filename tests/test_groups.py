@@ -345,3 +345,20 @@ def test_generators_take_one_block():
             make(np.eye(2) + 1e-300j)
         assert np.array_equal(make(np.eye(2) + 0j).mat, make(np.eye(2)).mat)
     assert groups.translation(0.5).mat.shape == groups.dilation(2.0).mat.shape == (2, 2)
+
+
+def test_embedded_sl2_reads_one_real_two_by_two_matrix():
+    s = groups.embedded_sl2([[0.0, -1.0], [1.0, 0.0]], 2, 1)
+    assert np.array_equal(s.mat, groups.embedded_sl2(np.array([[0, -1], [1, 0]]), 2, 1).mat)
+    assert s.mat[1, 3] == -1.0 and s.mat[3, 1] == 1.0 and s.mat[0, 0] == s.mat[2, 2] == 1.0
+    refusal = r"^SL\(2, R\) matrix must be one 2 x 2 matrix, got "
+    for bad, shape in ((np.eye(3), r"shape \(3, 3\)"), ([1.0, 0.0, 0.0, 1.0], r"shape \(4,\)"),
+                       (np.stack([np.eye(2)] * 2), r"shape \(2, 2, 2\)"), (1.0, r"shape \(\)"),
+                       ([[1.0, 0.0], [0.0]], "ragged rows")):
+        with pytest.raises(DimensionError, match=f"{refusal}{shape}$"):
+            groups.embedded_sl2(bad, 2, 0)
+    # a complex entry is refused by name, a Python complex as a numpy one
+    for bad in ([[1 + 1j, 0.0], [0.0, 1.0]], np.array([[1.0, 0.0], [0.5j, 1.0]])):
+        with pytest.raises(DomainError, match=r"^SL\(2, R\) matrix has nonzero imaginary entries$"):
+            groups.embedded_sl2(bad, 2, 0)
+

@@ -102,6 +102,17 @@ def _svd_stack(n, count, seed, lo, kinds):
     return a
 
 
+def _guard_det(stack, n):
+    """The determinant the guard returns: the cofactor rule at n <= 3, in
+    Python floats on a single matrix that the Python check clears and
+    elementwise over the stack otherwise, and ``np.linalg.det`` above."""
+    if n > 3:
+        return np.linalg.det(stack)
+    if stack.ndim == 2 and (det := linalg._cleared_det(stack.tolist(), n)) is not None:
+        return det
+    return linalg._cofactor_det(np.moveaxis(stack, (-2, -1), (0, 1)), n)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8),
        st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=-16.0, max_value=0.0),
@@ -118,9 +129,10 @@ def test_conditioning_guard_matches_svd(n, count, seed, lo, kinds):
             assert str(info.value) == (f"matrix condition estimate {cond[np.argmax(bad)]:.3e}"
                                        " exceeds 1.0e+12")
         else:
-            with np.errstate(over="ignore"):    # a det past 1e308 is inf on both sides
-                det = np.linalg.det(stack)
-            assert linalg.require_conditioned(stack).tobytes() == det.tobytes()
+            with np.errstate(all="ignore"):    # a det past 1e308 is inf on both sides
+                det = np.asarray(_guard_det(stack, n))
+            got = np.asarray(linalg.require_conditioned(stack))
+            assert got.dtype == det.dtype and got.tobytes() == det.tobytes()
     # the determinant bound holds wherever the computed numbers can show it:
     # at n = 2 it is cond + 1/cond, so beyond cond ~ 1e8 rounding hides the gap
     keep = np.isfinite(a).all(axis=(1, 2))
@@ -133,6 +145,18 @@ def test_conditioning_guard_matches_svd(n, count, seed, lo, kinds):
                  - np.linalg.slogdet(a)[1])
     shown = cond <= 1e8
     assert np.all(log_bound[shown] > np.log(cond[shown]) - 1e-6)
+    # the cofactor determinant agrees with the LU one within the error model
+    # of linalg._DET_MARGIN: n^{n/2} gamma bound / 2 with gamma = 8 eps, plus
+    # the LU's own 4 n^2 eps cond; both sides are rescaled by a power of two,
+    # which is exact, so that neither overflows
+    if n <= 3 and shown.any():
+        a, cond, log_bound = a[shown], cond[shown], log_bound[shown]
+        a = a * 2.0 ** -np.frexp(top[shown])[1][:, None, None]
+        lu = np.linalg.det(a)
+        cofactor = linalg._cofactor_det(np.moveaxis(a, (-2, -1), (0, 1)), n)
+        eps = np.finfo(float).eps
+        model = n ** (n / 2) * 8 * eps * np.exp(log_bound) / 2 + 4 * n * n * eps * cond
+        assert np.all(np.abs(cofactor - lu) <= model * np.abs(lu))
 
 
 @settings(max_examples=300, deadline=None)
@@ -147,7 +171,7 @@ def test_scalar_check_clears_only_conditioned_matrices(n, seed, lo, kind):
     if kind == "nan":
         a[seed % n, seed // n % n] = np.nan
     for m in (a, a.real):
-        if linalg._clears(m.tolist(), n):
+        if linalg._cleared_det(m.tolist(), n) is not None:
             cond = np.linalg.cond(m)
             assert cond <= linalg._DET_MARGIN * linalg.COND_LIMIT * (1 + 1e-6)
 

@@ -45,6 +45,20 @@ def test_jacobi_disk_metric_origin():
     assert np.isclose(val.real, expected) and abs(val.imag) < 1e-14
 
 
+def test_each_metric_takes_one_guarded_inverse(monkeypatch):
+    # the Jacobi metrics hand their Y^-1 or (I - W conj(W))^-1 to the base form
+    inverses = []
+    monkeypatch.setattr(metrics, "safe_inv", lambda a: inverses.append(a) or linalg.safe_inv(a))
+    rng = np.random.default_rng(8)
+    p, pd = sampling.random_jacobi_point(2, 1, rng), sampling.random_jacobi_disk_point(2, 1, rng)
+    t1, t2 = sampling.random_tangent(2, 1, rng), sampling.random_tangent(2, 1, rng)
+    for metric, point in ((metrics.siegel_metric, p.siegel_part()), (metrics.jacobi_metric, p),
+                          (metrics.disk_metric, pd.disk_part()), (metrics.jacobi_disk_metric, pd)):
+        inverses.clear()
+        metric(point, t1, t2)
+        assert len(inverses) == 1, metric.__name__
+
+
 def test_hermitian_symmetry_and_positivity():
     rng = np.random.default_rng(3)
     params = MetricParams(0.8, 1.7)

@@ -38,7 +38,10 @@ def _sl2(a):
 
 
 def _unit_speed(a):
-    return np.exp(a / np.linalg.norm(a)) if np.any(a) else np.array([np.e, 1.0])
+    if not np.any(a):
+        return np.array([np.e, 1.0])
+    a = a / np.max(np.abs(a))    # the norm of [0, 1e-295] underflows to 0
+    return np.exp(a / np.linalg.norm(a))
 
 
 LAM, MU, KAPPA = np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 1))
@@ -62,6 +65,7 @@ READERS = [
     ("R", (1, 1), np.round, lambda x: jf.FourierSeries.build(1, INDEX, [(np.eye(1), x, 1.0)])),
     ("index matrix", (1, 1), _index, lambda x: th.ThetaContext(x, n=1, n_cut=2)),
     ("SL(2, R) matrix", (2, 2), _sl2, th.iwasawa),
+    ("SL(2, R) matrix", (2, 2), None, lambda x: groups.embedded_sl2(x, 2, 1)),
     ("generator block", (1, 1), None, lambda x: th.symplectic_of_generator(("t", x), CTX)),
     ("x", (3, 1, 1), None, th.gaussian(CTX).eval),
     ("y", (2, 2), _positive, reduction.minkowski_reduce),

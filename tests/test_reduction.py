@@ -176,6 +176,19 @@ def test_batched_scan_matches_candidate_actions():
             assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
 
 
+def test_scan_takes_no_lu_and_no_svd(monkeypatch):
+    # at n <= 3 the guard's determinants are cofactor expansions, and a scan
+    # the determinant bound clears needs no condition number
+    rng = np.random.default_rng(16)
+    points = [sampling.random_siegel_point(n, rng) for n in (2, 3)]
+    sizes = [len(reduction.siegel_candidates(p.n)) for p in points]    # built with dets
+    calls = []
+    for name in ("det", "cond"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name: calls.append(name))
+    assert [reduction.candidate_det_ratios(p).shape for p in points] == [(k,) for k in sizes]
+    assert calls == []
+
+
 def test_batched_scan_conditioning_guard():
     # the inversion candidate has C omega + D = omega, here with cond 1e13
     p = spaces.SiegelPoint.create(np.diag([1e13j, 1j]))
