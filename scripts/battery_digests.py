@@ -38,7 +38,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 # a success and a refusal per command, then edge cases: far reduced points,
-# a complex index matrix and a stack given as a generator block
+# a complex index matrix and a non-finite one
 CORPUS = [
     ["distance", "--p0", "i", "--p1", "2i"],
     ["distance", "--p0", "i", "--p1", "0,-1"],
@@ -61,6 +61,8 @@ CORPUS = [
     ["reduce", "--space", "hnm", "--point", '{"omega": "1e300i", "z": "0.5"}'],
     ["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", '{"rows": 1, "cols": 1, "data": [[2, 0]]}', "--tau", "0,1", "--phi", "1"],
+    ["theta", "--M", "nan", "--tau", "0,1", "--phi", "0.3"],
+    ["theta", "--M", "inf", "--tau", "0,1", "--phi", "0.3"],
 ]
 
 

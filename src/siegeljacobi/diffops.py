@@ -431,25 +431,24 @@ def invariant_polynomial(name: str, omega, z=None) -> complex:
     0 <= k <= n-1 and one-based entry indices (b, a).
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=complex))
+    z = None if z is None else np.atleast_2d(np.asarray(z, dtype=complex))
+    for what, a in (("omega", omega), ("z", z)):
+        if a is not None and not np.isfinite(a).all():
+            raise DomainError(f"{what} has non-finite entries")
     n = omega.shape[0]
     if omega.shape != (n, n) or np.max(np.abs(omega - omega.T)) > 1e-12:
         raise DomainError("omega must be a symmetric square matrix")
     ob = np.conj(omega)
     parts = name.split(":")
-    if parts[0] == "q":
+    if parts[0] in ("q", "phi"):
         j = int(parts[1])
-        if not 1 <= j <= n:
-            raise DomainError(f"q index {j} outside 1..{n}")
-        return complex(np.trace(np.linalg.matrix_power(omega @ ob, j)))
-    if parts[0] == "phi":
-        two_k = int(parts[1])
-        if two_k % 2 or not 1 <= two_k // 2 <= n:
-            raise DomainError(f"phi exponent {two_k} outside the generator range")
-        return complex(np.trace(np.linalg.matrix_power(omega @ ob, two_k // 2)))
+        k, odd = divmod(j, 2) if parts[0] == "phi" else (j, 0)
+        if odd or not 1 <= k <= n:
+            raise DomainError(f"{parts[0]} index {j} outside the generator range for n = {n}")
+        return complex(np.trace(np.linalg.matrix_power(omega @ ob, k)))
     if parts[0] == "psi":
         if z is None:
             raise DomainError("psi generators need the z component")
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
         m = z.shape[0]
         eps, two_k, eps2 = (int(x) for x in parts[1].split(","))
         b, a = (int(x) for x in parts[2].split(","))

@@ -33,7 +33,7 @@ def bessel_k(s: complex, z):
     via t = e^theta and the trapezoid rule of step 1/64 on |theta| <= 8. An array
     of z gives the array of values, each with the bits of the scalar call."""
     zs = real_array(z, "z")
-    if np.any(zs <= 0):
+    if not np.all(zs > 0):    # a nan is not positive
         raise DomainError("the integral representation needs Re z > 0")
     step = 1.0 / 64.0
     theta = np.arange(-8.0, 8.0 + step, step)

@@ -105,7 +105,7 @@ def special_geodesic(a, t: float) -> SiegelPoint:
     Requires sum_k log(a_k)^2 = 1 within 1e-8.
     """
     a = np.atleast_1d(real_array(a, "geodesic parameters"))
-    if np.any(a <= 0):
+    if not np.all(a > 0):    # a nan is not positive
         raise ParameterError("geodesic parameters must be positive")
     logs = np.log(a)
     if abs(float(np.sum(logs**2)) - 1.0) > 1e-8:

@@ -365,7 +365,7 @@ def act_jacobi_disk(g: StarGroupElement, p: JacobiDiskPoint) -> JacobiDiskPoint:
 def _translation_matrix(b):
     n = b.shape[0]
     mat = np.eye(2 * n)
-    mat[:n, n:] = 0.5 * (b + b.T)
+    mat[:n, n:] = b
     return mat
 
 
@@ -388,19 +388,14 @@ def _inversion_matrix(n: int):
 
 def translation(b) -> SymplecticElement:
     """t(b): omega -> omega + b for one symmetric n x n block b."""
-    b = np.atleast_2d(linalg.real_array(b, "translation block"))
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DimensionError(f"translation block must be one n x n matrix, got shape {b.shape}")
-    if not linalg.is_symmetric(b):
-        raise DomainError("translation block must be symmetric")
-    return SymplecticElement(_translation_matrix(b))
+    return SymplecticElement(_translation_matrix(linalg.real_symmetric(b, "translation block")))
 
 
 def dilation(alpha) -> SymplecticElement:
     """g(alpha): omega -> t(alpha) omega alpha for invertible alpha, read as
     one n x n block with |det alpha| >= 1e-12."""
-    alpha = np.atleast_2d(linalg.real_array(alpha, "dilation block"))
-    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1] or abs(np.linalg.det(alpha)) < 1e-12:
+    alpha = linalg.real_matrix(alpha, "dilation block")
+    if alpha.shape[0] != alpha.shape[1] or abs(np.linalg.det(alpha)) < 1e-12:
         raise DomainError("dilation block must be invertible n x n")
     return SymplecticElement(_dilation_matrix(alpha))
 
@@ -410,21 +405,22 @@ def inversion(n: int) -> SymplecticElement:
     return SymplecticElement(_inversion_matrix(n))
 
 
+def _sl2(g) -> np.ndarray:
+    """g as one real 2 x 2 float matrix, once its determinant is 1 within 1e-10."""
+    g = linalg.real_matrix(g, "SL(2, R) matrix")
+    if g.shape != (2, 2):
+        raise DimensionError(f"SL(2, R) matrix must be 2 x 2, got shape {g.shape}")
+    if abs(linalg._cofactor_det(g.tolist(), 2) - 1.0) > 1e-10:
+        raise DomainError("SL(2, R) matrix must have determinant 1")
+    return g
+
+
 def embedded_sl2(m2, n: int, slot: int) -> SymplecticElement:
-    """An SL(2, R) matrix, read as one real 2 x 2 matrix, acting on one
-    diagonal coordinate of the half space."""
-    try:
-        m2 = np.asarray(m2)
-    except ValueError:    # a ragged nesting
-        raise DimensionError("SL(2, R) matrix must be one 2 x 2 matrix, got ragged rows") from None
-    if m2.shape != (2, 2):
-        raise DimensionError(f"SL(2, R) matrix must be one 2 x 2 matrix, got shape {m2.shape}")
-    (a, b), (c, d) = linalg.real_array(m2, "SL(2, R) matrix")
+    """The SL(2, R) matrix m2 (see ``_sl2``) acting on diagonal coordinate slot < n."""
+    if not 0 <= slot < n:
+        raise DimensionError(f"slot {slot} is outside 0..{n - 1}")
     mat = np.eye(2 * n)
-    mat[slot, slot] = a
-    mat[slot, n + slot] = b
-    mat[n + slot, slot] = c
-    mat[n + slot, n + slot] = d
+    mat[np.ix_([slot, n + slot], [slot, n + slot])] = _sl2(m2)
     return SymplecticElement(mat)
 
 

@@ -20,11 +20,13 @@ TWO_PI_I = 2j * np.pi
 
 def _is_half_integral(t) -> bool:
     """2t integral (within 1e-9) with even diagonal."""
-    t2 = 2.0 * np.asarray(t, dtype=float)
-    if np.max(np.abs(t2 - np.round(t2))) > 1e-9:
-        return False
-    diag = np.round(np.diagonal(t2))
-    return bool(np.all(np.abs(diag % 2) < 1e-9))
+    t2 = 2.0 * t
+    return bool(np.max(np.abs(t2 - np.round(t2))) <= 1e-9
+                and np.all(np.round(np.diagonal(t2)) % 2 == 0))
+
+
+def _semidefinite(s) -> bool:
+    return bool(np.linalg.eigvalsh(s)[0] >= -1e-9)
 
 
 @dataclass(frozen=True)
@@ -35,12 +37,10 @@ class JacobiFormIndex:
     weight: int = 0
 
     def __post_init__(self):
-        m_mat = np.atleast_2d(linalg.real_array(self.m_mat, "index matrix"))
-        if m_mat.shape[0] != m_mat.shape[1] or np.max(np.abs(m_mat - m_mat.T)) > 1e-12:
-            raise DomainError("index matrix must be symmetric")
+        m_mat = linalg.real_symmetric(self.m_mat, "index matrix")
         if not _is_half_integral(m_mat):
             raise DomainError("index matrix must be half-integral (2M integral, even diagonal)")
-        if np.linalg.eigvalsh(m_mat)[0] < -1e-9:
+        if not _semidefinite(m_mat):
             raise DomainError("index matrix must be positive semidefinite")
         if int(self.weight) != self.weight:
             raise DomainError("weight must be an integer")
@@ -114,24 +114,21 @@ class FourierSeries:
     def build(cls, n: int, index: JacobiFormIndex, terms, lambda_gamma: int = 1):
         """terms: iterable of (T, R, coefficient); a term off the gate raises DomainError."""
         series = cls(n, index, lambda_gamma)
-        store = series.terms
         for t, r, c in terms:
-            t = np.atleast_2d(linalg.real_array(t, "T"))
-            r = np.atleast_2d(linalg.real_array(r, "R"))
+            t, r = linalg.real_symmetric(t, "T"), linalg.real_matrix(r, "R")
             if t.shape != (n, n) or r.shape != (n, index.m):
                 raise DimensionError(f"term shapes {t.shape}, {r.shape} do not match (n, m)")
-            if np.max(np.abs(t - t.T)) > 1e-9 or not _is_half_integral(t):
-                raise DomainError("T must be symmetric half-integral")
+            if not _is_half_integral(t):
+                raise DomainError("T must be half-integral (2T integral, even diagonal)")
             if np.max(np.abs(r - np.round(r))) > 1e-9:
                 raise DomainError("R must be integral")
-            if np.linalg.eigvalsh(t)[0] < -1e-9:
+            if not _semidefinite(t):
                 raise DomainError("T must be positive semidefinite")
-            block = _gate_block(t, r, series.lambda_gamma, index.m_mat)
-            if np.linalg.eigvalsh(0.5 * (block + block.T))[0] < -1e-9:
+            if not _semidefinite(_gate_block(t, r, series.lambda_gamma, index.m_mat)):
                 raise DomainError("term fails the semidefiniteness gate")
             key = (tuple(np.round(2 * t).astype(int).ravel()),
                    tuple(np.round(r).astype(int).ravel()))
-            store[key] = store.get(key, 0.0) + complex(c)
+            series.terms[key] = series.terms.get(key, 0.0) + complex(c)
         return series
 
     def items(self):
@@ -155,16 +152,11 @@ class FourierSeries:
     @classmethod
     def from_json(cls, obj) -> "FourierSeries":
         idx = JacobiFormIndex(linalg.matrix_from_json(obj["M"]), obj.get("k", 0))
-        terms = []
-        n = None
-        for item in obj.get("terms", []):
-            t = linalg.matrix_from_json(item["T"])
-            r = linalg.matrix_from_json(item["R"])
-            n = t.shape[0]
-            terms.append((t, r, complex(item["c"][0], item["c"][1])))
-        if n is None:
+        terms = [(linalg.matrix_from_json(item["T"]), linalg.matrix_from_json(item["R"]),
+                  complex(item["c"][0], item["c"][1])) for item in obj.get("terms", [])]
+        if not terms:
             raise DomainError("series JSON has no terms; the degree is undetermined")
-        return cls.build(n, idx, terms, obj.get("lambda", 1))
+        return cls.build(len(terms[-1][0]), idx, terms, obj.get("lambda", 1))
 
 
 def fourier_eval(s: FourierSeries, p: JacobiPoint) -> complex:
@@ -206,7 +198,7 @@ def apply_m_operator(s: FourierSeries, p: JacobiPoint) -> complex:
     (pi / 2) R M^{-1} t(R), so the term value is multiplied by
     det(Y) (-2 pi)^n det(T / lambda - R M^{-1} t(R) / 4).
     """
-    if np.linalg.eigvalsh(s.index.m_mat)[0] <= 1e-12:
+    if not linalg.positive_each(s.index.m_mat):
         raise DomainError("the operator needs a positive definite index matrix")
     mm_inv = safe_inv(s.index.m_mat).real
     det_y = float(np.linalg.det(p.omega.imag))
@@ -326,7 +318,7 @@ class Polynomial:
 def pluriharmonic_defects(poly: Polynomial, s_mat) -> float:
     """Largest coefficient magnitude among the n^2 polynomials
     sum_{pq} (S^{-1})_{pq} d^2 P / (dz_{pi} dz_{qj})."""
-    s_mat = np.atleast_2d(linalg.real_array(s_mat, "quadratic form"))
+    s_mat = linalg.real_symmetric(s_mat, "quadratic form")
     if s_mat.shape != (poly.m, poly.m):
         raise DimensionError("quadratic form size must match the variable rows")
     t = safe_inv(s_mat).real
@@ -336,9 +328,8 @@ def pluriharmonic_defects(poly: Polynomial, s_mat) -> float:
             acc = Polynomial.constant(poly.m, poly.n, 0.0)
             for p in range(poly.m):
                 for q in range(poly.m):
-                    if t[p, q] == 0:
-                        continue
-                    acc = acc + poly.diff(p, i).diff(q, j).scale(t[p, q])
+                    if t[p, q] != 0:
+                        acc = acc + poly.diff(p, i).diff(q, j).scale(t[p, q])
             worst = max(worst, acc.max_abs_coeff())
     return worst
 

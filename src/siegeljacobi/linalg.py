@@ -71,6 +71,32 @@ def real_array(a, what):
     return np.asarray(a, dtype=float)
 
 
+def real_matrix(a, what):
+    """One finite real matrix by ``real_array``, a scalar read as 1 x 1; ragged
+    rows, another shape and a non-finite entry are refused, naming ``what``."""
+    try:
+        a = np.asarray(a)
+    except ValueError:    # a ragged nesting
+        raise DimensionError(f"{what} must be one matrix, got ragged rows") from None
+    a = real_array(a.reshape(1, 1) if a.ndim == 0 else a, what)
+    if a.ndim != 2 or not a.size:
+        raise DimensionError(f"{what} must be one matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} has non-finite entries")
+    return a
+
+
+def real_symmetric(a, what):
+    """``real_matrix``, square and symmetric by ``close_each``; asymmetry within it is averaged."""
+    a = real_matrix(a, what)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {a.shape}")
+    with np.errstate(over="ignore"):    # a difference past the float range is asymmetry
+        if not close_each(a, a.T):
+            raise DomainError(f"{what} must be symmetric")
+    return 0.5 * a + 0.5 * a.T    # halves first, so that no sum overflows
+
+
 def is_symmetric(a) -> bool:
     """True iff every A_ij is close to A_ji, in every matrix of a stack."""
     a = square_stack(a)
@@ -178,7 +204,10 @@ def require_conditioned(a):
         det = (_cofactor_det(a.transpose(a.ndim - 2, a.ndim - 1, *range(a.ndim - 2)), n)
                if small else np.linalg.det(a))
         size = np.abs(det)
-        bound = 2.0 * (np.linalg.norm(a, axis=(-2, -1)) / n ** 0.5) ** n
+        # |A|_F^2 over the float view of A, or of tA where that is C-ordered
+        flat = a.mT if a.mT.flags.c_contiguous else np.ascontiguousarray(a)
+        flat = flat.view(float).reshape(*a.shape[:-2], -1)
+        bound = 2.0 * (np.einsum("...i,...i->...", flat, flat) / n) ** (n / 2)
         if ((_TINY <= size) & (size < np.inf) & (bound < _DET_MARGIN * COND_LIMIT * size)).all():
             return det
     stack = a.reshape(-1, n, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import groups
 from .errors import ConvergenceError, DimensionError, DomainError
 from .groups import (HeisenbergElement, JacobiGroupElement, SymplecticElement,
                      dilation, embedded_sl2, inversion, translation)
-from .linalg import real_array, require_conditioned, safe_inv
+from .linalg import _cofactor_det, real_array, require_conditioned, safe_inv
 from .spaces import JacobiPoint, SiegelPoint
 
 ENUM_BOUND = 3
@@ -70,15 +70,6 @@ def _forms(vecs, y):
     return ((vecs @ y)[:, None, :] @ vecs[:, :, None])[:, 0, 0]
 
 
-def _int_det(m) -> int:
-    """Exact determinant of a small square matrix of Python ints (Laplace
-    expansion along the first row)."""
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)))
-
-
 def _minors_coprime(rows) -> bool:
     """True iff the k x k minors of the stacked rows have gcd 1 (the row set
     extends to a unimodular matrix)."""
@@ -88,10 +79,10 @@ def _minors_coprime(rows) -> bool:
 @cache
 def _coprime_minors(rows) -> bool:
     """``_minors_coprime`` on a tuple of integer rows, kept: a reduction asks
-    about the same few row sets again and again."""
+    about the same few row sets again and again. Minors (k <= 3) are exact ints."""
     g = 0
     for cols in combinations(range(len(rows[0])), len(rows)):
-        g = gcd(g, _int_det([[row[j] for j in cols] for row in rows]))
+        g = gcd(g, _cofactor_det([[row[j] for j in cols] for row in rows], len(rows)))
         if g == 1:
             return True
     return False
@@ -113,13 +104,17 @@ def minkowski_reduce(y):
     the max-norm box of radius ENUM_BOUND, the certification boundary.
     """
     y = real_array(y, "y")
+    if y.ndim != 2 or not 0 < y.shape[0] == y.shape[1] <= 3:
+        raise DimensionError(f"y must be one n x n matrix, n <= 3, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise DomainError("y has non-finite entries")
+    # own symmetry and positivity tests, not linalg's readers: a reduction calls
+    # this and minkowski_violations hundreds of times on a valid point's Im Omega
     n = y.shape[0]
-    if y.shape != (n, n) or np.max(np.abs(y - y.T)) > 1e-10:
+    if np.max(np.abs(y - y.T)) > 1e-10:
         raise DomainError("expected a real symmetric matrix")
     if np.linalg.eigvalsh(y)[0] <= 0:
         raise DomainError("matrix is not positive definite")
-    if n > 3:
-        raise DimensionError("Minkowski reduction covers n <= 3 only")
     cands = _primitive_vectors(n, ENUM_BOUND)
     # ascending in (a y ta, a): lexsort takes its primary key last
     order = np.lexsort((*cands.T[::-1], _forms(cands, y)))
@@ -145,8 +140,12 @@ def minkowski_violations(y):
     a with coprime tail a_k..a_n must satisfy a y ta >= y_kk; superdiagonal
     entries must be nonnegative."""
     y = real_array(y, "y")
+    if y.ndim != 2 or y.shape[0] != y.shape[1] or not y.size:
+        raise DimensionError(f"y must be one square matrix, got shape {y.shape}")
     n = y.shape[0]
     scale = float(np.max(np.abs(y)))
+    if not isfinite(scale):
+        raise DomainError("y has non-finite entries")
     vecs, coprime_tail = _box(n, ENUM_BOUND)
     q = _forms(vecs, y)
     short = coprime_tail & (q[:, None] < np.diag(y) - CERT_TOL * scale)

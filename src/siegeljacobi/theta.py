@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DimensionError, DomainError
-from .groups import HeisenbergElement, SymplecticElement, dilation, inversion, translation
-from .linalg import real_array
+from .groups import HeisenbergElement, SymplecticElement, _sl2, dilation, inversion, translation
+from .linalg import positive_each, real_array, real_matrix, real_symmetric
 
 TWO_PI = 2.0 * np.pi
 # nodes of one oscillatory kernel evaluation, and points of one truncated lattice
@@ -37,12 +37,10 @@ class ThetaContext:
     step: float = 1.0 / 16.0
 
     def __post_init__(self):
-        m_mat = np.atleast_2d(real_array(self.m_mat, "index matrix"))
-        if m_mat.shape[0] != m_mat.shape[1] or np.max(np.abs(m_mat - m_mat.T)) > 1e-12:
-            raise DomainError("index matrix must be symmetric")
+        m_mat = real_symmetric(self.m_mat, "index matrix")
         if np.max(np.abs(m_mat - np.round(m_mat))) > 1e-12:
             raise DomainError("index matrix must be integral")
-        if np.linalg.eigvalsh(m_mat)[0] <= 0:
+        if not positive_each(m_mat):
             raise DomainError("index matrix must be positive definite")
         if self.n_cut < 1:
             raise DomainError("truncation radius must be at least 1")
@@ -201,14 +199,11 @@ def symplectic_of_generator(gen, ctx: ThetaContext) -> SymplecticElement:
         return inversion(ctx.n)
     if tag not in ("t", "g"):
         raise DomainError(f"unknown generator tag {tag!r}")
-    block = np.atleast_2d(real_array(gen[1], "generator block"))
-    if tag == "t":
-        if block.shape != (ctx.n, ctx.n):    # every 1 x 1 block is symmetric
-            raise DomainError("translation block must be symmetric n x n")
-        return translation(block)
-    if block.shape != (ctx.n, ctx.n):
-        raise DomainError("dilation block must be invertible n x n")
-    return dilation(block)
+    block = real_matrix(gen[1], "generator block")
+    if block.shape != (ctx.n, ctx.n):    # every 1 x 1 block is symmetric
+        raise DomainError("translation block must be symmetric n x n" if tag == "t"
+                          else "dilation block must be invertible n x n")
+    return translation(block) if tag == "t" else dilation(block)
 
 
 def stone_von_neumann_residual(gen, h: HeisenbergElement, f: GridFunction,
@@ -254,14 +249,6 @@ class SL2Coord:
 
     def matrix(self):
         return self.upper() @ self.rotation()
-
-
-def _sl2(g) -> np.ndarray:
-    """g as a float array, once it is a real 2 x 2 matrix of determinant 1."""
-    g = real_array(g, "SL(2, R) matrix")
-    if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
-        raise DomainError("expected a real 2 x 2 matrix of determinant 1")
-    return g
 
 
 def iwasawa(g) -> SL2Coord:
@@ -377,8 +364,7 @@ def theta_left_translate(coord: SL2Coord, lam, mu, gamma_mat, l0, m0):
     (gamma, (l0, m0)): the coordinates move to (gamma tau, phi + arg(c tau + d)),
     and (lam, mu) maps to ((lam, mu) + (l0, m0)) gamma^{-1} by
     ``conjugate_heisenberg``."""
-    gamma = _sl2(gamma_mat)
-    (a, b), (c, d) = gamma
+    (a, b), (c, d) = gamma = _sl2(gamma_mat)
     j = c * coord.tau + d
     lam, mu = np.add(lam, l0), np.add(mu, m0)
     h = conjugate_heisenberg(SymplecticElement(gamma), HeisenbergElement(

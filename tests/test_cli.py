@@ -353,6 +353,8 @@ def test_non_finite_point_is_usage_error():
     (["theta", "--M", "1", "--tau", "0,1", "--phi", "0.3", "--kappa", "[[{}]]"], "kappa"),
     (["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"],
      "index matrix has nonzero imaginary entries"),
+    *((["theta", "--M", m, "--tau", "0,1", "--phi", "0.3"], "index matrix has non-finite entries")
+      for m in ("nan", "inf", "inf,0", '{"rows": 1, "cols": 1, "data": [[NaN, 0]]}')),
 ])
 def test_non_finite_or_mismatched_number_is_usage_error(args, named):
     code, out, err = run_cli(args)

@@ -210,6 +210,19 @@ def test_invariant_polynomial_examples():
         invariant_polynomial("q:4", 1j * np.eye(3))
     with pytest.raises(DomainError):
         invariant_polynomial("psi:0,0,0:1,1", np.array([[1j]]))
+    # phi:2k is q:k; an odd or out-of-range exponent is refused
+    om = np.array([[1.0 + 2j, 0.5], [0.5, 3j]])
+    for k in (1, 2):
+        assert invariant_polynomial(f"phi:{2 * k}", om) == invariant_polynomial(f"q:{k}", om)
+    for name in ("phi:3", "phi:0", "phi:6", "q:0"):
+        with pytest.raises(DomainError, match="outside the generator range for n = 2$"):
+            invariant_polynomial(name, om)
+    # a non-finite omega or z is refused by name
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(DomainError, match="^omega has non-finite entries$"):
+            invariant_polynomial("q:1", [[bad]])
+        with pytest.raises(DomainError, match="^z has non-finite entries$"):
+            invariant_polynomial("psi:0,0,0:1,1", [[1j]], [[bad]])
 
 
 def test_invariant_polynomial_relation_and_unitarity():
@@ -432,6 +445,6 @@ def test_bessel_k_on_vectors():
         assert vals.shape == z.shape
         assert _bits(vals) == _bits([fields.bessel_k(s, float(x)) for x in z])
     assert abs(fields.bessel_k(0.5, 1.0) - np.sqrt(np.pi / 2) * np.exp(-1.0)) < 1e-12
-    for bad in (np.array([1.0, 0.0]), np.array([-1.0, 2.0]), 0.0):
-        with pytest.raises(DomainError):
+    for bad in (np.array([1.0, 0.0]), np.array([-1.0, 2.0]), 0.0, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(DomainError, match="^the integral representation needs Re z > 0$"):
             fields.bessel_k(1.0, bad)

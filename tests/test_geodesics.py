@@ -113,6 +113,9 @@ def test_special_geodesic():
         geodesics.special_geodesic([2.0, 3.0], 0.0)
     with pytest.raises(ParameterError):
         geodesics.special_geodesic([-1.0], 0.0)
+    for bad in ([np.nan], [np.e, np.nan]):
+        with pytest.raises(ParameterError, match="^geodesic parameters must be positive$"):
+            geodesics.special_geodesic(bad, 0.5)
 
 
 def test_unit_speed_property():

@@ -333,12 +333,12 @@ def test_random_draws_match_the_public_generators_bit_for_bit():
 
 def test_generators_take_one_block():
     stack = np.stack([np.eye(2)] * 2)
-    with pytest.raises(DomainError, match="^dilation block must be invertible n x n$"):
-        groups.dilation(stack)
-    with pytest.raises(DimensionError, match=r"^translation block must be one n x n matrix, "
-                                             r"got shape \(2, 2, 2\)$"):
-        groups.translation(stack)
-    with pytest.raises(DimensionError, match="^translation block must be one n x n matrix"):
+    for make, name in ((groups.translation, "translation"), (groups.dilation, "dilation")):
+        with pytest.raises(DimensionError, match=f"^{name} block must be one matrix, "
+                                                 r"got shape \(2, 2, 2\)$"):
+            make(stack)
+    with pytest.raises(DimensionError, match=r"^translation block must be square, "
+                                             r"got shape \(2, 3\)$"):
         groups.translation(np.ones((2, 3)))
     for make, name in ((groups.translation, "translation"), (groups.dilation, "dilation")):
         with pytest.raises(DomainError, match=f"^{name} block has nonzero imaginary entries$"):
@@ -351,12 +351,20 @@ def test_embedded_sl2_reads_one_real_two_by_two_matrix():
     s = groups.embedded_sl2([[0.0, -1.0], [1.0, 0.0]], 2, 1)
     assert np.array_equal(s.mat, groups.embedded_sl2(np.array([[0, -1], [1, 0]]), 2, 1).mat)
     assert s.mat[1, 3] == -1.0 and s.mat[3, 1] == 1.0 and s.mat[0, 0] == s.mat[2, 2] == 1.0
-    refusal = r"^SL\(2, R\) matrix must be one 2 x 2 matrix, got "
-    for bad, shape in ((np.eye(3), r"shape \(3, 3\)"), ([1.0, 0.0, 0.0, 1.0], r"shape \(4,\)"),
-                       (np.stack([np.eye(2)] * 2), r"shape \(2, 2, 2\)"), (1.0, r"shape \(\)"),
-                       ([[1.0, 0.0], [0.0]], "ragged rows")):
+    refusal = r"^SL\(2, R\) matrix must be "
+    for bad, shape in ((np.eye(3), r"2 x 2, got shape \(3, 3\)"),
+                       ([1.0, 0.0, 0.0, 1.0], r"one matrix, got shape \(4,\)"),
+                       (np.stack([np.eye(2)] * 2), r"one matrix, got shape \(2, 2, 2\)"),
+                       (1.0, r"2 x 2, got shape \(1, 1\)"),
+                       ([[1.0, 0.0], [0.0]], "one matrix, got ragged rows")):
         with pytest.raises(DimensionError, match=f"{refusal}{shape}$"):
             groups.embedded_sl2(bad, 2, 0)
+    # determinant 1 within 1e-10, and a slot in 0..n-1
+    with pytest.raises(DomainError, match=r"^SL\(2, R\) matrix must have determinant 1$"):
+        groups.embedded_sl2([[2.0, 0.0], [0.0, 2.0]], 2, 0)
+    for slot in (-1, 2):
+        with pytest.raises(DimensionError, match=f"^slot {slot} is outside 0..1$"):
+            groups.embedded_sl2([[0.0, -1.0], [1.0, 0.0]], 2, slot)
     # a complex entry is refused by name, a Python complex as a numpy one
     for bad in ([[1 + 1j, 0.0], [0.0, 1.0]], np.array([[1.0, 0.0], [0.5j, 1.0]])):
         with pytest.raises(DomainError, match=r"^SL\(2, R\) matrix has nonzero imaginary entries$"):

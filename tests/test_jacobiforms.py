@@ -275,6 +275,28 @@ def test_pluriharmonic_examples():
     assert jf.is_pluriharmonic(z1 * z1 - z2 * z2, np.eye(2))
     assert not jf.is_pluriharmonic(P.variable(1, 1, 0, 0) * P.variable(1, 1, 0, 0),
                                    np.eye(1))
+    # the quadratic form follows the linalg symmetry rule
+    with pytest.raises(DomainError, match="^quadratic form must be symmetric$"):
+        jf.pluriharmonic_defects(z1 * z2, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+def test_index_and_exponents_follow_the_linalg_rules(index_one):
+    # symmetry by close_each: asymmetry within it is averaged, beyond it refused
+    idx = jf.JacobiFormIndex(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
+    assert idx.m_mat[0, 1] == idx.m_mat[1, 0]
+    for bad in (np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]), np.array([[1.0, 0.5], [0.0, 1.0]])):
+        with pytest.raises(DomainError, match="^index matrix must be symmetric$"):
+            jf.JacobiFormIndex(bad)
+    with pytest.raises(DomainError, match="^T must be symmetric$"):
+        jf.FourierSeries.build(2, index_one, [(np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                               np.zeros((2, 1)), 1.0)])
+    with pytest.raises(DomainError, match=r"^T must be half-integral \(2T integral"):
+        jf.FourierSeries.build(1, index_one, [(np.array([[0.3]]), np.array([[0.0]]), 1.0)])
+    # the operator's positivity is linalg.positive_each: smallest eigenvalue above 1e-10
+    p = sampling.random_jacobi_point(1, 2, np.random.default_rng(3))
+    flat = jf.FourierSeries(1, jf.JacobiFormIndex(np.array([[1.0, 1.0], [1.0, 1.0]])), 1, {})
+    with pytest.raises(DomainError, match="^the operator needs a positive definite index"):
+        jf.apply_m_operator(flat, p)
 
 
 def test_pluriharmonic_transform_invariance():

@@ -1,10 +1,12 @@
 """One realness rule for every reader of a real matrix: an entry with a
 nonzero imaginary part is refused by name, and a zero imaginary part reads
-as the real input, bit for bit; and one positivity rule for a point and for
+as the real input, bit for bit; one finiteness rule for every reader of a
+parameter matrix; and one positivity rule for a point and for
 ``linalg.is_positive_definite``."""
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from siegeljacobi import fields, geodesics, groups, linalg, reduction, spaces, theta as th
 from siegeljacobi import jacobiforms as jf
-from siegeljacobi.errors import DomainError
+from siegeljacobi.errors import DimensionError, DomainError
 
 from test_cli import run_cli
 
@@ -121,6 +123,50 @@ def test_every_reader_refuses_an_imaginary_entry_and_reads_zero_as_real(reader, 
     z.flat[k] += 1j * v
     with pytest.raises(DomainError, match=f"^{re.escape(what)} has nonzero imaginary entries$"):
         read(z)
+
+
+# the rows of READERS that read a parameter matrix through linalg.real_matrix
+# (or, for Minkowski's Y, the same rule by hand)
+PARAMETER_READERS = [row for row in READERS if row[0] in {
+    "translation block", "dilation block", "index matrix", "T", "R", "SL(2, R) matrix",
+    "generator block", "y", "quadratic form"}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PARAMETER_READERS), st.data(),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_every_parameter_reader_refuses_a_non_finite_entry(reader, data, bad):
+    what, shape, prep, read = reader
+    x = data.draw(hnp.arrays(float, shape, elements=entries))
+    x = prep(x) if prep else x
+    x.flat[data.draw(st.integers(0, x.size - 1))] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{re.escape(what)} has non-finite entries$"):
+            read(x)
+
+
+def test_readers_read_one_matrix():
+    assert linalg.real_matrix(2, "b").shape == (1, 1)
+    assert linalg.real_matrix([[1, 2, 3]], "b").dtype == float
+    for bad, shape in (([1.0, 2.0], r"shape \(2,\)"), (np.ones((2, 1, 1)), r"shape \(2, 1, 1\)"),
+                       (np.ones((0, 0)), r"shape \(0, 0\)"),
+                       ([[1.0, 2.0], [3.0]], "ragged rows")):
+        with pytest.raises(DimensionError, match=f"^b must be one matrix, got {shape}$"):
+            linalg.real_matrix(bad, "b")
+    with pytest.raises(DimensionError, match=r"^b must be square, got shape \(1, 2\)$"):
+        linalg.real_symmetric([[1.0, 2.0]], "b")
+    # asymmetry within close_each is averaged away, beyond it refused
+    s = linalg.real_symmetric([[1.0, 2.0], [2.0 + 1e-10, 1.0]], "b")
+    assert s[0, 1] == s[1, 0] == 0.5 * (4.0 + 1e-10)
+    assert linalg.real_symmetric(np.eye(2), "b").tolist() == np.eye(2).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # a difference past the float range is asymmetry
+        for bad in ([[1.0, 2.0], [2.1, 1.0]], [[0.0, 1e308], [-1e308, 0.0]]):
+            with pytest.raises(DomainError, match="^b must be symmetric$"):
+                linalg.real_symmetric(bad, "b")
+        # halves first: a symmetric block near the float range stays finite
+        assert linalg.real_symmetric([[1e308, 1e308], [1e308, 1e308]], "b").max() == 1e308
 
 
 # (element kind, path to a real part)

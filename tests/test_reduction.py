@@ -95,6 +95,17 @@ def test_minkowski_input_validation():
         reduction.minkowski_reduce(np.eye(4))
     with pytest.raises(DomainError):
         reduction.minkowski_reduce(np.diag([1.0, -1.0]))
+    # another shape or a non-finite entry is refused by name, by both functions
+    for read, square in ((reduction.minkowski_reduce, "n x n matrix, n <= 3"),
+                         (reduction.minkowski_violations, "square matrix")):
+        for bad, shape in ((2.0, r"\(\)"), (np.ones(2), r"\(2,\)"), (np.ones((2, 3)), r"\(2, 3\)"),
+                           (np.ones((2, 2, 2)), r"\(2, 2, 2\)"), (np.ones((0, 0)), r"\(0, 0\)")):
+            refusal = f"^y must be one {square}, got shape {shape}$"
+            with pytest.raises(DimensionError, match=refusal):
+                read(bad)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="^y has non-finite entries$"):
+                read(np.array([[2.0, 0.5], [0.5, bad]]))
 
 
 def test_degree_one_reduction_matches_oracle():
