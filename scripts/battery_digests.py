@@ -38,7 +38,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 # a success and a refusal per command, then edge cases: far reduced points,
-# a complex index matrix and a non-finite one
+# a complex index matrix, a non-finite one, one within the integer tolerance
+# of 2 and one too large to be an exact integer
 CORPUS = [
     ["distance", "--p0", "i", "--p1", "2i"],
     ["distance", "--p0", "i", "--p1", "0,-1"],
@@ -63,6 +64,8 @@ CORPUS = [
     ["theta", "--M", '{"rows": 1, "cols": 1, "data": [[2, 0]]}', "--tau", "0,1", "--phi", "1"],
     ["theta", "--M", "nan", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", "inf", "--tau", "0,1", "--phi", "0.3"],
+    ["theta", "--M", "2.0000000005", "--tau", "0,1", "--phi", "0.3"],
+    ["theta", "--M", "1e300", "--tau", "0,1", "--phi", "0.3"],
 ]
 
 

@@ -52,22 +52,6 @@ def _expand_shorthand(obj: dict) -> dict:
             for key, val in obj.items()}
 
 
-def _finite(name: str, a):
-    """a, once its entries are checked finite (DomainError naming it otherwise)."""
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} has non-finite entries")
-    return a
-
-
-def _real_array(name: str, text: str):
-    """The JSON array ``text`` as a finite real array (DomainError naming it otherwise)."""
-    try:
-        a = np.asarray(json.loads(text), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} is not a real array: {exc}") from None
-    return _finite(name, a)
-
-
 # the point class each --space value takes
 SPACES = {"hn": spaces.SiegelPoint, "hnm": spaces.JacobiPoint,
           "dn": spaces.DiskPoint, "dnm": spaces.JacobiDiskPoint}
@@ -187,8 +171,9 @@ def parse_tangent_arg(text: str, point) -> TangentVector:
     obj = _expand_shorthand(obj)
     parts = []
     for key, shape in (("domega", (point.n, point.n)), ("dz", (point.m, point.n))):
-        a = _finite(key, linalg.matrix_from_json(obj[key]) if key in obj
-                    else np.zeros(shape, dtype=complex))
+        a = linalg.matrix_from_json(obj[key]) if key in obj else np.zeros(shape, dtype=complex)
+        if not np.isfinite(a).all():
+            raise DomainError(f"{key} has non-finite entries")
         if a.shape != shape:
             raise DimensionError(f"{key} has shape {a.shape}, the point needs {shape}")
         parts.append(a)
@@ -221,7 +206,7 @@ def cmd_laplacian(args) -> int:
 def cmd_theta(args) -> int:
     ctx = theta.ThetaContext(parse_matrix_arg(args.M), n=1, n_cut=args.n_cut)
     coord = theta.SL2Coord(parse_scalar_complex(args.tau), args.phi)
-    h = HeisenbergElement(*(_real_array(name, getattr(args, name))
+    h = HeisenbergElement(*(linalg.real_matrix(json.loads(getattr(args, name)), name)
                             for name in ("lam", "mu", "kappa")))
     value = theta.theta_sum(theta.gaussian(ctx), ctx, coord, h)
     _emit({"re": value.real, "im": value.imag})

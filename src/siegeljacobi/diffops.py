@@ -370,8 +370,9 @@ def disk_eta_determinant(t: DerivativeTable) -> complex:
     constant-coefficient entry operators are composed by nested finite
     differences of the table's field at its point (with an enlarged step to
     keep roundoff in check), refused with ParameterError when those reach
-    past the field's declared radius. At n = 1 the table may be at a stack
-    of points; at n >= 2 such a table is refused with DimensionError.
+    past the field's declared radius. A row tuple that repeats a row of eta
+    cancels exactly (Cauchy-Binet), so at m < n S3 is 0 with no field call.
+    At n = 1 the table may be at a stack of points; at n >= 2 it is refused.
     """
     _require_point(t, JacobiDiskPoint)
     f, p = t._f, t.point
@@ -395,7 +396,7 @@ def disk_eta_determinant(t: DerivativeTable) -> complex:
     total = 0.0 + 0.0j
     for perm in permutations(range(n)):
         sign = (-1.0) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        for ks in np.ndindex(*([m] * n)):
+        for ks in permutations(range(m), n):
             field = f
             for i in range(n - 1, 0, -1):
                 field = partial(eta_pair_value, field, hol=(ks[i], i), antihol=(ks[i], perm[i]),

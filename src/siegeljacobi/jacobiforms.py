@@ -18,17 +18,6 @@ from .spaces import JacobiPoint
 TWO_PI_I = 2j * np.pi
 
 
-def _is_half_integral(t) -> bool:
-    """2t integral (within 1e-9) with even diagonal."""
-    t2 = 2.0 * t
-    return bool(np.max(np.abs(t2 - np.round(t2))) <= 1e-9
-                and np.all(np.round(np.diagonal(t2)) % 2 == 0))
-
-
-def _semidefinite(s) -> bool:
-    return bool(np.linalg.eigvalsh(s)[0] >= -1e-9)
-
-
 @dataclass(frozen=True)
 class JacobiFormIndex:
     """Half-integral positive semidefinite index matrix plus integer weight."""
@@ -37,15 +26,11 @@ class JacobiFormIndex:
     weight: int = 0
 
     def __post_init__(self):
-        m_mat = linalg.real_symmetric(self.m_mat, "index matrix")
-        if not _is_half_integral(m_mat):
-            raise DomainError("index matrix must be half-integral (2M integral, even diagonal)")
-        if not _semidefinite(m_mat):
+        m_mat = linalg.integer_matrix(self.m_mat, "index matrix", half=True) / 2.0
+        if not linalg.semidefinite_each(m_mat):
             raise DomainError("index matrix must be positive semidefinite")
-        if int(self.weight) != self.weight:
-            raise DomainError("weight must be an integer")
         object.__setattr__(self, "m_mat", m_mat)
-        object.__setattr__(self, "weight", int(self.weight))
+        object.__setattr__(self, "weight", linalg.integer_matrix(self.weight, "weight").item())
 
     @property
     def m(self) -> int:
@@ -105,37 +90,32 @@ class FourierSeries:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        lam = float(self.lambda_gamma)
-        if lam == 0 or not lam.is_integer():
+        lam = linalg.integer_matrix(self.lambda_gamma, "lambda").item()
+        if lam == 0:
             raise DomainError("lambda must be a nonzero integer")
-        object.__setattr__(self, "lambda_gamma", int(lam))
+        object.__setattr__(self, "lambda_gamma", lam)
 
     @classmethod
     def build(cls, n: int, index: JacobiFormIndex, terms, lambda_gamma: int = 1):
         """terms: iterable of (T, R, coefficient); a term off the gate raises DomainError."""
         series = cls(n, index, lambda_gamma)
         for t, r, c in terms:
-            t, r = linalg.real_symmetric(t, "T"), linalg.real_matrix(r, "R")
-            if t.shape != (n, n) or r.shape != (n, index.m):
-                raise DimensionError(f"term shapes {t.shape}, {r.shape} do not match (n, m)")
-            if not _is_half_integral(t):
-                raise DomainError("T must be half-integral (2T integral, even diagonal)")
-            if np.max(np.abs(r - np.round(r))) > 1e-9:
-                raise DomainError("R must be integral")
-            if not _semidefinite(t):
+            t2, r = linalg.integer_matrix(t, "T", half=True), linalg.integer_matrix(r, "R")
+            if t2.shape != (n, n) or r.shape != (n, index.m):
+                raise DimensionError(f"term shapes {t2.shape}, {r.shape} do not match (n, m)")
+            t = t2 / 2.0
+            if not linalg.semidefinite_each(t):
                 raise DomainError("T must be positive semidefinite")
-            if not _semidefinite(_gate_block(t, r, series.lambda_gamma, index.m_mat)):
+            if not linalg.semidefinite_each(_gate_block(t, r, series.lambda_gamma, index.m_mat)):
                 raise DomainError("term fails the semidefiniteness gate")
-            key = (tuple(np.round(2 * t).astype(int).ravel()),
-                   tuple(np.round(r).astype(int).ravel()))
+            key = (tuple(t2.ravel()), tuple(r.ravel()))
             series.terms[key] = series.terms.get(key, 0.0) + complex(c)
         return series
 
     def items(self):
-        m = self.index.m
         for (t2_flat, r_flat), c in sorted(self.terms.items()):
             t = np.array(t2_flat, dtype=float).reshape(self.n, self.n) / 2.0
-            r = np.array(r_flat, dtype=float).reshape(self.n, m)
+            r = np.array(r_flat, dtype=float).reshape(self.n, self.index.m)
             yield t, r, c
 
     def term(self, t, r, c, p: JacobiPoint) -> complex:
@@ -210,18 +190,16 @@ def apply_m_operator(s: FourierSeries, p: JacobiPoint) -> complex:
 
 
 def siegel_jacobi_operator(s: FourierSeries, r_deg: int) -> FourierSeries:
-    """Degree-lowering projection: keep terms whose T has vanishing (within
-    1e-9) lower-right (n - r) x (n - r) block, cut T to its upper-left r x r
-    block and R to its first r rows."""
+    """Degree-lowering projection: keep terms whose T has a vanishing
+    lower-right (n - r) x (n - r) block, cut T to its upper-left r x r block
+    and R to its first r rows."""
     if not 1 <= r_deg < s.n:
         raise DomainError(f"target degree {r_deg} must satisfy 1 <= r < {s.n}")
     kept = []
     for t, r, c in s.items():
-        tail = t[r_deg:, r_deg:]
-        off = t[:r_deg, r_deg:]
-        if np.max(np.abs(tail)) > 1e-9:
+        if t[r_deg:, r_deg:].any():
             continue
-        if np.max(np.abs(off)) > 1e-9:
+        if t[:r_deg, r_deg:].any():
             warnings.warn("dropping a term with zero tail block but nonzero "
                           "off-diagonal block (T is not positive semidefinite)")
             continue

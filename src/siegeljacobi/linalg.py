@@ -17,6 +17,8 @@ COND_LIMIT = 1e12
 # a positive definite matrix has its smallest eigenvalue above ABS_TOL
 ABS_TOL = 1e-10
 REL_TOL = 1e-10
+# an integer parameter lies within INT_TOL of its integer, of size at most 2^53
+INT_TOL = 1e-9
 # require_conditioned clears a matrix without an SVD when the determinant
 # bound on its condition number is below _DET_MARGIN * COND_LIMIT. The margin
 # covers the rounding of the computed determinant. At n <= 3, the cofactor
@@ -59,12 +61,19 @@ def square_stack(a, what="matrix"):
 
 
 def real_array(a, what):
-    """``a`` as a float array. An entry with a nonzero imaginary part is
-    refused, naming ``what``; a complex entry with zero imaginary part reads
-    as its real part, copied into the C-ordered array the real input would
-    give. Real input costs one type test and no copy."""
-    if np.iscomplexobj(a):
-        a = np.asarray(a)
+    """``a`` as a float array. A non-numeric entry and an entry with a nonzero
+    imaginary part are refused, naming ``what``; a complex entry with zero
+    imaginary part reads as its real part, copied into the C-ordered array
+    the real input would give. Real input costs two type tests and no copy."""
+    a = np.asarray(a)
+    if a.dtype.kind == "O":    # by complex(), as numpy reads None as nan
+        try:
+            a = np.array([complex(x) for x in a.flat]).reshape(a.shape)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if a.dtype.kind not in "biufc":
+        raise DomainError(f"{what} has non-numeric entries")
+    if a.dtype.kind == "c":
         if np.any(a.imag != 0.0):
             raise DomainError(f"{what} has nonzero imaginary entries")
         return np.array(a.real, dtype=float, order="C")
@@ -97,6 +106,23 @@ def real_symmetric(a, what):
     return 0.5 * a + 0.5 * a.T    # halves first, so that no sum overflows
 
 
+def integer_matrix(a, what, symmetric=False, half=False):
+    """The exact int64 integers of a ``real_matrix`` (``real_symmetric`` when
+    ``symmetric`` or ``half``) whose entries lie within INT_TOL of Z, or with
+    ``half`` of Z/2 and of Z on the diagonal, read then as the integers 2a.
+    An entry off them or past 2^53 (before any doubling) is refused by name."""
+    a = real_symmetric(a, what) if symmetric or half else real_matrix(a, what)
+    scale = 2.0 if half else 1.0
+    if np.abs(a).max() > 2.0 ** 53 / scale:
+        raise DomainError(f"{what} has entries too large to be exact integers")
+    a = scale * a
+    k = np.rint(a)
+    if np.abs(a - k).max() > scale * INT_TOL or half and (np.diagonal(k) % 2).any():
+        raise DomainError(f"{what} must be half-integral (integral diagonal, off-diagonal in Z/2)"
+                          if half else f"{what} must be integral")
+    return k.astype(np.int64)
+
+
 def is_symmetric(a) -> bool:
     """True iff every A_ij is close to A_ji, in every matrix of a stack."""
     a = square_stack(a)
@@ -121,10 +147,20 @@ def positive_each(s):
     spaces here are built on open cones. The eigenvalues come from the
     complex solver whatever the input type: on a matrix of wide dynamic range
     the real one can move the smallest eigenvalue across the tolerance."""
+    return _smallest_eigenvalue(s) > ABS_TOL
+
+
+def semidefinite_each(s):
+    """``positive_each`` with the smallest eigenvalue at or above -ABS_TOL."""
+    return _smallest_eigenvalue(s) >= -ABS_TOL
+
+
+def _smallest_eigenvalue(s):
+    """Of each matrix of a Hermitian stack; one with a non-finite entry reads as -I."""
     s = square_stack(s)
     finite = np.isfinite(s).all(axis=(-2, -1))
-    s = np.where(finite[..., None, None], s, np.eye(s.shape[-1], dtype=complex))
-    return finite & (np.linalg.eigvalsh(s)[..., 0] > ABS_TOL)
+    s = np.where(finite[..., None, None], s, -np.eye(s.shape[-1], dtype=complex))
+    return np.linalg.eigvalsh(s)[..., 0]
 
 
 def is_positive_definite(s) -> bool:

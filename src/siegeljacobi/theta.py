@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AccuracyError, DimensionError, DomainError
 from .groups import HeisenbergElement, SymplecticElement, _sl2, dilation, inversion, translation
-from .linalg import positive_each, real_array, real_matrix, real_symmetric
+from .linalg import integer_matrix, positive_each, real_array, real_matrix
 
 TWO_PI = 2.0 * np.pi
 # nodes of one oscillatory kernel evaluation, and points of one truncated lattice
@@ -28,7 +28,8 @@ MAX_NODES = 1 << 22
 @dataclass(frozen=True)
 class ThetaContext:
     """Index matrix, lattice truncation radius, quadrature grid settings; the
-    truncated lattice has at most MAX_NODES points."""
+    truncated lattice has at most MAX_NODES points. It keeps the integers that
+    ``integer_matrix`` reads of M, n_cut and extent / step (as extent)."""
 
     m_mat: np.ndarray
     n: int = 1
@@ -37,17 +38,16 @@ class ThetaContext:
     step: float = 1.0 / 16.0
 
     def __post_init__(self):
-        m_mat = real_symmetric(self.m_mat, "index matrix")
-        if np.max(np.abs(m_mat - np.round(m_mat))) > 1e-12:
-            raise DomainError("index matrix must be integral")
+        m_mat = integer_matrix(self.m_mat, "index matrix", symmetric=True).astype(float)
+        object.__setattr__(self, "m_mat", m_mat)
         if not positive_each(m_mat):
             raise DomainError("index matrix must be positive definite")
+        object.__setattr__(self, "n_cut", integer_matrix(self.n_cut, "n_cut").item())
         if self.n_cut < 1:
             raise DomainError("truncation radius must be at least 1")
-        ratio = self.extent / self.step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise DomainError("extent / step must be an integer")
-        object.__setattr__(self, "m_mat", m_mat)
+        with np.errstate(divide="ignore", invalid="ignore"):    # x / 0 reads as non-finite
+            steps = integer_matrix(np.divide(self.extent, self.step), "extent / step").item()
+        object.__setattr__(self, "extent", steps * self.step)
         if (2 * self.n_cut + 1) ** self.dim > MAX_NODES:
             raise DomainError(f"truncation radius n_cut = {self.n_cut} gives more than "
                               f"{MAX_NODES} lattice points at mn = {self.dim}")
@@ -68,19 +68,14 @@ class ThetaContext:
         return self.pairing(x, x)
 
 
-def _axis_nodes(extent: float, step: float):
-    # spacing must equal step exactly (it is the quadrature weight); the
-    # extent is enlarged to the next multiple of step
-    half = int(np.ceil(extent / step - 1e-12))
-    return step * np.arange(-half, half + 1)
-
-
 def grid_points(ctx: ThetaContext, extent: float | None = None, step: float | None = None):
-    """All grid nodes as an array of shape (count, m, n)."""
+    """All grid nodes as an array of shape (count, m, n). The spacing is step
+    exactly (it is the quadrature weight), out to the first multiple of step
+    at or past extent."""
     extent = ctx.extent if extent is None else extent
     step = ctx.step if step is None else step
-    axes = [_axis_nodes(extent, step)] * ctx.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
+    half = int(np.ceil(extent / step - 1e-12))
+    mesh = np.meshgrid(*[step * np.arange(-half, half + 1)] * ctx.dim, indexing="ij")
     flat = np.stack([g.ravel() for g in mesh], axis=-1)
     return flat.reshape(-1, ctx.m, ctx.n)
 
@@ -116,7 +111,7 @@ def gaussian(ctx: ThetaContext) -> GridFunction:
 
 def gaussian_poly(ctx: ThetaContext, exponents) -> GridFunction:
     """Monomial-times-Gaussian: prod_flat x_i^{e_i} exp(-pi ||x||^2_M)."""
-    exps = np.asarray(exponents, dtype=int).reshape(ctx.m, ctx.n)
+    exps = integer_matrix(exponents, "exponents").reshape(ctx.m, ctx.n)
 
     def fn(pts):
         mono = np.prod(pts ** exps[None, :, :], axis=(-2, -1))
@@ -252,11 +247,16 @@ class SL2Coord:
 
 
 def iwasawa(g) -> SL2Coord:
-    """Unique coordinates (tau, phi) with g = N(u) A(v) K(phi)."""
-    (a, b), (c, d) = _sl2(g)
-    den = c * c + d * d
-    u = (a * c + b * d) / den
-    v = 1.0 / den
+    """Unique coordinates (tau, phi) with g = N(u) A(v) K(phi), tau = g i; the
+    bottom row is scaled by a power of two so that c^2 + d^2 cannot underflow."""
+    (a, b), (c, d) = _sl2(g).tolist()
+    e = math.frexp(max(abs(c), abs(d)))[1]
+    c2, d2 = math.ldexp(c, -e), math.ldexp(d, -e)
+    den = c2 * c2 + d2 * d2
+    try:    # SL2Coord refuses a tau beyond the float range
+        u, v = math.ldexp((a * c2 + b * d2) / den, -e), math.ldexp(1.0 / den, -2 * e)
+    except OverflowError:
+        u = v = math.inf
     phi = float(np.arctan2(c, d)) % TWO_PI
     return SL2Coord(complex(u, v), phi)
 

@@ -170,7 +170,9 @@ def test_s3_determinant_structure_degree_two():
 def test_s3_nested_stencil_honours_the_field_radius():
     """At n = 2 the nested S3 stencil reaches about 0.059 from p, though the
     table's own stencil reaches only 0.0034: a field declared smooth within
-    0.01 is accepted by the table and refused by S3, with the table's error."""
+    0.01 is accepted by the table and refused by S3, with the table's error.
+    The reach is checked before any term, so the refusal holds at m = 1 too,
+    where every row tuple repeats a row and S3 is exactly 0."""
     rng = np.random.default_rng(17)
     pd = sampling.random_jacobi_disk_point(2, 1, rng, radius=0.3)
     groups.random_jacobi(2, 1, rng, 2)          # the draws of the structure test
@@ -184,9 +186,38 @@ def test_s3_nested_stencil_honours_the_field_radius():
     table = DerivativeTable(diffops.ScalarField(fd, radius=0.01), pd)
     with pytest.raises(ParameterError, match="smoothness radius"):
         diffops.disk_eta_determinant(table)
-    value = -1.274727600832572e-09 - 8.101636455608813e-11j
-    assert diffops.disk_eta_determinant(DerivativeTable(diffops.ScalarField(fd), pd)) == value
-    assert diffops.disk_eta_determinant(DerivativeTable(fd, pd)) == value
+    assert diffops.disk_eta_determinant(DerivativeTable(diffops.ScalarField(fd), pd)) == 0
+    assert diffops.disk_eta_determinant(DerivativeTable(fd, pd)) == 0
+
+
+def test_s3_vanishes_exactly_below_degree_rows():
+    """By Cauchy-Binet det(d eta t(d eta_bar)) sums det(d eta_S) det(d eta_bar_S)
+    over the n-row subsets S of eta: at m < n there is none, so S3 is exactly
+    0, and it calls the field no more than the table did."""
+    rng = np.random.default_rng(5)
+    for n, m in ((2, 1), (3, 2)):
+        calls = []
+
+        def fd(q):
+            calls.append(q)
+            return abs(np.sum(q.eta)) ** 2 + (np.sum(q.eta ** 2) * np.sum(q.w)).real
+
+        table = DerivativeTable(fd, sampling.random_jacobi_disk_point(n, m, rng, radius=0.3))
+        before = len(calls)
+        assert diffops.disk_eta_determinant(table) == 0
+        assert len(calls) == before
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_s3_closed_form_on_a_squared_minor(m):
+    """Cayley's identity det(d_X) det X = n! gives S3 f = (n!)^2 det(I - conj(W) W)
+    for f = |det eta_S|^2, eta_S the first n rows of eta, at n = 2."""
+    n = 2
+    p = sampling.random_jacobi_disk_point(n, m, np.random.default_rng(5), radius=0.3)
+    value = diffops.disk_eta_determinant(
+        DerivativeTable(lambda q: abs(np.linalg.det(q.eta[:n])) ** 2, p))
+    exact = 4.0 * np.linalg.det(np.eye(n) - p.w.conj() @ p.w).real
+    assert abs(value - exact) <= 1e-7 * exact
 
 
 def test_disk_laplacian_transport_through_partial_cayley():

@@ -1,8 +1,8 @@
-"""One realness rule for every reader of a real matrix: an entry with a
-nonzero imaginary part is refused by name, and a zero imaginary part reads
-as the real input, bit for bit; one finiteness rule for every reader of a
-parameter matrix; and one positivity rule for a point and for
-``linalg.is_positive_definite``."""
+"""One realness rule for every reader of a real matrix: a non-numeric entry
+and an entry with a nonzero imaginary part are refused by name, and a zero
+imaginary part reads as the real input, bit for bit; one finiteness rule for
+every reader of a parameter matrix; and one positivity rule for a point and
+for ``linalg.is_positive_definite``."""
 import dataclasses
 import json
 import re
@@ -134,15 +134,23 @@ PARAMETER_READERS = [row for row in READERS if row[0] in {
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(PARAMETER_READERS), st.data(),
-       st.sampled_from([np.nan, np.inf, -np.inf]))
-def test_every_parameter_reader_refuses_a_non_finite_entry(reader, data, bad):
+       st.sampled_from([np.nan, np.inf, -np.inf, None, "x"]), st.booleans())
+def test_every_parameter_reader_refuses_a_non_finite_entry(reader, data, bad, whole):
+    """... and None or a string, as one entry or as the whole input, is
+    refused as non-numeric (numpy alone would read None as nan)."""
     what, shape, prep, read = reader
     x = data.draw(hnp.arrays(float, shape, elements=entries))
     x = prep(x) if prep else x
-    x.flat[data.draw(st.integers(0, x.size - 1))] = bad
+    numeric = isinstance(bad, float)
+    if numeric or not whole:
+        x = x if numeric else x.astype(object)
+        x.flat[data.draw(st.integers(0, x.size - 1))] = bad
+    else:
+        x = bad
+    message = "has non-finite entries" if numeric else "has non-numeric entries"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=f"^{re.escape(what)} has non-finite entries$"):
+        with pytest.raises(DomainError, match=f"^{re.escape(what)} {message}$"):
             read(x)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -265,6 +267,29 @@ def test_iwasawa_examples():
     assert np.isclose(c2.tau, 1j) and np.isclose(c2.phi, np.pi / 2)
     with pytest.raises(DomainError):
         th.iwasawa(np.diag([2.0, 2.0]))
+
+
+def test_iwasawa_scales_the_bottom_row_and_refuses_a_tau_past_the_float_range():
+    """tau = g i has v = 1 / (c^2 + d^2): where that sum is a normal number
+    the coordinates keep the bits of the plain quotients, and where it would
+    underflow or tau would leave the float range SL2Coord refuses tau, with
+    no RuntimeWarning."""
+    rng = np.random.default_rng(8)
+    for scale in np.exp(rng.uniform(-300, 300, 200)):
+        a, b, c = rng.standard_normal(3) * [1.0 / scale, 1.0 / scale, scale]
+        g = np.array([[a, b], [c, (1.0 + b * c) / a]])
+        (a, b), (c, d) = g
+        den = c * c + d * d
+        if not np.finfo(float).tiny <= den < np.inf \
+                or abs(np.linalg.det(g) - 1.0) > 1e-10:
+            continue
+        assert th.iwasawa(g).tau == complex((a * c + b * d) / den, 1.0 / den)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in ([[1e200, 0.0], [0.0, 1e-200]], [[1e-200, 0.0], [0.0, 1e200]]):
+            with pytest.raises(DomainError, match="^tau must be a finite point of the upper"):
+                th.iwasawa(np.array(g))
+        assert th.iwasawa(np.diag([1e154, 1e-154])).v == 1e308
 
 
 def test_iwasawa_round_trip_and_composition():
