@@ -39,7 +39,7 @@ def parse_seeds(text: str) -> list[int]:
 
 # a success and a refusal per command, then edge cases: far reduced points,
 # a complex index matrix, a non-finite one, one within the integer tolerance
-# of 2 and one too large to be an exact integer
+# of 2, one too large to be an exact integer, and two texts that are no scalar
 CORPUS = [
     ["distance", "--p0", "i", "--p1", "2i"],
     ["distance", "--p0", "i", "--p1", "0,-1"],
@@ -66,6 +66,8 @@ CORPUS = [
     ["theta", "--M", "inf", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", "2.0000000005", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", "1e300", "--tau", "0,1", "--phi", "0.3"],
+    ["theta", "--M", "1,2,3", "--tau", "0,1", "--phi", "0.3"],
+    ["theta", "--M", "[[1]]", "--tau", "0,1", "--phi", "0.3"],
 ]
 
 

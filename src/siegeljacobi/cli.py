@@ -27,14 +27,19 @@ NUMERIC_FAILURE = 1
 
 def parse_scalar_complex(text: str) -> complex:
     """Accepts 'a,b', 'i', '2i', 'a+bi' and plain real literals: a text ending
-    in i is read as Python's complex literal with j for i."""
+    in i is read as Python's complex literal with j for i. Any other text is
+    refused by one DomainError that names the accepted forms."""
     text = text.strip()
-    if "," in text:
-        re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
-    if text.endswith("i"):
-        return complex(text[:-1] + "j")
-    return complex(float(text), 0.0)
+    try:
+        if "," in text:
+            re_part, im_part = text.split(",")
+            return complex(float(re_part), float(im_part))
+        if text.endswith("i"):
+            return complex(text[:-1] + "j")
+        return complex(float(text), 0.0)
+    except ValueError:
+        raise DomainError(f"{text!r} is not a scalar: write a real number, 'a,b', "
+                          "'bi' or 'a+bi'") from None
 
 
 def parse_matrix_arg(text: str):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +28,11 @@ MAX_NODES = 1 << 22
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Index matrix, lattice truncation radius, quadrature grid settings; the
-    truncated lattice has at most MAX_NODES points. It keeps the integers that
-    ``integer_matrix`` reads of M, n_cut and extent / step (as extent)."""
+    """Index matrix, degree, lattice truncation radius, quadrature grid
+    settings; the truncated lattice has at most MAX_NODES points. It keeps the
+    integers that ``integer_matrix`` reads of M, n, n_cut and extent / step (as
+    extent), and computes once, on first use, what depends on them alone: the
+    read-only lattice and its boundary shell, det(M)^(n/2) and ||M||_2."""
 
     m_mat: np.ndarray
     n: int = 1
@@ -42,6 +45,9 @@ class ThetaContext:
         object.__setattr__(self, "m_mat", m_mat)
         if not positive_each(m_mat):
             raise DomainError("index matrix must be positive definite")
+        object.__setattr__(self, "n", integer_matrix(self.n, "degree n").item())
+        if self.n < 1:
+            raise DomainError("degree n must be at least 1")
         object.__setattr__(self, "n_cut", integer_matrix(self.n_cut, "n_cut").item())
         if self.n_cut < 1:
             raise DomainError("truncation radius must be at least 1")
@@ -67,6 +73,31 @@ class ThetaContext:
     def norm_sq(self, x):
         return self.pairing(x, x)
 
+    @cached_property
+    def det_power(self):
+        """det(M)^(n/2), the Gaussian normalization of the oscillatory kernel."""
+        return np.linalg.det(self.m_mat) ** (self.n / 2.0)
+
+    @cached_property
+    def m_norm(self) -> float:
+        """||M||_2, the largest frequency factor of the kernel phase."""
+        return float(np.linalg.norm(self.m_mat, 2))
+
+    @cached_property
+    def lattice(self):
+        """The integer points of the box [-n_cut, n_cut]^(mn), shape (count, m, n)."""
+        return _read_only(grid_points(self, extent=self.n_cut, step=1.0))
+
+    @cached_property
+    def shell(self):
+        """The mask of the lattice points on the boundary of the box."""
+        return _read_only(np.max(np.abs(self.lattice), axis=(1, 2)) >= self.n_cut)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def grid_points(ctx: ThetaContext, extent: float | None = None, step: float | None = None):
     """All grid nodes as an array of shape (count, m, n). The spacing is step
@@ -75,9 +106,11 @@ def grid_points(ctx: ThetaContext, extent: float | None = None, step: float | No
     extent = ctx.extent if extent is None else extent
     step = ctx.step if step is None else step
     half = int(np.ceil(extent / step - 1e-12))
-    mesh = np.meshgrid(*[step * np.arange(-half, half + 1)] * ctx.dim, indexing="ij")
-    flat = np.stack([g.ravel() for g in mesh], axis=-1)
-    return flat.reshape(-1, ctx.m, ctx.n)
+    axis = step * np.arange(-half, half + 1)
+    if ctx.dim == 1:
+        return axis.reshape(-1, 1, 1)
+    mesh = np.meshgrid(*[axis] * ctx.dim, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, ctx.m, ctx.n)
 
 
 @dataclass
@@ -157,7 +190,9 @@ def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 2
         cols = math.isqrt(count - 1) + 1       # ceil(sqrt(count))
         # from the centre on the nodes are step * r, exact inner offsets
         outer, inner = flat[::cols, 0], flat[count // 2:count // 2 + cols, 0]
-        fvals = np.pad(fvals, (0, len(outer) * cols - count))
+        padded = np.zeros(len(outer) * cols, dtype=complex)
+        padded[:count] = fvals
+        fvals = padded
     samples = fvals.reshape(len(outer), len(inner))
     out = np.empty(pts.shape[0], dtype=complex)
     chunk = max(1, budget // max(samples.shape))
@@ -312,12 +347,11 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
             1j * np.pi * a * b * ctx.norm_sq(pts)) * f.eval_fn(a * pts))
     if ctx.dim > 2:
         raise DomainError("guaranteed quadrature mode covers mn <= 2 only")
-    pref = np.linalg.det(ctx.m_mat) ** (ctx.n / 2.0) * abs(c) ** (-ctx.dim / 2.0)
-    m_norm = float(np.linalg.norm(ctx.m_mat, 2))
+    pref = ctx.det_power * abs(c) ** (-ctx.dim / 2.0)
 
     def fn(pts):
         x_max = float(np.max(np.abs(pts))) if pts.size else 1.0
-        freq = m_norm * (abs(d) * ctx.extent + x_max) / abs(c) + 1.0
+        freq = ctx.m_norm * (abs(d) * ctx.extent + x_max) / abs(c) + 1.0
         step = min(ctx.step, 1.0 / (8.0 * freq))
         ratio = ctx.extent / step
         if ratio > 2e5 or (2 * math.ceil(ratio) + 1) ** ctx.dim > MAX_NODES:
@@ -325,16 +359,28 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
         nodes = grid_points(ctx, step=step)
         # the chirps in ||y||^2 and ||x||^2 factor out of the phase
         fvals = np.asarray(f.eval_fn(nodes), dtype=complex) \
-            * np.exp(1j * np.pi * d / c * ctx.norm_sq(nodes))
+            * _node_chirp(ctx, nodes, 1j * np.pi * d / c)
         return pref * (step ** ctx.dim) * np.exp(1j * np.pi * a / c * ctx.norm_sq(pts)) \
             * _chunked_kernel_sum(fvals, nodes, pts, ctx.m_mat, c)
 
     return GridFunction(ctx, fn)
 
 
+def _node_chirp(ctx: ThetaContext, nodes, rate):
+    """exp(rate ||y||^2_M) over the nodes of ``grid_points``. Node count - 1 - p
+    is -y_p (its flat order reverses under y -> -y), and negation is exact, so
+    ||y||^2_M is a palindrome: the exponential is taken on the first half only."""
+    sq = ctx.norm_sq(nodes)
+    half = (len(sq) + 1) // 2
+    chirp = np.empty(len(sq), dtype=complex)
+    chirp[:half] = np.exp(rate * sq[:half])
+    chirp[half:] = chirp[:len(sq) - half][::-1]
+    return chirp
+
+
 def lattice_points(ctx: ThetaContext):
-    """The integer points of the box [-n_cut, n_cut]^(mn), shape (count, m, n)."""
-    return grid_points(ctx, extent=ctx.n_cut, step=1.0)
+    """The context's lattice ``ThetaContext.lattice`` (read-only)."""
+    return ctx.lattice
 
 
 def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
@@ -347,12 +393,10 @@ def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
     if (h.m, h.n) != (ctx.m, ctx.n):
         raise DimensionError("Heisenberg degrees do not match the context")
     transformed = schrodinger_action(h, weil_sl2_action(coord, f, ctx), ctx)
-    lattice = lattice_points(ctx)
-    terms = np.asarray(transformed.eval_fn(lattice), dtype=complex)
+    terms = np.asarray(transformed.eval_fn(lattice_points(ctx)), dtype=complex)
     total = complex(np.sum(terms))
-    shell = np.max(np.abs(lattice), axis=(1, 2)) >= ctx.n_cut
     sizes = np.abs(terms)
-    tail = float(np.max(sizes[shell]))
+    tail = float(np.max(sizes[ctx.shell]))
     if tail > 1e-10 * min(max(1.0, abs(total)), float(np.max(sizes))):
         raise AccuracyError(f"boundary lattice terms of size {tail:.2e} violate "
                             "the truncation budget; increase n_cut")

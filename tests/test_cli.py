@@ -10,7 +10,7 @@ import pytest
 
 from siegeljacobi import checks, cli, groups, linalg, reduction, spaces
 from siegeljacobi.checks import CheckRow
-from siegeljacobi.errors import ConvergenceError
+from siegeljacobi.errors import ConvergenceError, DomainError
 
 
 def run_process(args):
@@ -47,9 +47,18 @@ def test_scalar_complex_parsing():
     assert cli.parse_scalar_complex("0.3+1.2i") == 0.3 + 1.2j
     assert cli.parse_scalar_complex("1-i") == 1 - 1j
     assert cli.parse_scalar_complex("1e15i") == 1e15j
-    for text in ("1 + 2i", "abc"):
-        with pytest.raises(ValueError):
+    for text in ("1 + 2i", "abc", "1,2,3", "[[1]]", ""):
+        with pytest.raises(DomainError, match=r"^.* is not a scalar: write a real number, "
+                                              r"'a,b', 'bi' or 'a\+bi'$"):
             cli.parse_scalar_complex(text)
+
+
+@pytest.mark.parametrize("text", ["1,2,3", "[[1]]"])
+def test_a_malformed_scalar_is_refused_by_name(text):
+    code, out, err = run_cli(["theta", "--M", text, "--tau", "0,1", "--phi", "0.3"])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {text!r} is not a scalar: write a real number, " \
+        "'a,b', 'bi' or 'a+bi'\n"
 
 
 def test_distance_command():

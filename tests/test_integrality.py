@@ -39,6 +39,8 @@ def _key(series, part):
 READERS = [
     ("index matrix", (2, 2), False, _dominant,
      lambda x: th.ThetaContext(x, n=1, n_cut=2).m_mat),
+    ("degree n", (1, 1), False, lambda k: np.abs(k) + 1,
+     lambda x: th.ThetaContext(np.eye(1), n=x[0, 0], n_cut=2).n),
     ("n_cut", (1, 1), False, lambda k: np.abs(k) + 1,
      lambda x: th.ThetaContext(np.eye(1), n_cut=x[0, 0]).n_cut),
     ("extent / step", (1, 1), False, lambda k: np.abs(k) + 1,

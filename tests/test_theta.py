@@ -29,6 +29,11 @@ def test_context_validation():
     th.ThetaContext(np.eye(2), n_cut=1023)
     with pytest.raises(DomainError, match="n_cut"):
         th.ThetaContext(np.eye(2), n_cut=1024)
+    # the degree n is read as an exact integer of at least 1
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="^degree n must be at least 1$"):
+            th.ThetaContext(np.eye(1), n=n)
+    assert type(th.ThetaContext(np.eye(1), n=2.0).n) is int
 
 
 def test_schrodinger_examples(ctx):
@@ -233,6 +238,76 @@ def test_factored_kernel_sum_matches_dense_phase(m_mat, n, sin_phi):
         assert got.shape == (count,)
         if count:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _same_bits(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m_mat, n, exps", [([[1.0]], 1, [[1]]), ([[2.0]], 1, [[3]]),
+                                            ([[2.0, 1.0], [1.0, 2.0]], 1, [[1], [0]]),
+                                            ([[1.0]], 2, [[0, 1]])])
+def test_node_chirp_has_the_bits_of_the_full_exponential(monkeypatch, m_mat, n, exps):
+    """The kernel's samples f(y) e^{pi i d/c ||y||^2} equal, bit for bit, the
+    exponential taken on every node, though it is taken on half of them and
+    mirrored by y -> -y; f is odd in one coordinate, so that a mirror off by
+    one node, or a mirrored f, changes them."""
+    c = th.ThetaContext(np.array(m_mat), n=n, extent=1.0, step=0.125)
+    f = th.gaussian_poly(c, exps)
+    captured = []
+    kernel_sum = th._chunked_kernel_sum
+
+    def capture(fvals, nodes, *args, **kwargs):
+        captured.append((fvals.copy(), nodes))
+        return kernel_sum(fvals, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(th, "_chunked_kernel_sum", capture)
+    pts = th.grid_points(c, extent=0.5, step=0.25)
+    for coord in (th.SL2Coord(0.3 + 1.2j, 0.7), th.SL2Coord(-0.8 + 0.6j, 2.3)):
+        mat = coord.matrix()
+        th.weil_matrix_action(mat, f, c).eval_fn(pts)
+        fvals, nodes = captured.pop()
+        assert nodes.shape[0] % 2 == 1 and nodes.shape[0] > 9
+        (_, _), (cc, d) = mat
+        ref = f.eval_fn(nodes) * np.exp(1j * np.pi * d / cc * c.norm_sq(nodes))
+        assert _same_bits(fvals, ref)
+
+
+@pytest.mark.parametrize("m_val, extent, step", [(1.0, 8.0, 1.0 / 16.0), (2.0, 10, 1.0),
+                                                 (1.0, 2.0, 0.0137), (2.0, 0.5, 0.5)])
+def test_one_dimensional_grid_is_the_mesh_construction(m_val, extent, step):
+    """At mn = 1 the grid is the scaled range itself: the same bits as the
+    meshgrid and stack that build it at mn = 2."""
+    c = th.ThetaContext(np.array([[m_val]]))
+    half = int(np.ceil(extent / step - 1e-12))
+    mesh = np.meshgrid(step * np.arange(-half, half + 1), indexing="ij")
+    ref = np.stack([g.ravel() for g in mesh], axis=-1).reshape(-1, 1, 1)
+    assert _same_bits(th.grid_points(c, extent=extent, step=step), ref)
+
+
+def test_context_held_data_is_read_only_and_its_own():
+    """Each context computes its lattice, shell, det(M)^(n/2) and ||M||_2 once;
+    the arrays are read-only, no two contexts share one, and a used context
+    gives the theta sums of a fresh equal one."""
+    made = [th.ThetaContext(np.array([[2.0]]), n_cut=6) for _ in range(2)]
+    lattice = th.lattice_points(made[0])
+    assert lattice is th.lattice_points(made[0])
+    for held in (lattice, made[0].shell):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 1
+    arrays = [a for ctx in made for a in (ctx.m_mat, th.lattice_points(ctx), ctx.shell)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    coord, h = th.SL2Coord(0.4 + 0.9j, 1.1), hb(0.3, -0.2, 0.1)
+
+    def sums(ctx):
+        return np.array([th.theta_sum(f, ctx, coord, h)
+                         for f in (th.gaussian(ctx), th.gaussian_poly(ctx, [[3]]))])
+
+    used = sums(made[0])
+    assert _same_bits(sums(made[0]), used)
+    assert _same_bits(sums(th.ThetaContext(np.array([[2.0]]), n_cut=6)), used)
 
 
 @pytest.mark.parametrize("m_mat, n", [([[2.0, 1.0], [1.0, 2.0]], 1), ([[1.0]], 2)])
