@@ -3,6 +3,7 @@ commands, for one source tree.
 
     python scripts/battery_digests.py SRC_DIR [SEEDS]
     python scripts/battery_digests.py SRC_DIR --cli
+    python scripts/battery_digests.py SRC_DIR --kernels
 
 Imports ``siegeljacobi`` from SRC_DIR, runs ``siegeljacobi check --suite S
 --seed N`` in-process through ``cli.main`` for every suite S and seed N, and
@@ -12,8 +13,11 @@ such as ``0-99,2026`` (default ``2026``); an empty, reversed or non-integer
 item prints this text on stderr and exits 2. With ``--cli`` it prints the
 same digest, after the arguments as JSON, for each invocation of CORPUS: a
 success and a refusal of every command but ``check``, then edge cases whose
-messages a refactor may change. Two trees give the same CLI output where
-their lines agree, so diffing the output for the two is the check.
+messages a refactor may change. With ``--kernels`` it prints, for each entry
+of a fixed corpus of Weil kernel evaluations (``kernel_lines``), its label and
+the sha256 of the output's bytes, or the error it raised. Two trees give the
+same output where their lines agree, so diffing the output for the two is the
+check.
 """
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ import hashlib
 import io
 import json
 import sys
+
+import numpy as np
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -71,6 +77,47 @@ CORPUS = [
 ]
 
 
+def kernel_lines(theta, errors):
+    """One line per entry of the kernel corpus: every operator, test function
+    and target set below at M = 1, 2 and [[2, 1], [1, 2]] (mn = 1, 1, 2),
+    through ``weil_matrix_action``. The operators are K(phi) near both ends
+    of (0, pi) and at pi/2, S = [[0, -1], [1, 0]] and one N(u) A(v) K(phi); the
+    targets are the context grid, the lattice, the lattice shifted by lambda
+    and a symmetric set of even count, on which the kernel's tables, its node
+    and target chirps and the c = 0 chirp of the t generator can be mirrored."""
+    def rotation(phi):
+        return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+    ops = [("K(0.15)", rotation(0.15)), ("K(pi/2)", rotation(np.pi / 2)),
+           ("K(pi-0.15)", rotation(np.pi - 0.15)), ("S", np.array([[0.0, -1.0], [1.0, 0.0]])),
+           ("N(0.4)A(1.3)K(0.9)", theta.SL2Coord(0.4 + 1.3j, 0.9).matrix())]
+    lines = []
+    # mn = 2 takes a smaller box, as its node count grows as the square
+    for label, m_mat, exps, n_cut, extent in (
+            ("1", [[1.0]], [[3]], 4, 1.5), ("2", [[2.0]], [[2]], 4, 1.5),
+            ("[[2,1],[1,2]]", [[2.0, 1.0], [1.0, 2.0]], [[1], [2]], 1, 0.5)):
+        ctx = theta.ThetaContext(np.array(m_mat), n=1, n_cut=n_cut, extent=extent, step=0.125)
+        fns = [("gaussian", theta.gaussian(ctx)),
+               ("gaussian_poly", theta.gaussian_poly(ctx, exps)),
+               ("t_chirp", theta.weil_generator_action(("t", np.array([[0.7]]), 1.0),
+                                                       theta.gaussian(ctx), ctx))]
+        lattice = theta.lattice_points(ctx)
+        axis = 0.3 * (np.arange(-3, 3) + 0.5)
+        even = np.stack(np.meshgrid(*[axis] * ctx.dim, indexing="ij"), axis=-1)
+        pts = [("grid", theta.grid_points(ctx)), ("lattice", lattice),
+               ("lattice+lam", lattice + 0.25), ("even", even.reshape(-1, ctx.m, ctx.n))]
+        for op, mat in ops:
+            for fn, f in fns:
+                for where, x in pts:
+                    try:
+                        out = theta.weil_matrix_action(mat, f, ctx).eval_fn(x)
+                        result = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+                    except (errors.AccuracyError, errors.DomainError) as exc:
+                        result = f"{type(exc).__name__}: {exc}"
+                    lines.append(f"M={label} {op} {fn} {where} {result}")
+    return lines
+
+
 def run(cli, argv: list[str]) -> str:
     """The exit code, the sha256 of stdout and the stderr lines of cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
@@ -89,14 +136,16 @@ def digest(cli, suite: str, seed: int) -> str:
 def main(argv: list[str]) -> int:
     try:
         if len(argv) not in (1, 2):
-            raise ValueError("expected SRC_DIR [SEEDS | --cli]")
-        corpus = argv[1:] == ["--cli"]
-        seeds = [] if corpus else parse_seeds(argv[1] if len(argv) == 2 else "2026")
+            raise ValueError("expected SRC_DIR [SEEDS | --cli | --kernels]")
+        corpus, kernels = argv[1:] == ["--cli"], argv[1:] == ["--kernels"]
+        seeds = [] if corpus or kernels else parse_seeds(argv[1] if len(argv) == 2 else "2026")
     except ValueError:
         print(__doc__, file=sys.stderr)
         return 2
     sys.path.insert(0, argv[0])
-    from siegeljacobi import checks, cli
+    from siegeljacobi import checks, cli, errors, theta
+    for line in kernel_lines(theta, errors) if kernels else []:
+        print(line, flush=True)
     for args in CORPUS if corpus else []:
         print(json.dumps(args), run(cli, args), flush=True)
     for suite in checks.SUITES:

@@ -29,10 +29,11 @@ MAX_NODES = 1 << 22
 @dataclass(frozen=True)
 class ThetaContext:
     """Index matrix, degree, lattice truncation radius, quadrature grid
-    settings; the truncated lattice has at most MAX_NODES points. It keeps the
-    integers that ``integer_matrix`` reads of M, n, n_cut and extent / step (as
-    extent), and computes once, on first use, what depends on them alone: the
-    read-only lattice and its boundary shell, det(M)^(n/2) and ||M||_2."""
+    settings; the truncated lattice has at most MAX_NODES points and the grid
+    step and extent are positive. It keeps the integers that ``integer_matrix``
+    reads of M, n, n_cut and extent / step (as extent), and computes once, on
+    first use, what depends on them alone: the read-only lattice and its
+    boundary shell, det(M)^(n/2) and ||M||_2."""
 
     m_mat: np.ndarray
     n: int = 1
@@ -53,6 +54,10 @@ class ThetaContext:
             raise DomainError("truncation radius must be at least 1")
         with np.errstate(divide="ignore", invalid="ignore"):    # x / 0 reads as non-finite
             steps = integer_matrix(np.divide(self.extent, self.step), "extent / step").item()
+        if self.step <= 0:    # a zero step is refused above: extent / 0 is not finite
+            raise DomainError("grid step must be positive")
+        if steps < 1:
+            raise DomainError("grid extent must be positive")
         object.__setattr__(self, "extent", steps * self.step)
         if (2 * self.n_cut + 1) ** self.dim > MAX_NODES:
             raise DomainError(f"truncation radius n_cut = {self.n_cut} gives more than "
@@ -180,10 +185,18 @@ def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 2
     ``grid_points`` (mn <= 2). Node p splits as (j, r) with y_p = s_j + t_r: the two
     axes at mn = 2, p = B j + r with B = ceil(sqrt(N)) at mn = 1. With w = M x the
     sum is sum_j E_out[j, q] (F @ E_in)[j, q] for two small exp tables and the
-    zero-padded samples F as a J x B matrix; no table exceeds the entry budget."""
+    zero-padded samples F as a J x B matrix; no table exceeds the entry budget.
+    When the Q targets' w are symmetric bit for bit (w of target Q - 1 - q is -w
+    of target q; a zero matches a zero of either sign, since exp takes +0.0 and
+    -0.0 phases alike), a column of target q >= ceil(Q / 2) whose mirror target
+    Q - 1 - q lies in the same chunk is the conjugate of the mirror's column:
+    negation is exact and cos is even and sin odd bit for bit. The chunks are
+    those of the direct path, so the contraction sees its tables."""
     count, flat = nodes.shape[0], nodes.reshape(nodes.shape[0], -1)
     w = np.einsum("ac,qcb->qab", m_mat, pts).reshape(-1, flat.shape[1]) * (-TWO_PI / c)
-    w_out, w_in = w[:, 0], w[:, -1]
+    targets = w.shape[0]
+    # + 0.0 and 0.0 - turn -0.0 into +0.0, and only there change a bit
+    own = (targets + 1) // 2 if _is_mirror(w + 0.0, 0.0 - w) else targets
     if flat.shape[1] == 2:
         outer = inner = flat[::math.isqrt(count), 0]
     else:
@@ -194,14 +207,57 @@ def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 2
         padded[:count] = fvals
         fvals = padded
     samples = fvals.reshape(len(outer), len(inner))
-    out = np.empty(pts.shape[0], dtype=complex)
+    out = np.empty(targets, dtype=complex)
     chunk = max(1, budget // max(samples.shape))
-    for start in range(0, pts.shape[0], chunk):
-        part = slice(start, start + chunk)
-        e_out = np.exp(1j * np.multiply.outer(outer, w_out[part]))
-        e_in = np.exp(1j * np.multiply.outer(inner, w_in[part]))
-        out[part] = np.einsum("jq,jq->q", e_out, samples @ e_in)
+    for start in range(0, targets, chunk):
+        stop = min(start + chunk, targets)
+        # the targets in [lo, hi) are mirrors of targets in [start, lo)
+        lo = min(max(own, start), stop)
+        hi = max(lo, min(stop, targets - start))
+        e_out = _exp_table(outer, w[:, 0], start, lo, hi, stop)
+        e_in = _exp_table(inner, w[:, -1], start, lo, hi, stop)
+        out[start:stop] = np.einsum("jq,jq->q", e_out, samples @ e_in)
     return out
+
+
+def _exp_table(axis, w, start: int, lo: int, hi: int, stop: int):
+    """The columns start, ..., stop - 1 of exp(i axis (x) w). Those of [lo, hi)
+    are the conjugates of the columns of their mirror targets len(w) - 1 - q,
+    which lie in [start, lo); the rest are taken by exp. The imaginary part of
+    a conjugate is 0.0 - imag, as exp gives the imaginary part +0.0 at a
+    phase of either sign of zero, and conjugation alone would make it -0.0."""
+    if lo == hi:
+        return np.exp(1j * np.multiply.outer(axis, w[start:stop]))
+    table = np.empty((len(axis), stop - start), dtype=complex)
+    table[:, :lo - start] = np.exp(1j * np.multiply.outer(axis, w[start:lo]))
+    table[:, hi - start:] = np.exp(1j * np.multiply.outer(axis, w[hi:stop]))
+    mirror = table[:, len(w) - hi - start:len(w) - lo - start][:, ::-1]
+    table.real[:, lo - start:hi - start] = mirror.real
+    table.imag[:, lo - start:hi - start] = 0.0 - mirror.imag
+    return table
+
+
+def _is_mirror(a, b) -> bool:
+    """Whether a[len - 1 - i] is b[i] bit for bit (a signed zero counts) for
+    every i < len / 2; the centre of an odd length is not compared. Only small
+    arrays are checked: per-target coordinates and squared norms."""
+    half = len(a) // 2
+    return a[::-1][:half].tobytes() == b[:half].tobytes()
+
+
+def _even_phase(rate, sq):
+    """exp(rate sq) elementwise. Where sq is a palindrome bit for bit, as the
+    squared norms of the nodes of ``grid_points`` are (their flat order reverses
+    under y -> -y and negation is exact), the exponential is taken on the first
+    half only and mirrored; f is never mirrored, only this phase."""
+    flat = sq.ravel()
+    if not _is_mirror(flat, flat):
+        return np.exp(rate * sq)
+    half = (len(flat) + 1) // 2
+    phase = np.empty(len(flat), dtype=complex)
+    phase[:half] = np.exp(rate * flat[:half])
+    phase[half:] = phase[:len(flat) - half][::-1]
+    return phase.reshape(sq.shape)
 
 
 def weil_generator_action(gen, f: GridFunction, ctx: ThetaContext) -> GridFunction:
@@ -338,13 +394,14 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     against e^{pi i (a ||x||^2 + d ||y||^2 - 2 (x, y)) / c}, the only oscillatory
     quadrature here (sigma and R(i, phi) are its values at S and K(phi)). For Q
     targets and L nodes per axis the cross phase costs about 2 sqrt(L) Q
-    exponentials at mn = 1 and 2 L Q at mn = 2, plus one matrix product. It
+    exponentials at mn = 1 and 2 L Q at mn = 2, half that on targets symmetric
+    about 0, plus one matrix product. It
     raises AccuracyError, before any node is built, when extent / step > 2e5 or
     the grid would exceed MAX_NODES nodes."""
     (a, b), (c, d) = _sl2(mat)
     if abs(c) < 1e-12 * math.hypot(c, d):
-        return GridFunction(ctx, lambda pts: abs(a) ** (ctx.dim / 2.0) * np.exp(
-            1j * np.pi * a * b * ctx.norm_sq(pts)) * f.eval_fn(a * pts))
+        return GridFunction(ctx, lambda pts: abs(a) ** (ctx.dim / 2.0) * _even_phase(
+            1j * np.pi * a * b, ctx.norm_sq(pts)) * f.eval_fn(a * pts))
     if ctx.dim > 2:
         raise DomainError("guaranteed quadrature mode covers mn <= 2 only")
     pref = ctx.det_power * abs(c) ** (-ctx.dim / 2.0)
@@ -359,23 +416,11 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
         nodes = grid_points(ctx, step=step)
         # the chirps in ||y||^2 and ||x||^2 factor out of the phase
         fvals = np.asarray(f.eval_fn(nodes), dtype=complex) \
-            * _node_chirp(ctx, nodes, 1j * np.pi * d / c)
-        return pref * (step ** ctx.dim) * np.exp(1j * np.pi * a / c * ctx.norm_sq(pts)) \
+            * _even_phase(1j * np.pi * d / c, ctx.norm_sq(nodes))
+        return pref * (step ** ctx.dim) * _even_phase(1j * np.pi * a / c, ctx.norm_sq(pts)) \
             * _chunked_kernel_sum(fvals, nodes, pts, ctx.m_mat, c)
 
     return GridFunction(ctx, fn)
-
-
-def _node_chirp(ctx: ThetaContext, nodes, rate):
-    """exp(rate ||y||^2_M) over the nodes of ``grid_points``. Node count - 1 - p
-    is -y_p (its flat order reverses under y -> -y), and negation is exact, so
-    ||y||^2_M is a palindrome: the exponential is taken on the first half only."""
-    sq = ctx.norm_sq(nodes)
-    half = (len(sq) + 1) // 2
-    chirp = np.empty(len(sq), dtype=complex)
-    chirp[:half] = np.exp(rate * sq[:half])
-    chirp[half:] = chirp[:len(sq) - half][::-1]
-    return chirp
 
 
 def lattice_points(ctx: ThetaContext):

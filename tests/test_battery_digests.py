@@ -5,7 +5,9 @@ import io
 import json
 import pathlib
 
-from siegeljacobi import cli
+import numpy as np
+
+from siegeljacobi import cli, theta
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -57,9 +59,30 @@ def test_cli_corpus_digests_each_invocation():
         .endswith('stderr=["input error: index matrix has nonzero imaginary entries"]')
 
 
+def test_kernel_corpus_digests_each_evaluation():
+    """--kernels prints one line per operator, test function, index and target
+    set: its label and the sha256 of the kernel's output bytes."""
+    digests = _script()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = digests.main([str(ROOT / "src"), "--kernels"])
+    lines = out.getvalue().splitlines()
+    assert (code, err.getvalue(), len(lines)) == (0, "", 5 * 3 * 3 * 4)
+    labels = [line.rsplit(" ", 1)[0] for line in lines]
+    assert len(set(labels)) == len(lines)
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
+    ctx = theta.ThetaContext(np.array([[1.0]]), n=1, n_cut=4, extent=1.5, step=0.125)
+    f = theta.gaussian_poly(ctx, [[3]])
+    value = theta.weil_matrix_action(np.array([[0.0, -1.0], [1.0, 0.0]]), f, ctx) \
+        .eval_fn(theta.lattice_points(ctx))
+    sha = hashlib.sha256(value.tobytes()).hexdigest()
+    assert f"M=1 S gaussian_poly lattice {sha}" in lines
+
+
 def test_cli_flag_takes_no_seeds():
     digests = _script()
-    for argv in (["--cli", "2026"], ["2026", "--cli"]):
+    for argv in (["--cli", "2026"], ["2026", "--cli"], ["--kernels", "2026"],
+                 ["--cli", "--kernels"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = digests.main([str(ROOT / "src"), *argv])

@@ -7,6 +7,7 @@ without importing perfbench."""
 import ast
 import functools
 import importlib
+import inspect
 from pathlib import Path
 
 from siegeljacobi import checks, theta
@@ -34,6 +35,22 @@ def test_every_wrapped_name_is_callable_in_its_module():
                 if not callable(getattr(theta.GridFunction, meth, None))]
     assert all(spanned.values()) and consts["GRID_METHODS"]
     assert not missing, missing
+
+
+def test_kernel_hook_reads_the_nodes_and_targets_by_position():
+    """The tracer's ``kernel_after`` hook counts phase entries as
+    args[1].shape[0] * args[2].shape[0]: the kernel's second and third
+    positional parameters must stay its nodes and its targets."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    hook = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "kernel_after")
+    read = {node.slice.value for node in ast.walk(hook)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    assert read == {1, 2}
+    params = list(inspect.signature(theta._chunked_kernel_sum).parameters.values())
+    assert [p.name for p in params[:3]] == ["fvals", "nodes", "pts"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:3])
 
 
 def test_battery_runs_every_suite_in_order():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -34,6 +35,16 @@ def test_context_validation():
         with pytest.raises(DomainError, match="^degree n must be at least 1$"):
             th.ThetaContext(np.eye(1), n=n)
     assert type(th.ThetaContext(np.eye(1), n=2.0).n) is int
+    # the grid step and extent are positive; a zero step leaves extent / step
+    # non-finite, and an extent below one step rounds to no step at all
+    for kwargs, message in ((dict(extent=0.0), "grid extent must be positive"),
+                            (dict(extent=-1.0), "grid extent must be positive"),
+                            (dict(extent=1e-12), "grid extent must be positive"),
+                            (dict(step=-1.0 / 16.0), "grid step must be positive"),
+                            (dict(extent=-1.0, step=-1.0 / 16.0), "grid step must be positive"),
+                            (dict(step=0.0), "extent / step has non-finite entries")):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            th.ThetaContext(np.eye(1), **kwargs)
 
 
 def test_schrodinger_examples(ctx):
@@ -271,6 +282,164 @@ def test_node_chirp_has_the_bits_of_the_full_exponential(monkeypatch, m_mat, n, 
         (_, _), (cc, d) = mat
         ref = f.eval_fn(nodes) * np.exp(1j * np.pi * d / cc * c.norm_sq(nodes))
         assert _same_bits(fvals, ref)
+
+
+def _direct_exp_sum(fvals, nodes, pts, m_mat, c, groups):
+    """The factored contraction of ``_chunked_kernel_sum`` with both exp tables
+    taken by exp on every target: one chunk per group of targets, its columns
+    in ascending target order."""
+    count, flat = nodes.shape[0], nodes.reshape(nodes.shape[0], -1)
+    w = np.einsum("ac,qcb->qab", m_mat, pts).reshape(-1, flat.shape[1]) * (-th.TWO_PI / c)
+    if flat.shape[1] == 2:
+        outer = inner = flat[::math.isqrt(count), 0]
+    else:
+        cols = math.isqrt(count - 1) + 1
+        outer, inner = flat[::cols, 0], flat[count // 2:count // 2 + cols, 0]
+        fvals = np.concatenate([fvals, np.zeros(len(outer) * cols - count, dtype=complex)])
+    samples = fvals.reshape(len(outer), len(inner))
+    out = np.empty(len(w), dtype=complex)
+    for group in groups:
+        e_out = np.exp(1j * np.multiply.outer(outer, w[group, 0]))
+        e_in = np.exp(1j * np.multiply.outer(inner, w[group, -1]))
+        out[group] = np.einsum("jq,jq->q", e_out, samples @ e_in)
+    return out
+
+
+def _mirror_spy(monkeypatch):
+    """The number of conjugated columns of every exp table the kernel builds."""
+    mirrored, exp_table = [], th._exp_table
+
+    def spy(axis, w, start, lo, hi, stop):
+        mirrored.append(hi - lo)
+        return exp_table(axis, w, start, lo, hi, stop)
+
+    monkeypatch.setattr(th, "_exp_table", spy)
+    return mirrored
+
+
+def _symmetric_targets(ctx, axis):
+    """The ``ij`` mesh of one axis in every coordinate: reversing the flat
+    order negates each target."""
+    mesh = np.meshgrid(*[axis] * ctx.dim, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, ctx.m, ctx.n)
+
+
+@pytest.mark.parametrize("m_mat, n", [([[1.0]], 1), ([[2.0, 1.0], [1.0, 2.0]], 1),
+                                      ([[1.0]], 2)])
+def test_kernel_tables_mirrored_over_symmetric_targets_keep_the_bits(monkeypatch, m_mat, n):
+    """On targets symmetric about 0 (an odd count with a zero centre, and an
+    even count) the exp tables are taken on half the targets and conjugated
+    for the rest, with the bytes of the direct tables. A budget of 3 or 4
+    targets per chunk splits +- pairs: each chunk keeps its targets, and a
+    column is conjugated where its mirror lies in the same chunk, as in the
+    chunk that straddles the centre."""
+    c = th.ThetaContext(np.array(m_mat), n=n, extent=2.0, step=0.125)
+    nodes = th.grid_points(c)
+    rng = np.random.default_rng(5)
+    fvals = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
+    width = math.isqrt(len(nodes)) if c.dim == 2 else math.isqrt(len(nodes) - 1) + 1
+    mirrored = _mirror_spy(monkeypatch)
+    for axis, size in ((0.25 * np.arange(-4, 5), 3), (0.3 * (np.arange(-3, 3) + 0.5), 4)):
+        pts = _symmetric_targets(c, axis)
+        count = len(pts)
+        chunks = [np.arange(start, min(start + size, count)) for start in range(0, count, size)]
+        # the pairs (q, count - 1 - q) with both targets in one chunk
+        pairs = sum(len(set(chunk) & set(count - 1 - chunk)) // 2 for chunk in chunks)
+        for budget, groups, conjugated in ((1 << 23, [np.arange(count)], count // 2),
+                                           (size * width, chunks, pairs)):
+            got = th._chunked_kernel_sum(fvals, nodes, pts, c.m_mat, 0.37, budget=budget)
+            assert _same_bits(got, _direct_exp_sum(fvals, nodes, pts, c.m_mat, 0.37, groups))
+            assert len(mirrored) == 2 * len(groups) and sum(mirrored) == 2 * conjugated > 0
+            mirrored.clear()
+
+
+@pytest.mark.parametrize("m_mat, n", [([[1.0]], 1), ([[2.0, 1.0], [1.0, 2.0]], 1),
+                                      ([[1.0]], 2)])
+def test_kernel_mirrors_exactly_the_sets_whose_phases_mirror(monkeypatch, m_mat, n):
+    """A shifted lattice, and a set that is symmetric but for one value, take
+    every column by exp. A zero coordinate is +0.0 on both sides of the grid
+    and the lattice at mn = 2 (and M x cancels to +0.0 on both sides), yet
+    its phases are exp(+-0 i) = 1 + 0.0 i alike: such sets, and a set
+    symmetric but for one signed zero, are mirrored with the direct bytes."""
+    c = th.ThetaContext(np.array(m_mat), n=n, n_cut=2, extent=2.0, step=0.125)
+    nodes = th.grid_points(c)
+    rng = np.random.default_rng(6)
+    fvals = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
+    mirrored = _mirror_spy(monkeypatch)
+    ones = np.ones((1, c.m, c.n))
+    lattice, grid = th.lattice_points(c), th.grid_points(c, extent=0.5, step=0.25)
+    cases = [(lattice + 0.25, False),
+             (np.array([-0.5, 0.0, 0.25, 0.5])[:, None, None] * ones, False),
+             (np.array([-0.5, 0.0, 0.0, 0.5])[:, None, None] * ones, True),
+             (lattice, True), (grid, True)]
+    for pts, mirror in cases:
+        got = th._chunked_kernel_sum(fvals, nodes, pts, c.m_mat, -0.8)
+        ref = _direct_exp_sum(fvals, nodes, pts, c.m_mat, -0.8, [np.arange(len(pts))])
+        assert _same_bits(got, ref) and mirrored == [len(pts) // 2 if mirror else 0] * 2
+        mirrored.clear()
+
+
+def test_conjugated_table_columns_have_the_bytes_of_exp():
+    """A conjugated column has the bytes exp gives its target, down to the
+    +0.0 imaginary part of a zero phase (the axis holds 0), which conjugation
+    alone would turn into -0.0; in the whole table of 9 targets and in a
+    chunk [3, 6) whose target 5 mirrors target 3."""
+    axis, w = 0.125 * np.arange(-3, 6), 2.5 * np.arange(-4, 5)
+    for start, lo, hi, stop in ((0, 5, 9, 9), (3, 5, 6, 6)):
+        got = th._exp_table(axis, w, start, lo, hi, stop)
+        assert _same_bits(got, np.exp(1j * np.multiply.outer(axis, w[start:stop])))
+
+
+def _phase_spy(monkeypatch):
+    """Checks every phase ``_even_phase`` returns against the exponential
+    taken on every point, and records whether its points were mirrored."""
+    mirrored, even_phase = [], th._even_phase
+
+    def spy(rate, sq):
+        phase = even_phase(rate, sq)
+        assert _same_bits(phase, np.exp(rate * sq))
+        mirrored.append(th._is_mirror(sq.ravel(), sq.ravel()))
+        return phase
+
+    monkeypatch.setattr(th, "_even_phase", spy)
+    return mirrored
+
+
+@pytest.mark.parametrize("m_mat, exps", [([[2.0]], [[3]]),
+                                         ([[2.0, 1.0], [1.0, 2.0]], [[1], [0]])])
+def test_c_zero_chirp_has_the_bits_of_the_full_exponential(monkeypatch, m_mat, exps):
+    """The c = 0 branch |a|^{mn/2} e^{pi i ab ||x||^2} f(a x) on the grid and
+    on the lattice, whose chirp is taken on half the points, has the bytes of
+    the exponential taken on every point; f is odd, so that a mirror off by
+    one point, or a mirrored f, changes them."""
+    c = th.ThetaContext(np.array(m_mat), n=1, n_cut=4, extent=1.0, step=0.125)
+    f = th.gaussian_poly(c, exps)
+    mirrored = _phase_spy(monkeypatch)
+    for mat in (th.SL2Coord(0.7 + 1.3j, 0.0).upper(), np.array([[1.0, -0.45], [0.0, 1.0]])):
+        (a, b), _ = th._sl2(mat)
+        op = th.weil_matrix_action(mat, f, c)
+        for pts in (th.grid_points(c), th.lattice_points(c)):
+            ref = abs(a) ** (c.dim / 2.0) * np.exp(1j * np.pi * a * b * c.norm_sq(pts)) \
+                * f.eval_fn(a * pts)
+            assert _same_bits(op.eval_fn(pts), ref)
+    assert mirrored == [True] * 4
+
+
+def test_target_chirp_is_mirrored_on_symmetric_targets_only(monkeypatch):
+    """Every phase of an oscillatory kernel evaluation (node chirp, target
+    chirp and the c = 0 chirp of the t generator on the nodes) has the bits of
+    the full exponential; the target chirp is mirrored on the grid and the
+    lattice, not on the shifted lattice."""
+    c = th.ThetaContext(np.array([[2.0]]), n=1, n_cut=4, extent=1.0, step=0.125)
+    f = th.weil_generator_action(("t", np.array([[0.7]]), 1.0), th.gaussian(c), c)
+    mirrored = _phase_spy(monkeypatch)
+    op = th.weil_matrix_action(th.SL2Coord(0.4 + 1.3j, 0.9).matrix(), f, c)
+    for pts, target_mirrored in ((th.grid_points(c), True), (th.lattice_points(c), True),
+                                 (th.lattice_points(c) + 0.25, False)):
+        op.eval_fn(pts)
+        # the chirp f takes on the nodes, the node chirp, then the target chirp
+        assert mirrored == [True, True, target_mirrored]
+        mirrored.clear()
 
 
 @pytest.mark.parametrize("m_val, extent, step", [(1.0, 8.0, 1.0 / 16.0), (2.0, 10, 1.0),
