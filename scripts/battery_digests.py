@@ -17,17 +17,27 @@ messages a refactor may change. With ``--kernels`` it prints, for each entry
 of a fixed corpus of Weil kernel evaluations (``kernel_lines``), its label and
 the sha256 of the output's bytes, or the error it raised. Two trees give the
 same output where their lines agree, so diffing the output for the two is the
-check.
+check. The first line names the BLAS thread count. Run as a script, it pins
+the count to 1 before numpy is imported: OpenBLAS splits a matrix product over
+threads by its shape, so the kernel's bits can follow the thread count.
 """
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
-import json
-import sys
+import os
 
-import numpy as np
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":
+    # one BLAS thread, set before anything imports numpy
+    for _var in THREAD_VARS:
+        os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -142,6 +152,7 @@ def main(argv: list[str]) -> int:
     except ValueError:
         print(__doc__, file=sys.stderr)
         return 2
+    print("# " + " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS), flush=True)
     sys.path.insert(0, argv[0])
     from siegeljacobi import checks, cli, errors, theta
     for line in kernel_lines(theta, errors) if kernels else []:

@@ -7,7 +7,10 @@ mn <= 2. Functions are exact closures carrying a uniform grid for quadrature
 and sup-norm comparisons, so shifts and phase twists lose no accuracy. The one
 Weil operator, ``weil_matrix_action``, holds the one c = 0 rule and the one
 oscillatory quadrature, whose cross phase comes from two small per-coordinate
-exp tables and one matrix product, never nodes x targets.
+exp tables and one matrix product, never nodes x targets. The quadrature
+integrates only where f lives: f is sampled on the context grid first, and
+the nodes reach one grid step past the last sample above SUPPORT_FRAC of the
+largest, never past the context extent.
 """
 from __future__ import annotations
 
@@ -24,6 +27,9 @@ from .linalg import integer_matrix, positive_each, real_array, real_matrix
 TWO_PI = 2.0 * np.pi
 # nodes of one oscillatory kernel evaluation, and points of one truncated lattice
 MAX_NODES = 1 << 22
+# the oscillatory kernel integrates f where |f| exceeds this fraction of its
+# largest sample, which is below float64's relative rounding 2^-53
+SUPPORT_FRAC = 1e-17
 
 
 @dataclass(frozen=True)
@@ -395,9 +401,18 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     quadrature here (sigma and R(i, phi) are its values at S and K(phi)). For Q
     targets and L nodes per axis the cross phase costs about 2 sqrt(L) Q
     exponentials at mn = 1 and 2 L Q at mn = 2, half that on targets symmetric
-    about 0, plus one matrix product. It
-    raises AccuracyError, before any node is built, when extent / step > 2e5 or
-    the grid would exceed MAX_NODES nodes."""
+    about 0, plus one matrix product.
+
+    The quadrature covers only where f lives: f is sampled once on the context
+    grid, and the support extent ``ext`` is the largest |coordinate| of a
+    sample above SUPPORT_FRAC of the largest |f|, plus one grid step, capped
+    at the context extent (one step when f is 0 on the grid; the context
+    extent when a sample is not finite). ``ext`` replaces the context extent
+    in the step rule's frequency, in the guard and in the nodes, so an f that
+    does not decay inside the box keeps the context's nodes. That sampling
+    comes first; then the kernel raises AccuracyError, before any node is
+    built, when ext / step > 2e5 or the grid would exceed MAX_NODES nodes,
+    and names the nodes per axis it would need and the cap."""
     (a, b), (c, d) = _sl2(mat)
     if abs(c) < 1e-12 * math.hypot(c, d):
         return GridFunction(ctx, lambda pts: abs(a) ** (ctx.dim / 2.0) * _even_phase(
@@ -407,13 +422,20 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
     pref = ctx.det_power * abs(c) ** (-ctx.dim / 2.0)
 
     def fn(pts):
+        ext = _support_extent(f, ctx)
         x_max = float(np.max(np.abs(pts))) if pts.size else 1.0
-        freq = ctx.m_norm * (abs(d) * ctx.extent + x_max) / abs(c) + 1.0
+        freq = ctx.m_norm * (abs(d) * ext + x_max) / abs(c) + 1.0
         step = min(ctx.step, 1.0 / (8.0 * freq))
-        ratio = ctx.extent / step
-        if ratio > 2e5 or (2 * math.ceil(ratio) + 1) ** ctx.dim > MAX_NODES:
-            raise AccuracyError("oscillatory kernel would need too fine a grid")
-        nodes = grid_points(ctx, step=step)
+        ratio = ext / step
+        axis = 2 * math.ceil(ratio) + 1 if math.isfinite(ratio) else math.inf
+        if ratio > 2e5:
+            raise AccuracyError(f"oscillatory kernel would need too fine a grid: {axis} "
+                                "nodes per axis, above the cap of 400001 per axis")
+        if axis ** ctx.dim > MAX_NODES:
+            raise AccuracyError(f"oscillatory kernel would need too fine a grid: {axis} "
+                                f"nodes per axis, {axis ** ctx.dim} in all, above the "
+                                f"cap of {MAX_NODES} nodes")
+        nodes = grid_points(ctx, extent=ext, step=step)
         # the chirps in ||y||^2 and ||x||^2 factor out of the phase
         fvals = np.asarray(f.eval_fn(nodes), dtype=complex) \
             * _even_phase(1j * np.pi * d / c, ctx.norm_sq(nodes))
@@ -421,6 +443,22 @@ def weil_matrix_action(mat, f: GridFunction, ctx: ThetaContext) -> GridFunction:
             * _chunked_kernel_sum(fvals, nodes, pts, ctx.m_mat, c)
 
     return GridFunction(ctx, fn)
+
+
+def _support_extent(f: GridFunction, ctx: ThetaContext) -> float:
+    """The extent of the oscillatory kernel's nodes for f: the largest
+    |coordinate| of a context grid sample above SUPPORT_FRAC of the largest
+    |f|, plus one grid step (the support may end anywhere before the next
+    sample), at most the context extent. One step when f is 0 on the grid,
+    and the context extent when a sample is not finite."""
+    grid = grid_points(ctx)
+    sizes = np.abs(np.asarray(f.eval_fn(grid), dtype=complex))
+    peak = float(np.max(sizes))
+    if not math.isfinite(peak):
+        return ctx.extent
+    live = grid[sizes > SUPPORT_FRAC * peak]
+    reach = float(np.max(np.abs(live))) if live.size else 0.0
+    return min(reach + ctx.step, ctx.extent)
 
 
 def lattice_points(ctx: ThetaContext):

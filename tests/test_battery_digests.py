@@ -3,7 +3,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -18,6 +21,11 @@ def _script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _threads_line(digests):
+    """The first line in this process, which the script's import leaves unpinned."""
+    return "# " + " ".join(f"{var}={os.environ.get(var)}" for var in digests.THREAD_VARS)
 
 
 def test_digest_is_the_hash_of_the_cli_output():
@@ -46,8 +54,9 @@ def test_cli_corpus_digests_each_invocation():
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = digests.main([str(ROOT / "src"), "--cli"])
-    lines = out.getvalue().splitlines()
-    assert (code, err.getvalue(), len(lines)) == (0, "", len(digests.CORPUS))
+    pinned, *lines = out.getvalue().splitlines()
+    assert (code, err.getvalue(), pinned, len(lines)) == \
+        (0, "", _threads_line(digests), len(digests.CORPUS))
     # every command but check, each with a success and a refusal
     commands = {args[0] for args in digests.CORPUS}
     assert commands == {"distance", "cayley", "reduce", "metric", "laplacian", "theta", "element"}
@@ -66,8 +75,9 @@ def test_kernel_corpus_digests_each_evaluation():
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = digests.main([str(ROOT / "src"), "--kernels"])
-    lines = out.getvalue().splitlines()
-    assert (code, err.getvalue(), len(lines)) == (0, "", 5 * 3 * 3 * 4)
+    pinned, *lines = out.getvalue().splitlines()
+    assert (code, err.getvalue(), pinned, len(lines)) == \
+        (0, "", _threads_line(digests), 5 * 3 * 3 * 4)
     labels = [line.rsplit(" ", 1)[0] for line in lines]
     assert len(set(labels)) == len(lines)
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
@@ -87,3 +97,19 @@ def test_cli_flag_takes_no_seeds():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = digests.main([str(ROOT / "src"), *argv])
         assert (code, out.getvalue(), err.getvalue()) == (2, "", digests.__doc__ + "\n"), argv
+
+
+def test_digests_do_not_follow_the_callers_blas_thread_count():
+    """The script pins one BLAS thread whatever its environment says: the
+    theta digest at seed 2026 and the kernel corpus, some of whose products
+    OpenBLAS splits by shape over two threads, read the same under 1 and 2."""
+    def digests(threads, *args):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "battery_digests.py"),
+                               str(ROOT / "src"), *args], env=env, capture_output=True,
+                              text=True, check=True).stdout.splitlines()
+
+    seeds, kernels = digests("1", "2026"), digests("1", "--kernels")
+    assert seeds[0] == kernels[0] == "# OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"
+    assert any(line.startswith("theta 2026 exit=0 ") for line in seeds)
+    assert (digests("2", "2026"), digests("2", "--kernels")) == (seeds, kernels)

@@ -435,7 +435,7 @@ def test_convergence_error_is_numeric_failure(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "--suite", "theta", "--seed", "3"],
+    ["check", "--suite", "theta", "--seed", "40"],
     ["theta", "--M", "1", "--tau", "0,1", "--phi", "1e-9"],
     ["theta", "--M", "1", "--tau", "0,1e-4", "--phi", "0.3"]])
 def test_accuracy_error_is_numeric_failure(argv, capsys):
@@ -443,6 +443,13 @@ def test_accuracy_error_is_numeric_failure(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numeric error: ") and len(err.splitlines()) == 1
+
+
+def test_too_fine_a_grid_names_its_node_count_and_cap():
+    code, out, err = run_cli(["check", "--suite", "theta", "--seed", "40"])
+    assert (code, out) == (1, "")
+    assert err == ("numeric error: oscillatory kernel would need too fine a grid: "
+                   "949679 nodes per axis, above the cap of 400001 per axis\n")
 
 
 def test_theta_at_large_real_part(capsys):

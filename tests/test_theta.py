@@ -427,9 +427,10 @@ def test_c_zero_chirp_has_the_bits_of_the_full_exponential(monkeypatch, m_mat, e
 
 def test_target_chirp_is_mirrored_on_symmetric_targets_only(monkeypatch):
     """Every phase of an oscillatory kernel evaluation (node chirp, target
-    chirp and the c = 0 chirp of the t generator on the nodes) has the bits of
-    the full exponential; the target chirp is mirrored on the grid and the
-    lattice, not on the shifted lattice."""
+    chirp and the c = 0 chirp of the t generator, on the context grid where
+    the kernel samples f's support and on the nodes) has the bits of the full
+    exponential; the target chirp is mirrored on the grid and the lattice, not
+    on the shifted lattice."""
     c = th.ThetaContext(np.array([[2.0]]), n=1, n_cut=4, extent=1.0, step=0.125)
     f = th.weil_generator_action(("t", np.array([[0.7]]), 1.0), th.gaussian(c), c)
     mirrored = _phase_spy(monkeypatch)
@@ -437,8 +438,9 @@ def test_target_chirp_is_mirrored_on_symmetric_targets_only(monkeypatch):
     for pts, target_mirrored in ((th.grid_points(c), True), (th.lattice_points(c), True),
                                  (th.lattice_points(c) + 0.25, False)):
         op.eval_fn(pts)
-        # the chirp f takes on the nodes, the node chirp, then the target chirp
-        assert mirrored == [True, True, target_mirrored]
+        # the chirp f takes on the context grid (its support samples), then
+        # on the nodes, the node chirp, then the target chirp
+        assert mirrored == [True, True, True, target_mirrored]
         mirrored.clear()
 
 
