@@ -5,11 +5,10 @@ distance, Jacobi-form machinery, and Schrodinger-Weil theta sums."""
 from .errors import (AccuracyError, ConvergenceError, DimensionError, DomainError,
                      NumericError, ParameterError)
 from .linalg import is_positive_definite, is_symmetric
-from .spaces import (DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint,
-                     TangentVector, validate)
+from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector
 from .groups import (HeisenbergElement, JacobiGroupElement, StarGroupElement,
                      SymplecticElement, act, act_disk, act_jacobi, act_jacobi_disk,
-                     act_siegel, embed_star, random_element)
+                     act_siegel, embed_star)
 from .cayley import cayley_inverse, partial_cayley, partial_cayley_inverse, to_disk, to_half_space
 from .metrics import (MetricParams, disk_metric, jacobi_disk_metric, jacobi_metric,
                       map_differential, pushforward, siegel_metric, volume_density)

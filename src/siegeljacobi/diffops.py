@@ -1,24 +1,24 @@
 """Wirtinger finite-difference engine and the invariant differential operators.
 
-The engine differentiates scalar fields (callables on points) in the real
-coordinates of the point's chart (``spaces._Chart``), then assembles weighted
-Wirtinger derivatives, by fourth-order central differences. A
-``DerivativeTable(f, p)`` holds the first and second derivatives of f at p and
-remembers p; every invariant operator is a function of one table, so one table
-serves as many operators at its point as needed. The points of a
-stencil (``_plan``, cached per chart dimension) form one stack of points; a
-field marked ``fields.batched`` (also behind ``__wrapped__``) gets the stack in
-one call and returns one value per point, any other gets one point at a time.
-p may itself be a stack of points (see ``spaces``): the stencils of all its
-points then form one stack, so a batched field is still called once, and the
-table's values and derivatives gain a leading axis over the points. The
-operators take such a table and return one value per point, each with the
-bits of the table at that point alone; the nested S3 at n >= 2 refuses it.
+The engine differentiates scalar fields (callables on points) twice in the
+real coordinates of the point's chart (``spaces._Chart``), by fourth-order
+central differences, then assembles the weighted Wirtinger Hessian. A
+``DerivativeTable(f, p)`` holds f and its Wirtinger Hessian at p and
+remembers p; every invariant operator is second order and reads the Hessian
+of one table, so one table serves as many operators at its point as needed.
+The points of a stencil (``_plan``, cached per chart dimension) form one
+stack of points; a field marked ``fields.batched`` (also behind
+``__wrapped__``) gets the stack in one call and returns one value per point,
+any other gets one point at a time. p may itself be a stack of points (see
+``spaces``): the stencils of all its points then form one stack, so a batched
+field is still called once, and the table's value and Hessian gain a leading
+axis over the points. The operators take such a table and return one value
+per point, each with the bits of the table at that point alone; the nested
+S3 at n >= 2 refuses it.
 Matrix derivative conventions: for a symmetric complex matrix the (i, j)
 entry of the derivative matrix carries the weight (1 + delta_ij)/2 applied to
-the symmetric-variable partial; for rectangular z-type matrices the layout is
-the n x m transpose of the variable layout, i.e. entry (l, k) differentiates
-with respect to z_{kl}.
+the symmetric-variable partial; for rectangular z-type matrices the (k, l)
+entry differentiates with respect to z_{kl}, in the m x n layout of z.
 """
 from __future__ import annotations
 
@@ -71,28 +71,26 @@ _C = 12
 
 @cache
 def _plan(dim, entries=None):
-    """The stencil of the entries d/dx_i, written (i,), and d^2/dx_i dx_j,
-    written (i, j), by default those of a derivative table: the distinct
-    points as offsets in units of the steps (the center first when some
-    i == j) and, term by term in summation order, each entry's point slots and
-    weight numerators, over C h_i, C h_i^2 or h_i h_j by its kind 0, 1 or 2."""
+    """The stencil of the entries d^2/dx_i dx_j, written (i, j), by default
+    those of a derivative table, the diagonal first: the distinct points as
+    offsets in units of the steps (the center first when some i == j) and,
+    term by term in summation order, each entry's point slots and weight
+    numerators, over C h_i^2 where i == j and over h_i h_j elsewhere."""
     if entries is None:
-        entries = tuple((i,) for i in range(dim)) + tuple(
-            (i, j) for i in range(dim) for j in range(i, dim))
+        entries = tuple((i, i) for i in range(dim)) + tuple(
+            (i, j) for i in range(dim) for j in range(i + 1, dim))
     fo = sorted(_D1)
-    keys = {(0,) * dim: 0} if any(len(e) == 2 and e[0] == e[1] for e in entries) else {}
+    keys = {(0,) * dim: 0} if any(i == j for i, j in entries) else {}
 
     def slot(*shifts):
         return keys.setdefault(tuple(dict(shifts).get(i, 0) for i in range(dim)), len(keys))
 
-    kind = np.array([0 if len(e) == 1 else 1 if e[0] == e[1] else 2 for e in entries])
-    terms = [[(slot((e[0], o)), w) for o, w in (_D1, _D2)[k].items()] if k < 2 else
-             [(slot((e[0], a), (e[1], b)), _D1[a] / _C * (_D1[b] / _C)) for a in fo for b in fo]
-             for e, k in zip(entries, kind)]
+    terms = [[(slot((i, o)), w) for o, w in _D2.items()] if i == j else
+             [(slot((i, a), (j, b)), _D1[a] / _C * (_D1[b] / _C)) for a in fo for b in fo]
+             for i, j in entries]
     width = max(map(len, terms))
     slots, nums = np.array([t + [(0, 0.0)] * (width - len(t)) for t in terms]).transpose(2, 1, 0)
-    plan = (np.array(list(keys)), slots.astype(int), nums, kind,
-            *np.array([(e[0], e[-1]) for e in entries]).T)
+    plan = (np.array(list(keys)), slots.astype(int), nums, *np.array(entries).T)
     for a in plan:
         a.flags.writeable = False    # shared by every caller through the cache
     return plan
@@ -105,10 +103,10 @@ def _stencil(f, chart, steps, entries=None):
     ``steps`` is (dim,) at a point and (N, dim) at a stack of N points, whose
     values and entries gain that leading axis. Weights that are not finite (a
     step whose square or product underflows) raise NumericError."""
-    offsets, slots, nums, kind, ei, ej = _plan(chart.dim, entries)
+    offsets, slots, nums, ei, ej = _plan(chart.dim, entries)
     hi, hj = steps[..., ei], steps[..., ej]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        denom = np.choose(kind, [_C * hi, _C * np.float_power(hi, 2), hi * hj])
+        denom = np.where(ei == ej, _C * np.float_power(hi, 2), hi * hj)
         weights = nums / denom[..., None, :]
     if not np.all(np.isfinite(weights)):
         raise NumericError("finite-difference weights are not finite: the step is too small")
@@ -120,7 +118,7 @@ def _stencil(f, chart, steps, entries=None):
     if not np.all(np.isfinite(vals)):
         raise DomainError("field evaluated to a non-finite value")
     vals = vals.reshape(*steps.shape[:-1], len(offsets))
-    out = np.zeros((*steps.shape[:-1], len(kind)), dtype=complex)
+    out = np.zeros((*steps.shape[:-1], len(ei)), dtype=complex)
     for w, s in zip(weights.swapaxes(0, -2), slots):
         out += w * vals[..., s]
     return vals, out, ei, ej
@@ -134,9 +132,11 @@ def _require_within_radius(f, reach: float) -> None:
 
 
 class DerivativeTable:
-    """First and second Wirtinger derivatives of a field f at the point p, or
-    at each point of a stack p: then ``value`` (f at the point), ``g1``,
-    ``g2`` and ``hess`` carry a leading axis over the points."""
+    """A field f and its Wirtinger Hessian at the point p, or at each point
+    of a stack p: then ``value`` (f at the point) and ``hess`` carry a
+    leading axis over the points. ``hess`` is conj(W)^T G W, with G the
+    real Hessian in the chart's coordinates and W the chart's Wirtinger
+    basis; the ``block_*`` methods slice it."""
 
     def __init__(self, f, p, cfg: FDConfig = FDConfig()):
         self.point = p
@@ -144,28 +144,14 @@ class DerivativeTable:
         steps = cfg.step * (1.0 + np.abs(chart.coord_values().T))
         _require_within_radius(f, 2 * np.max(steps, initial=0.0))
         self._f = f
-        dim = chart.dim
         vals, out, ei, ej = _stencil(f, chart, steps)
-        self.value, self.g1 = vals[..., 0][()], out[..., :dim]    # [()]: a scalar at a point
-        self.g2 = np.zeros((*out.shape[:-1], dim, dim), dtype=complex)
-        self.g2[..., ei[dim:], ej[dim:]] = self.g2[..., ej[dim:], ei[dim:]] = out[..., dim:]
-        self.w = chart.wirtinger_basis()
-        self.hess = np.conj(self.w).T @ self.g2 @ self.w
+        self.value = vals[..., 0][()]    # [()]: a scalar at a point
+        g2 = np.zeros((*out.shape[:-1], chart.dim, chart.dim), dtype=complex)
+        g2[..., ei, ej] = g2[..., ej, ei] = out
+        w = chart.wirtinger_basis()
+        self.hess = np.conj(w).T @ g2 @ w
 
-    # first derivatives --------------------------------------------------
-    def d_sym(self, bar=False):
-        """Weighted matrix d/dOmega (or conj) as an n x n array."""
-        n = self.chart.n
-        w = np.conj(self.w) if bar else self.w
-        return (self.g1 @ w[:, :n * n]).reshape(*self.value.shape, n, n)
-
-    def d_rect(self, bar=False):
-        """Matrix d/dZ (or conj): entry (l, k) differentiates z_{kl}."""
-        n, m = self.chart.n, self.chart.m
-        w = np.conj(self.w) if bar else self.w
-        return (self.g1 @ w[:, n * n:]).reshape(*self.value.shape, m, n).mT
-
-    # second derivative blocks: slices of H = conj(W)^T g2 W ----------------
+    # second derivative blocks: slices of H = conj(W)^T G W -----------------
     def block_sym_bar_sym(self):
         """T[a, b, c, d] = (d/dOmega_bar)_ab (d/dOmega)_cd, both weighted."""
         n = self.chart.n

@@ -456,20 +456,6 @@ def random_jacobi(n: int, m: int, rng, max_word: int = 6) -> JacobiGroupElement:
     return JacobiGroupElement(random_symplectic(n, rng, max_word), random_heisenberg(n, m, rng))
 
 
-def random_element(seed, kind: str, n: int = 1, m: int = 1, max_word: int = 6):
-    """Deterministic well-conditioned random element of the requested kind."""
-    rng = np.random.default_rng(seed)
-    if kind == "symplectic":
-        return random_symplectic(n, rng, max_word)
-    if kind == "heisenberg":
-        return random_heisenberg(n, m, rng)
-    if kind == "jacobi":
-        return random_jacobi(n, m, rng, max_word)
-    if kind == "star":
-        return embed_star(random_jacobi(n, m, rng, max_word))
-    raise DomainError(f"unknown element kind {kind!r}")
-
-
 # a word of degree n is a 2n x 2n matrix: 16,384 entries at the bound
 MAX_DEGREE = 64
 

@@ -149,10 +149,6 @@ def fourier_eval(s: FourierSeries, p: JacobiPoint) -> complex:
     return complex(total)
 
 
-def fourier_field(s: FourierSeries):
-    return lambda p: fourier_eval(s, p)
-
-
 def singular_gate_determinant(s: FourierSeries, t, r) -> float:
     return float(np.linalg.det(_gate_block(t, r, s.lambda_gamma, s.index.m_mat)))
 

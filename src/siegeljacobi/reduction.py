@@ -25,6 +25,8 @@ from .spaces import JacobiPoint, SiegelPoint
 ENUM_BOUND = 3
 DET_SLACK = 1e-12
 CERT_TOL = 1e-9
+# iterations of siegel_reduce before it raises ConvergenceError
+MAX_ITER = 200
 
 
 @dataclass
@@ -240,10 +242,10 @@ def candidate_det_ratios(p: SiegelPoint):
     return 1.0 / np.abs(require_conditioned((c @ p.omega).reshape(d.shape) + d)) ** 2
 
 
-def _reduce_degree_one(p: SiegelPoint, max_iter: int):
+def _reduce_degree_one(p: SiegelPoint):
     omega = complex(p.omega[0, 0])
     gamma = np.eye(2)
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         shift = -np.round(omega.real)
         omega += shift
         gamma = np.array([[1.0, shift], [0.0, 1.0]]) @ gamma
@@ -255,10 +257,10 @@ def _reduce_degree_one(p: SiegelPoint, max_iter: int):
         if abs(omega.real) <= 0.5:
             return SiegelPoint(np.array([[omega]])), SymplecticElement(gamma), it + 1
     raise ConvergenceError("degree-1 reduction did not converge",
-                           partial=ReductionCertificate(SymplecticElement(gamma), max_iter))
+                           partial=ReductionCertificate(SymplecticElement(gamma), MAX_ITER))
 
 
-def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
+def siegel_reduce(p: SiegelPoint):
     """Highest-point reduction to the Siegel fundamental domain.
 
     Returns (reduced point, certificate). The reduced point satisfies the
@@ -271,7 +273,7 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
     n = p.n
     ratios = None
     if n == 1:
-        out, gamma, iters = _reduce_degree_one(p, max_iter)
+        out, gamma, iters = _reduce_degree_one(p)
     else:
         if n > 3:
             raise DimensionError("siegel_reduce supports n <= 3")
@@ -280,14 +282,14 @@ def siegel_reduce(p: SiegelPoint, max_iter: int = 200):
         current = p
         iters = 0
         converged = False
-        while iters < max_iter:
+        while iters < MAX_ITER:
             iters += 1
             _, u = minkowski_reduce(current.omega.imag)
             g1 = dilation(u.T.astype(float))
             current = groups.act_siegel(g1, current)
             gamma = g1.multiply(gamma)
             # one greedy pass over the box need not reduce a skewed form; the
-            # next iteration passes again, within the same max_iter budget
+            # next iteration passes again, within the same MAX_ITER budget
             if minkowski_violations(current.omega.imag):
                 continue
             b = -np.round(current.omega.real)
@@ -374,6 +376,6 @@ def jacobi_reduce(p: JacobiPoint):
                                   and np.all(mu_f >= -1e-12) and np.all(mu_f < 1.0)),
     })
     replay = groups.act_jacobi(gamma, p)
-    checks["replay_matches"] = bool(
-        max(np.max(np.abs(replay.omega - out.omega)), np.max(np.abs(replay.z - out.z))) <= 1e-9)
+    checks["replay_matches"] = bool(max(np.max(np.abs(replay.omega - out.omega)),
+                                        np.max(np.abs(replay.z - out.z))) <= CERT_TOL)
     return out, ReductionCertificate(gamma, cert_s.iterations, checks)

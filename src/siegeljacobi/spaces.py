@@ -174,9 +174,6 @@ class JacobiDiskPoint(_Point):
     _not_positive = DiskPoint._not_positive
     _positive = staticmethod(_disk_gram)
 
-    def disk_part(self) -> DiskPoint:
-        return DiskPoint(self.w)
-
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -222,14 +219,6 @@ def stack(items):
         return np.stack(items)
     make = first.create if isinstance(first, _Point) else type(first)
     return make(*(stack([getattr(x, name) for x in items]) for name in first.__dataclass_fields__))
-
-
-def validate(point) -> bool:
-    """True iff all type invariants of the point hold within the fixed
-    tolerances of ``linalg`` (ABS_TOL, REL_TOL)."""
-    if isinstance(point, _Point):
-        return point.is_valid()
-    raise DomainError(f"not a point type: {type(point)!r}")
 
 
 def point_from_json(obj):

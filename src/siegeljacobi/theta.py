@@ -30,6 +30,8 @@ MAX_NODES = 1 << 22
 # the oscillatory kernel integrates f where |f| exceeds this fraction of its
 # largest sample, which is below float64's relative rounding 2^-53
 SUPPORT_FRAC = 1e-17
+# entries of one exp table of the oscillatory kernel, which sets its chunk of targets
+TABLE_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -186,12 +188,12 @@ def schrodinger_action(h0: HeisenbergElement, f: GridFunction,
 
 # -- Weil representation: generator kernels ----------------------------------------
 
-def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 23):
+def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float):
     """sum_p fvals[p] e^{-2 pi i (nodes[p], pts[q])_M / c} over the tensor grid of
     ``grid_points`` (mn <= 2). Node p splits as (j, r) with y_p = s_j + t_r: the two
     axes at mn = 2, p = B j + r with B = ceil(sqrt(N)) at mn = 1. With w = M x the
     sum is sum_j E_out[j, q] (F @ E_in)[j, q] for two small exp tables and the
-    zero-padded samples F as a J x B matrix; no table exceeds the entry budget.
+    zero-padded samples F as a J x B matrix; no table exceeds TABLE_BUDGET entries.
     When the Q targets' w are symmetric bit for bit (w of target Q - 1 - q is -w
     of target q; a zero matches a zero of either sign, since exp takes +0.0 and
     -0.0 phases alike), a column of target q >= ceil(Q / 2) whose mirror target
@@ -214,7 +216,7 @@ def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float, budget: int = 1 << 2
         fvals = padded
     samples = fvals.reshape(len(outer), len(inner))
     out = np.empty(targets, dtype=complex)
-    chunk = max(1, budget // max(samples.shape))
+    chunk = max(1, TABLE_BUDGET // max(samples.shape))
     for start in range(0, targets, chunk):
         stop = min(start + chunk, targets)
         # the targets in [lo, hi) are mirrors of targets in [start, lo)

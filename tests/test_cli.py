@@ -425,7 +425,7 @@ def test_non_finite_output_is_numeric_failure(capsys):
 
 
 def test_convergence_error_is_numeric_failure(monkeypatch, capsys):
-    def capped(p, max_iter=200):
+    def capped(p):
         raise ConvergenceError("highest-point iteration hit the cap")
 
     monkeypatch.setattr(reduction, "siegel_reduce", capped)

@@ -10,15 +10,6 @@ from siegeljacobi.linalg import random_unitary
 from siegeljacobi.metrics import MetricParams
 
 
-def test_wirtinger_first_derivatives():
-    p = spaces.SiegelPoint.create(np.array([[0.3 + 1.1j]]))
-    t = DerivativeTable(lambda q: q.omega[0, 0], p)
-    assert abs(t.d_sym(False)[0, 0] - 1.0) < 1e-10
-    assert abs(t.d_sym(True)[0, 0]) < 1e-10
-    t2 = DerivativeTable(lambda q: abs(q.omega[0, 0]) ** 2, p)
-    assert abs(t2.d_sym(False)[0, 0] - np.conj(p.omega[0, 0])) < 1e-10
-
-
 def test_second_derivatives_against_analytic():
     p = spaces.SiegelPoint.create(np.array([[0.4 + 0.9j]]))
     tol = 1e-9
@@ -33,21 +24,42 @@ def test_second_derivatives_against_analytic():
         <= tol * max(1.0, 4 * abs(w) ** 2)
 
 
-def test_fd_consistency_polynomial_matrix_case():
-    rng = np.random.default_rng(2)
-    p = sampling.random_jacobi_point(2, 1, rng)
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2), (2, 2)])
+def test_hessian_blocks_in_closed_form(n, m):
+    """f = conj(alpha . zeta)(beta . zeta) over the entries zeta of Omega and
+    Z: each block is conj(d(alpha . zeta)) d(beta . zeta), where the weighted
+    (d/dOmega)_cd = (1 + delta_cd)/2 d/domega_cd gives the symmetrized
+    coefficients and d/dz_kl the coefficient of z_kl in the m x n layout.
+    Fourth-order differences are exact on f up to rounding."""
+    rng = np.random.default_rng(31)
+    p = sampling.random_jacobi_point(n, m, rng)
+    size = n * n + m * n
+    alpha, beta = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+    alpha, beta = (c / np.linalg.norm(c) for c in (alpha, beta))    # unit: f is O(|zeta|^2)
 
     def f(q):
-        return complex(np.trace(q.omega @ q.omega) + np.sum(q.z) ** 2
-                       + np.trace(q.omega) * np.sum(np.conj(q.z)))
+        zeta = np.concatenate([q.omega.ravel(), q.z.ravel()])
+        return np.conj(alpha @ zeta) * (beta @ zeta)
 
-    t = DerivativeTable(f, p, FDConfig())
-    # d/dOmega tr(omega^2) = 2 omega; the rest is omega-holomorphic too
-    expected = 2.0 * p.omega + np.sum(np.conj(p.z)) * np.eye(2)
-    assert np.max(np.abs(t.d_sym(False) - expected)) < 1e-9
-    # d/dzbar of tr(omega) sum(conj z) = tr(omega), in the n x m layout
-    expected_zbar = np.trace(p.omega) * np.ones((2, 1))
-    assert np.max(np.abs(t.d_rect(True) - expected_zbar)) < 1e-9
+    t = DerivativeTable(f, p)
+    sym = [0.5 * (c[:n * n].reshape(n, n) + c[:n * n].reshape(n, n).T) for c in (alpha, beta)]
+    rect = [c[n * n:].reshape(m, n) for c in (alpha, beta)]
+    bar = [np.conj(sym[0]), np.conj(rect[0])]
+    for got, left, right in ((t.block_sym_bar_sym(), bar[0], sym[1]),
+                             (t.block_rect_bar_rect(), bar[1], rect[1]),
+                             (t.block_sym_bar_rect(), bar[0], rect[1]),
+                             (t.block_rect_bar_sym(), bar[1], sym[1])):
+        assert np.max(np.abs(got - np.multiply.outer(left, right))) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 10, 12])
+def test_table_stencil_points_and_entries(dim):
+    """A table evaluates f at the center, 4 points along each axis and 16
+    per pair of axes, and sums one entry per second derivative."""
+    offsets, slots, _, ei, ej = diffops._plan(dim)
+    assert len(offsets) == 1 + 4 * dim + 8 * dim * (dim - 1)
+    assert slots.shape[1] == len(ei) == dim * (dim + 1) // 2
+    assert sorted(zip(ei, ej)) == [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
 def test_laplacian_scalar_eigenfunctions():
@@ -321,7 +333,7 @@ def test_scalar_field_keeps_the_batched_marker():
     table = DerivativeTable(field, p)
     assert len(calls) == 1
     bare = DerivativeTable(counted, p)
-    for a, b in ((table.value, bare.value), (table.g1, bare.g1), (table.g2, bare.g2)):
+    for a, b in ((table.value, bare.value), (table.hess, bare.hess)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
@@ -427,8 +439,7 @@ def test_table_of_batched_field_matches_the_plain_callable():
     for stack, f in _batched_fields(np.random.default_rng(41)):
         p = stack.unstack()[0]
         batched, plain = DerivativeTable(f, p), DerivativeTable(lambda q: f(q), p)
-        for a, b in ((batched.g1, plain.g1), (batched.g2, plain.g2),
-                     (batched.value, plain.value)):
+        for a, b in ((batched.hess, plain.hess), (batched.value, plain.value)):
             assert _bits(a) == _bits(b)
 
 

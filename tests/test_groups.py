@@ -157,22 +157,17 @@ def test_embedding_examples():
     assert star_f.is_valid()
 
 
-def test_random_element_reproducible_and_valid():
-    for kind in ("symplectic", "heisenberg", "jacobi", "star"):
-        a = groups.random_element(123, kind, n=2, m=1)
-        b = groups.random_element(123, kind, n=2, m=1)
-        assert a.is_valid()
-        ja, jb = a.to_json(), b.to_json()
-        assert ja == jb
-    ident = groups.random_element(7, "symplectic", n=2, max_word=0)
-    assert np.allclose(ident.mat, np.eye(4))
-    with pytest.raises(DomainError):
-        groups.random_element(0, "nonsense")
+# a random element (n, m, rng) of each JSON kind
+SAMPLERS = {"symplectic": lambda n, m, rng: groups.random_symplectic(n, rng),
+            "heisenberg": groups.random_heisenberg,
+            "jacobi": groups.random_jacobi,
+            "star": lambda n, m, rng: groups.embed_star(groups.random_jacobi(n, m, rng))}
 
 
 def test_element_json_round_trip():
-    for kind in ("symplectic", "heisenberg", "jacobi", "star"):
-        g = groups.random_element(5, kind, n=2, m=2)
+    for kind, sample in SAMPLERS.items():
+        g = sample(2, 2, np.random.default_rng(5))
+        assert g.is_valid() and g.to_json()["kind"] == kind
         back = groups.element_from_json(g.to_json())
         assert back.to_json() == g.to_json()
     with pytest.raises(DomainError):
@@ -211,7 +206,7 @@ def test_element_json_refuses_imaginary_real_parts():
     for kind, path in (("symplectic", ["mat"]), ("heisenberg", ["lam"]), ("heisenberg", ["mu"]),
                        ("heisenberg", ["kappa"]), ("star", ["kappa"]),
                        ("jacobi", ["sp", "mat"]), ("jacobi", ["h", "mu"])):
-        obj = groups.random_element(5, kind, n=2, m=2).to_json()
+        obj = SAMPLERS[kind](2, 2, np.random.default_rng(5)).to_json()
         part = obj
         for key in path:
             part = part[key]

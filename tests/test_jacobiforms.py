@@ -69,7 +69,7 @@ def test_slash_periodicity_of_theta_series():
     rng = np.random.default_rng(7)
     series = _theta_like_series(1.0)
     idx = series.index
-    f = jf.fourier_field(series)
+    f = lambda q: jf.fourier_eval(series, q)
     for _ in range(8):
         p = spaces.JacobiPoint.create(
             np.array([[rng.uniform(-0.4, 0.4) + 1j * rng.uniform(0.9, 1.6)]]),
@@ -218,7 +218,7 @@ def test_m_operator_fd_oracle_degree_two(index_one):
 
         return op
 
-    f0 = jf.fourier_field(series)
+    f0 = lambda q: jf.fourier_eval(series, q)
     det_val = (entry_field(entry_field(f0, 1, 1), 0, 0)(p)
                - entry_field(entry_field(f0, 1, 0), 0, 1)(p))
     fd = np.linalg.det(p.omega.imag) * det_val

@@ -1,12 +1,14 @@
 """Every library name the benchmark's tracer wraps must exist: a missing one
 makes ``perfbench/tracing.instrument`` fail and so the whole benchmark run.
 Likewise the battery workload runs the suites it names, and the workloads
-call the library through the names they read. The names are read from
-``perfbench/tracing.py`` and ``perfbench/workloads.py`` with ``ast``,
-without importing perfbench."""
+call the library through the names they read, and the benchmark's
+self-tests import the names they use. The names are read from
+``perfbench/tracing.py``, ``perfbench/workloads.py`` and
+``perfbench/test_perfbench.py`` with ``ast``, without importing perfbench."""
 import ast
 import functools
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -89,4 +91,20 @@ def test_every_library_name_the_workloads_read_resolves():
             missing.append(".".join((root, *attrs)))
     assert {("sj", "SiegelPoint", "create"), ("sj", "JacobiPoint", "create"),
             ("theta", "weil_generator_action"), ("cli", "main")} <= chains
+    assert not missing, missing
+
+
+def test_every_library_name_the_benchmark_self_tests_import_resolves():
+    """``perfbench/test_perfbench.py`` imports library names inside its
+    tests, where a missing one fails only that self-test. Each resolves as
+    ``from module import name`` does: an attribute, else a submodule."""
+    tree = ast.parse((PERFBENCH / "test_perfbench.py").read_text())
+    imports = {(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "siegeljacobi" for alias in node.names}
+    missing = [f"{module}.{name}" for module, name in sorted(imports)
+               if not hasattr(importlib.import_module(module), name)
+               and importlib.util.find_spec(f"{module}.{name}") is None]
+    assert {"FDConfig", "ScalarField", "SiegelPoint", "diffops", "errors", "checks",
+            "groups", "reduction", "cli"} <= {name for _, name in imports}
     assert not missing, missing

@@ -19,6 +19,7 @@ from siegeljacobi import jacobiforms as jf
 from siegeljacobi.errors import DimensionError, DomainError
 
 from test_cli import run_cli
+from test_groups import SAMPLERS
 
 
 def _sym(a):
@@ -188,7 +189,7 @@ REAL_PARTS = [("symplectic", ["mat"]), ("heisenberg", ["lam"]), ("heisenberg", [
        st.data(), nonzero)
 def test_element_json_refuses_every_imaginary_entry_of_a_real_part(where, seed, n, data, v):
     kind, path = where
-    g = groups.random_element(seed, kind, n=n, m=2)
+    g = SAMPLERS[kind](n, 2, np.random.default_rng(seed))
     obj = g.to_json()
     assert groups.element_from_json(obj).to_json() == obj    # zero imaginary parts
     part = obj

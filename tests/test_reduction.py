@@ -162,7 +162,7 @@ def test_small_eigenvalue_points_pass_their_certificates():
         assert not reduction.minkowski_violations(red.omega.imag)
 
 
-def test_skewed_form_reduces_within_max_iter():
+def test_skewed_form_reduces_within_max_iter(monkeypatch):
     # det Y = 1, but each greedy pass over the +-3 box moves the off-diagonal
     # entry by at most 3, so reduction takes dozens of passes
     p = spaces.SiegelPoint.create(1j * np.array([[1.0, 100.0], [100.0, 10001.0]]))
@@ -170,8 +170,9 @@ def test_skewed_form_reduces_within_max_iter():
     assert cert.passed, cert.checks
     assert cert.iterations > 8
     assert np.allclose(red.omega, 1j * np.eye(2), atol=1e-9)
+    monkeypatch.setattr(reduction, "MAX_ITER", 8)
     with pytest.raises(ConvergenceError) as info:
-        reduction.siegel_reduce(p, max_iter=8)
+        reduction.siegel_reduce(p)
     assert info.value.partial.gamma.is_valid() and info.value.partial.iterations == 8
 
 

@@ -232,7 +232,7 @@ def _dense_kernel_sum(fvals, nodes, pts, m_mat, c):
 @pytest.mark.parametrize("m_mat, n", [([[1.0]], 1), ([[2.0, 1.0], [1.0, 2.0]], 1),
                                       ([[1.0]], 2)])
 @pytest.mark.parametrize("sin_phi", [0.15, 1.0])
-def test_factored_kernel_sum_matches_dense_phase(m_mat, n, sin_phi):
+def test_factored_kernel_sum_matches_dense_phase(monkeypatch, m_mat, n, sin_phi):
     """The two-table contraction equals the dense phase sum for both mn = 2
     layouts and for mn = 1 with a node count that is not a perfect square
     (33 nodes, so the samples are zero-padded), on 0, 1 and several targets,
@@ -244,7 +244,8 @@ def test_factored_kernel_sum_matches_dense_phase(m_mat, n, sin_phi):
     fvals = rng.standard_normal(nodes.shape[0]) + 1j * rng.standard_normal(nodes.shape[0])
     for count, budget in ((0, 1 << 23), (1, 1 << 23), (7, 40)):
         pts = rng.uniform(-2.0, 2.0, (count, c.m, c.n))
-        got = th._chunked_kernel_sum(fvals, nodes, pts, c.m_mat, sin_phi, budget=budget)
+        monkeypatch.setattr(th, "TABLE_BUDGET", budget)
+        got = th._chunked_kernel_sum(fvals, nodes, pts, c.m_mat, sin_phi)
         ref = _dense_kernel_sum(fvals, nodes, pts, c.m_mat, sin_phi)
         assert got.shape == (count,)
         if count:
@@ -347,7 +348,8 @@ def test_kernel_tables_mirrored_over_symmetric_targets_keep_the_bits(monkeypatch
         pairs = sum(len(set(chunk) & set(count - 1 - chunk)) // 2 for chunk in chunks)
         for budget, groups, conjugated in ((1 << 23, [np.arange(count)], count // 2),
                                            (size * width, chunks, pairs)):
-            got = th._chunked_kernel_sum(fvals, nodes, pts, c.m_mat, 0.37, budget=budget)
+            monkeypatch.setattr(th, "TABLE_BUDGET", budget)
+            got = th._chunked_kernel_sum(fvals, nodes, pts, c.m_mat, 0.37)
             assert _same_bits(got, _direct_exp_sum(fvals, nodes, pts, c.m_mat, 0.37, groups))
             assert len(mirrored) == 2 * len(groups) and sum(mirrored) == 2 * conjugated > 0
             mirrored.clear()
