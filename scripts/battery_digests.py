@@ -55,7 +55,8 @@ def parse_seeds(text: str) -> list[int]:
 
 # a success and a refusal per command, then edge cases: far reduced points,
 # a complex index matrix, a non-finite one, one within the integer tolerance
-# of 2, one too large to be an exact integer, and two texts that are no scalar
+# of 2, one too large to be an exact integer, two texts that are no scalar, and
+# a 2 x 2 index against the default 1 x 1 lambda
 CORPUS = [
     ["distance", "--p0", "i", "--p1", "2i"],
     ["distance", "--p0", "i", "--p1", "0,-1"],
@@ -84,6 +85,8 @@ CORPUS = [
     ["theta", "--M", "1e300", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", "1,2,3", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", "[[1]]", "--tau", "0,1", "--phi", "0.3"],
+    ["theta", "--M", '{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+     "--tau", "0,1", "--phi", "0.3"],
 ]
 
 

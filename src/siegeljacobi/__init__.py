@@ -4,7 +4,6 @@ distance, Jacobi-form machinery, and Schrodinger-Weil theta sums."""
 
 from .errors import (AccuracyError, ConvergenceError, DimensionError, DomainError,
                      NumericError, ParameterError)
-from .linalg import is_positive_definite, is_symmetric
 from .spaces import DiskPoint, JacobiDiskPoint, JacobiPoint, SiegelPoint, TangentVector
 from .groups import (HeisenbergElement, JacobiGroupElement, StarGroupElement,
                      SymplecticElement, act, act_disk, act_jacobi, act_jacobi_disk,

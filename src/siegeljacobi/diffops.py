@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, ParameterError
 from .fields import is_batched
-from .linalg import safe_inv
+from .linalg import close_each, safe_inv
 from .metrics import MetricParams, require_weight
 from .spaces import JacobiDiskPoint, JacobiPoint, SiegelPoint, _Chart
 
@@ -423,7 +423,7 @@ def invariant_polynomial(name: str, omega, z=None) -> complex:
         if a is not None and not np.isfinite(a).all():
             raise DomainError(f"{what} has non-finite entries")
     n = omega.shape[0]
-    if omega.shape != (n, n) or np.max(np.abs(omega - omega.T)) > 1e-12:
+    if omega.shape != (n, n) or not close_each(omega, omega.T):
         raise DomainError("omega must be a symmetric square matrix")
     ob = np.conj(omega)
     parts = name.split(":")

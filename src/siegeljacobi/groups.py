@@ -406,11 +406,11 @@ def inversion(n: int) -> SymplecticElement:
 
 
 def _sl2(g) -> np.ndarray:
-    """g as one real 2 x 2 float matrix, once its determinant is 1 within 1e-10."""
+    """g as one real 2 x 2 float matrix, once its determinant is 1 within GROUP_TOL."""
     g = linalg.real_matrix(g, "SL(2, R) matrix")
     if g.shape != (2, 2):
         raise DimensionError(f"SL(2, R) matrix must be 2 x 2, got shape {g.shape}")
-    if abs(linalg._cofactor_det(g.tolist(), 2) - 1.0) > 1e-10:
+    if abs(linalg._cofactor_det(g.tolist(), 2) - 1.0) > GROUP_TOL:
         raise DomainError("SL(2, R) matrix must have determinant 1")
     return g
 

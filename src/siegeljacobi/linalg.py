@@ -123,12 +123,6 @@ def integer_matrix(a, what, symmetric=False, half=False):
     return k.astype(np.int64)
 
 
-def is_symmetric(a) -> bool:
-    """True iff every A_ij is close to A_ji, in every matrix of a stack."""
-    a = square_stack(a)
-    return bool(close_each(a, a.mT).all())
-
-
 def symmetrize(a):
     """(A + tA) / 2 of a square matrix or of each matrix in a stack."""
     a = square_stack(a)
@@ -161,15 +155,6 @@ def _smallest_eigenvalue(s):
     finite = np.isfinite(s).all(axis=(-2, -1))
     s = np.where(finite[..., None, None], s, -np.eye(s.shape[-1], dtype=complex))
     return np.linalg.eigvalsh(s)[..., 0]
-
-
-def is_positive_definite(s) -> bool:
-    """True iff Hermitian ``s``, or every matrix of a Hermitian stack, passes
-    ``positive_each``."""
-    s = square_stack(s)
-    if not close_each(s, s.conj().mT).all():
-        raise DomainError("positivity test requires a Hermitian matrix")
-    return bool(positive_each(hermitize(s)).all())
 
 
 def cholesky(s):
@@ -224,7 +209,8 @@ def require_conditioned(a):
     (Guggenheimer, Edelman and Johnson, College Math. J. 26 (1995) 2-5) is
     below _DET_MARGIN * COND_LIMIT; any other stack is judged by
     ``np.linalg.cond``, except that a matrix with a non-finite entry is
-    refused without one.
+    refused without one. A cleared matrix has cond(A) far below COND_LIMIT,
+    so every accept/reject decision is that of the SVD alone.
 
     A single matrix of degree n <= 3 is first tried by ``_cleared_det``, the
     same bound in Python floats, which costs 1-4 us where the stacked path's

@@ -79,12 +79,9 @@ class ThetaContext:
     def dim(self) -> int:
         return self.m * self.n
 
-    def pairing(self, x, y):
-        """(x, y)_M = tr(t(x) M y), vectorized over leading axes."""
-        return np.einsum("...ab,ac,...cb->...", x, self.m_mat, y)
-
     def norm_sq(self, x):
-        return self.pairing(x, x)
+        """(x, x)_M = tr(t(x) M x), vectorized over leading axes."""
+        return np.einsum("...ab,ac,...cb->...", x, self.m_mat, x)
 
     @cached_property
     def det_power(self):
@@ -198,8 +195,10 @@ def _chunked_kernel_sum(fvals, nodes, pts, m_mat, c: float):
     of target q; a zero matches a zero of either sign, since exp takes +0.0 and
     -0.0 phases alike), a column of target q >= ceil(Q / 2) whose mirror target
     Q - 1 - q lies in the same chunk is the conjugate of the mirror's column:
-    negation is exact and cos is even and sin odd bit for bit. The chunks are
-    those of the direct path, so the contraction sees its tables."""
+    negation is exact and glibc's cos is even and sin odd bit for bit. The chunks
+    are those of the direct path, so the contraction sees its tables: OpenBLAS's
+    zgemm gives a column other low bits at another position in the product, so
+    chunks regrouped by +- pairs would not keep them."""
     count, flat = nodes.shape[0], nodes.reshape(nodes.shape[0], -1)
     w = np.einsum("ac,qcb->qab", m_mat, pts).reshape(-1, flat.shape[1]) * (-TWO_PI / c)
     targets = w.shape[0]
@@ -475,8 +474,6 @@ def theta_sum(f: GridFunction, ctx: ThetaContext, coord: SL2Coord,
     exceeds 1e-10 of max(1, |sum|) or 1e-10 of the largest term. The first
     bound keeps a cancelling sum from loosening the budget; the second holds
     where every term, and so the sum, is far below 1."""
-    if (h.m, h.n) != (ctx.m, ctx.n):
-        raise DimensionError("Heisenberg degrees do not match the context")
     transformed = schrodinger_action(h, weil_sl2_action(coord, f, ctx), ctx)
     terms = np.asarray(transformed.eval_fn(lattice_points(ctx)), dtype=complex)
     total = complex(np.sum(terms))

@@ -2,7 +2,7 @@
 and an entry with a nonzero imaginary part are refused by name, and a zero
 imaginary part reads as the real input, bit for bit; one finiteness rule for
 every reader of a parameter matrix; and one positivity rule for a point and
-for ``linalg.is_positive_definite``."""
+for a matrix, ``linalg.positive_each``."""
 import dataclasses
 import json
 import re
@@ -242,4 +242,4 @@ def test_positivity_is_the_rule_of_a_siegel_point(a):
         accepted = True
     except DomainError:
         accepted = False
-    assert linalg.is_positive_definite(s) == accepted
+    assert bool(linalg.positive_each(s)) == accepted

@@ -3,6 +3,9 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from siegeljacobi import groups, reduction, sampling, spaces
 from siegeljacobi.errors import ConvergenceError, DimensionError, DomainError, NumericError
@@ -372,6 +375,28 @@ def test_jacobi_reduce_random_cells():
         replay = groups.act_jacobi(cert.gamma, p)
         assert np.max(np.abs(replay.omega - out.omega)) <= 1e-9
         assert np.max(np.abs(replay.z - out.z)) <= 1e-9
+
+
+# integers plus offsets across the cell's lower bound -DOMAIN_SLACK
+_EDGE_COEFFS = st.builds(lambda k, e: k + e, st.integers(-3, 3),
+                         st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13,
+                                          2e-12, -2e-12, 1e-11, -1e-11]))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@settings(max_examples=40, deadline=None)
+@given(coeffs=hnp.arrays(float, (2, 2, 2), elements=_EDGE_COEFFS))
+def test_toroidal_cell_edges(n, m, coeffs):
+    """Omega is already reduced, so Z = lam + mu Omega reaches the toroidal
+    step unchanged: the floors that move it and the cell's bound share one
+    slack, and a coefficient just below an integer lands inside the cell."""
+    omega = 1j * np.diag([1.0, 1.2][:n])
+    lam, mu = coeffs[:, :m, :n]
+    out, cert = reduction.jacobi_reduce(spaces.JacobiPoint.create(omega, lam + mu @ omega))
+    assert cert.passed
+    assert np.array_equal(cert.gamma.sp.mat, np.eye(2 * n))
+    for c in reduction.toroidal_coefficients(out):
+        assert np.all(c >= -reduction.DOMAIN_SLACK) and np.all(c < 1.0)
 
 
 def test_det_im_monotonicity_via_certificate():

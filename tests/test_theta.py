@@ -623,6 +623,14 @@ def test_theta_kappa_shift(ctx):
     assert abs(shifted - np.exp(0.7j * np.pi) * base) < 1e-10 * abs(base)
 
 
+@pytest.mark.parametrize("m_mat, m", [(np.eye(1), 2), (np.eye(2), 1)])
+def test_theta_sum_refuses_a_heisenberg_element_of_another_degree(m_mat, m):
+    ctx = th.ThetaContext(m_mat, n=1, n_cut=4)
+    h = hb(np.zeros((m, 1)), np.zeros((m, 1)), np.zeros((m, m)))
+    with pytest.raises(DimensionError, match="^Heisenberg degrees do not match the context$"):
+        th.theta_sum(th.gaussian(ctx), ctx, th.SL2Coord(0.2 + 1.1j, 0.3), h)
+
+
 def test_jacobi_two_and_three(ctx):
     rng = np.random.default_rng(31)
     for m_val in (1.0, 2.0):
