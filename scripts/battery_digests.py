@@ -13,9 +13,11 @@ such as ``0-99,2026`` (default ``2026``); an empty, reversed or non-integer
 item prints this text on stderr and exits 2. With ``--cli`` it prints the
 same digest, after the arguments as JSON, for each invocation of CORPUS: a
 success and a refusal of every command but ``check``, then edge cases whose
-messages a refactor may change. With ``--kernels`` it prints, for each entry
-of a fixed corpus of Weil kernel evaluations (``kernel_lines``), its label and
-the sha256 of the output's bytes, or the error it raised. Two trees give the
+messages a refactor may change; where an invocation writes a certificate
+(``--cert CERT``), the sha256 of that file follows stdout's. With
+``--kernels`` it prints, for each entry of a fixed corpus of Weil kernel
+evaluations (``kernel_lines``), its label and the sha256 of the output's
+bytes, or the error it raised. Two trees give the
 same output where their lines agree, so diffing the output for the two is the
 check. The first line names the BLAS thread count. Run as a script, it pins
 the count to 1 before numpy is imported: OpenBLAS splits a matrix product over
@@ -36,6 +38,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -56,15 +59,18 @@ def parse_seeds(text: str) -> list[int]:
 # a success and a refusal per command, then edge cases: far reduced points,
 # a complex index matrix, a non-finite one, one within the integer tolerance
 # of 2, one too large to be an exact integer, two texts that are no scalar, and
-# a 2 x 2 index against the default 1 x 1 lambda
+# a 2 x 2 index against the default 1 x 1 lambda; each reduction writes its
+# certificate, at n = 1, 2 and 3
+CERT = "CERT"    # stands for the certificate file, in a temporary directory
 CORPUS = [
     ["distance", "--p0", "i", "--p1", "2i"],
     ["distance", "--p0", "i", "--p1", "0,-1"],
     ["cayley", "--dir", "fwd", "--point", "0.3"],
     ["cayley", "--dir", "fwd", "--point", "1e200"],
-    ["reduce", "--space", "hn", "--point", "0.3+0.5i"],
-    ["reduce", "--space", "hn", "--point", "0,-1"],
-    ["reduce", "--space", "hnm", "--point", '{"omega": "3.7+0.2i", "z": "1.3-0.4i"}'],
+    ["reduce", "--space", "hn", "--point", "0.3+0.5i", "--cert", CERT],
+    ["reduce", "--space", "hn", "--point", "0,-1", "--cert", CERT],
+    ["reduce", "--space", "hnm", "--point", '{"omega": "3.7+0.2i", "z": "1.3-0.4i"}',
+     "--cert", CERT],
     ["metric", "--space", "hnm", "--point", '{"omega": "i", "z": "0.2"}',
      "--t1", '{"domega": "1", "dz": "0.5"}', "--t2", "1"],
     ["metric", "--space", "dn", "--point", "i", "--t1", "1", "--t2", "1"],
@@ -74,9 +80,16 @@ CORPUS = [
     ["theta", "--M", "0", "--tau", "0,1", "--phi", "0.3"],
     ["element", "--word", "t(0.5);g(0.2);s", "--n", "2"],
     ["element", "--word", "g(-1)", "--n", "1"],
-    ["reduce", "--space", "hn", "--point", "1e155i"],
-    ["reduce", "--space", "hn", "--point", "1e300i"],
-    ["reduce", "--space", "hnm", "--point", '{"omega": "1e300i", "z": "0.5"}'],
+    ["reduce", "--space", "hn", "--point", "1e155i", "--cert", CERT],
+    ["reduce", "--space", "hn", "--point", "1e300i", "--cert", CERT],
+    ["reduce", "--space", "hnm", "--point", '{"omega": "1e300i", "z": "0.5"}', "--cert", CERT],
+    ["reduce", "--space", "hn", "--cert", CERT, "--point",
+     '{"omega": {"rows": 2, "cols": 2, "data": [[1.3, 0.2], [-0.8, 0.1], [-0.8, 0.1], '
+     '[2.6, 0.3]]}}'],
+    ["reduce", "--space", "hnm", "--cert", CERT, "--point",
+     '{"omega": {"rows": 3, "cols": 3, "data": [[0.7, 0.9], [1.6, 0.2], [-0.3, 0.0], '
+     '[1.6, 0.2], [-2.2, 1.1], [0.4, -0.3], [-0.3, 0.0], [0.4, -0.3], [0.9, 0.8]]}, '
+     '"z": {"rows": 1, "cols": 3, "data": [[2.5, -1.5], [0.3, 4.0], [-3.1, 0.7]]}}'],
     ["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", '{"rows": 1, "cols": 1, "data": [[2, 0]]}', "--tau", "0,1", "--phi", "1"],
     ["theta", "--M", "nan", "--tau", "0,1", "--phi", "0.3"],
@@ -132,13 +145,23 @@ def kernel_lines(theta, errors):
 
 
 def run(cli, argv: list[str]) -> str:
-    """The exit code, the sha256 of stdout and the stderr lines of cli.main(argv)."""
+    """The exit code, the sha256 of stdout, where argv names CERT the sha256
+    of the certificate file (``none`` when none was written), and the stderr
+    lines of cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([path if a == CERT else a for a in argv])
+        cert = ""
+        if CERT in argv:
+            cert = " cert=none"
+            if os.path.exists(path):
+                with open(path, "rb") as handle:
+                    cert = " cert=" + hashlib.sha256(handle.read()).hexdigest()
     sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
     stderr = json.dumps(err.getvalue().splitlines())
-    return f"exit={code} stdout={sha} stderr={stderr}"
+    return f"exit={code} stdout={sha}{cert} stderr={stderr}"
 
 
 def digest(cli, suite: str, seed: int) -> str:

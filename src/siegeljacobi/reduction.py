@@ -168,24 +168,14 @@ def minkowski_violations(y):
 
 def _candidate_generators(n: int):
     gens = []
-    for i in range(n):
+    for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
         b = np.zeros((n, n))
-        b[i, i] = 1.0
-        gens.append(translation(b))
-        gens.append(translation(-b))
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = np.zeros((n, n))
-            b[i, j] = b[j, i] = 1.0
-            gens.append(translation(b))
-            gens.append(translation(-b))
+        b[i, j] = b[j, i] = 1.0
+        gens += [translation(b), translation(-b)]
     for perm in permutations(range(n)):
-        mat = np.eye(n)[list(perm)]
-        if not np.allclose(mat, np.eye(n)):
-            gens.append(dilation(mat))
-    for signs in product([1.0, -1.0], repeat=n):
-        if all(s == 1.0 for s in signs):
-            continue
+        if perm != tuple(range(n)):
+            gens.append(dilation(np.eye(n)[list(perm)]))
+    for signs in list(product([1.0, -1.0], repeat=n))[1:]:    # all but the identity
         gens.append(dilation(np.diag(signs)))
     gens.append(inversion(n))
     s_mat = [[0.0, -1.0], [1.0, 0.0]]
@@ -271,9 +261,10 @@ def siegel_reduce(p: SiegelPoint):
     Returns (reduced point, certificate). The reduced point satisfies the
     Minkowski condition on Im and |Re| <= 1/2 entrywise exactly; the maximal
     det Im condition is certified against the finite candidate set only. At
-    n >= 2 the certificate reads that condition from the loop's last
-    candidate scan, which was made on the reduced point itself, so each
-    iteration scans once and the certificate adds no scan.
+    n >= 2 the certificate takes two checks from the loop's last iteration,
+    which ended on the reduced point: the candidate scan and the Minkowski
+    verdict on Im Omega, which the closing real translation keeps. It makes
+    the replay, the symplectic relation and the bound on Re afresh.
     """
     n = p.n
     ratios = None
@@ -290,7 +281,8 @@ def siegel_reduce(p: SiegelPoint):
         while iters < MAX_ITER:
             iters += 1
             _, u = minkowski_reduce(current.omega.imag)
-            g1 = dilation(u.T.astype(float))
+            # u unimodular, b below symmetric: both valid by construction
+            g1 = SymplecticElement(groups._dilation_matrix(u.T.astype(float)))
             current = groups.act_siegel(g1, current)
             gamma = g1.multiply(gamma)
             # one greedy pass over the box need not reduce a skewed form; the
@@ -299,7 +291,7 @@ def siegel_reduce(p: SiegelPoint):
                 continue
             b = -np.round(current.omega.real)
             b = 0.5 * (b + b.T)
-            g2 = translation(b)
+            g2 = SymplecticElement(groups._translation_matrix(b))
             current = SiegelPoint(current.omega + b)    # t(b) in closed form, bit for bit
             gamma = g2.multiply(gamma)
             ratios = candidate_det_ratios(current)
@@ -327,13 +319,15 @@ def certificate_checks(original: SiegelPoint, reduced: SiegelPoint,
 
 def _checks(original, reduced, gamma, ratios) -> dict:
     """``certificate_checks``, with ``ratios`` the candidate scan of
-    ``reduced`` when the caller has made it (None: scan here)."""
+    ``reduced`` when the loop has made it (None: scan here). The loop scans
+    only once ``minkowski_violations`` has found none on the same Im Omega,
+    so its scan stands for that verdict too."""
     replay = groups.act_siegel(gamma, original)
     checks = {
         "gamma_symplectic": gamma.is_valid(),
         "replay_matches": bool(np.max(np.abs(replay.omega - reduced.omega)) <= CERT_TOL),
         "real_part_bounded": bool(np.max(np.abs(reduced.omega.real)) <= 0.5 + DOMAIN_SLACK),
-        "im_minkowski": not minkowski_violations(reduced.omega.imag),
+        "im_minkowski": ratios is not None or not minkowski_violations(reduced.omega.imag),
     }
     if reduced.n == 1:
         checks["modulus_at_least_one"] = bool(abs(reduced.omega[0, 0]) >= 1.0 - DOMAIN_SLACK)
@@ -358,27 +352,31 @@ def jacobi_reduce(p: JacobiPoint):
     """Reduce Omega to the Siegel domain, then translate Z into the toroidal
     cell {lam + mu Omega : 0 <= lam, mu < 1} by an integral Heisenberg
     element; returns (reduced point, certificate with the full group element).
+    The certificate keeps the Siegel checks, the loop's scan and Minkowski
+    verdict among them, but replays the full element on p in place of the
+    Siegel replay, and adds the element's validity, the integrality of the
+    Heisenberg step and the cell bounds on the output.
     """
     _, cert_s = siegel_reduce(p.siegel_part())
-    g_sp = JacobiGroupElement.from_symplectic(cert_s.gamma, p.m)
-    moved = groups.act_jacobi(g_sp, p)
+    sp = cert_s.gamma
+    moved = groups.act_jacobi(JacobiGroupElement.from_symplectic(sp, p.m), p)
     lam_c, mu_c = toroidal_coefficients(moved)
     # the Heisenberg lambda-slot shifts the Omega-coefficient and the mu-slot
     # shifts the constant coefficient (Z -> Z + lam0 Omega + mu0)
     lam0 = -np.floor(mu_c + DOMAIN_SLACK)
     mu0 = -np.floor(lam_c + DOMAIN_SLACK)
-    kappa0 = lam0 @ mu0.T
-    h = HeisenbergElement(lam0, mu0, kappa0)
-    g_h = JacobiGroupElement.from_heisenberg(h)
-    out = groups.act_jacobi(g_h, moved)
-    gamma = g_h.multiply(g_sp)
+    h = HeisenbergElement(lam0, mu0, lam0 @ mu0.T)
+    # h has C = 0 and D = I: act would solve Z + lam0 Omega + mu0 by I (the
+    # same values; an exact zero keeps this sum's sign), and h sp needs no
+    # product by the identity
+    out = JacobiPoint(moved.omega, moved.z + lam0 @ moved.omega + mu0)
+    gamma = JacobiGroupElement(sp, h.translate_right(sp))
     lam_f, mu_f = toroidal_coefficients(out)
     checks = dict(cert_s.checks)
     checks.update({
         "gamma_valid": gamma.is_valid(),
-        "integral_heisenberg": bool(np.allclose(lam0, np.round(lam0)) and np.allclose(mu0, np.round(mu0))),
-        "cell_coefficients": bool(np.all(lam_f >= -DOMAIN_SLACK) and np.all(lam_f < 1.0)
-                                  and np.all(mu_f >= -DOMAIN_SLACK) and np.all(mu_f < 1.0)),
+        "integral_heisenberg": all((a == np.round(a)).all() for a in (lam0, mu0)),
+        "cell_coefficients": all(((c >= -DOMAIN_SLACK) & (c < 1.0)).all() for c in (lam_f, mu_f)),
     })
     replay = groups.act_jacobi(gamma, p)
     checks["replay_matches"] = bool(max(np.max(np.abs(replay.omega - out.omega)),

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from siegeljacobi import cli, theta
+from siegeljacobi import cli, errors, theta
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -66,6 +66,18 @@ def test_cli_corpus_digests_each_invocation():
     assert exits >= {(c, e) for c in commands for e in "02"}
     assert lines[digests.CORPUS.index(["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"])] \
         .endswith('stderr=["input error: index matrix has nonzero imaginary entries"]')
+    # every reduction writes its certificate, whose digest follows stdout's
+    for args, line in zip(digests.CORPUS, lines):
+        cert = line.split(" cert=")[1].split(" ")[0] if " cert=" in line else None
+        assert (cert is not None) == (args[0] == "reduce") == (digests.CERT in args), args
+        if cert is not None:
+            assert len(cert) == 64 if " exit=0 " in line else cert == "none", line
+    degrees = set()
+    for args in digests.CORPUS:
+        if args[0] == "reduce":
+            with contextlib.suppress(errors.DomainError):    # the refusal
+                degrees.add(cli.parse_point_arg(args[args.index("--point") + 1], args[2]).n)
+    assert degrees == {1, 2, 3}
 
 
 def test_kernel_corpus_digests_each_evaluation():

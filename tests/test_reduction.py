@@ -1,4 +1,5 @@
-from itertools import combinations, product
+import hashlib
+from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
@@ -318,6 +319,120 @@ def test_jacobi_certificate_reuses_the_converged_scan(monkeypatch):
         assert cert.passed, cert.checks
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_takes_the_loops_minkowski_verdict(monkeypatch, n):
+    """At n >= 2 each iteration checks Minkowski once and the certificate
+    reads the last verdict; the degree-one loop has no Minkowski step, so
+    there the certificate checks once itself. Either way the verdict is that
+    of a fresh check on the output, on Siegel and Siegel-Jacobi points."""
+    _, verdicts = _count_scans(monkeypatch)
+    rng = np.random.default_rng(70 + n)
+    for i in range(40):
+        p = sampling.random_siegel_point(n, rng, y_range=(0.1, 2.0))
+        if i % 2:
+            z = rng.uniform(-3.0, 3.0, (1 + i % 4 // 2, n, 2)) @ [1.0, 1j]
+            p = spaces.JacobiPoint.create(p.omega, z)
+        verdicts.clear()
+        red, cert = (reduction.jacobi_reduce if i % 2 else reduction.siegel_reduce)(p)
+        assert len(verdicts) == (cert.iterations if n > 1 else 1), i
+        assert verdicts[-1] is False, i
+        assert cert.checks["im_minkowski"] == (not reduction.minkowski_violations(red.omega.imag))
+        assert cert.passed, (i, cert.checks)
+
+
+def _heisenberg_step(p, sp):
+    """The toroidal step of ``jacobi_reduce`` after its Siegel part sp, by the
+    general action: the point sp moves p to, h, and h sp as a product."""
+    g_sp = groups.JacobiGroupElement.from_symplectic(sp, p.m)
+    moved = groups.act_jacobi(g_sp, p)
+    lam_c, mu_c = reduction.toroidal_coefficients(moved)
+    lam0 = -np.floor(mu_c + reduction.DOMAIN_SLACK)
+    mu0 = -np.floor(lam_c + reduction.DOMAIN_SLACK)
+    g_h = groups.JacobiGroupElement.from_heisenberg(groups.HeisenbergElement(lam0, mu0, lam0 @ mu0.T))
+    return groups.act_jacobi(g_h, moved), g_h.multiply(g_sp)
+
+
+def _gamma_parts(g):
+    return [g.sp.mat, g.h.lam, g.h.mu, g.h.kappa]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobi_step_in_closed_form_has_the_bits_of_the_action(n):
+    rng = np.random.default_rng(80 + n)
+    for i in range(40):
+        p = sampling.random_jacobi_point(n, 1 + i % 2, rng)
+        p = spaces.JacobiPoint(p.omega, 4.0 * p.z)
+        out, cert = reduction.jacobi_reduce(p)
+        ref, gamma = _heisenberg_step(p, cert.gamma.sp)
+        assert [a.tobytes() for a in out.parts()] == [a.tobytes() for a in ref.parts()], i
+        assert [a.tobytes() for a in _gamma_parts(cert.gamma)] == \
+            [a.tobytes() for a in _gamma_parts(gamma)], i
+
+
+def test_jacobi_step_on_lattice_points_has_the_values_of_the_action():
+    """Z on the lattice can reduce to an entry that is exactly 0. The solve
+    by I inside the general action may flip the sign of such a zero (LAPACK's
+    triangular solves subtract 0 times the other entries); the closed form
+    keeps the sign of Z + lam Omega + mu. Every value and gamma's bits agree."""
+    rng = np.random.default_rng(5)
+    zeros = 0
+    for i in range(120):
+        n = 2 + i % 2
+        x = np.round(rng.uniform(-2.0, 2.0, (n, n)), 1)
+        y = np.round(rng.uniform(-0.3, 0.3, (n, n)), 1)
+        omega = 0.5 * (x + x.T) + 1j * (np.eye(n) + 0.5 * (y + y.T))
+        lam, mu = np.round(rng.uniform(-3.0, 3.0, (2, 1, n)))
+        p = spaces.JacobiPoint.create(omega, lam + mu @ omega)
+        out, cert = reduction.jacobi_reduce(p)
+        ref, gamma = _heisenberg_step(p, cert.gamma.sp)
+        assert all(np.array_equal(a, b) for a, b in zip(out.parts(), ref.parts())), i
+        assert [a.tobytes() for a in _gamma_parts(cert.gamma)] == \
+            [a.tobytes() for a in _gamma_parts(gamma)], i
+        assert cert.passed, (i, cert.checks)
+        zeros += int(np.count_nonzero(out.z.real == 0.0) + np.count_nonzero(out.z.imag == 0.0))
+    assert zeros > 0
+
+
+def _reference_generators(n):
+    """The generator list in its documented order, written out by hand."""
+    mats = []
+    for i, j in [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]:
+        b = np.zeros((n, n))
+        b[i, j] = b[j, i] = 1.0
+        for sign in (1.0, -1.0):
+            t = np.eye(2 * n)
+            t[:n, n:] = sign * b
+            mats.append(t)
+    for perm in list(permutations(range(n)))[1:]:
+        a = np.eye(n)[list(perm)]
+        mats.append(np.block([[a.T, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(a)]]))
+    for signs in list(product([1.0, -1.0], repeat=n))[1:]:
+        mats.append(np.diag(signs + signs))
+    mats.append(np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]]))
+    for k in range(n):
+        s = np.eye(2 * n)
+        s[np.ix_([k, n + k], [k, n + k])] = [[0.0, -1.0], [1.0, 0.0]]
+        mats.append(s)
+    return mats
+
+
+# sha256 of the candidate matrices, signed zeros read as +0.0, in order
+_CANDIDATE_DIGESTS = {
+    1: (31, "e38dcda1928bc1ee33fc5928c70cd891a4e51a0ae03569aa77c49bf97e113d42"),
+    2: (566, "ca9eac58a380174f139edb8d99e23b931caf340413230972691257f9ea7c2a26"),
+    3: (412, "3f073bc0e4b3f69d7152f70719ffe368352268d74e64efc3c51c812b07b9934a"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_candidate_set_keeps_its_matrices_and_order(n):
+    gens = [g.mat for g in reduction._candidate_generators(n)]
+    ref = _reference_generators(n)
+    assert len(gens) == len(ref) and all(np.array_equal(a, b) for a, b in zip(gens, ref))
+    mats = np.array([g.mat for g in reduction.siegel_candidates(n)]) + 0.0
+    assert (len(mats), hashlib.sha256(mats.tobytes()).hexdigest()) == _CANDIDATE_DIGESTS[n]
+
+
 def test_exact_minors_match_float_determinants():
     rng = np.random.default_rng(4)
     assert not reduction._minors_coprime([[2, 0], [0, 1]])
@@ -397,6 +512,29 @@ def test_toroidal_cell_edges(n, m, coeffs):
     assert np.array_equal(cert.gamma.sp.mat, np.eye(2 * n))
     for c in reduction.toroidal_coefficients(out):
         assert np.all(c >= -reduction.DOMAIN_SLACK) and np.all(c < 1.0)
+
+
+# Re(Omega) entries on the domain's edges |Re| = 1/2, and just either side
+_HALF_EDGES = st.builds(lambda k, e: k + 0.5 + e, st.integers(-3, 2),
+                        st.sampled_from([0.0, 1e-13, -1e-13, 2e-12, -2e-12]))
+# Minkowski-reduced Im(Omega) near and below the unit matrix
+_EDGE_Y = {2: [np.eye(2), [[1.0, 0.3], [0.3, 1.2]], [[0.6, 0.2], [0.2, 0.7]]],
+           3: [np.eye(3), [[1.0, 0.3, 0.1], [0.3, 1.1, 0.4], [0.1, 0.4, 1.3]],
+               [[0.6, 0.2, -0.1], [0.2, 0.7, 0.25], [-0.1, 0.25, 0.8]]]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(re=hnp.arrays(float, (3, 3), elements=_HALF_EDGES), pick=st.integers(0, 2))
+def test_real_part_edges(n, re, pick):
+    x = np.triu(re[:n, :n])
+    omega = x + np.triu(x, 1).T + 1j * np.array(_EDGE_Y[n][pick])
+    p = spaces.SiegelPoint.create(omega)
+    red, cert = reduction.siegel_reduce(p)
+    assert cert.passed, cert.checks
+    assert np.max(np.abs(red.omega.real)) <= 0.5 + reduction.DOMAIN_SLACK
+    replay = groups.act_siegel(cert.gamma, p)
+    assert np.max(np.abs(replay.omega - red.omega)) <= reduction.CERT_TOL
 
 
 def test_det_im_monotonicity_via_certificate():
