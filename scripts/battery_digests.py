@@ -57,10 +57,11 @@ def parse_seeds(text: str) -> list[int]:
 
 
 # a success and a refusal per command, then edge cases: far reduced points,
-# a complex index matrix, a non-finite one, one within the integer tolerance
-# of 2, one too large to be an exact integer, two texts that are no scalar, and
-# a 2 x 2 index against the default 1 x 1 lambda; each reduction writes its
-# certificate, at n = 1, 2 and 3
+# a Z too far out for the toroidal cell (a failed certificate), a complex
+# index matrix, a non-finite one, one within the integer tolerance of 2, one
+# too large to be an exact integer, two texts that are no scalar, and a 2 x 2
+# index against the default 1 x 1 lambda; each reduction writes its
+# certificate, Siegel and Jacobi reductions at n = 1, 2 and 3
 CERT = "CERT"    # stands for the certificate file, in a temporary directory
 CORPUS = [
     ["distance", "--p0", "i", "--p1", "2i"],
@@ -83,6 +84,8 @@ CORPUS = [
     ["reduce", "--space", "hn", "--point", "1e155i", "--cert", CERT],
     ["reduce", "--space", "hn", "--point", "1e300i", "--cert", CERT],
     ["reduce", "--space", "hnm", "--point", '{"omega": "1e300i", "z": "0.5"}', "--cert", CERT],
+    ["reduce", "--space", "hnm", "--point", '{"omega": "0.3+1.1i", "z": "0.1+1e17i"}',
+     "--cert", CERT],
     ["reduce", "--space", "hn", "--cert", CERT, "--point",
      '{"omega": {"rows": 2, "cols": 2, "data": [[1.3, 0.2], [-0.8, 0.1], [-0.8, 0.1], '
      '[2.6, 0.3]]}}'],
@@ -90,6 +93,9 @@ CORPUS = [
      '{"omega": {"rows": 3, "cols": 3, "data": [[0.7, 0.9], [1.6, 0.2], [-0.3, 0.0], '
      '[1.6, 0.2], [-2.2, 1.1], [0.4, -0.3], [-0.3, 0.0], [0.4, -0.3], [0.9, 0.8]]}, '
      '"z": {"rows": 1, "cols": 3, "data": [[2.5, -1.5], [0.3, 4.0], [-3.1, 0.7]]}}'],
+    ["reduce", "--space", "hnm", "--cert", CERT, "--point",
+     '{"omega": {"rows": 2, "cols": 2, "data": [[0.4, 0.9], [1.3, 0.1], [1.3, 0.1], '
+     '[-0.6, 1.4]]}, "z": {"rows": 1, "cols": 2, "data": [[3.2, -2.1], [-1.7, 0.6]]}}'],
     ["theta", "--M", "1,1", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", '{"rows": 1, "cols": 1, "data": [[2, 0]]}', "--tau", "0,1", "--phi", "1"],
     ["theta", "--M", "nan", "--tau", "0,1", "--phi", "0.3"],

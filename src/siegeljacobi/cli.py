@@ -154,13 +154,17 @@ def cmd_reduce(args) -> int:
         reduced, cert = reduction.siegel_reduce(point)
     else:
         reduced, cert = reduction.jacobi_reduce(point)
-    _emit(reduced.to_json())
+    line = _json_line(reduced.to_json())
     if args.cert:
         payload = {"iterations": cert.iterations, "checks": cert.checks,
                    "gamma": cert.gamma.to_json()}
         with open(args.cert, "w") as handle:
             json.dump(payload, handle, sort_keys=True)
-    return 0 if cert.passed else NUMERIC_FAILURE
+    if not cert.passed:
+        raise NumericError("certificate checks failed: "
+                           + ", ".join(k for k, ok in cert.checks.items() if not ok))
+    print(line)
+    return 0
 
 
 def parse_tangent_arg(text: str, point) -> TangentVector:

@@ -250,9 +250,50 @@ def _reduce_degree_one(p: SiegelPoint):
             gamma = np.array([[0.0, -1.0], [1.0, 0.0]]) @ gamma
             continue
         if abs(omega.real) <= 0.5:
-            return SiegelPoint(np.array([[omega]])), SymplecticElement(gamma), it + 1
+            return SiegelPoint(np.array([[omega]])), SymplecticElement(gamma), it + 1, None
     raise ConvergenceError("degree-1 reduction did not converge",
                            partial=ReductionCertificate(SymplecticElement(gamma), MAX_ITER))
+
+
+def _reduce_loop(p: SiegelPoint):
+    """Highest-point iteration: (reduced point, gamma, iterations, the
+    candidate scan of the reduced point, None at n = 1). The scan is made
+    only once ``minkowski_violations`` has found none on the same Im Omega,
+    which the closing real translation keeps, so it stands for that verdict too."""
+    n = p.n
+    if n == 1:
+        return _reduce_degree_one(p)
+    if n > 3:
+        raise DimensionError("siegel_reduce supports n <= 3")
+    cands = siegel_candidates(n)
+    gamma = SymplecticElement.identity(n)
+    current = p
+    for iters in range(1, MAX_ITER + 1):
+        _, u = minkowski_reduce(current.omega.imag)
+        # u unimodular, b below symmetric: both valid by construction
+        g1 = SymplecticElement(groups._dilation_matrix(u.T.astype(float)))
+        current = groups.act_siegel(g1, current)
+        gamma = g1.multiply(gamma)
+        # one greedy pass over the box need not reduce a skewed form; the
+        # next iteration passes again, within the same MAX_ITER budget
+        if minkowski_violations(current.omega.imag):
+            continue
+        b = -np.round(current.omega.real)
+        b = 0.5 * (b + b.T)
+        g2 = SymplecticElement(groups._translation_matrix(b))
+        current = SiegelPoint(current.omega + b)    # t(b) in closed form, bit for bit
+        gamma = g2.multiply(gamma)
+        ratios = candidate_det_ratios(current)
+        top = ratios.max()
+        if not top > 1.0 + DET_SLACK:
+            return current, gamma, iters, ratios
+        # candidates that differ by a unimodular dilation tie exactly: take
+        # the first one within DET_SLACK of the top, not the one rounding favours
+        best = cands[int(np.argmax(ratios >= top * (1.0 - DET_SLACK)))]
+        current = groups.act_siegel(best, current)
+        gamma = best.multiply(gamma)
+    raise ConvergenceError("highest-point iteration hit the cap",
+                           partial=ReductionCertificate(gamma, MAX_ITER))
 
 
 def siegel_reduce(p: SiegelPoint):
@@ -261,71 +302,30 @@ def siegel_reduce(p: SiegelPoint):
     Returns (reduced point, certificate). The reduced point satisfies the
     Minkowski condition on Im and |Re| <= 1/2 entrywise exactly; the maximal
     det Im condition is certified against the finite candidate set only. At
-    n >= 2 the certificate takes two checks from the loop's last iteration,
-    which ended on the reduced point: the candidate scan and the Minkowski
-    verdict on Im Omega, which the closing real translation keeps. It makes
-    the replay, the symplectic relation and the bound on Re afresh.
+    n >= 2 the certificate takes the loop's last candidate scan, and with it
+    the Minkowski verdict on Im Omega; it makes the replay, the symplectic
+    relation and the bound on Re afresh.
     """
-    n = p.n
-    ratios = None
-    if n == 1:
-        out, gamma, iters = _reduce_degree_one(p)
-    else:
-        if n > 3:
-            raise DimensionError("siegel_reduce supports n <= 3")
-        cands = siegel_candidates(n)
-        gamma = SymplecticElement.identity(n)
-        current = p
-        iters = 0
-        converged = False
-        while iters < MAX_ITER:
-            iters += 1
-            _, u = minkowski_reduce(current.omega.imag)
-            # u unimodular, b below symmetric: both valid by construction
-            g1 = SymplecticElement(groups._dilation_matrix(u.T.astype(float)))
-            current = groups.act_siegel(g1, current)
-            gamma = g1.multiply(gamma)
-            # one greedy pass over the box need not reduce a skewed form; the
-            # next iteration passes again, within the same MAX_ITER budget
-            if minkowski_violations(current.omega.imag):
-                continue
-            b = -np.round(current.omega.real)
-            b = 0.5 * (b + b.T)
-            g2 = SymplecticElement(groups._translation_matrix(b))
-            current = SiegelPoint(current.omega + b)    # t(b) in closed form, bit for bit
-            gamma = g2.multiply(gamma)
-            ratios = candidate_det_ratios(current)
-            top = ratios.max()
-            if not top > 1.0 + DET_SLACK:
-                converged = True
-                break
-            # candidates that differ by a unimodular dilation tie exactly: take
-            # the first one within DET_SLACK of the top, not the one rounding favours
-            best = cands[int(np.argmax(ratios >= top * (1.0 - DET_SLACK)))]
-            current = groups.act_siegel(best, current)
-            gamma = best.multiply(gamma)
-        if not converged:
-            raise ConvergenceError("highest-point iteration hit the cap",
-                                   partial=ReductionCertificate(gamma, iters))
-        out = current
-    return out, ReductionCertificate(gamma, iters, _checks(p, out, gamma, ratios))
+    out, gamma, iters, ratios = _reduce_loop(p)
+    return out, ReductionCertificate(gamma, iters,
+                                     _checks(groups.act_siegel(gamma, p), out, gamma, ratios))
 
 
 def certificate_checks(original: SiegelPoint, reduced: SiegelPoint,
                        gamma: SymplecticElement) -> dict:
     """The certificate's conditions, the replay and candidate scan to CERT_TOL."""
-    return _checks(original, reduced, gamma, None)
+    return _checks(groups.act_siegel(gamma, original), reduced, gamma, None)
 
 
-def _checks(original, reduced, gamma, ratios) -> dict:
-    """``certificate_checks``, with ``ratios`` the candidate scan of
-    ``reduced`` when the loop has made it (None: scan here). The loop scans
-    only once ``minkowski_violations`` has found none on the same Im Omega,
-    so its scan stands for that verdict too."""
-    replay = groups.act_siegel(gamma, original)
+def _checks(replay, reduced, gamma, ratios) -> dict:
+    """The Siegel conditions on ``reduced`` (a Siegel or Siegel-Jacobi
+    point), with ``replay`` the original point moved by the element whose
+    symplectic part is ``gamma``, and ``ratios`` the loop's candidate scan of
+    ``reduced`` (None: scan and check Minkowski here)."""
     checks = {
         "gamma_symplectic": gamma.is_valid(),
-        "replay_matches": bool(np.max(np.abs(replay.omega - reduced.omega)) <= CERT_TOL),
+        "replay_matches": bool(max(np.max(np.abs(a - b)) for a, b in
+                                   zip(replay.parts(), reduced.parts())) <= CERT_TOL),
         "real_part_bounded": bool(np.max(np.abs(reduced.omega.real)) <= 0.5 + DOMAIN_SLACK),
         "im_minkowski": ratios is not None or not minkowski_violations(reduced.omega.imag),
     }
@@ -352,15 +352,16 @@ def jacobi_reduce(p: JacobiPoint):
     """Reduce Omega to the Siegel domain, then translate Z into the toroidal
     cell {lam + mu Omega : 0 <= lam, mu < 1} by an integral Heisenberg
     element; returns (reduced point, certificate with the full group element).
-    The certificate keeps the Siegel checks, the loop's scan and Minkowski
-    verdict among them, but replays the full element on p in place of the
-    Siegel replay, and adds the element's validity, the integrality of the
-    Heisenberg step and the cell bounds on the output.
+    Omega is the Siegel loop's output; Z is moved once by the loop's element.
+    The certificate has the Siegel checks on the output, taking the loop's
+    scan and Minkowski verdict, with the full element replayed on p, and adds
+    the element's validity, the integrality of the Heisenberg step and the
+    cell bounds on the output.
     """
-    _, cert_s = siegel_reduce(p.siegel_part())
-    sp = cert_s.gamma
-    moved = groups.act_jacobi(JacobiGroupElement.from_symplectic(sp, p.m), p)
-    lam_c, mu_c = toroidal_coefficients(moved)
+    red, sp, iters, ratios = _reduce_loop(p.siegel_part())
+    omega = red.omega
+    z = groups.act_jacobi(JacobiGroupElement.from_symplectic(sp, p.m), p).z
+    lam_c, mu_c = toroidal_coefficients(JacobiPoint(omega, z))
     # the Heisenberg lambda-slot shifts the Omega-coefficient and the mu-slot
     # shifts the constant coefficient (Z -> Z + lam0 Omega + mu0)
     lam0 = -np.floor(mu_c + DOMAIN_SLACK)
@@ -369,16 +370,13 @@ def jacobi_reduce(p: JacobiPoint):
     # h has C = 0 and D = I: act would solve Z + lam0 Omega + mu0 by I (the
     # same values; an exact zero keeps this sum's sign), and h sp needs no
     # product by the identity
-    out = JacobiPoint(moved.omega, moved.z + lam0 @ moved.omega + mu0)
+    out = JacobiPoint(omega, z + lam0 @ omega + mu0)
     gamma = JacobiGroupElement(sp, h.translate_right(sp))
     lam_f, mu_f = toroidal_coefficients(out)
-    checks = dict(cert_s.checks)
+    checks = _checks(groups.act_jacobi(gamma, p), out, sp, ratios)
     checks.update({
         "gamma_valid": gamma.is_valid(),
         "integral_heisenberg": all((a == np.round(a)).all() for a in (lam0, mu0)),
         "cell_coefficients": all(((c >= -DOMAIN_SLACK) & (c < 1.0)).all() for c in (lam_f, mu_f)),
     })
-    replay = groups.act_jacobi(gamma, p)
-    checks["replay_matches"] = bool(max(np.max(np.abs(replay.omega - out.omega)),
-                                        np.max(np.abs(replay.z - out.z))) <= CERT_TOL)
-    return out, ReductionCertificate(gamma, cert_s.iterations, checks)
+    return out, ReductionCertificate(gamma, iters, checks)

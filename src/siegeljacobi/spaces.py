@@ -205,9 +205,6 @@ class TangentVector:
     def m(self) -> int:
         return self.d_z.shape[-2]
 
-    def scale(self, c) -> "TangentVector":
-        return TangentVector(c * self.d_omega, c * self.d_z)
-
 
 def stack(items):
     """The stack of equal-shaped points, tangent vectors or group elements of

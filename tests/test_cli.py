@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from siegeljacobi import checks, cli, groups, linalg, reduction, spaces
 from siegeljacobi.checks import CheckRow
@@ -422,6 +427,68 @@ def test_non_finite_output_is_numeric_failure(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: result has non-finite entries\n"
+
+
+# Z so far out that an ulp of its cell coefficients is 0.5 (at 3e15) or 16 (at
+# 1e17): the Heisenberg step cannot land in the cell
+FAR_Z = ['{"omega": "0.3+1.1i", "z": "0.1+1e17i"}',
+         '{"omega": "0.3+1.1i", "z": "3.3e15+1.1e15i"}']
+
+
+@pytest.mark.parametrize("point", FAR_Z)
+def test_failed_certificate_is_one_numeric_error(tmp_path, point):
+    cert = tmp_path / "cert.json"
+    code, out, err = run_cli(["reduce", "--space", "hnm", "--point", point, "--cert", str(cert)])
+    assert (code, out) == (1, "")
+    assert err == "numeric error: certificate checks failed: cell_coefficients\n"
+    checks = json.loads(cert.read_text())["checks"]
+    assert [k for k, ok in checks.items() if not ok] == ["cell_coefficients"]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+@st.composite
+def _reduce_inputs(draw):
+    """(space, point JSON): Omega of degree 1-3 with Im Omega's eigenvalues in
+    [1e-3, 1e3] about a random frame, and on hnm Z with entries up to 1e18."""
+    space = draw(st.sampled_from(["hn", "hnm"]))
+    n = draw(st.integers(1, 3))
+    eigs = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    x = rng.uniform(-5.0, 5.0, (n, n))
+    y = q * eigs @ q.T
+    omega = 0.5 * (x + x.T) + 0.5j * (y + y.T)
+    obj = {"omega": linalg.matrix_to_json(omega)}
+    if space == "hnm":
+        m = draw(st.integers(1, 2))
+        z = draw(hnp.arrays(float, (m, n, 2), elements=st.floats(-1e18, 1e18)))
+        obj["z"] = linalg.matrix_to_json(z @ [1.0, 1j])
+    return space, json.dumps(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reduce_inputs())
+@example(("hnm", FAR_Z[0]))
+@example(("hnm", FAR_Z[1]))
+def test_reduce_is_finite_or_refused(case):
+    """Every reduce either exits 0 with finite JSON and a certificate whose
+    checks all hold, or exits 1 or 2 with one stderr line and no stdout."""
+    space, point = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = pathlib.Path(tmp) / "cert.json"
+        code, out, err = run_cli(["reduce", "--space", space, "--point", point,
+                                  "--cert", str(cert)])
+        if code == 0:
+            assert err == "" and out.count("\n") == 1
+            reduced = spaces.point_from_json(json.loads(out, parse_constant=_refuse_constant))
+            assert all(np.isfinite(a).all() for a in reduced.parts())
+            assert all(json.loads(cert.read_text())["checks"].values())
+        else:
+            assert code in (1, 2) and out == "", (code, out, err)
+            assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_convergence_error_is_numeric_failure(monkeypatch, capsys):

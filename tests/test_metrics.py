@@ -231,7 +231,7 @@ def test_pushforward_modes_agree_and_linear():
     exact = metrics.pushforward(mat, p, t)
     fd = metrics.map_differential(lambda q: groups.act_siegel(mat, q), p, t)
     assert np.max(np.abs(exact.d_omega - fd.d_omega)) < 1e-6
-    doubled = metrics.pushforward(mat, p, t.scale(2.0))
+    doubled = metrics.pushforward(mat, p, TangentVector(2.0 * t.d_omega, 2.0 * t.d_z))
     assert np.max(np.abs(doubled.d_omega - 2.0 * exact.d_omega)) < 1e-12
     ident = groups.SymplecticElement.identity(2)
     fixed = metrics.pushforward(ident, p, t)

@@ -289,34 +289,60 @@ def test_certificate_reuses_the_converged_scan(monkeypatch):
 
 
 def test_jacobi_certificate_reuses_the_converged_scan(monkeypatch):
+    """The last scan is of the returned Omega, and the Siegel checks are those
+    of a fresh certificate of Omega against the Siegel part of the input."""
     scans, verdicts = _count_scans(monkeypatch)
-    inner = []
-    siegel_reduce = reduction.siegel_reduce
-
-    def recorded(p):
-        red, cert = siegel_reduce(p)
-        inner.append((p, red, cert))
-        return red, cert
-
-    monkeypatch.setattr(reduction, "siegel_reduce", recorded)
     rng = np.random.default_rng(9)
     for i in range(60):
         n = 2 + i % 2
         base = sampling.random_siegel_point(n, rng, y_range=(0.1, 2.0))
         z = rng.uniform(-2.0, 2.0, (1, n)) + 1j * rng.uniform(-2.0, 2.0, (1, n))
+        p = spaces.JacobiPoint.create(base.omega, z)
         scans.clear()
         verdicts.clear()
-        inner.clear()
-        out, cert = reduction.jacobi_reduce(spaces.JacobiPoint.create(base.omega, z))
-        (p, red, cert_s), = inner
-        assert len(scans) == cert_s.iterations - sum(verdicts), i
-        assert scans[-1] is red
-        expect = reduction.certificate_checks(p, red, cert_s.gamma)
-        assert cert_s.checks == expect, i
-        # jacobi_reduce keeps the Siegel checks but replays the whole element
+        out, cert = reduction.jacobi_reduce(p)
+        assert len(scans) == cert.iterations - sum(verdicts), i
+        assert scans[-1].omega.tobytes() == out.omega.tobytes(), i
+        scans.clear()
+        expect = reduction.certificate_checks(p.siegel_part(), spaces.SiegelPoint(out.omega),
+                                              cert.gamma.sp)
+        assert len(scans) == 1
+        # the replay is of the whole element, on Omega and Z
         assert {k: cert.checks[k] for k in expect if k != "replay_matches"} == \
-            {k: v for k, v in expect.items() if k != "replay_matches"}
+            {k: v for k, v in expect.items() if k != "replay_matches"}, i
         assert cert.passed, cert.checks
+
+
+def test_jacobi_reduce_returns_the_omega_of_the_siegel_reduction():
+    rng = np.random.default_rng(1)
+    for i in range(300):
+        p = sampling.random_jacobi_point(1 + i % 3, 1 + i % 2, rng)
+        out, _ = reduction.jacobi_reduce(p)
+        red, _ = reduction.siegel_reduce(p.siegel_part())
+        assert out.omega.tobytes() == red.omega.tobytes(), i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobi_reduce_replays_its_element_once(monkeypatch, n):
+    """A Jacobi reduction makes the Siegel loop's actions and no Siegel
+    replay: one act_siegel fewer than the Siegel reduction of its Siegel part."""
+    calls = []
+    act_siegel = groups.act_siegel
+
+    def counted(g, p):
+        calls.append(p)
+        return act_siegel(g, p)
+
+    monkeypatch.setattr(groups, "act_siegel", counted)
+    rng = np.random.default_rng(20 + n)
+    for i in range(20):
+        p = sampling.random_jacobi_point(n, 1, rng)
+        calls.clear()
+        reduction.jacobi_reduce(p)
+        jacobi_calls = len(calls)
+        calls.clear()
+        reduction.siegel_reduce(p.siegel_part())
+        assert jacobi_calls == len(calls) - 1, i
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -342,9 +368,11 @@ def test_certificate_takes_the_loops_minkowski_verdict(monkeypatch, n):
 
 def _heisenberg_step(p, sp):
     """The toroidal step of ``jacobi_reduce`` after its Siegel part sp, by the
-    general action: the point sp moves p to, h, and h sp as a product."""
+    general action: the point with the Siegel reduction's Omega and the Z sp
+    moves p's to, h, and h sp as a product."""
     g_sp = groups.JacobiGroupElement.from_symplectic(sp, p.m)
-    moved = groups.act_jacobi(g_sp, p)
+    moved = spaces.JacobiPoint(reduction.siegel_reduce(p.siegel_part())[0].omega,
+                               groups.act_jacobi(g_sp, p).z)
     lam_c, mu_c = reduction.toroidal_coefficients(moved)
     lam0 = -np.floor(mu_c + reduction.DOMAIN_SLACK)
     mu0 = -np.floor(lam_c + reduction.DOMAIN_SLACK)
