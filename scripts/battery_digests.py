@@ -59,9 +59,11 @@ def parse_seeds(text: str) -> list[int]:
 # a success and a refusal per command, then edge cases: far reduced points,
 # a Z too far out for the toroidal cell (a failed certificate), a complex
 # index matrix, a non-finite one, one within the integer tolerance of 2, one
-# too large to be an exact integer, two texts that are no scalar, and a 2 x 2
-# index against the default 1 x 1 lambda; each reduction writes its
-# certificate, Siegel and Jacobi reductions at n = 1, 2 and 3
+# too large to be an exact integer, two texts that are no scalar, a 2 x 2
+# index against the default 1 x 1 lambda, a far Re Omega whose element is
+# checked in exact integers, and a skewed 3 x 3 Im Omega whose Minkowski move
+# needs the exact integer inverse; each reduction writes its certificate,
+# Siegel and Jacobi reductions at n = 1, 2 and 3
 CERT = "CERT"    # stands for the certificate file, in a temporary directory
 CORPUS = [
     ["distance", "--p0", "i", "--p1", "2i"],
@@ -106,6 +108,14 @@ CORPUS = [
     ["theta", "--M", "[[1]]", "--tau", "0,1", "--phi", "0.3"],
     ["theta", "--M", '{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
      "--tau", "0,1", "--phi", "0.3"],
+    ["reduce", "--space", "hn", "--point", '{"omega": "100000000.37+0.05i"}', "--cert", CERT],
+    ["reduce", "--space", "hn", "--cert", CERT, "--point",
+     '{"omega": {"rows": 3, "cols": 3, "data": [[0, 21.5], [0, -13], [0, -16], [0, -13], '
+     '[0, 8], [0, 10], [0, -16], [0, 10], [0, 13]]}}'],
+    ["reduce", "--space", "hnm", "--cert", CERT, "--point",
+     '{"omega": {"rows": 3, "cols": 3, "data": [[0, 21.5], [0, -13], [0, -16], [0, -13], '
+     '[0, 8], [0, 10], [0, -16], [0, 10], [0, 13]]}, '
+     '"z": {"rows": 1, "cols": 3, "data": [[0.4, 0.3], [-1.2, 0.5], [2.1, -0.7]]}}'],
 ]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, permutations, product
-from math import gcd, isfinite
+from math import gcd
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import groups
 from .errors import ConvergenceError, DimensionError, DomainError
 from .groups import (HeisenbergElement, JacobiGroupElement, SymplecticElement,
                      dilation, embedded_sl2, inversion, translation)
-from .linalg import _cofactor_det, close_each, real_array, require_conditioned, safe_inv
+from .linalg import _cofactor_det, positive_each, real_symmetric, require_conditioned, safe_inv
 from .spaces import JacobiPoint, SiegelPoint
 
 ENUM_BOUND = 3
@@ -51,7 +51,7 @@ def _box(n: int, bound: int):
     """Nonzero integer vectors with |entries| <= bound in lexicographic order,
     and a mask whose column k says that the tail a_k..a_n is coprime; both
     read-only."""
-    vecs = np.array(list(product(range(-bound, bound + 1), repeat=n)), dtype=int)
+    vecs = np.array(list(product(range(-bound, bound + 1), repeat=_degree(n))), dtype=int)
     vecs = vecs[vecs.any(axis=1)]
     tail_gcd = np.gcd.accumulate(np.abs(vecs[:, ::-1]), axis=1)[:, ::-1]
     coprime_tail = tail_gcd == 1
@@ -103,25 +103,27 @@ def _sign_fix(y):
     return np.diag(s.astype(int))
 
 
+def _degree(n: int) -> int:
+    """n, refused past 3: the vector box and candidate words are certified to n = 3."""
+    if n > 3:
+        raise DimensionError(f"the reduction supports n <= 3, got n = {n}")
+    return n
+
+
 def minkowski_reduce(y):
     """Greedy successive-minima reduction; returns (U y tU, U) unimodular U.
 
-    Covers n <= 3 only (DimensionError otherwise); the candidate vectors fill
-    the max-norm box of radius ENUM_BOUND, the certification boundary.
+    y is read by ``linalg.real_symmetric`` and tested by ``positive_each``,
+    n <= 3; the candidate vectors fill the max-norm box of radius ENUM_BOUND.
     """
-    y = real_array(y, "y")
-    if y.ndim != 2 or not 0 < y.shape[0] == y.shape[1] <= 3:
-        raise DimensionError(f"y must be one n x n matrix, n <= 3, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise DomainError("y has non-finite entries")
+    return _minkowski_reduce(real_symmetric(y, "y"))
+
+
+def _minkowski_reduce(y):
+    """``minkowski_reduce`` on a read y: the loop's one positivity test of Im Omega."""
+    if not positive_each(y):
+        raise DomainError("y is not positive definite")
     n = y.shape[0]
-    if not close_each(y, y.T):
-        raise DomainError("expected a real symmetric matrix")
-    # own positivity test: a reduction calls this hundreds of times on a valid
-    # Im Omega, and real_symmetric + positive_each cost the reduce benchmark +10%
-    # (wall_s median 0.108 -> 0.119 s, 4 alternating pairs, one BLAS thread, 2 cores)
-    if np.linalg.eigvalsh(y)[0] <= 0:
-        raise DomainError("matrix is not positive definite")
     cands = _primitive_vectors(n, ENUM_BOUND)
     # ascending in (a y ta, a): lexsort takes its primary key last
     order = np.lexsort((*cands.T[::-1], _forms(cands, y)))
@@ -145,14 +147,14 @@ def minkowski_violations(y):
     """Violations of the reduction conditions over the vector box of radius
     ENUM_BOUND, each beyond the relative slack CERT_TOL: for each k, vectors
     a with coprime tail a_k..a_n must satisfy a y ta >= y_kk; superdiagonal
-    entries must be nonnegative."""
-    y = real_array(y, "y")
-    if y.ndim != 2 or y.shape[0] != y.shape[1] or not y.size:
-        raise DimensionError(f"y must be one square matrix, got shape {y.shape}")
+    entries must be nonnegative. y is read by ``linalg.real_symmetric``, n <= 3."""
+    return _minkowski_violations(real_symmetric(y, "y"))
+
+
+def _minkowski_violations(y):
+    """``minkowski_violations`` on a y already read."""
     n = y.shape[0]
     scale = float(np.max(np.abs(y)))
-    if not isfinite(scale):
-        raise DomainError("y has non-finite entries")
     vecs, coprime_tail = _box(n, ENUM_BOUND)
     q = _forms(vecs, y)
     short = coprime_tail & (q[:, None] < np.diag(y) - CERT_TOL * scale)
@@ -187,7 +189,7 @@ def _candidate_generators(n: int):
 @cache
 def siegel_candidates(n: int):
     """Deterministic finite candidate set: short words in the generator list."""
-    gens = _candidate_generators(n)
+    gens = _candidate_generators(_degree(n))
     max_len = 3 if n <= 2 else 2
     seen = {}
     frontier = [SymplecticElement.identity(n)]
@@ -263,23 +265,22 @@ def _reduce_loop(p: SiegelPoint):
     n = p.n
     if n == 1:
         return _reduce_degree_one(p)
-    if n > 3:
-        raise DimensionError("siegel_reduce supports n <= 3")
     cands = siegel_candidates(n)
     gamma = SymplecticElement.identity(n)
     current = p
     for iters in range(1, MAX_ITER + 1):
-        _, u = minkowski_reduce(current.omega.imag)
-        # u unimodular, b below symmetric: both valid by construction
-        g1 = SymplecticElement(groups._dilation_matrix(u.T.astype(float)))
+        _, u = _minkowski_reduce(current.omega.imag)
+        # u unimodular, and b below symmetric as an action's Omega is: both
+        # valid by construction. The D block, LAPACK's inverse of tU, rounds
+        # to tU's exact integer inverse
+        g1 = SymplecticElement(np.rint(groups._dilation_matrix(u.T.astype(float))))
         current = groups.act_siegel(g1, current)
         gamma = g1.multiply(gamma)
         # one greedy pass over the box need not reduce a skewed form; the
         # next iteration passes again, within the same MAX_ITER budget
-        if minkowski_violations(current.omega.imag):
+        if _minkowski_violations(current.omega.imag):
             continue
         b = -np.round(current.omega.real)
-        b = 0.5 * (b + b.T)
         g2 = SymplecticElement(groups._translation_matrix(b))
         current = SiegelPoint(current.omega + b)    # t(b) in closed form, bit for bit
         gamma = g2.multiply(gamma)
@@ -323,11 +324,11 @@ def _checks(replay, reduced, gamma, ratios) -> dict:
     symplectic part is ``gamma``, and ``ratios`` the loop's candidate scan of
     ``reduced`` (None: scan and check Minkowski here)."""
     checks = {
-        "gamma_symplectic": gamma.is_valid(),
+        "gamma_symplectic": _exactly_valid(gamma),
         "replay_matches": bool(max(np.max(np.abs(a - b)) for a, b in
                                    zip(replay.parts(), reduced.parts())) <= CERT_TOL),
         "real_part_bounded": bool(np.max(np.abs(reduced.omega.real)) <= 0.5 + DOMAIN_SLACK),
-        "im_minkowski": ratios is not None or not minkowski_violations(reduced.omega.imag),
+        "im_minkowski": ratios is not None or not _minkowski_violations(reduced.omega.imag),
     }
     if reduced.n == 1:
         checks["modulus_at_least_one"] = bool(abs(reduced.omega[0, 0]) >= 1.0 - DOMAIN_SLACK)
@@ -336,6 +337,26 @@ def _checks(replay, reduced, gamma, ratios) -> dict:
             ratios = candidate_det_ratios(reduced)
         checks["det_im_maximal_over_candidates"] = not (ratios > 1.0 + CERT_TOL).any()
     return checks
+
+
+def _exactly_valid(g) -> bool:
+    """``g.is_valid()`` of a symplectic or Jacobi element; where that float
+    test fails and every entry is an integer below 2^53, as in every element
+    a reduction builds, the relations tM J M = J and kappa + mu tlam
+    symmetric are decided again in Python integers: far out, an integral
+    element's products round by more than GROUP_TOL."""
+    if g.is_valid():
+        return True
+    parts = [g.mat] if isinstance(g, SymplecticElement) else [g.sp.mat, *g.h.parts()]
+    parts.append(groups.symplectic_form(g.n))
+    if not all(((np.abs(a) < 2.0 ** 53) & (a == np.rint(a))).all() for a in parts):
+        return False
+    m, *h, j = (a.astype(np.int64).astype(object) for a in parts)
+    residuals = [m.T @ j @ m - j]
+    if h:
+        lam, mu, kappa = h
+        residuals.append(kappa + mu @ lam.T - (kappa + mu @ lam.T).T)
+    return not any(r.any() for r in residuals)
 
 
 # -- Toroidal reduction ------------------------------------------------------------
@@ -375,7 +396,7 @@ def jacobi_reduce(p: JacobiPoint):
     lam_f, mu_f = toroidal_coefficients(out)
     checks = _checks(groups.act_jacobi(gamma, p), out, sp, ratios)
     checks.update({
-        "gamma_valid": gamma.is_valid(),
+        "gamma_valid": _exactly_valid(gamma),
         "integral_heisenberg": all((a == np.round(a)).all() for a in (lam0, mu0)),
         "cell_coefficients": all(((c >= -DOMAIN_SLACK) & (c < 1.0)).all() for c in (lam_f, mu_f)),
     })

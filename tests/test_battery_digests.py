@@ -84,7 +84,7 @@ def test_cli_corpus_digests_each_invocation():
             with contextlib.suppress(errors.DomainError):    # the refusal
                 degrees[args[2]].add(cli.parse_point_arg(args[args.index("--point") + 1],
                                                          args[2]).n)
-    assert degrees == {"hn": {1, 2}, "hnm": {1, 2, 3}}
+    assert degrees == {"hn": {1, 2, 3}, "hnm": {1, 2, 3}}
 
 
 def test_kernel_corpus_digests_each_evaluation():

@@ -445,6 +445,16 @@ def test_failed_certificate_is_one_numeric_error(tmp_path, point):
     assert [k for k, ok in checks.items() if not ok] == ["cell_coefficients"]
 
 
+def test_far_real_part_passes_its_certificate(tmp_path):
+    """At Re Omega = 1e8 gamma's entries are near 1e8, and tgamma J gamma = J,
+    which its float products round by more than GROUP_TOL, holds in integers."""
+    cert = tmp_path / "cert.json"
+    code, out, err = run_cli(["reduce", "--space", "hn", "--point",
+                              '{"omega": "100000000.37+0.05i"}', "--cert", str(cert)])
+    assert (code, err) == (0, "")
+    assert all(json.loads(cert.read_text())["checks"].values())
+
+
 def _refuse_constant(name):
     raise AssertionError(f"non-finite JSON constant {name}")
 

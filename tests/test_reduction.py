@@ -95,21 +95,63 @@ def test_minkowski_violations_match_loop():
 
 
 def test_minkowski_input_validation():
+    """Both Minkowski entries read y by ``linalg.real_symmetric``: a scalar is
+    1 x 1, asymmetry within ``close_each`` is averaged, and another shape, a
+    non-finite entry or asymmetry past it is refused by name, by both."""
     with pytest.raises(DimensionError):
         reduction.minkowski_reduce(np.eye(4))
     with pytest.raises(DomainError):
         reduction.minkowski_reduce(np.diag([1.0, -1.0]))
-    # another shape or a non-finite entry is refused by name, by both functions
-    for read, square in ((reduction.minkowski_reduce, "n x n matrix, n <= 3"),
-                         (reduction.minkowski_violations, "square matrix")):
-        for bad, shape in ((2.0, r"\(\)"), (np.ones(2), r"\(2,\)"), (np.ones((2, 3)), r"\(2, 3\)"),
-                           (np.ones((2, 2, 2)), r"\(2, 2, 2\)"), (np.ones((0, 0)), r"\(0, 0\)")):
-            refusal = f"^y must be one {square}, got shape {shape}$"
-            with pytest.raises(DimensionError, match=refusal):
+    assert reduction.minkowski_reduce(2.0)[1].tolist() == [[1]]
+    assert reduction.minkowski_violations(2.0) == []
+    y = np.array([[2.0, -0.5], [-0.5 - 1e-12, 1.0]])
+    mean = 0.5 * y + 0.5 * y.T
+    assert reduction.minkowski_violations(y) == reduction.minkowski_violations(mean)
+    assert [a.tolist() for a in reduction.minkowski_reduce(y)] == \
+        [a.tolist() for a in reduction.minkowski_reduce(mean)]
+    for read in (reduction.minkowski_reduce, reduction.minkowski_violations):
+        for bad, refusal in ((np.ones(2), r"one matrix, got shape \(2,\)"),
+                             (np.ones((2, 2, 2)), r"one matrix, got shape \(2, 2, 2\)"),
+                             (np.ones((0, 0)), r"one matrix, got shape \(0, 0\)"),
+                             (np.ones((2, 3)), r"square, got shape \(2, 3\)")):
+            with pytest.raises(DimensionError, match=f"^y must be {refusal}$"):
                 read(bad)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DomainError, match="^y has non-finite entries$"):
                 read(np.array([[2.0, 0.5], [0.5, bad]]))
+        with pytest.raises(DomainError, match="^y must be symmetric$"):
+            read(np.array([[2.0, 0.5], [0.4, 1.0]]))
+
+
+def test_minkowski_positivity_is_that_of_siegel_points():
+    """A Y that ``SiegelPoint.create`` refuses, ``minkowski_reduce`` refuses too:
+    one test, ``linalg.positive_each``, at ABS_TOL."""
+    y = np.diag([1.0, 5e-11])
+    with pytest.raises(DomainError, match="^Im\\(omega\\) is not positive definite$"):
+        spaces.SiegelPoint.create(1j * y)
+    with pytest.raises(DomainError, match="^y is not positive definite$"):
+        reduction.minkowski_reduce(y)
+    reduction.minkowski_reduce(np.diag([1.0, 2e-10]))
+    # a point that skips create is refused by the loop, not reduced
+    with pytest.raises(DomainError, match="^y is not positive definite$"):
+        reduction.siegel_reduce(spaces.SiegelPoint(0.3 + 1j * y))
+
+
+def test_every_entry_refuses_degree_four_before_it_enumerates(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("a candidate list was built")
+
+    monkeypatch.setattr(reduction, "product", enumerate_nothing)
+    monkeypatch.setattr(reduction, "_candidate_generators", enumerate_nothing)
+    p = spaces.SiegelPoint.create(1j * np.eye(4))
+    entries = [(reduction.minkowski_reduce, np.eye(4)), (reduction.minkowski_violations, np.eye(4)),
+               (reduction.siegel_candidates, 4), (reduction.candidate_det_ratios, p),
+               (reduction.certificate_checks, p, p, groups.SymplecticElement.identity(4)),
+               (reduction.siegel_reduce, p),
+               (reduction.jacobi_reduce, spaces.JacobiPoint.create(p.omega, np.zeros((1, 4))))]
+    for entry, *args in entries:
+        with pytest.raises(DimensionError, match="^the reduction supports n <= 3, got n = 4$"):
+            entry(*args)
 
 
 def test_degree_one_reduction_matches_oracle():
@@ -178,6 +220,108 @@ def test_skewed_form_reduces_within_max_iter(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         reduction.siegel_reduce(p)
     assert info.value.partial.gamma.is_valid() and info.value.partial.iterations == 8
+
+
+def _exactly_symplectic(mat) -> bool:
+    """mat has integer entries, and tM J M = J holds in Python integers."""
+    k = mat.astype(np.int64)
+    if not np.array_equal(k, mat):
+        return False
+    j = groups.symplectic_form(len(mat) // 2).astype(np.int64).astype(object)
+    k = k.astype(object)
+    return bool((k.T @ j @ k == j).all())
+
+
+# i A diag(1/2, 1, 2) tA with A = [[3, -3, 2], [-2, 2, -1], [-2, 3, -1]] unimodular
+SKEWED = 1j * np.array([[21.5, -13.0, -16.0], [-13.0, 8.0, 10.0], [-16.0, 10.0, 13.0]])
+
+
+def test_skewed_form_reduces_by_an_integral_element():
+    """The Minkowski move's D block is the exact integer inverse of tU, so
+    gamma is an exact integral symplectic matrix and moves Omega to i diag(1,
+    2, 2) exactly, on Siegel and Siegel-Jacobi points alike."""
+    red, cert = reduction.siegel_reduce(spaces.SiegelPoint.create(SKEWED))
+    assert cert.passed and _exactly_symplectic(cert.gamma.mat)
+    assert red.omega.tolist() == (1j * np.diag([1.0, 2.0, 2.0])).tolist()
+    p = spaces.JacobiPoint.create(SKEWED, [[0.4 + 0.3j, -1.2 + 0.5j, 2.1 - 0.7j]])
+    out, cert = reduction.jacobi_reduce(p)
+    assert cert.passed and _exactly_symplectic(cert.gamma.sp.mat)
+    assert out.omega.tolist() == red.omega.tolist()
+    assert all(np.array_equal(a, np.rint(a)) for a in cert.gamma.h.parts())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_skewed_forms_reduce_by_integral_elements(n):
+    """Im Omega = A D tA with A unimodular, entries in [-3, 3], and D diagonal
+    in [1/2, 2]: every gamma is integral and exactly symplectic, and so is a
+    Jacobi gamma's Heisenberg part."""
+    rng = np.random.default_rng(1)
+    done = 0
+    while done < 40:
+        a = rng.integers(-3, 4, (n, n))
+        if abs(round(np.linalg.det(a))) != 1:
+            continue
+        x = rng.uniform(-2.0, 2.0, (n, n))
+        omega = 0.5 * (x + x.T) + 1j * (a * rng.uniform(0.5, 2.0, n) @ a.T)
+        if done % 2:
+            p = spaces.JacobiPoint.create(omega, rng.uniform(-2.0, 2.0, (1, n)))
+            _, cert = reduction.jacobi_reduce(p)
+            sp, h = cert.gamma.sp, cert.gamma.h.parts()
+        else:
+            _, cert = reduction.siegel_reduce(spaces.SiegelPoint.create(omega))
+            sp, h = cert.gamma, []
+        assert cert.passed, (a, cert.checks)
+        assert _exactly_symplectic(sp.mat), a
+        assert all(np.array_equal(b, np.rint(b)) for b in h), a
+        done += 1
+
+
+def test_group_checks_are_exact_on_integral_elements():
+    """Where the float relation of an integral element rounds past GROUP_TOL,
+    gamma_symplectic and gamma_valid are decided in Python integers."""
+    p = spaces.SiegelPoint.create([[0.3 + 1.1j]])
+    # det = 1e16 - (1e16 - 1) = 1, but the float product bc rounds to 1e16
+    far = groups.SymplecticElement(np.array([[1e8, 100000001.0], [99999999.0, 1e8]]))
+    assert not far.is_valid()
+    assert reduction.certificate_checks(p, p, far)["gamma_symplectic"]
+    for mat in ([[1e8, 100000001.0], [99999999.0, 1e8 + 1.0]], [[2.0, 0.0], [0.0, 1.0]],
+                [[1e8, 100000001.0], [99999999.0, 1e8 + 0.5]]):
+        g = groups.SymplecticElement(np.array(mat))
+        assert not reduction.certificate_checks(p, p, g)["gamma_symplectic"], mat
+    # kappa + mu tlam symmetric: its (0, 1) entry (2^26 + 1)(2^27 + 1) - 2^53 + 2
+    # = 2^27 + 2^26 + 3 is its (1, 0) entry, but the float product rounds by 1
+    lam = np.array([[2.0 ** 27 + 2.0 ** 26 + 3], [2.0 ** 27 + 1]])
+    mu = np.array([[2.0 ** 26 + 1], [1.0]])
+    for k01, k10, valid in ((2.0 - 2.0 ** 53, 0.0, True), (4.0 - 2.0 ** 53, 0.0, False),
+                            (2.0 - 2.0 ** 53, 0.5, False)):
+        h = groups.HeisenbergElement(lam, mu, np.array([[0.0, k01], [k10, 0.0]]))
+        g = groups.JacobiGroupElement(groups.SymplecticElement.identity(1), h)
+        assert not g.is_valid()
+        assert reduction._exactly_valid(g) == valid, (k01, k10)
+        assert reduction._exactly_valid(groups.JacobiGroupElement(far, h)) == valid, (k01, k10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), jacobi=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       re=hnp.arrays(float, (3, 3), elements=st.floats(-1e12, 1e12)))
+def test_far_real_parts_keep_their_group_checks(n, jacobi, seed, re):
+    """With Re Omega entries up to 1e12 every gamma is integral, and neither
+    gamma_symplectic nor gamma_valid is ever false."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    y = q * rng.uniform(0.1, 2.0, n) @ q.T
+    x = re[:n, :n]
+    omega = 0.5 * x + 0.5 * x.T + 0.5j * (y + y.T)
+    if jacobi:
+        p = spaces.JacobiPoint.create(omega, rng.uniform(-2.0, 2.0, (1, n)))
+        _, cert = reduction.jacobi_reduce(p)
+        assert cert.checks["gamma_valid"], cert.checks
+        sp = cert.gamma.sp
+    else:
+        _, cert = reduction.siegel_reduce(spaces.SiegelPoint.create(omega))
+        sp = cert.gamma
+    assert cert.checks["gamma_symplectic"], cert.checks
+    assert _exactly_symplectic(sp.mat)
 
 
 def test_batched_scan_matches_candidate_actions():
@@ -252,9 +396,10 @@ def test_candidate_blocks_form_exactly(monkeypatch):
 
 def _count_scans(monkeypatch):
     """Record the point of every candidate scan and the verdict of every
-    Minkowski-violation check made inside ``reduction``."""
+    Minkowski-violation check made inside ``reduction`` (by the body that
+    the loop and the certificate call on an Im Omega they have read)."""
     scans, verdicts = [], []
-    scan, violations = reduction.candidate_det_ratios, reduction.minkowski_violations
+    scan, violations = reduction.candidate_det_ratios, reduction._minkowski_violations
 
     def counted_scan(p):
         scans.append(p)
@@ -266,7 +411,7 @@ def _count_scans(monkeypatch):
         return found
 
     monkeypatch.setattr(reduction, "candidate_det_ratios", counted_scan)
-    monkeypatch.setattr(reduction, "minkowski_violations", counted_violations)
+    monkeypatch.setattr(reduction, "_minkowski_violations", counted_violations)
     return scans, verdicts
 
 
